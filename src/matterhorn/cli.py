@@ -101,6 +101,20 @@ def _silence_convention(cfg: SnnLayerConfig) -> str:
     return f"mu={cfg.mu}" if cfg.masked else "minimum code"
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for an integer flag bounded to [lo, hi]."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
+
 def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bits", type=int, default=4, help="code bit width n (window T = 2^n)")
     sub.add_argument("--alpha", type=float, default=1.0, help="quantization scale")
@@ -309,26 +323,36 @@ def _cmd_area(args) -> int:
     return EXIT_OK
 
 
-def _sampler_from_args(args) -> ActivationSampler:
-    return ActivationSampler(kind=args.dist, loc=args.loc, scale=args.scale, seed=args.seed)
+def _sampler(args, calibration_cfg: SnnLayerConfig) -> ActivationSampler:
+    """The run's activation source; ``--calibrate`` replaces it with the
+    Gaussian that hits the target silence under ``calibration_cfg``."""
+    if args.calibrate is None:
+        return ActivationSampler(kind=args.dist, loc=args.loc, scale=args.scale, seed=args.seed)
+    sigma = calibrate_gaussian_sigma(args.calibrate, calibration_cfg, loc=args.loc)
+    return ActivationSampler(kind="gaussian", loc=args.loc, scale=sigma, seed=args.seed)
+
+
+def _sampling_header(
+    title: str, args, sampler: ActivationSampler, cfg: SnnLayerConfig, k: int | None = None
+) -> list[str]:
+    """Header lines shared by the sampled-activation reports; ``k`` is
+    named only when the report uses a single dead-zone radius."""
+    radius = "" if k is None else f" k={k}"
+    return [
+        f"{title} over {args.count} samples",
+        f"sampler={sampler.kind} loc={sampler.loc} scale={sampler.scale} seed={sampler.seed}",
+        f"bits={args.bits} alpha={args.alpha} mode={args.mode} i_max={cfg.i_max}{radius}",
+        f"silent decodes to {_silence_convention(cfg)}",
+    ]
 
 
 def _cmd_stats(args) -> int:
     cfg = _spike_config(args)
-    if args.calibrate is not None:
-        sigma = calibrate_gaussian_sigma(args.calibrate, cfg, loc=args.loc)
-        sampler = ActivationSampler(kind="gaussian", loc=args.loc, scale=sigma, seed=args.seed)
-    else:
-        sampler = _sampler_from_args(args)
+    sampler = _sampler(args, cfg)
     trains = encode_samples(sampler.sample(args.count), cfg)
     hist = spike_time_histogram(trains)
-    header = [
-        f"spike-time histogram over {args.count} samples",
-        f"sampler={sampler.kind} loc={sampler.loc} scale={sampler.scale} seed={sampler.seed}",
-        f"bits={args.bits} alpha={args.alpha} mode={args.mode} i_max={cfg.i_max} k={cfg.k}",
-        f"silent decodes to {_silence_convention(cfg)}",
-        f"silence_fraction={hist.silence_fraction:.6f}",
-    ]
+    header = _sampling_header("spike-time histogram", args, sampler, cfg, k=cfg.k)
+    header.append(f"silence_fraction={hist.silence_fraction:.6f}")
     rows = [[label, count] for label, count in hist.to_rows()]
     _emit(_csv_text(header, ["t", "count"], rows), args.out)
     if args.svg:
@@ -339,20 +363,11 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _spike_config(args)
-    if args.calibrate is not None:
-        sigma = calibrate_gaussian_sigma(args.calibrate, replace(cfg, k=0), loc=args.loc)
-        sampler = ActivationSampler(kind="gaussian", loc=args.loc, scale=sigma, seed=args.seed)
-    else:
-        sampler = _sampler_from_args(args)
+    sampler = _sampler(args, replace(cfg, k=0))  # the sweep's target is silence at k=0
     ks = list(range(0, args.kmax + 1))
     rows = sparsity_sweep(sampler, cfg, ks, count=args.count)
-    header = [
-        f"dead-zone sparsity sweep over {args.count} samples",
-        f"sampler={sampler.kind} loc={sampler.loc} scale={sampler.scale} seed={sampler.seed}",
-        f"bits={args.bits} alpha={args.alpha} mode={args.mode} i_max={cfg.i_max}",
-        f"silent decodes to {_silence_convention(cfg)}",
-        f"reference_silence_pct={json.dumps(REFERENCE_SILENCE_PCT, sort_keys=True)}",
-    ]
+    header = _sampling_header("dead-zone sparsity sweep", args, sampler, cfg)
+    header.append(f"reference_silence_pct={json.dumps(REFERENCE_SILENCE_PCT, sort_keys=True)}")
     table = [
         [
             r.k,
@@ -377,11 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check quantized/spiking layer equivalence")
     _add_quant_flags(p_verify)
     p_verify.add_argument("--weights", default="random:0", help="layer JSON file or random:SEED")
-    p_verify.add_argument("--fan-in", type=int, default=4)
-    p_verify.add_argument("--fan-out", type=int, default=4)
+    p_verify.add_argument("--fan-in", type=_int_in(1), default=4)
+    p_verify.add_argument("--fan-out", type=_int_in(1), default=4)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="all input code vectors")
-    group.add_argument("--samples", type=int, default=100_000, help="sampled pre-activations")
+    group.add_argument(
+        "--samples", type=_int_in(1), default=100_000, help="sampled pre-activations"
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_encode = sub.add_parser("encode", help="encode integer codes as spike trains")
@@ -391,15 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_xbar = sub.add_parser("xbar", help="crossbar read-out replay and VMM fuzzing")
     p_xbar.add_argument("--replay", choices=["reference"], help="replay the documented read-out")
-    p_xbar.add_argument("--fuzz", type=int, default=100, help="random VMM instances")
-    p_xbar.add_argument("--bits", type=int, default=4, help="input bit budget")
+    p_xbar.add_argument("--fuzz", type=_int_in(1), default=100, help="random VMM instances")
+    # sums of up to 39 fuzzed rows stay inside int64 only up to 57-bit inputs
+    p_xbar.add_argument("--bits", type=_int_in(1, 57), default=4, help="input bit budget")
     p_xbar.set_defaults(func=_cmd_xbar)
 
     p_attn = sub.add_parser("attn", help="time-based attention vs integer reference")
     _add_quant_flags(p_attn)
     p_attn.add_argument("--tokens", type=int, default=4)
     p_attn.add_argument("--dk", type=int, default=4)
-    p_attn.add_argument("--samples", type=int, default=20)
+    p_attn.add_argument("--samples", type=_int_in(1), default=20)
     p_attn.set_defaults(func=_cmd_attn)
 
     p_energy = sub.add_parser("energy", help="block energy for one operating mode")
@@ -423,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
     p_stats.add_argument("--loc", type=float, default=0.0)
     p_stats.add_argument("--scale", type=float, default=1.0)
-    p_stats.add_argument("--count", type=int, default=20_000)
+    p_stats.add_argument("--count", type=_int_in(1), default=20_000)
     p_stats.add_argument("--calibrate", type=float, default=None, help="target silence at this k")
     p_stats.add_argument(
         "--baseline",
@@ -438,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
     p_sweep.add_argument("--loc", type=float, default=0.0)
     p_sweep.add_argument("--scale", type=float, default=1.0)
-    p_sweep.add_argument("--count", type=int, default=20_000)
+    p_sweep.add_argument("--count", type=_int_in(1), default=20_000)
     p_sweep.add_argument("--calibrate", type=float, default=None, help="target silence at k=0")
     p_sweep.add_argument("--kmax", type=int, default=3)
     p_sweep.set_defaults(func=_cmd_sweep)

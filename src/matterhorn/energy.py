@@ -28,10 +28,7 @@ __all__ = [
     "EnergyReport",
     "TransformerBlockShape",
     "AreaEstimate",
-    "e_fc_baseline",
-    "e_qkv_baseline",
-    "e_fc_msu",
-    "e_qkv_timeacc",
+    "component_energy",
     "block_energy",
     "scenario_compare",
     "area_estimate",
@@ -196,121 +193,88 @@ class EnergyReport:
         }
 
 
-def _base_assumptions(shape: WorkloadShape, r: dict[str, float]) -> dict:
-    return {"shape": dict(vars(shape)), "unit_energies_pj": dict(r)}
+# Mode -> pricing.  The three digital TTFS modes share one pricing and
+# differ only in their spike rates.
+_PRICING = {
+    "baseline": "digital",
+    "mttfs": "digital",
+    "deadzone": "digital",
+    "msu": "msu",
+    "rate_coded": "rate_coded",
+}
+
+# Per-spike compute cost inside the spike-processing bracket, keyed by
+# (component kind, pricing): the resolved unit energies summed per
+# arriving spike.
+_SPIKE_COMPUTE = {
+    # temporal model: decay of the kernel plus a mixed-precision MAC
+    ("fc", "digital"): ("decay_pj", "mac_mixed_pj"),
+    ("qkv", "digital"): ("encoding_pj", "mac_mixed_pj"),
+    # rate-coded comparison pricing: one accumulate per arriving spike
+    ("fc", "rate_coded"): ("acc_4b_pj",),
+    ("qkv", "rate_coded"): ("acc_4b_pj",),
+    # the crossbar does the MAC in the analog domain (see component_energy)
+    ("fc", "msu"): (),
+    # time-based accumulation: weights of arriving spikes are summed per
+    # step and scaled once per step, so a spike costs one accumulate
+    ("qkv", "msu"): ("acc_4b_pj",),
+}
 
 
-def _fc_report(
-    shape: WorkloadShape, params: EnergyParams, label: str, processing_pj: float, r: dict
+def component_energy(
+    kind: str, mode: str, shape: WorkloadShape, params: EnergyParams = EnergyParams()
 ) -> EnergyReport:
-    """Shared body of the fully-connected energy equation.
+    """Energy of one block component of ``kind`` ("fc" or "qkv") in ``mode``.
 
-    ``processing_pj`` is the per-spike compute cost inside the spike
-    -processing bracket (decay + MAC for the temporal model, a plain
-    accumulate for rate-coded comparisons).
+    An FC layer has B*S*C_o outputs that each integrate C_i inputs over T
+    steps; attention scores over the KV cache have B*h*S^2 outputs with a
+    d_k inner dimension.  Spike-processing terms (compute, movement, weight
+    or KV reads) scale with the spike ratio; leakage and thresholding do
+    not.  Under ``msu`` an FC layer keeps its weights in the crossbar, so
+    weight access is zero by construction and its compute is analog, and
+    attention pays a per-step encoding + MAC for the time-based scaling.
     """
-    n_out = shape.n_fc_out
-    per_in = shape.c_i * shape.t  # (input, step) slots per output element
-    cats = {
-        "digital_compute": n_out * per_in * shape.s_r * processing_pj * PJ,
-        "weight_access": n_out * per_in * shape.s_r * r["weight_read_pj"] * PJ,
-        "spike_movement": n_out * per_in * shape.s_r * r["spike_move_pj"] * PJ,
-        "leakage": n_out * per_in * r["leak_pj"] * PJ,
-        "thresholding": n_out * shape.t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
-        "kv_traffic": n_out * r["kv_write_pj"] * PJ,
-    }
-    return EnergyReport(label=label, categories=cats, assumptions=_base_assumptions(shape, r))
-
-
-def e_fc_baseline(shape: WorkloadShape, params: EnergyParams = EnergyParams()) -> EnergyReport:
-    """Digital fully-connected layer: every output integrates C_i inputs
-    over T steps; spike-processing terms scale with the spike ratio,
-    leakage and thresholding do not."""
+    if mode not in _PRICING:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")
+    if kind not in ("fc", "qkv"):
+        raise ValueError(f"unknown component kind {kind!r}; expected 'fc' or 'qkv'")
+    pricing = _PRICING[mode]
     r = params.resolved(shape.t)
-    return _fc_report(shape, params, "fc_baseline", r["decay_pj"] + r["mac_mixed_pj"], r)
-
-
-def _qkv_report(
-    shape: WorkloadShape, params: EnergyParams, label: str, processing_pj: float, r: dict
-) -> EnergyReport:
-    n_out = shape.n_qkv_out
-    per_in = shape.d_k * shape.t
+    if kind == "fc":
+        n_out, per_in = shape.n_fc_out, shape.c_i * shape.t
+    else:
+        n_out, per_in = shape.n_qkv_out, shape.d_k * shape.t
+    spikes = n_out * per_in * shape.s_r  # arriving spikes over all (input, step) slots
+    digital = spikes * sum(r[name] for name in _SPIKE_COMPUTE[kind, pricing])
     cats = {
-        "digital_compute": n_out * per_in * shape.s_r * processing_pj * PJ,
-        "kv_traffic": n_out * per_in * shape.s_r * r["kv_read_pj"] * PJ,
-        "spike_movement": n_out * per_in * shape.s_r * r["spike_move_pj"] * PJ,
+        "spike_movement": spikes * r["spike_move_pj"] * PJ,
         "leakage": n_out * per_in * r["leak_pj"] * PJ,
         "thresholding": n_out * shape.t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
     }
-    return EnergyReport(label=label, categories=cats, assumptions=_base_assumptions(shape, r))
-
-
-def e_qkv_baseline(shape: WorkloadShape, params: EnergyParams = EnergyParams()) -> EnergyReport:
-    """Digital attention-score computation over the KV cache; same shape
-    as the FC equation with B*h*S^2 outputs and d_k inner dimension."""
-    r = params.resolved(shape.t)
-    return _qkv_report(shape, params, "qkv_baseline", r["encoding_pj"] + r["mac_mixed_pj"], r)
-
-
-def e_fc_msu(shape: WorkloadShape, params: EnergyParams = EnergyParams()) -> EnergyReport:
-    """Crossbar-backed fully-connected layer.
-
-    Weights stay in the array, so the weight-access category is zero by
-    construction.  The digital part keeps spike movement, leakage and
-    thresholding; the analog part covers input-sum staging, log2(T)
-    bit-plane readouts with shift-and-add, and the signed-recovery mapping.
-    """
-    if shape.t < 1 or (shape.t & (shape.t - 1)) != 0:
-        raise ValueError(f"time window must be a power of two, got {shape.t}")
-    r = params.resolved(shape.t)
-    n_out = shape.n_fc_out
-    per_in = shape.c_i * shape.t
-    bits = int(math.log2(shape.t))
-    per_image = shape.b * shape.s
-    analog = per_image * (
-        shape.t * shape.c_i * r["sum_pj"]
-        + shape.c_o * (bits * (shape.c_i * r["cim_pj"] + r["acc_4b_pj"]) + r["map_pj"])
-    )
-    cats = {
-        "spike_movement": n_out * per_in * shape.s_r * r["spike_move_pj"] * PJ,
-        "leakage": n_out * per_in * r["leak_pj"] * PJ,
-        "thresholding": n_out * shape.t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
-        "analog_compute": analog * PJ,
-        "weight_access": 0.0,
-    }
-    return EnergyReport(label="fc_msu", categories=cats, assumptions=_base_assumptions(shape, r))
-
-
-def e_qkv_timeacc(shape: WorkloadShape, params: EnergyParams = EnergyParams()) -> EnergyReport:
-    """Attention scores via time-based accumulation: weights of arriving
-    spikes are summed per step and scaled once per step, so the per-spike
-    bracket drops to an accumulate plus movement and KV read."""
-    r = params.resolved(shape.t)
-    n_out = shape.n_qkv_out
-    per_in = shape.d_k * shape.t
-    cats = {
-        "digital_compute": (
-            n_out * per_in * shape.s_r * r["acc_4b_pj"]
-            + n_out * shape.t * (r["encoding_pj"] + r["mac_int4_pj"])
+    if kind == "qkv":
+        if pricing == "msu":
+            digital += n_out * shape.t * (r["encoding_pj"] + r["mac_int4_pj"])
+        cats["kv_traffic"] = spikes * r["kv_read_pj"] * PJ
+    elif pricing == "msu":
+        # input-sum staging, log2(T) bit-plane readouts with shift-and-add,
+        # and the signed-recovery mapping
+        if (shape.t & (shape.t - 1)) != 0:
+            raise ValueError(f"time window must be a power of two, got {shape.t}")
+        bits = int(math.log2(shape.t))
+        analog = (shape.b * shape.s) * (
+            shape.t * shape.c_i * r["sum_pj"]
+            + shape.c_o * (bits * (shape.c_i * r["cim_pj"] + r["acc_4b_pj"]) + r["map_pj"])
         )
-        * PJ,
-        "spike_movement": n_out * per_in * shape.s_r * r["spike_move_pj"] * PJ,
-        "kv_traffic": n_out * per_in * shape.s_r * r["kv_read_pj"] * PJ,
-        "leakage": n_out * per_in * r["leak_pj"] * PJ,
-        "thresholding": n_out * shape.t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
-    }
-    return EnergyReport(label="qkv_timeacc", categories=cats, assumptions=_base_assumptions(shape, r))
-
-
-def _fc_rate_coded(shape: WorkloadShape, params: EnergyParams) -> EnergyReport:
-    # Rate-coded comparison pricing: one accumulate per arriving spike.
-    r = params.resolved(shape.t)
-    return _fc_report(shape, params, "fc_rate_coded", r["acc_4b_pj"], r)
-
-
-def _qkv_rate_coded(shape: WorkloadShape, params: EnergyParams) -> EnergyReport:
-    r = params.resolved(shape.t)
-    return _qkv_report(shape, params, "qkv_rate_coded", r["acc_4b_pj"], r)
+        cats["analog_compute"] = analog * PJ
+    else:
+        cats["weight_access"] = spikes * r["weight_read_pj"] * PJ
+        cats["kv_traffic"] = n_out * r["kv_write_pj"] * PJ
+    cats["digital_compute"] = digital * PJ
+    return EnergyReport(
+        label=f"{kind}_{mode}",
+        categories=cats,
+        assumptions={"shape": dict(vars(shape)), "unit_energies_pj": dict(r)},
+    )
 
 
 @dataclass(frozen=True)
@@ -354,22 +318,6 @@ class TransformerBlockShape:
         )
 
 
-_FC_OPS = {
-    "baseline": e_fc_baseline,
-    "mttfs": e_fc_baseline,
-    "deadzone": e_fc_baseline,
-    "msu": e_fc_msu,
-    "rate_coded": _fc_rate_coded,
-}
-_QKV_OPS = {
-    "baseline": e_qkv_baseline,
-    "mttfs": e_qkv_baseline,
-    "deadzone": e_qkv_baseline,
-    "msu": e_qkv_timeacc,
-    "rate_coded": _qkv_rate_coded,
-}
-
-
 def block_energy(
     block: TransformerBlockShape,
     mode: str,
@@ -382,8 +330,8 @@ def block_energy(
     per-component dict (every component must be present), or None for the
     mode's default aggregate rate.
     """
-    if mode not in _FC_OPS:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_FC_OPS)}")
+    if mode not in _PRICING:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")
     components = block.components()
     if rates is None:
         rates = DEFAULT_MODE_RATES.get(mode, DEFAULT_MODE_RATES["baseline"])
@@ -396,8 +344,7 @@ def block_energy(
     reports = []
     for name, kind, c_i, c_o in components:
         shape = block.workload(c_i, c_o, rates[name])
-        op = _FC_OPS[mode] if kind == "fc" else _QKV_OPS[mode]
-        rep = op(shape, params)
+        rep = component_energy(kind, mode, shape, params)
         reports.append(EnergyReport(label=name, categories=rep.categories, assumptions=rep.assumptions))
     merged = EnergyReport.merged(f"block_{mode}", reports)
     merged.assumptions["mode"] = mode

@@ -185,6 +185,8 @@ def ste_backward(upstream, a, p: QuantParams, mu: int, k: int) -> np.ndarray:
     if upstream.shape != a.shape:
         raise ValueError(f"gradient shape {upstream.shape} != activation shape {a.shape}")
     in_range = (a >= p.alpha * p.code_min) & (a <= p.alpha * p.code_max)
-    codes = np.clip(np.floor(a / p.alpha), p.code_min, p.code_max)
+    # the forward codes, floored exactly: a float quotient can round onto
+    # the next code at a boundary and flip the dead-zone test
+    codes = np.array([quantize(float(x), p) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
     outside_dead_zone = np.abs(codes - mu) > k
     return upstream * in_range * outside_dead_zone

@@ -159,9 +159,17 @@ class SpikeTrain:
 
     @classmethod
     def from_bytes(cls, data: bytes, window: int) -> "SpikeTrain":
-        raw = np.frombuffer(data, dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=window)
-        return cls(bits)
+        """Inverse of ``to_bytes``: exactly ceil(window / 8) bytes whose
+        padding bits past the window are zero."""
+        expected = -(-window // 8)
+        if len(data) != expected:
+            raise ValueError(
+                f"a {window}-step train packs into {expected} bytes, got {len(data)}"
+            )
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+        if np.any(bits[window:]):
+            raise ValueError(f"padding bits past step {window - 1} must be zero")
+        return cls(bits[:window])
 
     def to_list(self) -> list[int]:
         """JSON debug form: plain 0/1 array."""

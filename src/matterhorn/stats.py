@@ -127,9 +127,6 @@ class SweepRow:
     silence: float
     mean_spike_rate: float
 
-    def to_dict(self) -> dict:
-        return {"k": self.k, "silence": self.silence, "mean_spike_rate": self.mean_spike_rate}
-
 
 def sparsity_sweep(
     sampler: ActivationSampler,

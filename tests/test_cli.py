@@ -1,5 +1,6 @@
 """Command-line dispatch: exit codes, determinism, artifact contents."""
 
+import hashlib
 import json
 
 import pytest
@@ -29,6 +30,27 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         dispatch(["verify", "--frobnicate"])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--fan-in", "0", "--exhaustive"], "--fan-in"),  # would check nothing
+        (["verify", "--fan-out", "0", "--exhaustive"], "--fan-out"),
+        (["xbar", "--bits", "70"], "--bits"),  # beyond numpy's int64 sampler
+        (["xbar", "--bits", "58"], "--bits"),  # fuzz sums would overflow int64
+        (["stats", "--count", "-1"], "--count"),
+        # zero cases would report a vacuous pass
+        (["verify", "--samples", "0"], "--samples"),
+        (["xbar", "--fuzz", "0"], "--fuzz"),
+        (["attn", "--samples", "0"], "--samples"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_verify_exhaustive_passes(capsys):
@@ -90,9 +112,10 @@ def test_xbar_replay(capsys):
 
 
 def test_xbar_fuzz(capsys):
-    code, out, _ = run(capsys, "xbar", "--fuzz", "25", "--seed", "3")
-    assert code == EXIT_OK
-    assert json.loads(out)["result"]["failures"] == 0
+    for bits in ("4", "57"):  # 57: the widest budget whose sums stay exact in int64
+        code, out, _ = run(capsys, "xbar", "--fuzz", "25", "--seed", "3", "--bits", bits)
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["failures"] == 0
 
 
 def test_attn_fuzz(capsys):
@@ -140,12 +163,35 @@ def test_area_report(capsys):
     assert doc["block_mm2"] < 10.0
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of the exact stats/sweep CSV bytes (header, rows, number formats),
+# uncalibrated and calibrated; any byte that changes shows up here.
+STATS_CSV_SHA256 = {
+    (): "70ff1f784e6a31ac7ea0b38ff82902bc89d54226a988731fc655a631082af52f",
+    ("--calibrate", "0.6", "--k", "1"): (
+        "ef79ade27c702daf105fe01cea38f9add484943436ff7521eaa8f8e20610f422"
+    ),
+}
+SWEEP_CSV_SHA256 = {
+    (): "1877b9cc8235c9eedad362c7a0f087c6c1e6e9ab3c0b91a4c7858395951225c7",
+    # calibrated at k=0 even though --k is set
+    ("--calibrate", "0.34", "--k", "1"): (
+        "db7cbf8f349061c53cd45715d3e96f5218e990ad86de94112aa1e2bfc391bafa"
+    ),
+}
+
+
 def test_stats_csv_and_svg(tmp_path, capsys):
     svg_path = tmp_path / "hist.svg"
-    code, out, _ = run(
-        capsys, "stats", "--count", "500", "--seed", "4", "--svg", str(svg_path)
-    )
-    assert code == EXIT_OK
+    for extra, digest in STATS_CSV_SHA256.items():
+        code, out, _ = run(
+            capsys, "stats", "--count", "500", "--seed", "4", "--svg", str(svg_path), *extra
+        )
+        assert code == EXIT_OK
+        assert sha256(out) == digest, extra
     assert "silence_fraction=" in out
     assert out.strip().splitlines()[-1].startswith("silent,")
     assert svg_path.read_text().startswith("<svg")
@@ -167,8 +213,10 @@ def test_stats_baseline_flag(capsys):
 
 
 def test_sweep_table_with_reference_column(capsys):
-    code, out, _ = run(capsys, "sweep", "--count", "500", "--kmax", "2", "--seed", "4")
-    assert code == EXIT_OK
+    for extra, digest in SWEEP_CSV_SHA256.items():
+        code, out, _ = run(capsys, "sweep", "--count", "500", "--kmax", "2", "--seed", "4", *extra)
+        assert code == EXIT_OK
+        assert sha256(out) == digest, extra
     assert "reference_silence_pct" in out
     assert "61.2" in out  # logged alongside, not asserted
 

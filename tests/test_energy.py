@@ -13,10 +13,7 @@ from matterhorn.energy import (
     WorkloadShape,
     area_estimate,
     block_energy,
-    e_fc_baseline,
-    e_fc_msu,
-    e_qkv_baseline,
-    e_qkv_timeacc,
+    component_energy,
     scenario_compare,
 )
 
@@ -50,7 +47,7 @@ TINY = WorkloadShape(b=1, s=1, c_i=1, c_o=1, d_k=1, h=1, t=1, s_r=1.0)
 
 def test_fc_baseline_unit_case():
     # 1*[1*1*(1*(decay+mac+w+move) + leak) + 1*(cmp+th) + kvw] = 8 pJ
-    rep = e_fc_baseline(TINY, UNIT_PARAMS)
+    rep = component_energy("fc", "baseline", TINY, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(8 * PJ)
     assert rep.categories["digital_compute"] == pytest.approx(2 * PJ)
     assert rep.categories["thresholding"] == pytest.approx(2 * PJ)
@@ -58,21 +55,21 @@ def test_fc_baseline_unit_case():
 
 def test_qkv_baseline_unit_case():
     # (enc+mac+move+kv_read) + leak + (cmp+th) = 7 pJ
-    rep = e_qkv_baseline(TINY, UNIT_PARAMS)
+    rep = component_energy("qkv", "baseline", TINY, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(7 * PJ)
 
 
 def test_fc_msu_unit_case():
     # T=2: analog = 2*sum + (cim+acc) + map = 5; digital = move*2 + leak*2 + 2*(cmp+th) = 8
     shape = replace(TINY, t=2)
-    rep = e_fc_msu(shape, UNIT_PARAMS)
+    rep = component_energy("fc", "msu", shape, UNIT_PARAMS)
     assert rep.categories["analog_compute"] == pytest.approx(5 * PJ)
     assert rep.total_j == pytest.approx(13 * PJ)
 
 
 def test_qkv_timeacc_unit_case():
     # (acc+move+kv_read) + leak + (enc+mac) + (cmp+th) = 8 pJ
-    rep = e_qkv_timeacc(TINY, UNIT_PARAMS)
+    rep = component_energy("qkv", "msu", TINY, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(8 * PJ)
 
 
@@ -80,20 +77,20 @@ def test_qkv_timeacc_unit_case():
 
 
 def test_fc_baseline_sparsity_limit():
-    rep = e_fc_baseline(replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("fc", "baseline", replace(TINY, s_r=0.0), UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding", "kv_traffic"}
 
 
 def test_qkv_baseline_sparsity_limit():
-    rep = e_qkv_baseline(replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("qkv", "baseline", replace(TINY, s_r=0.0), UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding"}
 
 
 def test_qkv_timeacc_sparsity_limit():
     # per-step scaling survives at zero spikes; per-spike terms vanish
-    rep = e_qkv_timeacc(replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("qkv", "msu", replace(TINY, s_r=0.0), UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding", "digital_compute"}
     assert rep.categories["digital_compute"] == pytest.approx(2 * PJ)  # enc + mac
@@ -102,16 +99,16 @@ def test_qkv_timeacc_sparsity_limit():
 def test_msu_weight_access_is_zero():
     for s_r in (0.0, 0.3, 1.0):
         shape = WorkloadShape(s_r=s_r)
-        assert e_fc_msu(shape).categories["weight_access"] == 0.0
+        assert component_energy("fc", "msu", shape).categories["weight_access"] == 0.0
 
 
 def test_msu_requires_power_of_two_window():
     with pytest.raises(ValueError):
-        e_fc_msu(replace(TINY, t=12))
+        component_energy("fc", "msu", replace(TINY, t=12))
 
 
 def test_report_closure_and_percentages():
-    rep = e_fc_baseline(WorkloadShape(), EnergyParams())
+    rep = component_energy("fc", "baseline", WorkloadShape(), EnergyParams())
     assert rep.total_j == math.fsum(rep.categories.values())
     assert abs(sum(rep.percentages.values()) - 100.0) < 0.01
 
@@ -119,7 +116,7 @@ def test_report_closure_and_percentages():
 def test_spike_processing_categories_linear_in_rate():
     base = WorkloadShape(s_r=0.07)
     double = replace(base, s_r=0.14)
-    r1, r2 = e_fc_baseline(base), e_fc_baseline(double)
+    r1, r2 = component_energy("fc", "baseline", base), component_energy("fc", "baseline", double)
     for cat in ("spike_movement", "weight_access", "digital_compute"):
         assert r2.categories[cat] == pytest.approx(2 * r1.categories[cat], rel=1e-12)
     # fixed categories unchanged
@@ -129,16 +126,16 @@ def test_spike_processing_categories_linear_in_rate():
 
 def test_total_monotone_in_shape_and_rates():
     base = WorkloadShape(b=2, s=4, c_i=8, c_o=8, d_k=4, h=2, t=4, s_r=0.2)
-    t0 = e_fc_baseline(base).total_j
-    assert e_fc_baseline(replace(base, b=3)).total_j > t0
-    assert e_fc_baseline(replace(base, s=5)).total_j > t0
-    assert e_fc_baseline(replace(base, t=8)).total_j > t0
-    assert e_fc_baseline(replace(base, s_r=0.4)).total_j > t0
+    t0 = component_energy("fc", "baseline", base).total_j
+    assert component_energy("fc", "baseline", replace(base, b=3)).total_j > t0
+    assert component_energy("fc", "baseline", replace(base, s=5)).total_j > t0
+    assert component_energy("fc", "baseline", replace(base, t=8)).total_j > t0
+    assert component_energy("fc", "baseline", replace(base, s_r=0.4)).total_j > t0
 
 
 def test_total_monotone_in_unit_energies():
     shape = WorkloadShape(b=2, s=4, c_i=8, c_o=8, t=4, s_r=0.2)
-    t0 = e_fc_baseline(shape, EnergyParams()).total_j
+    t0 = component_energy("fc", "baseline", shape, EnergyParams()).total_j
     bumped = {
         "mac_mixed_pj": 0.2,
         "cmp_pj": 0.2,
@@ -149,12 +146,15 @@ def test_total_monotone_in_unit_energies():
     }
     for field, value in bumped.items():
         params = replace(EnergyParams(), **{field: value})
-        assert e_fc_baseline(shape, params).total_j > t0, field
+        assert component_energy("fc", "baseline", shape, params).total_j > t0, field
 
 
 def test_msu_beats_baseline_at_operating_point():
     shape = WorkloadShape(s_r=DEFAULT_MODE_RATES["msu"])
-    assert e_fc_msu(shape).total_j < e_fc_baseline(shape).total_j
+    assert (
+        component_energy("fc", "msu", shape).total_j
+        < component_energy("fc", "baseline", shape).total_j
+    )
 
 
 def test_workload_validation():
@@ -212,7 +212,10 @@ def test_block_report_embeds_assumptions():
 
 
 def test_merged_report_sums_components():
-    reps = [e_fc_baseline(WorkloadShape()), e_qkv_baseline(WorkloadShape())]
+    reps = [
+        component_energy("fc", "baseline", WorkloadShape()),
+        component_energy("qkv", "baseline", WorkloadShape()),
+    ]
     merged = EnergyReport.merged("pair", reps)
     assert merged.total_j == pytest.approx(sum(r.total_j for r in reps))
 

@@ -165,16 +165,29 @@ def test_ste_blocks_clip_saturation():
     assert grad.tolist() == [0.0, 0.0]
 
 
+def _boundary_probes(p):
+    # every code boundary alpha*m and both of its float neighbours
+    edges = p.alpha * np.arange(p.code_min, p.code_max + 1)
+    return np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+
+
 def test_ste_support_matches_forward_set():
     # support == {a : alpha*code_min <= a <= alpha*code_max and code outside zone}
-    p = QuantParams(n=3, alpha=0.5)
-    mu, k = 0, 1
-    grid = np.arange(-3.0, 3.0, 0.125)  # dyadic grid: float math is exact
-    grad = ste_backward(np.ones_like(grid), grid, p, mu, k)
-    for a, g in zip(grid, grad):
-        in_range = p.alpha * p.code_min <= a <= p.alpha * p.code_max
-        outside = abs(quantize(float(a), p) - mu) > k
-        assert (g != 0.0) == (in_range and outside)
+    tenth = QuantParams(n=4, alpha=0.1)
+    cases = [
+        # dyadic grid: float math is exact
+        (QuantParams(n=3, alpha=0.5), 0, 1, np.arange(-3.0, 3.0, 0.125)),
+        # float a/alpha rounds 0.5/0.1 up to code 5; the exact forward code is 4
+        (tenth, 5, 0, _boundary_probes(tenth)),
+        # and rounds -0.7000000000000001/0.1 up to -7; the exact code is -8
+        (tenth, -7, 0, _boundary_probes(tenth)),
+    ]
+    for p, mu, k, grid in cases:
+        grad = ste_backward(np.ones_like(grid), grid, p, mu, k)
+        for a, g in zip(grid, grad):
+            in_range = p.alpha * p.code_min <= a <= p.alpha * p.code_max
+            outside = abs(quantize(float(a), p) - mu) > k
+            assert (g != 0.0) == (in_range and outside), (p.alpha, mu, a)
 
 
 def test_toy_training_reduces_loss():

@@ -51,6 +51,22 @@ def test_train_byte_round_trip(t):
     packed = train.to_bytes()
     assert len(packed) == 2  # padded to whole bytes
     assert SpikeTrain.from_bytes(packed, 16) == train
+    short = SpikeTrain.single(t % 12, 12)  # zero padding bits in the last byte
+    assert SpikeTrain.from_bytes(short.to_bytes(), 12) == short
+
+
+@pytest.mark.parametrize(
+    "data, window, match",
+    [
+        (b"", 16, "2 bytes, got 0"),  # unpackbits would read uninitialised memory
+        (b"\x01", 16, "2 bytes, got 1"),  # short buffer must not be zero-padded
+        (b"\x00\x00\x00", 16, "2 bytes, got 3"),
+        (b"\x00\x80", 12, "padding"),  # a set bit past the window is not dropped
+    ],
+)
+def test_train_from_bytes_rejects_malformed(data, window, match):
+    with pytest.raises(ValueError, match=match):
+        SpikeTrain.from_bytes(data, window)
 
 
 def test_train_bit_packing_is_little_endian():
