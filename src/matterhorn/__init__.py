@@ -26,7 +26,6 @@ from .energy import (
 )
 from .qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize, ste_backward
 from .spike import (
-    MembraneTrace,
     SnnLayerConfig,
     SpikeTrain,
     decode_spike,

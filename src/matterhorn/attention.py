@@ -49,7 +49,8 @@ def spike_matrix(trains: list[SpikeTrain], window: int | None = None) -> np.ndar
     for i, train in enumerate(trains):
         if train.window != window:
             raise ValueError(f"train window {train.window} != {window}")
-        cols[:, i] = train.bits
+        if train.time is not None:
+            cols[train.time, i] = 1
     return cols
 
 

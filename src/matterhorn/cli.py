@@ -49,6 +49,12 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 
+# Widest code: the threshold walk and the ``encode`` bit list are O(2^n).
+MAX_BITS = 16
+# ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
+# 2^EXHAUSTIVE_BUDGET_LOG2 of them.
+EXHAUSTIVE_BUDGET_LOG2 = 20
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -116,7 +122,9 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bits", type=int, default=4, help="code bit width n (window T = 2^n)")
+    sub.add_argument(
+        "--bits", type=_int_in(1, MAX_BITS), default=4, help="code bit width n (window T = 2^n)"
+    )
     sub.add_argument("--alpha", type=float, default=1.0, help="quantization scale")
     sub.add_argument(
         "--mode", choices=[SYMMETRIC, ASYMMETRIC], default=SYMMETRIC, help="quantization mode"
@@ -147,10 +155,18 @@ def _cmd_verify(args) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad layer descriptor {args.weights}: {exc}") from exc
         p = layer.out_params
+        if p.n > MAX_BITS:
+            raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
         i_max = p.code_max - layer.mu
         cfg = derive_snn_config(p, i_max, layer.k)
 
     if args.exhaustive:
+        exponent = layer.in_params.n * layer.fan_in
+        if exponent > EXHAUSTIVE_BUDGET_LOG2:
+            raise ConfigError(
+                f"--exhaustive would walk (2^{layer.in_params.n})^{layer.fan_in} = 2^{exponent} "
+                f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
+            )
         report = verify_equivalence(layer, cfg, domain="exhaustive")
         domain = "exhaustive"
     else:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
 from .spike import (
-    MembraneTrace,
     SnnLayerConfig,
     candidate_fire_time,
     decode_spike,
@@ -131,8 +130,7 @@ def verify_equivalence(
         for a in draws:
             a = float(a)
             qnn_code = dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k)
-            trace = MembraneTrace(v=np.zeros(cfg.window), bias=a)
-            snn_code = decode_spike(fire_simulated(trace, cfg), cfg)
+            snn_code = decode_spike(fire_simulated(a, cfg), cfg)
             report.cases_checked += 1
             if qnn_code != snn_code:
                 report.record(a, qnn_code, snn_code)
@@ -154,13 +152,13 @@ def verify_equivalence(
         report.cases_checked += 1
         for j in range(layer.fan_out):
             inputs = [(trains[i], layer.weights[i, j]) for i in range(layer.fan_in)]
-            trace = integrate(inputs, input_cfg, bias=layer.bias[j])
-            spike = fire_simulated(trace, cfg)
+            potential = integrate(inputs, input_cfg, bias=layer.bias[j])
+            spike = fire_simulated(potential, cfg)
             snn_code = decode_spike(spike, cfg)
             if qnn_out[j] != snn_code:
                 report.record(list(raw), int(qnn_out[j]), snn_code)
             # Dead-zone agreement: mask suppression <=> code within k of mu.
-            t_pre = candidate_fire_time(trace.final_potential, cfg)
+            t_pre = candidate_fire_time(potential, cfg)
             q_unmasked = quantize(pre[j], layer.out_params)
             if cfg.in_dead_zone(t_pre) != (abs(q_unmasked - layer.mu) <= layer.k):
                 report.record(list(raw), int(q_unmasked), decode_spike(spike, cfg))

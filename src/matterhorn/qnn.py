@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import floor_ratio
-from .spike import SYMMETRIC, _MODES
+from .spike import SYMMETRIC, QuantParams
 
 __all__ = [
     "QuantParams",
@@ -26,31 +26,6 @@ __all__ = [
     "layer_forward",
     "ste_backward",
 ]
-
-
-@dataclass(frozen=True)
-class QuantParams:
-    """Bit width, scale and mode of one quantized activation tensor."""
-
-    n: int
-    alpha: float = 1.0
-    mode: str = SYMMETRIC
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"bit width must be >= 1, got {self.n}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    @property
-    def code_min(self) -> int:
-        return -(2 ** (self.n - 1)) if self.mode == SYMMETRIC else 0
-
-    @property
-    def code_max(self) -> int:
-        return 2 ** (self.n - 1) - 1 if self.mode == SYMMETRIC else 2**self.n - 1
 
 
 def quantize(a: float, p: QuantParams) -> int:

@@ -32,7 +32,33 @@ _MODES = (SYMMETRIC, ASYMMETRIC)
 
 
 @dataclass(frozen=True)
-class SnnLayerConfig:
+class QuantParams:
+    """Bit width, scale and mode of one quantized activation tensor."""
+
+    n: int
+    alpha: float = 1.0
+    mode: str = SYMMETRIC
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"bit width must be >= 1, got {self.n}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+
+    @property
+    def code_min(self) -> int:
+        return -(2 ** (self.n - 1)) if self.mode == SYMMETRIC else 0
+
+    @property
+    def code_max(self) -> int:
+        """Top representable code; also the origin of the time ramp."""
+        return 2 ** (self.n - 1) - 1 if self.mode == SYMMETRIC else 2**self.n - 1
+
+
+@dataclass(frozen=True)
+class SnnLayerConfig(QuantParams):
     """Window, scale, kernel and threshold schedule for one M-TTFS layer.
 
     ``i_max`` is the masked firing time (dead-zone center); ``i_max=None``
@@ -43,21 +69,13 @@ class SnnLayerConfig:
     fault-injection hook for negative-control verification runs.
     """
 
-    n: int
-    alpha: float = 1.0
-    mode: str = SYMMETRIC
     i_max: int | None = None
     k: int = 0
     baseline_silent_min: bool = False
     theta_shift: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"bit width must be >= 1, got {self.n}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        super().__post_init__()
         if self.i_max is not None and not 0 <= self.i_max <= self.window - 1:
             raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
         if self.k < 0:
@@ -66,15 +84,6 @@ class SnnLayerConfig:
     @property
     def window(self) -> int:
         return 2**self.n
-
-    @property
-    def code_min(self) -> int:
-        return -(2 ** (self.n - 1)) if self.mode == SYMMETRIC else 0
-
-    @property
-    def code_max(self) -> int:
-        """Top representable code; also the origin of the time ramp."""
-        return 2 ** (self.n - 1) - 1 if self.mode == SYMMETRIC else 2**self.n - 1
 
     @property
     def masked(self) -> bool:
@@ -108,24 +117,24 @@ class SnnLayerConfig:
 class SpikeTrain:
     """Binary train of length ``window`` carrying at most one spike."""
 
-    __slots__ = ("bits", "_time")
+    __slots__ = ("_window", "_time")
 
     def __init__(self, bits) -> None:
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("spike train must be a non-empty 1-D binary vector")
-        if np.any(arr > 1):
+        if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("spike train entries must be 0 or 1")
         hits = np.flatnonzero(arr)
         if hits.size > 1:
             raise ValueError("at most one spike per train")
-        self.bits = arr
+        self._window = int(arr.size)
         self._time = int(hits[0]) if hits.size else None
 
     @classmethod
     def silent(cls, window: int) -> "SpikeTrain":
         train = cls.__new__(cls)
-        train.bits = np.zeros(window, dtype=np.uint8)
+        train._window = window
         train._time = None
         return train
 
@@ -134,15 +143,13 @@ class SpikeTrain:
         if not 0 <= t < window:
             raise ValueError(f"spike time {t} outside window [0, {window - 1}]")
         train = cls.__new__(cls)
-        bits = np.zeros(window, dtype=np.uint8)
-        bits[t] = 1
-        train.bits = bits
+        train._window = window
         train._time = t
         return train
 
     @property
     def window(self) -> int:
-        return self.bits.size
+        return self._window
 
     @property
     def time(self) -> int | None:
@@ -152,6 +159,15 @@ class SpikeTrain:
     @property
     def is_silent(self) -> bool:
         return self._time is None
+
+    @property
+    def bits(self) -> np.ndarray:
+        """Dense 0/1 vector of length ``window``, built on demand: a train
+        stores only its arrival step."""
+        bits = np.zeros(self._window, dtype=np.uint8)
+        if self._time is not None:
+            bits[self._time] = 1
+        return bits
 
     def to_bytes(self) -> bytes:
         """Little-endian bit packing, LSB = t=0, padded to whole bytes."""
@@ -185,27 +201,6 @@ class SpikeTrain:
 
     def __repr__(self) -> str:
         return f"SpikeTrain(t={self.time}, T={self.window})"
-
-
-@dataclass
-class MembraneTrace:
-    """Running membrane potential over one window, bias kept separate.
-
-    ``v[t]`` is the accumulated weighted-input sum up to step t; the bias
-    enters the threshold comparison once, not the per-step accumulation.
-    """
-
-    v: np.ndarray
-    bias: float = 0.0
-
-    @property
-    def window(self) -> int:
-        return int(self.v.size)
-
-    @property
-    def final_potential(self) -> float:
-        """Settled potential after the full window: v[T-1] + bias."""
-        return float(self.v[-1]) + self.bias
 
 
 def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
@@ -247,22 +242,25 @@ def integrate(
     inputs: list[tuple[SpikeTrain, float]],
     cfg_prev: SnnLayerConfig,
     bias: float = 0.0,
-) -> MembraneTrace:
-    """Accumulate weighted input spikes into a membrane trace.
+) -> float:
+    """Settled membrane potential after one window of weighted input spikes.
 
-    Each spiking input contributes ``w * alpha_prev * f(t)`` at its arrival
-    step; silent inputs contribute nothing.  ``cfg_prev`` carries the scale
-    and kernel of the layer that produced the trains.
+    Each spiking input contributes ``w * (alpha_prev * f(t))``; silent
+    inputs contribute nothing.  ``cfg_prev`` carries the scale and kernel
+    of the layer that produced the trains.  The contributions are summed
+    exactly rounded and the bias is added once, the rule of
+    ``QnnLayer.pre_activation``, so the potential does not depend on
+    arrival order and matches the quantized ground truth bit for bit.
     """
     window = cfg_prev.window
-    deltas = np.zeros(window, dtype=np.float64)
+    terms = []
     for train, weight in inputs:
         if train.window != window:
             raise ValueError(f"train window {train.window} != config window {window}")
         t = train.time
         if t is not None:
-            deltas[t] += weight * (cfg_prev.alpha * cfg_prev.kernel(t))
-    return MembraneTrace(v=np.cumsum(deltas), bias=float(bias))
+            terms.append(weight * (cfg_prev.alpha * cfg_prev.kernel(t)))
+    return math.fsum(terms) + float(bias)
 
 
 def candidate_fire_time(potential: float, cfg: SnnLayerConfig) -> int:
@@ -291,16 +289,14 @@ def _mask_fire_time(t: int, cfg: SnnLayerConfig) -> SpikeTrain:
     return SpikeTrain.single(t, cfg.window)
 
 
-def fire_simulated(trace: MembraneTrace, cfg: SnnLayerConfig) -> SpikeTrain:
-    """Masked threshold walk over the integrated trace.
+def fire_simulated(potential: float, cfg: SnnLayerConfig) -> SpikeTrain:
+    """Masked threshold walk for a settled potential.
 
     The candidate spike lands at the first step where the potential meets
     the decreasing threshold; the mask then either passes it through or
     silences it.  A masked candidate is consumed: no later step may fire.
     """
-    if trace.window != cfg.window:
-        raise ValueError(f"trace window {trace.window} != config window {cfg.window}")
-    return _mask_fire_time(candidate_fire_time(trace.final_potential, cfg), cfg)
+    return _mask_fire_time(candidate_fire_time(potential, cfg), cfg)
 
 
 def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
@@ -308,8 +304,8 @@ def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
 
     The unmasked time is ``clip(code_max + theta_shift - floor(a / alpha),
     0, T-1)``; the mask is applied afterwards.  Produces output identical
-    to ``fire_simulated`` on a trace with the same final potential, for
-    every input, which makes it the executable oracle for the walk.
+    to ``fire_simulated`` on the same potential, for every input, which
+    makes it the executable oracle for the walk.
     """
     if math.isnan(pre_activation):
         raise ValueError("pre-activation is NaN")

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .qnn import QuantParams, quantize
+from .qnn import quantize
 from .spike import SnnLayerConfig, SpikeTrain, encode_integer, silence_rate
 
 __all__ = [
@@ -117,8 +117,7 @@ class ActivationSampler:
 
 def encode_samples(samples, cfg: SnnLayerConfig) -> list[SpikeTrain]:
     """Quantize real activations under the config's params and encode them."""
-    p = QuantParams(n=cfg.n, alpha=cfg.alpha, mode=cfg.mode)
-    return [encode_integer(quantize(float(a), p), cfg) for a in np.asarray(samples)]
+    return [encode_integer(quantize(float(a), cfg), cfg) for a in np.asarray(samples)]
 
 
 @dataclass

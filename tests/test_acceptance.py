@@ -27,7 +27,6 @@ from matterhorn.qnn import QnnLayer, QuantParams
 from matterhorn.spike import (
     ASYMMETRIC,
     SYMMETRIC,
-    MembraneTrace,
     SnnLayerConfig,
     encode_integer,
     fire_analytic,
@@ -98,10 +97,9 @@ def test_criterion_2_firing_oracle():
     for cfg in configs:
         span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
         grid = np.linspace(-span, span, per_config)
-        zeros = np.zeros(cfg.window)
         for a in grid:
             a = float(a)
-            if fire_analytic(a, cfg) != fire_simulated(MembraneTrace(zeros, a), cfg):
+            if fire_analytic(a, cfg) != fire_simulated(a, cfg):
                 mismatches += 1
             checked += 1
     elapsed = time.perf_counter() - start
@@ -169,7 +167,7 @@ def test_criterion_5_time_based_accumulation():
         weights = rng.integers(-8, 9, width).astype(float)
         state = time_based_accumulate(spike_matrix(trains, cfg.window), weights, cfg)
         oracle = integrate(list(zip(trains, weights)), cfg)
-        if state.v != oracle.final_potential:
+        if state.v != oracle:
             failures += 1
     elapsed = time.perf_counter() - start
     passed = failures == 0 and elapsed < 10.0

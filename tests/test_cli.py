@@ -44,6 +44,9 @@ def test_unknown_flag_is_usage_error():
         (["verify", "--samples", "0"], "--samples"),
         (["xbar", "--fuzz", "0"], "--fuzz"),
         (["attn", "--samples", "0"], "--samples"),
+        # the threshold walk and the encode bit list grow as 2^n
+        (["verify", "--bits", "40", "--fan-in", "1", "--fan-out", "1", "--samples", "1"], "--bits"),
+        (["encode", "--bits", "17", "--codes", "0"], "--bits"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -93,6 +96,45 @@ def test_verify_malformed_json_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--weights", str(path), "--exhaustive")
     assert code == EXIT_CONFIG
     assert "broken.json" in json.loads(err)["detail"]
+
+
+def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
+    # summation order alone used to flip codes for non-integer weights
+    layer = {
+        "n": 3,
+        "alpha_in": 0.1,
+        "alpha_out": 0.1,
+        "mu": 0,
+        "k": 0,
+        "weights": [1.1, 0.1, 0.2, 0.2, 0.2, 1.1],
+        "bias": [0, 0],
+    }
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, out, _ = run(capsys, "verify", "--weights", str(path), "--exhaustive")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["cases_checked"] == 8**3 and result["mismatch_count"] == 0
+
+
+@pytest.mark.parametrize(
+    "n, fan_in, extra, needle",
+    [
+        (17, 1, ["--samples", "1"], "n=17"),  # wider than --bits accepts
+        (4, 6, ["--exhaustive"], "2^24"),  # over the exhaustive budget
+        (None, None, ["--bits", "4", "--fan-in", "10", "--exhaustive"], "2^40"),
+    ],
+)
+def test_verify_refuses_unbounded_work(tmp_path, capsys, n, fan_in, extra, needle):
+    argv = ["verify", *extra]
+    if n is not None:
+        layer = {"n": n, "alpha_in": 1, "alpha_out": 1, "weights": [1] * fan_in, "bias": [0]}
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps(layer))
+        argv += ["--weights", str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert needle in json.loads(err)["detail"]
 
 
 def test_encode_round_trip_artifact(capsys):

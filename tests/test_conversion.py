@@ -142,12 +142,12 @@ def test_two_layer_chain_end_to_end():
         trains = [encode_integer(int(q), cfg) for q in x]
         mid_trains = []
         for j in range(3):
-            trace = integrate([(trains[i], l1.weights[i, j]) for i in range(3)], cfg)
-            mid_trains.append(fire_simulated(trace, cfg))
+            potential = integrate([(trains[i], l1.weights[i, j]) for i in range(3)], cfg)
+            mid_trains.append(fire_simulated(potential, cfg))
         out = []
         for j in range(3):
-            trace = integrate([(mid_trains[i], l2.weights[i, j]) for i in range(3)], cfg)
-            out.append(decode_spike(fire_simulated(trace, cfg), cfg))
+            potential = integrate([(mid_trains[i], l2.weights[i, j]) for i in range(3)], cfg)
+            out.append(decode_spike(fire_simulated(potential, cfg), cfg))
         assert out == ref.tolist()
 
 
@@ -174,6 +174,57 @@ def test_equivalence_property_random_layers(n, mode, k, alpha, seed, bias_scale)
         k=k,
     )
     assert verify_equivalence(layer, cfg, domain="exhaustive").passed
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    k=st.integers(0, 2),
+    alpha=st.sampled_from([0.37, 0.1]),
+    fan_in=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_integrate_matches_pre_activation_for_real_weights(mode, k, alpha, fan_in, seed):
+    # real weights: the spiking potential must round exactly like the
+    # ground truth, whatever order the spikes arrive in
+    rng = np.random.default_rng(seed)
+    p = QuantParams(n=3, alpha=alpha, mode=mode)
+    cfg = derive_snn_config(p, zero_centered_i_max(p), k)
+    layer = QnnLayer(
+        weights=rng.normal(size=(fan_in, 2)),
+        bias=rng.normal(size=2),
+        in_params=p,
+        out_params=p,
+        mu=cfg.mu,
+        k=k,
+    )
+    codes = rng.integers(p.code_min, p.code_max + 1, fan_in)
+    filtered = [dead_zone_filter(int(q), cfg.mu, cfg.k) for q in codes]
+    trains = [encode_integer(int(q), cfg) for q in codes]
+    pre = layer.pre_activation(filtered)
+    for j in range(2):
+        inputs = [(trains[i], layer.weights[i, j]) for i in range(fan_in)]
+        potential = integrate(inputs, cfg, bias=layer.bias[j])
+        assert potential.hex() == float(pre[j]).hex()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_equivalence_mixed_in_out_widths(mode):
+    # 2-bit inputs feed a 4-bit output: the input trains live in a shorter
+    # window than the output's threshold walk
+    p_in, p_out = QuantParams(n=2, mode=mode), QuantParams(n=4, mode=mode)
+    cfg = derive_snn_config(p_out, zero_centered_i_max(p_out), 1)
+    layer = QnnLayer(
+        weights=np.random.default_rng(3).choice([-1.0, 1.0], (3, 2)),
+        bias=np.zeros(2),
+        in_params=p_in,
+        out_params=p_out,
+        mu=cfg.mu,
+        k=1,
+    )
+    report = verify_equivalence(layer, cfg, domain="exhaustive")
+    assert report.cases_checked == 64
+    assert report.passed, report.mismatches[:3]
 
 
 def test_report_shape():

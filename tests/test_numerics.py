@@ -3,13 +3,12 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matterhorn.numerics import floor_ratio, ge_scaled
 from matterhorn.qnn import QuantParams, quantize
-from matterhorn.spike import ASYMMETRIC, MembraneTrace, SnnLayerConfig, fire_analytic, fire_simulated
+from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, fire_analytic, fire_simulated
 
 scales = st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.3, 0.7, 2.5, 3.0, 1e-3, 1e3, math.pi])
 
@@ -54,9 +53,8 @@ def test_quantizer_respects_exact_boundary():
 
 def test_firing_paths_agree_on_adversarial_boundary():
     cfg = SnnLayerConfig(n=4, alpha=0.1, mode=ASYMMETRIC, i_max=15, k=0)
-    zeros = np.zeros(16)
     for a in (0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)):
-        assert fire_analytic(a, cfg) == fire_simulated(MembraneTrace(zeros, a), cfg)
+        assert fire_analytic(a, cfg) == fire_simulated(a, cfg)
     # a potential of exactly 0.5 sits below the alpha*5 threshold step
     assert fire_analytic(0.5, cfg).time == cfg.code_max - 4
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from matterhorn.spike import (
     ASYMMETRIC,
     SYMMETRIC,
-    MembraneTrace,
     SnnLayerConfig,
     SpikeTrain,
     decode_spike,
@@ -35,8 +34,10 @@ def test_train_rejects_multiple_spikes():
 
 
 def test_train_rejects_non_binary():
-    with pytest.raises(ValueError):
-        SpikeTrain([0, 2, 0, 0])
+    # fractional and negative entries must not be cast to 0/1 on the way in
+    for bits in ([0, 2, 0, 0], [0.5, 0, 0, 0], [1.7, 0, 0, 0], [-1, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            SpikeTrain(bits)
 
 
 def test_train_time_and_silence():
@@ -158,24 +159,20 @@ def test_kernel_recovers_code_outside_dead_zone():
 
 def test_integrate_single_input():
     cfg = cfg_sym16()
-    trace = integrate([(encode_integer(3, cfg), 2.0)], cfg)
-    assert trace.final_potential == 6.0
-    # contribution lands at the spike time and persists
-    t = encode_integer(3, cfg).time
-    assert trace.v[t - 1] == 0.0 and trace.v[t] == 6.0
+    potential = integrate([(encode_integer(3, cfg), 2.0)], cfg)
+    assert potential == 6.0
 
 
 def test_integrate_all_silent_keeps_bias():
     cfg = cfg_sym16()
-    trace = integrate([(SpikeTrain.silent(16), 3.0)], cfg, bias=5.0)
-    assert np.all(trace.v == 0.0)
-    assert trace.final_potential == 5.0
+    potential = integrate([(SpikeTrain.silent(16), 3.0)], cfg, bias=5.0)
+    assert potential == 5.0
 
 
 def test_integrate_mixed_signs():
     cfg = cfg_sym16()
     inputs = [(encode_integer(2, cfg), 1.0), (encode_integer(-1, cfg), 1.0)]
-    assert integrate(inputs, cfg).final_potential == 1.0
+    assert integrate(inputs, cfg) == 1.0
 
 
 def test_integrate_window_mismatch_raises():
@@ -191,10 +188,10 @@ def test_integrate_matches_dot_product_oracle():
         codes = rng.integers(cfg.code_min, cfg.code_max + 1, 6)
         weights = rng.integers(-4, 5, 6).astype(float)
         filtered = np.where(np.abs(codes - cfg.mu) <= cfg.k, cfg.mu, codes)
-        trace = integrate(
+        potential = integrate(
             [(encode_integer(int(q), cfg), w) for q, w in zip(codes, weights)], cfg
         )
-        assert trace.final_potential == float(weights @ filtered)
+        assert potential == float(weights @ filtered)
 
 
 # --- firing -------------------------------------------------------------
@@ -210,23 +207,20 @@ def brute_fire_time(a, cfg):
 
 def test_fire_simulated_threshold_walk():
     cfg = cfg_sym16()
-    trace = MembraneTrace(v=np.zeros(16), bias=3.0)
-    assert fire_simulated(trace, cfg).time == 4
+    assert fire_simulated(3.0, cfg).time == 4
     assert brute_fire_time(3.0, cfg) == 4
 
 
 def test_fire_simulated_mask_suppression():
     cfg = cfg_sym16()
     # potential crossing exactly at i_max=7 (code 0)
-    trace = MembraneTrace(v=np.zeros(16), bias=0.0)
     assert brute_fire_time(0.0, cfg) == 7
-    assert fire_simulated(trace, cfg).is_silent
+    assert fire_simulated(0.0, cfg).is_silent
 
 
 def test_fire_simulated_immediate_crossing():
     cfg = cfg_sym16()
-    trace = MembraneTrace(v=np.zeros(16), bias=100.0)
-    assert fire_simulated(trace, cfg).time == 0
+    assert fire_simulated(100.0, cfg).time == 0
 
 
 def test_fire_analytic_examples():
@@ -264,8 +258,7 @@ config_strategy = st.builds(
     a=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
 )
 def test_analytic_matches_simulated_everywhere(cfg, a):
-    trace = MembraneTrace(v=np.zeros(cfg.window), bias=a)
-    assert fire_analytic(a, cfg) == fire_simulated(trace, cfg)
+    assert fire_analytic(a, cfg) == fire_simulated(a, cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,8 +284,8 @@ def test_analytic_matches_simulated_through_encoding(cfg, q, w, bias):
     # same comparison, but the potential is built by real spike integration
     if not cfg.code_min <= q <= cfg.code_max:
         return
-    trace = integrate([(encode_integer(q, cfg), w)], cfg, bias=bias)
-    assert fire_analytic(trace.final_potential, cfg) == fire_simulated(trace, cfg)
+    potential = integrate([(encode_integer(q, cfg), w)], cfg, bias=bias)
+    assert fire_analytic(potential, cfg) == fire_simulated(potential, cfg)
 
 
 def test_oracle_equivalence_dense_grid():
@@ -304,8 +297,7 @@ def test_oracle_equivalence_dense_grid():
                 span = 2 * cfg.alpha * 2 ** (n - 1)
                 for a in np.linspace(-span, span, 400):
                     a = float(a)
-                    trace = MembraneTrace(v=np.zeros(cfg.window), bias=a)
-                    assert fire_analytic(a, cfg) == fire_simulated(trace, cfg)
+                    assert fire_analytic(a, cfg) == fire_simulated(a, cfg)
 
 
 # --- unmasked baseline policy --------------------------------------------
