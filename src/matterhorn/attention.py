@@ -10,6 +10,7 @@ the normalized scores as spike trains, and accumulates them against V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,12 +31,13 @@ __all__ = [
 class TimeAccState:
     """Accumulator state after a time-based pass.
 
-    ``v`` matches the MAC-based membrane potential for the same inputs;
-    ``events`` counts the steps that actually carried at least one spike
-    (the work done), never the full window unconditionally.
+    ``v`` is the exactly rounded potential ``integrate`` settles on: a float
+    per weight vector, an array of them for a bank.  ``events`` counts the
+    steps of the shared spike columns carrying at least one spike (the work
+    done), never the full window unconditionally.
     """
 
-    v: float = 0.0
+    v: float | np.ndarray = 0.0
     t: int = -1
     events: int = 0
 
@@ -57,24 +59,23 @@ def spike_matrix(trains: list[SpikeTrain], window: int | None = None) -> np.ndar
 def time_based_accumulate(spike_columns, weights, cfg: SnnLayerConfig) -> TimeAccState:
     """Run the per-step weight-sum accumulation over one window.
 
-    ``spike_columns`` is (window x inputs) binary, ``weights`` one real per
-    input.  Only steps containing spikes touch the accumulator.
+    ``spike_columns`` is (window x inputs) binary; ``weights`` is one real
+    per input or a bank ``(inputs, outputs)`` read through the same columns.
+    A spike at step t adds ``w * (alpha * f(t))`` to each output, and
+    ``math.fsum`` sums each output's terms, the rule of ``integrate``.
     """
     cols = np.asarray(spike_columns, dtype=np.uint8)
     weights = np.asarray(weights, dtype=np.float64)
     if cols.ndim != 2 or cols.shape[0] != cfg.window:
         raise ValueError(f"expected ({cfg.window} x inputs) spike columns, got {cols.shape}")
-    if weights.shape != (cols.shape[1],):
-        raise ValueError(f"weights shape {weights.shape} != {cols.shape[1]} inputs")
-    state = TimeAccState()
-    for t in range(cfg.window):
-        state.t = t
-        active = np.flatnonzero(cols[t])
-        if active.size:
-            wsum = float(weights[active].sum())
-            state.v += (cfg.alpha * cfg.kernel(t)) * wsum
-            state.events += 1
-    return state
+    if weights.ndim not in (1, 2) or weights.shape[0] != cols.shape[1]:
+        raise ValueError(f"weights shape {weights.shape} does not match {cols.shape[1]} inputs")
+    active = np.flatnonzero(cols.any(axis=1))  # the steps carrying a spike
+    at, inputs = np.nonzero(cols[active])
+    decay = np.array([cfg.alpha * cfg.kernel(t) for t in active.tolist()], dtype=np.float64)
+    terms = (weights[inputs].T * decay[at]).tolist()  # one row of terms per output
+    v = math.fsum(terms) if weights.ndim == 1 else np.array([math.fsum(r) for r in terms])
+    return TimeAccState(v=v, t=cfg.window - 1, events=int(active.size))
 
 
 def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
@@ -106,10 +107,11 @@ def attention_pipeline(
 ) -> np.ndarray:
     """Two-stage attention over spiking queries and integer K/V codes.
 
-    Stage one accumulates Q x K^T per (query, key) pair in code space,
-    stage two normalizes, re-encodes the scores as spike trains and
-    accumulates them against V.  Returns the raw integer output matrix,
-    which matches ``attention_reference`` exactly.
+    Stage one accumulates each query row against the bank of keys (Q x K^T
+    in code space); stage two normalizes, re-encodes each row of scores as
+    spike trains and accumulates them against the bank of V columns.
+    Returns the raw integer output matrix, which matches
+    ``attention_reference`` exactly.
     """
     k_codes = np.asarray(k_codes, dtype=np.int64)
     v_codes = np.asarray(v_codes, dtype=np.int64)
@@ -124,21 +126,17 @@ def attention_pipeline(
         score_cfg = _score_config(cfg)
 
     unit_cfg = replace(cfg, alpha=1.0)  # scores live in code space
-    n_q, n_kv = len(q_trains), k_codes.shape[0]
-    scores = np.zeros((n_q, n_kv), dtype=np.int64)
-    for i, row in enumerate(q_trains):
-        cols = spike_matrix(row, cfg.window)
-        for j in range(n_kv):
-            scores[i, j] = round(time_based_accumulate(cols, k_codes[j], unit_cfg).v)
-
-    score_codes = normalizer(scores, score_cfg.window)
-    out = np.zeros((n_q, v_codes.shape[1]), dtype=np.int64)
     unit_score_cfg = replace(score_cfg, alpha=1.0)
-    for i in range(n_q):
-        trains = [encode_integer(int(c), score_cfg) for c in score_codes[i]]
+    scores = np.rint([
+        time_based_accumulate(spike_matrix(row, cfg.window), k_codes.T, unit_cfg).v
+        for row in q_trains
+    ])
+    score_codes = normalizer(scores.astype(np.int64), score_cfg.window)
+    out = np.zeros((len(q_trains), v_codes.shape[1]), dtype=np.int64)
+    for i, row in enumerate(score_codes):
+        trains = [encode_integer(int(c), score_cfg) for c in row]
         cols = spike_matrix(trains, score_cfg.window)
-        for c in range(v_codes.shape[1]):
-            out[i, c] = round(time_based_accumulate(cols, v_codes[:, c], unit_score_cfg).v)
+        out[i] = np.rint(time_based_accumulate(cols, v_codes, unit_score_cfg).v)
     return out
 
 

@@ -54,6 +54,14 @@ MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
+# Each verified output walks up to 2^n thresholds (0.6-0.8 us a step on a
+# 2-core Xeon), so 2^WALK_BUDGET_LOG2 steps bound a ``verify`` run's walking
+# to about 10-14 s there.
+WALK_BUDGET_LOG2 = 24
+# ``attn`` allocates tokens x d_k codes per sample and encodes and
+# accumulates tokens^2 score trains of up to 2^MAX_BITS steps; at this cap
+# and 16 bits one sample takes about 1.3 s on the same host.
+MAX_ATTN_DIM = 128
 
 
 class ConfigError(Exception):
@@ -133,6 +141,17 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=0, help="dead-zone radius")
 
 
+def _check_walk(outputs: int, what: str, n: int) -> None:
+    """Refuse a verify run whose worst-case threshold walks, 2^n steps for
+    each of ``outputs`` fired outputs, exceed the budget."""
+    steps = outputs * 2**n
+    if steps > 2**WALK_BUDGET_LOG2:
+        raise ConfigError(
+            f"verify would walk {what} x 2^{n} thresholds = {steps} steps, "
+            f"over the budget of 2^{WALK_BUDGET_LOG2}"
+        )
+
+
 def _cmd_verify(args) -> int:
     if args.weights.startswith("random:"):
         p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
@@ -167,9 +186,12 @@ def _cmd_verify(args) -> int:
                 f"--exhaustive would walk (2^{layer.in_params.n})^{layer.fan_in} = 2^{exponent} "
                 f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
             )
+        outputs = 2**exponent * layer.fan_out
+        _check_walk(outputs, f"2^{exponent} vectors x {layer.fan_out} outputs", p.n)
         report = verify_equivalence(layer, cfg, domain="exhaustive")
         domain = "exhaustive"
     else:
+        _check_walk(args.samples, f"{args.samples} samples", p.n)
         report = verify_equivalence(layer, cfg, domain="sampled", samples=args.samples, seed=args.seed)
         domain = f"sampled:{args.samples}"
 
@@ -431,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attn = sub.add_parser("attn", help="time-based attention vs integer reference")
     _add_quant_flags(p_attn)
-    p_attn.add_argument("--tokens", type=int, default=4)
-    p_attn.add_argument("--dk", type=int, default=4)
+    p_attn.add_argument("--tokens", type=_int_in(1, MAX_ATTN_DIM), default=4)
+    p_attn.add_argument("--dk", type=_int_in(1, MAX_ATTN_DIM), default=4)
     p_attn.add_argument("--samples", type=_int_in(1), default=20)
     p_attn.set_defaults(func=_cmd_attn)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
 from .spike import (
     SnnLayerConfig,
-    candidate_fire_time,
     decode_spike,
     encode_integer,
     fire_simulated,
@@ -92,6 +91,8 @@ def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
             f"config dead zone (mu={cfg.mu}, k={cfg.k}) does not match "
             f"layer dead zone (mu={layer.mu}, k={layer.k})"
         )
+    if cfg.baseline_silent_min:
+        raise ValueError("baseline_silent_min silences a code the quantizer keeps; not verifiable")
 
 
 def verify_equivalence(
@@ -107,9 +108,9 @@ def verify_equivalence(
     domain="exhaustive": every input code vector over the layer's fan-in is
     filtered, pushed through ``layer_forward``, and independently encoded /
     integrated / fired / decoded; the two integer outputs must agree per
-    output neuron.  Additionally asserts the dead-zone agreement: the
-    pre-mask firing time lands inside the dead zone exactly when the
-    unfiltered quantized code lies within k of mu.
+    output neuron.  Additionally asserts the dead-zone agreement: the mask
+    silences the output exactly when the unfiltered quantized code lies
+    within k of mu.
 
     domain="sampled": draws real pre-activations spanning twice the code
     range and compares filtered quantization against the fired-and-decoded
@@ -158,8 +159,9 @@ def verify_equivalence(
             if qnn_out[j] != snn_code:
                 report.record(list(raw), int(qnn_out[j]), snn_code)
             # Dead-zone agreement: mask suppression <=> code within k of mu.
-            t_pre = candidate_fire_time(potential, cfg)
+            # Only the mask silences here, so the one walk inside
+            # fire_simulated settles both this and the code above.
             q_unmasked = quantize(pre[j], layer.out_params)
-            if cfg.in_dead_zone(t_pre) != (abs(q_unmasked - layer.mu) <= layer.k):
-                report.record(list(raw), int(q_unmasked), decode_spike(spike, cfg))
+            if spike.is_silent != (abs(q_unmasked - layer.mu) <= layer.k):
+                report.record(list(raw), int(q_unmasked), snn_code)
     return report

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matterhorn.attention import spike_matrix, time_based_accumulate
 from matterhorn.conversion import derive_snn_config, verify_equivalence, zero_centered_i_max
@@ -174,6 +176,25 @@ def test_criterion_5_time_based_accumulation():
     announce(5, passed, f"{cases} instances, {failures} failures, {elapsed:.1f}s")
     assert failures == 0
     assert elapsed < 10.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alpha=st.sampled_from([0.37, 0.1]),
+    k=st.integers(0, 2),
+    width=st.integers(1, 12),
+)
+def test_time_based_accumulation_exact_for_real_weights(seed, alpha, k, width):
+    """Criterion 5 with real-valued weights: both accumulations round
+    exactly, so they agree bit for bit whatever the arrival order."""
+    rng = np.random.default_rng(seed)
+    cfg = SnnLayerConfig(n=4, alpha=alpha, i_max=7, k=k)
+    codes = rng.integers(cfg.code_min, cfg.code_max + 1, width)
+    trains = [encode_integer(int(q), cfg) for q in codes]
+    weights = rng.normal(size=width)
+    state = time_based_accumulate(spike_matrix(trains, cfg.window), weights, cfg)
+    assert state.v.hex() == integrate(list(zip(trains, weights)), cfg).hex()
 
 
 def test_criterion_6_block_energy_anchors():

@@ -14,6 +14,8 @@ from matterhorn.attention import (
 )
 from matterhorn.spike import (
     ASYMMETRIC,
+    SYMMETRIC,
+    QuantParams,
     SnnLayerConfig,
     SpikeTrain,
     encode_integer,
@@ -55,6 +57,10 @@ def test_shape_mismatch_raises():
         time_based_accumulate(np.zeros((8, 2)), np.ones(2), cfg)
     with pytest.raises(ValueError):
         time_based_accumulate(np.zeros((16, 2)), np.ones(3), cfg)
+    with pytest.raises(ValueError):  # a bank with one row per input, not per output
+        time_based_accumulate(np.zeros((16, 2)), np.ones((3, 2)), cfg)
+    with pytest.raises(ValueError):
+        time_based_accumulate(np.zeros((16, 2)), np.ones((2, 3, 1)), cfg)
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,6 +74,28 @@ def test_matches_mac_integration(seed, k):
     state = time_based_accumulate(spike_matrix(trains), weights, cfg)
     oracle = integrate(list(zip(trains, weights)), cfg)
     assert state.v == oracle
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(0, 2),
+    inputs=st.integers(1, 10),
+    outputs=st.integers(1, 6),
+)
+def test_bank_matches_per_column_calls(seed, k, inputs, outputs):
+    # one pass over a weight bank is the per-column passes, bit for bit
+    rng = np.random.default_rng(seed)
+    cfg = SnnLayerConfig(n=4, alpha=0.37, i_max=7, k=k)
+    trains, _ = random_trains(rng, cfg, inputs)
+    cols = spike_matrix(trains)
+    bank = rng.normal(size=(inputs, outputs))
+    state = time_based_accumulate(cols, bank, cfg)
+    assert state.v.shape == (outputs,)
+    for j in range(outputs):
+        column = time_based_accumulate(cols, bank[:, j], cfg)
+        assert state.v[j].hex() == column.v.hex()
+        assert state.events == column.events
 
 
 def test_events_counts_active_steps_only():
@@ -126,13 +154,21 @@ def test_pipeline_silent_queries():
     assert np.array_equal(out, attention_reference(np.zeros((2, 3), int), k, v, cfg))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 1))
-def test_pipeline_matches_integer_reference(seed, k):
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    k=st.integers(0, 2),
+    tokens=st.integers(1, 8),
+    d_k=st.integers(1, 8),
+    d_v=st.integers(1, 8),
+)
+def test_pipeline_matches_integer_reference(seed, n, mode, k, tokens, d_k, d_v):
     rng = np.random.default_rng(seed)
-    cfg = cfg16(k=k)
-    tokens, d_k, d_v = 4, 4, 3
+    cfg = SnnLayerConfig(n=n, mode=mode, i_max=QuantParams(n=n, mode=mode).code_max, k=k)
     q = rng.integers(cfg.code_min, cfg.code_max + 1, (tokens, d_k))
+    q[rng.random(tokens) < 0.25] = cfg.mu  # all-silent query rows
     kk = rng.integers(cfg.code_min, cfg.code_max + 1, (tokens, d_k))
     v = rng.integers(cfg.code_min, cfg.code_max + 1, (tokens, d_v))
     q_trains = [[encode_integer(int(c), cfg) for c in row] for row in q]

@@ -47,6 +47,11 @@ def test_unknown_flag_is_usage_error():
         # the threshold walk and the encode bit list grow as 2^n
         (["verify", "--bits", "40", "--fan-in", "1", "--fan-out", "1", "--samples", "1"], "--bits"),
         (["encode", "--bits", "17", "--codes", "0"], "--bits"),
+        # tokens x d_k codes per sample, tokens^2 score trains of 2^n steps
+        (["attn", "--tokens", "0"], "--tokens"),
+        (["attn", "--dk", "-1"], "--dk"),
+        (["attn", "--tokens", "129"], "--tokens"),
+        (["attn", "--dk", "129"], "--dk"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -123,6 +128,9 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
         (17, 1, ["--samples", "1"], "n=17"),  # wider than --bits accepts
         (4, 6, ["--exhaustive"], "2^24"),  # over the exhaustive budget
         (None, None, ["--bits", "4", "--fan-in", "10", "--exhaustive"], "2^40"),
+        # inside the vector budget, but each output walks up to 2^n thresholds
+        (None, None, ["--bits", "5", "--fan-in", "4", "--exhaustive"], "134217728 steps"),
+        (None, None, ["--bits", "16", "--fan-in", "1", "--samples", "1000"], "65536000 steps"),
     ],
 )
 def test_verify_refuses_unbounded_work(tmp_path, capsys, n, fan_in, extra, needle):

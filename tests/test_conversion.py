@@ -14,6 +14,7 @@ from matterhorn.conversion import (
     zero_centered_i_max,
 )
 from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward
+from matterhorn import conversion, spike
 from matterhorn.spike import ASYMMETRIC, decode_spike, encode_integer, fire_simulated, integrate
 
 
@@ -126,6 +127,24 @@ def test_config_mismatch_raises():
         verify_equivalence(layer, replace(cfg, k=2), domain="exhaustive")
     with pytest.raises(ValueError):
         verify_equivalence(layer, derive_snn_config(QuantParams(n=4), 7, 0), domain="exhaustive")
+    # a statistics-only encoding that silences the floor code has no
+    # quantized counterpart
+    with pytest.raises(ValueError, match="baseline_silent_min"):
+        verify_equivalence(layer, replace(cfg, baseline_silent_min=True), domain="exhaustive")
+
+
+def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):
+    # the fired code and the dead-zone verdict come from one walk
+    calls = []
+    walk = spike.candidate_fire_time
+    for module in (spike, conversion):  # every binding a walk could go through
+        monkeypatch.setattr(
+            module, "candidate_fire_time", lambda *a: calls.append(a) or walk(*a), raising=False
+        )
+    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
+    report = verify_equivalence(layer, cfg, domain="exhaustive")
+    assert report.passed and report.cases_checked == 4**3
+    assert len(calls) == 4**3 * 2
 
 
 def test_two_layer_chain_end_to_end():
