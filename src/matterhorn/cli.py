@@ -54,10 +54,15 @@ MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
-# Each verified output walks up to 2^n thresholds (0.6-0.8 us a step on a
-# 2-core Xeon), so 2^WALK_BUDGET_LOG2 steps bound a ``verify`` run's walking
-# to about 10-14 s there.
+# Each verified output walks up to 2^n thresholds.  The scalar walk of the
+# sampled domain costs 0.6-0.8 us a step on a 2-core Xeon, so
+# 2^WALK_BUDGET_LOG2 steps bound its walking to about 10-14 s there; the
+# exhaustive domain's array walk costs 25-50 ns a step.
 WALK_BUDGET_LOG2 = 24
+# ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
+# each side, exactly rounded per output, at about 0.3 us a term on the same
+# host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 11 s there.
+TERMS_BUDGET_LOG2 = 25
 # ``attn`` allocates tokens x d_k codes per sample and encodes and
 # accumulates tokens^2 score trains of up to 2^MAX_BITS steps; at this cap
 # and 16 bits one sample takes about 1.3 s on the same host.
@@ -188,6 +193,12 @@ def _cmd_verify(args) -> int:
             )
         outputs = 2**exponent * layer.fan_out
         _check_walk(outputs, f"2^{exponent} vectors x {layer.fan_out} outputs", p.n)
+        terms = outputs * layer.fan_in
+        if terms > 2**TERMS_BUDGET_LOG2:
+            raise ConfigError(
+                f"--exhaustive would sum 2^{exponent} vectors x {layer.fan_in} inputs x "
+                f"{layer.fan_out} outputs = {terms} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
+            )
         report = verify_equivalence(layer, cfg, domain="exhaustive")
         domain = "exhaustive"
     else:

@@ -233,6 +233,10 @@ def component_energy(
     not.  Under ``msu`` an FC layer keeps its weights in the crossbar, so
     weight access is zero by construction and its compute is analog, and
     attention pays a per-step encoding + MAC for the time-based scaling.
+    The digital and rate-coded pricings charge each FC output one KV write
+    (``n_out * kv_write_pj``); ``msu`` charges an FC layer none, so its
+    ``kv_traffic`` is attention's KV reads alone, and the golden
+    ``block_energy_msu.csv`` carries this.
     """
     if mode not in _PRICING:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")

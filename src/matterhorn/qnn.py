@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import floor_ratio
+from .numerics import floor_ratio, floor_ratio_array, fsum_rows
 from .spike import SYMMETRIC, QuantParams
 
 __all__ = [
     "QuantParams",
     "QnnLayer",
     "quantize",
+    "quantize_array",
     "dead_zone_filter",
+    "dead_zone_filter_array",
     "layer_forward",
     "ste_backward",
 ]
@@ -43,9 +45,34 @@ def quantize(a: float, p: QuantParams) -> int:
     return min(max(code, p.code_min), p.code_max)
 
 
+def quantize_array(a, p: QuantParams) -> np.ndarray:
+    """Element-wise ``quantize`` as ``int64`` (codes of at most 52 bits).
+
+    Finite inputs are first clamped to [alpha * (code_min - 1), alpha *
+    (code_max + 1)], rounded: a float outside that interval saturates
+    either way, so huge values never reach the exact floor.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if np.isnan(a).any():
+        raise ValueError("cannot quantize NaN")
+    if p.n > 52:
+        raise ValueError(f"array quantization supports codes of at most 52 bits, got {p.n}")
+    finite = np.isfinite(a)
+    lo, hi = p.alpha * (p.code_min - 1), p.alpha * (p.code_max + 1)  # inf when they overflow
+    codes = floor_ratio_array(np.clip(np.where(finite, a, 0.0), lo, hi), p.alpha)
+    codes = np.where(finite, codes, np.where(a > 0, p.code_max, p.code_min))
+    return np.clip(codes, p.code_min, p.code_max)
+
+
 def dead_zone_filter(q: int, mu: int, k: int) -> int:
     """Collapse codes within radius k of mu to mu; pass everything else."""
     return mu if abs(q - mu) <= k else int(q)
+
+
+def dead_zone_filter_array(q, mu: int, k: int) -> np.ndarray:
+    """Element-wise ``dead_zone_filter`` of an integer code array."""
+    q = np.asarray(q, dtype=np.int64)
+    return np.where(np.abs(q - mu) <= k, mu, q)
 
 
 @dataclass
@@ -73,6 +100,8 @@ class QnnLayer:
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match {self.weights.shape[1]} outputs"
             )
+        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+            raise ValueError("weights and bias must be finite")
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
 
@@ -104,6 +133,16 @@ class QnnLayer:
             terms = self.weights[:, j] * scaled
             out[j] = math.fsum(terms) + self.bias[j]
         return out
+
+    def pre_activation_array(self, x_codes, outputs: slice = slice(None)) -> np.ndarray:
+        """``pre_activation`` of each row of a (vectors, fan_in) code block
+        for the selected outputs, as a (vectors, outputs) array: the same
+        terms, each output summed exactly rounded."""
+        x = np.asarray(x_codes)
+        if x.ndim != 2 or x.shape[1] != self.fan_in:
+            raise ValueError(f"expected rows of {self.fan_in} input codes, got shape {x.shape}")
+        scaled = self.in_params.alpha * x.astype(np.float64)
+        return fsum_rows(scaled[:, None, :] * self.weights[:, outputs].T) + self.bias[outputs]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -162,6 +201,5 @@ def ste_backward(upstream, a, p: QuantParams, mu: int, k: int) -> np.ndarray:
     in_range = (a >= p.alpha * p.code_min) & (a <= p.alpha * p.code_max)
     # the forward codes, floored exactly: a float quotient can round onto
     # the next code at a boundary and flip the dead-zone test
-    codes = np.array([quantize(float(x), p) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
-    outside_dead_zone = np.abs(codes - mu) > k
+    outside_dead_zone = np.abs(quantize_array(a, p) - mu) > k
     return upstream * in_range * outside_dead_zone

@@ -12,6 +12,10 @@ the zero-energy all-silent train.  The module provides:
   oracle against the walk,
 - silence-rate accounting for sparsity studies.
 
+The ``*_array`` forms of encode, integrate, fire and decode handle a whole
+population at once: a population of trains is an ``int64`` array of spike
+times with -1 for silent, and the scalar functions are their oracles.
+
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the walk and the closed form agree
 bit-exactly for every representable input.
@@ -24,11 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import floor_ratio, ge_scaled
+from .numerics import floor_ratio, fsum_rows, ge_scaled, ge_scaled_array
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
+# Potentials x thresholds one step of ``fire_simulated_array`` compares at
+# once; bounds the walk's temporaries to a few MiB whatever the window.
+WALK_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -315,6 +322,94 @@ def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
         t_raw = cfg.code_max + cfg.theta_shift - floor_ratio(pre_activation, cfg.alpha)
         t = min(max(t_raw, 0), cfg.window - 1)
     return _mask_fire_time(t, cfg)
+
+
+def _check_times(times, cfg: SnnLayerConfig) -> np.ndarray:
+    times = np.asarray(times, dtype=np.int64)
+    if times.size and (times.min() < -1 or times.max() >= cfg.window):
+        raise ValueError(f"spike times outside [-1, {cfg.window - 1}] (-1 is silent)")
+    return times
+
+
+def _mask_times(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
+    """``_mask_fire_time`` of each time: -1 where the mask silences it."""
+    silent = np.zeros(times.shape, dtype=bool)
+    if cfg.masked:
+        silent |= np.abs(times - cfg.i_max) <= cfg.k
+    if cfg.baseline_silent_min:
+        silent |= times == cfg.window - 1
+    return np.where(silent, -1, times)
+
+
+def _kernel_array(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
+    """``cfg.kernel`` of each spike time (meaningless where silent)."""
+    f = cfg.code_max - times
+    if cfg.masked:
+        f = np.where(np.abs(times - cfg.i_max) <= cfg.k, cfg.mu, f)
+    return f
+
+
+def encode_integer_array(codes, cfg: SnnLayerConfig) -> np.ndarray:
+    """Element-wise ``encode_integer``: spike times, -1 where silent.
+
+    A code inside the dead zone is exactly a time inside the mask, so the
+    mask that silences fired times also silences encoded codes.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.size and (codes.min() < cfg.code_min or codes.max() > cfg.code_max):
+        raise ValueError(
+            f"codes outside representable range [{cfg.code_min}, {cfg.code_max}]"
+        )
+    return _mask_times(cfg.code_max - codes, cfg)
+
+
+def decode_spike_array(times, cfg: SnnLayerConfig) -> np.ndarray:
+    """Element-wise ``decode_spike`` of spike times (-1 silent)."""
+    times = _check_times(times, cfg)
+    silent_code = cfg.mu if cfg.masked else cfg.code_min
+    return np.where(times < 0, silent_code, _kernel_array(times, cfg))
+
+
+def integrate_array(times, weights, cfg_prev: SnnLayerConfig, bias=0.0) -> np.ndarray:
+    """``integrate`` for every row of a population and every output.
+
+    ``times`` is (..., inputs), ``weights`` is (inputs, outputs) and
+    ``bias`` broadcasts over (..., outputs).  Each potential is the exactly
+    rounded sum of ``w * (alpha_prev * f(t))`` over the spiking inputs
+    (silent ones add an exact zero) plus the bias, as in ``integrate``.
+    """
+    times = _check_times(times, cfg_prev)
+    weights = np.asarray(weights, dtype=np.float64)
+    scaled = cfg_prev.alpha * _kernel_array(times, cfg_prev).astype(np.float64)
+    terms = np.where((times < 0)[..., None, :], 0.0, scaled[..., None, :] * weights.T)
+    return fsum_rows(terms) + bias
+
+
+def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
+    """Element-wise ``fire_simulated``: masked spike times, -1 where silent.
+
+    Every potential walks the threshold ramp exactly, step by step in
+    order, and takes the first step it meets (T-1 if none).  Steps are
+    compared in chunks of at most ``WALK_BLOCK`` comparisons, and a
+    potential leaves the walk at its first hit, as in the scalar walk.
+    """
+    v = np.asarray(potentials, dtype=np.float64)
+    if np.isnan(v).any():
+        raise ValueError("potential is NaN")
+    flat = v.ravel()
+    times = np.full(flat.shape, cfg.window - 1, dtype=np.int64)
+    pending = np.arange(flat.size)
+    origin = cfg.code_max + cfg.theta_shift
+    start = 0
+    while pending.size and start < cfg.window - 1:
+        stop = min(cfg.window - 1, start + max(1, WALK_BLOCK // pending.size))
+        steps = np.arange(start, stop)
+        ge = ge_scaled_array(flat[pending, None], cfg.alpha, origin - steps)
+        hit = ge.any(axis=1)
+        times[pending[hit]] = steps[ge[hit].argmax(axis=1)]
+        pending = pending[~hit]
+        start = stop
+    return _mask_times(times.reshape(v.shape), cfg)
 
 
 def silence_rate(trains) -> float:

@@ -103,6 +103,23 @@ def test_verify_malformed_json_is_config_error(tmp_path, capsys):
     assert "broken.json" in json.loads(err)["detail"]
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning may leak out first
+@pytest.mark.parametrize(
+    "weights, needle",
+    [
+        ([float("inf"), 1.0], "finite"),  # refused by the layer
+        ([1e308, 1e308], "pre-activations up to"),  # sums would overflow
+    ],
+)
+def test_verify_bad_weight_magnitudes_are_config_errors(tmp_path, capsys, weights, needle):
+    layer = {"n": 2, "alpha_in": 1.0, "alpha_out": 1.0, "weights": weights, "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, _, err = run(capsys, "verify", "--weights", str(path), "--exhaustive")
+    assert code == EXIT_CONFIG
+    assert needle in json.loads(err)["detail"]
+
+
 def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
     # summation order alone used to flip codes for non-integer weights
     layer = {
@@ -131,6 +148,13 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
         # inside the vector budget, but each output walks up to 2^n thresholds
         (None, None, ["--bits", "5", "--fan-in", "4", "--exhaustive"], "134217728 steps"),
         (None, None, ["--bits", "16", "--fan-in", "1", "--samples", "1000"], "65536000 steps"),
+        # inside the vector and walk budgets, but 2^20 x 20 x 8 summed terms
+        (
+            None,
+            None,
+            ["--bits", "1", "--fan-in", "20", "--fan-out", "8", "--exhaustive"],
+            "167772160 terms",
+        ),
     ],
 )
 def test_verify_refuses_unbounded_work(tmp_path, capsys, n, fan_in, extra, needle):

@@ -1,5 +1,7 @@
 """Config derivation and quantized/spiking equivalence sweeps."""
 
+import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from matterhorn.conversion import (
     verify_equivalence,
     zero_centered_i_max,
 )
-from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward
+from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
 from matterhorn import conversion, spike
 from matterhorn.spike import ASYMMETRIC, decode_spike, encode_integer, fire_simulated, integrate
 
@@ -134,17 +136,120 @@ def test_config_mismatch_raises():
 
 
 def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):
-    # the fired code and the dead-zone verdict come from one walk
-    calls = []
-    walk = spike.candidate_fire_time
+    # the fired code and the dead-zone verdict come from one walk: every
+    # (vector, output) potential reaches the array walk exactly once
+    seen = []
+    walk = spike.fire_simulated_array
+
+    def counting_walk(potentials, cfg):
+        seen.extend(np.ravel(potentials).tolist())
+        return walk(potentials, cfg)
+
     for module in (spike, conversion):  # every binding a walk could go through
-        monkeypatch.setattr(
-            module, "candidate_fire_time", lambda *a: calls.append(a) or walk(*a), raising=False
-        )
+        monkeypatch.setattr(module, "fire_simulated_array", counting_walk, raising=False)
     layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
     report = verify_equivalence(layer, cfg, domain="exhaustive")
     assert report.passed and report.cases_checked == 4**3
-    assert len(calls) == 4**3 * 2
+    expected = [
+        integrate([(encode_integer(q, cfg), layer.weights[i, j]) for i, q in enumerate(raw)], cfg)
+        for raw in itertools.product(range(cfg.code_min, cfg.code_max + 1), repeat=3)
+        for j in range(2)
+    ]
+    assert len(expected) == 4**3 * 2
+    assert sorted(seen) == sorted(expected)
+
+
+def reference_exhaustive(layer, cfg, input_cfg=None):
+    """The scalar exhaustive sweep, one code vector at a time."""
+    report = EquivalenceReport()
+    if input_cfg is None:
+        p_in = layer.in_params
+        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
+        input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
+    codes = range(layer.in_params.code_min, layer.in_params.code_max + 1)
+    for raw in itertools.product(codes, repeat=layer.fan_in):
+        filtered = [dead_zone_filter(q, input_cfg.mu, input_cfg.k) for q in raw]
+        qnn_out = layer_forward(filtered, layer)
+        pre = layer.pre_activation(filtered)
+        trains = [encode_integer(q, input_cfg) for q in raw]
+        report.cases_checked += 1
+        for j in range(layer.fan_out):
+            inputs = [(trains[i], layer.weights[i, j]) for i in range(layer.fan_in)]
+            potential = integrate(inputs, input_cfg, bias=layer.bias[j])
+            spike_out = fire_simulated(potential, cfg)
+            snn_code = decode_spike(spike_out, cfg)
+            if qnn_out[j] != snn_code:
+                report.record(list(raw), int(qnn_out[j]), snn_code)
+            q_unmasked = quantize(pre[j], layer.out_params)
+            if spike_out.is_silent != (abs(q_unmasked - layer.mu) <= layer.k):
+                report.record(list(raw), int(q_unmasked), snn_code)
+    return report
+
+
+@pytest.mark.parametrize(
+    "shape, block_terms",
+    [
+        ((2, 4, 2, 4), conversion.BLOCK_TERMS),
+        ((3, 3, 3, 2), conversion.BLOCK_TERMS),
+        ((2, 4, 2, 4), 6),  # one vector a block, its outputs in chunks of 3 and 1
+    ],
+)
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_terms, mode):
+    # failing configs included: a shifted threshold schedule, an off-centre
+    # input dead zone, real weights at non-dyadic scales, mixed widths
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", block_terms)
+    n_in, n_out, fan_in, fan_out = shape
+    rng = np.random.default_rng(11)
+    failing = 0
+    for k, (alpha, real), shift, off_centre in itertools.product(
+        (0, 1, 2), [(1.0, False), (0.37, True), (0.1, True)], (0, 1), (False, True)
+    ):
+        p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
+        cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=shift)
+        weights = rng.normal(size=(fan_in, fan_out)) if real else rng.choice([-1.0, 1.0], (fan_in, fan_out))
+        layer = QnnLayer(
+            weights=weights,
+            bias=rng.normal(size=fan_out) if real else np.zeros(fan_out),
+            in_params=p_in,
+            out_params=p_out,
+            mu=cfg.mu,
+            k=k,
+        )
+        input_cfg = (
+            derive_snn_config(p_in, zero_centered_i_max(p_in) - 1, k) if off_centre else None
+        )
+        want = reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        assert verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict() == want
+        failing += not want["passed"]
+    assert failing > 0
+
+
+def test_exhaustive_memory_is_bounded_by_the_block():
+    # vectors are built block by block from their indices, so 16x the
+    # vectors does not mean 16x the memory
+    def peak(fan_in):
+        layer, cfg = pm_layer(QuantParams(n=4), k=0, fan_in=fan_in, fan_out=1)
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(layer, cfg, domain="exhaustive")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert report.cases_checked == 16**fan_in
+
+    assert peak(4) < 2 * peak(3)  # 2^16 vectors against 2^12
+
+
+@pytest.mark.parametrize("weights", [[1e308, 1e308], [1e308, -1e308]])
+def test_exhaustive_refuses_pre_activations_past_the_float_range(weights):
+    p = QuantParams(n=2)
+    layer = QnnLayer(
+        weights=np.array(weights).reshape(2, 1), bias=np.zeros(1), in_params=p, out_params=p
+    )
+    cfg = derive_snn_config(p, zero_centered_i_max(p), 0)
+    with pytest.raises(ValueError, match="pre-activations up to"):
+        verify_equivalence(layer, cfg, domain="exhaustive")
 
 
 def test_two_layer_chain_end_to_end():

@@ -102,6 +102,24 @@ def test_msu_weight_access_is_zero():
         assert component_energy("fc", "msu", shape).categories["weight_access"] == 0.0
 
 
+def test_msu_fc_charges_no_per_output_kv_write():
+    # the digital and rate-coded pricings charge every FC output one KV
+    # write; msu charges none, and block_energy_msu.csv carries that
+    shape = replace(TINY, c_o=3, t=2)
+    assert component_energy("fc", "msu", shape, UNIT_PARAMS).categories["kv_traffic"] == 0.0
+    for mode in ("baseline", "mttfs", "deadzone", "rate_coded"):
+        rep = component_energy("fc", mode, shape, UNIT_PARAMS)
+        assert rep.categories["kv_traffic"] == pytest.approx(shape.n_fc_out * PJ)
+    block = TransformerBlockShape()
+    rate = DEFAULT_MODE_RATES["msu"]
+    attention_reads = sum(
+        component_energy(kind, "msu", block.workload(c_i, c_o, rate)).categories["kv_traffic"]
+        for _, kind, c_i, c_o in block.components()
+        if kind == "qkv"
+    )
+    assert block_energy(block, "msu").categories["kv_traffic"] == pytest.approx(attention_reads)
+
+
 def test_msu_requires_power_of_two_window():
     with pytest.raises(ValueError):
         component_energy("fc", "msu", replace(TINY, t=12))

@@ -117,6 +117,15 @@ def test_layer_forward_shape_error():
         layer_forward(np.array([1, 2]), layer)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_layer_rejects_non_finite_weights_and_bias(bad):
+    p = QuantParams(n=4)
+    with pytest.raises(ValueError, match="finite"):
+        QnnLayer(weights=np.array([[1.0], [bad]]), bias=np.zeros(1), in_params=p, out_params=p)
+    with pytest.raises(ValueError, match="finite"):
+        QnnLayer(weights=np.ones((2, 1)), bias=np.array([bad]), in_params=p, out_params=p)
+
+
 def test_layer_json_round_trip():
     p_in = QuantParams(n=4, alpha=0.5)
     p_out = QuantParams(n=4, alpha=2.0)

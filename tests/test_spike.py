@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matterhorn import spike
 from matterhorn.spike import (
     ASYMMETRIC,
     SYMMETRIC,
     SnnLayerConfig,
     SpikeTrain,
     decode_spike,
+    decode_spike_array,
     encode_integer,
+    encode_integer_array,
     fire_analytic,
     fire_simulated,
+    fire_simulated_array,
     integrate,
+    integrate_array,
     silence_rate,
 )
 
@@ -301,6 +306,75 @@ def test_oracle_equivalence_dense_grid():
 
 
 # --- unmasked baseline policy --------------------------------------------
+
+
+# --- array forms against the scalar oracles ------------------------------
+
+
+def _time(train):
+    return -1 if train.is_silent else train.time
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=config_strategy)
+def test_encode_and_decode_arrays_match_scalar(cfg):
+    codes = np.arange(cfg.code_min, cfg.code_max + 1)
+    times = encode_integer_array(codes, cfg)
+    assert times.tolist() == [_time(encode_integer(int(q), cfg)) for q in codes]
+    every_time = np.arange(-1, cfg.window)
+    trains = [SpikeTrain.silent(cfg.window)] + [SpikeTrain.single(t, cfg.window) for t in range(cfg.window)]
+    assert decode_spike_array(every_time, cfg).tolist() == [decode_spike(tr, cfg) for tr in trains]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=config_strategy,
+    seed=st.integers(0, 2**32 - 1),
+    fan_in=st.integers(1, 6),
+)
+def test_integrate_array_matches_scalar(cfg, seed, fan_in):
+    rng = np.random.default_rng(seed)
+    times = rng.integers(-1, cfg.window, (5, fan_in))
+    weights = rng.normal(size=(fan_in, 3)) * rng.choice([1.0, 1e-3, 1e3], (fan_in, 3))
+    bias = rng.normal(size=3)
+    got = integrate_array(times, weights, cfg, bias)
+    for row, potentials in zip(times.tolist(), got.tolist()):
+        trains = [SpikeTrain.silent(cfg.window) if t < 0 else SpikeTrain.single(t, cfg.window) for t in row]
+        for j, potential in enumerate(potentials):
+            want = integrate(list(zip(trains, weights[:, j])), cfg, bias=bias[j])
+            assert potential.hex() == want.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=config_strategy,
+    reals=st.lists(st.floats(min_value=-100.0, max_value=100.0), max_size=10),
+)
+def test_fire_simulated_array_matches_scalar(cfg, reals):
+    # every threshold of the ramp, its float neighbours, the infinities and
+    # arbitrary reals
+    ramp = cfg.alpha * np.arange(cfg.code_min - 2, cfg.code_max + 3, dtype=np.float64)
+    potentials = np.concatenate(
+        [np.nextafter(ramp, -np.inf), ramp, np.nextafter(ramp, np.inf), [np.inf, -np.inf], reals]
+    )
+    got = fire_simulated_array(potentials, cfg)
+    assert got.tolist() == [_time(fire_simulated(a, cfg)) for a in potentials.tolist()]
+    # the walk takes the same first steps when it splits the ramp into chunks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spike, "WALK_BLOCK", 3)
+        assert fire_simulated_array(potentials, cfg).tolist() == got.tolist()
+
+
+def test_array_kernels_reject_bad_inputs():
+    cfg = cfg_sym16(k=1)
+    with pytest.raises(ValueError, match="representable"):
+        encode_integer_array([0, 8], cfg)
+    with pytest.raises(ValueError, match="spike times"):
+        decode_spike_array([16], cfg)
+    with pytest.raises(ValueError, match="spike times"):
+        integrate_array([[-2]], np.ones((1, 1)), cfg)
+    with pytest.raises(ValueError, match="NaN"):
+        fire_simulated_array([0.0, math.nan], cfg)
 
 
 def test_unmasked_baseline_always_fires():
