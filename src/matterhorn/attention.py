@@ -3,19 +3,28 @@
 Instead of one multiply-accumulate per arriving spike, each time step sums
 the weights of the inputs spiking at that step and applies the decay value
 once: ``V_t = f(t) * sum(w_i | s_i = 1) + V_{t-1}``.  Steps with no spikes
-cost nothing, so sparsity passes straight through to work done.  The
-attention pipeline runs Q x K^T this way with spiking queries, re-encodes
-the normalized scores as spike trains, and accumulates them against V.
+cost nothing, so sparsity passes straight through to work done.  Inputs
+arrive as one spike time each (-1 silent), so the work of a pass grows with
+the spikes, never with the 2^n-step window.  The attention pipeline runs
+Q x K^T this way with spiking queries, re-encodes the normalized scores as
+spike times, and accumulates them against V.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spike import ASYMMETRIC, SnnLayerConfig, SpikeTrain, encode_integer
+from .numerics import fsum_rows
+from .spike import (
+    ASYMMETRIC,
+    SnnLayerConfig,
+    SpikeTrain,
+    decode_spike_array,
+    encode_integer_array,
+    train_times,
+)
 
 __all__ = [
     "TimeAccState",
@@ -33,8 +42,8 @@ class TimeAccState:
 
     ``v`` is the exactly rounded potential ``integrate`` settles on: a float
     per weight vector, an array of them for a bank.  ``events`` counts the
-    steps of the shared spike columns carrying at least one spike (the work
-    done), never the full window unconditionally.
+    distinct steps at which at least one input spikes (the work done),
+    never the full window unconditionally.
     """
 
     v: float | np.ndarray = 0.0
@@ -43,39 +52,28 @@ class TimeAccState:
 
 
 def spike_matrix(trains: list[SpikeTrain], window: int | None = None) -> np.ndarray:
-    """Stack trains into a (window x inputs) binary matrix, one column each."""
-    if not trains:
-        raise ValueError("need at least one train")
-    window = window if window is not None else trains[0].window
-    cols = np.zeros((window, len(trains)), dtype=np.uint8)
-    for i, train in enumerate(trains):
-        if train.window != window:
-            raise ValueError(f"train window {train.window} != {window}")
-        if train.time is not None:
-            cols[train.time, i] = 1
-    return cols
+    """Dense (window x inputs) binary view of trains, one column each."""
+    times = train_times(trains, window)  # every train has trains[0].window steps
+    return (np.arange(trains[0].window)[:, None] == times).astype(np.uint8)
 
 
-def time_based_accumulate(spike_columns, weights, cfg: SnnLayerConfig) -> TimeAccState:
+def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:
     """Run the per-step weight-sum accumulation over one window.
 
-    ``spike_columns`` is (window x inputs) binary; ``weights`` is one real
-    per input or a bank ``(inputs, outputs)`` read through the same columns.
-    A spike at step t adds ``w * (alpha * f(t))`` to each output, and
-    ``math.fsum`` sums each output's terms, the rule of ``integrate``.
+    ``times`` holds one spike time per input (-1 silent); ``weights`` is one
+    real per input or a bank ``(inputs, outputs)`` read through the same
+    times.  A spike at step t adds ``w * (alpha * f(t))`` to each output,
+    and ``math.fsum`` sums each output's terms, the rule of ``integrate``.
     """
-    cols = np.asarray(spike_columns, dtype=np.uint8)
+    times = np.asarray(times, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    if cols.ndim != 2 or cols.shape[0] != cfg.window:
-        raise ValueError(f"expected ({cfg.window} x inputs) spike columns, got {cols.shape}")
-    if weights.ndim not in (1, 2) or weights.shape[0] != cols.shape[1]:
-        raise ValueError(f"weights shape {weights.shape} does not match {cols.shape[1]} inputs")
-    active = np.flatnonzero(cols.any(axis=1))  # the steps carrying a spike
-    at, inputs = np.nonzero(cols[active])
-    decay = np.array([cfg.alpha * cfg.kernel(t) for t in active.tolist()], dtype=np.float64)
-    terms = (weights[inputs].T * decay[at]).tolist()  # one row of terms per output
-    v = math.fsum(terms) if weights.ndim == 1 else np.array([math.fsum(r) for r in terms])
-    return TimeAccState(v=v, t=cfg.window - 1, events=int(active.size))
+    if times.ndim != 1 or weights.ndim not in (1, 2) or weights.shape[0] != times.size:
+        raise ValueError(f"weights shape {weights.shape} does not match spike times {times.shape}")
+    spiking = times >= 0
+    decay = cfg.alpha * decode_spike_array(times, cfg)[spiking].astype(np.float64)
+    v = fsum_rows(weights[spiking].T * decay)  # one row of terms per output
+    events = len(set(times[spiking].tolist()))
+    return TimeAccState(v=float(v) if weights.ndim == 1 else v, t=cfg.window - 1, events=events)
 
 
 def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
@@ -108,8 +106,8 @@ def attention_pipeline(
     """Two-stage attention over spiking queries and integer K/V codes.
 
     Stage one accumulates each query row against the bank of keys (Q x K^T
-    in code space); stage two normalizes, re-encodes each row of scores as
-    spike trains and accumulates them against the bank of V columns.
+    in code space); stage two normalizes, re-encodes the scores as spike
+    times and accumulates each row against the bank of V columns.
     Returns the raw integer output matrix, which matches
     ``attention_reference`` exactly.
     """
@@ -128,15 +126,13 @@ def attention_pipeline(
     unit_cfg = replace(cfg, alpha=1.0)  # scores live in code space
     unit_score_cfg = replace(score_cfg, alpha=1.0)
     scores = np.rint([
-        time_based_accumulate(spike_matrix(row, cfg.window), k_codes.T, unit_cfg).v
+        time_based_accumulate(train_times(row, cfg.window), k_codes.T, unit_cfg).v
         for row in q_trains
     ])
     score_codes = normalizer(scores.astype(np.int64), score_cfg.window)
     out = np.zeros((len(q_trains), v_codes.shape[1]), dtype=np.int64)
-    for i, row in enumerate(score_codes):
-        trains = [encode_integer(int(c), score_cfg) for c in row]
-        cols = spike_matrix(trains, score_cfg.window)
-        out[i] = np.rint(time_based_accumulate(cols, v_codes, unit_score_cfg).v)
+    for i, times in enumerate(encode_integer_array(score_codes, score_cfg)):
+        out[i] = np.rint(time_based_accumulate(times, v_codes, unit_score_cfg).v)
     return out
 
 

@@ -63,10 +63,13 @@ WALK_BUDGET_LOG2 = 24
 # each side, exactly rounded per output, at about 0.3 us a term on the same
 # host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 11 s there.
 TERMS_BUDGET_LOG2 = 25
-# ``attn`` allocates tokens x d_k codes per sample and encodes and
-# accumulates tokens^2 score trains of up to 2^MAX_BITS steps; at this cap
-# and 16 bits one sample takes about 1.3 s on the same host.
+# ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
+# width; at this cap one sample takes about 0.16 s on the same host.
 MAX_ATTN_DIM = 128
+# The fan_in x fan_out ``random:`` weights of ``verify`` take 8 MiB at this cap.
+MAX_FAN = 1024
+# ``stats`` and ``sweep`` peak at about 129 MiB resident at this sample count.
+MAX_COUNT = 2**20
 
 
 class ConfigError(Exception):
@@ -146,20 +149,35 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=0, help="dead-zone radius")
 
 
-def _check_walk(outputs: int, what: str, n: int) -> None:
-    """Refuse a verify run whose worst-case threshold walks, 2^n steps for
-    each of ``outputs`` fired outputs, exceed the budget."""
-    steps = outputs * 2**n
-    if steps > 2**WALK_BUDGET_LOG2:
+def _check_verify_work(args, in_n: int, fan_in: int, fan_out: int, n: int) -> None:
+    """Refuse a verify run over its vector, walk (2^n steps per fired output)
+    or term budget, before the layer's weights are built."""
+    if args.exhaustive:
+        exponent = in_n * fan_in
+        if exponent > EXHAUSTIVE_BUDGET_LOG2:
+            raise ConfigError(
+                f"--exhaustive would walk (2^{in_n})^{fan_in} = 2^{exponent} "
+                f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
+            )
+        outputs, what = 2**exponent * fan_out, f"2^{exponent} vectors x {fan_out} outputs"
+    else:
+        outputs, what = args.samples, f"{args.samples} samples"
+    if outputs * 2**n > 2**WALK_BUDGET_LOG2:
         raise ConfigError(
-            f"verify would walk {what} x 2^{n} thresholds = {steps} steps, "
+            f"verify would walk {what} x 2^{n} thresholds = {outputs * 2**n} steps, "
             f"over the budget of 2^{WALK_BUDGET_LOG2}"
+        )
+    if args.exhaustive and outputs * fan_in > 2**TERMS_BUDGET_LOG2:
+        raise ConfigError(
+            f"--exhaustive would sum 2^{exponent} vectors x {fan_in} inputs x {fan_out} "
+            f"outputs = {outputs * fan_in} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
         )
 
 
 def _cmd_verify(args) -> int:
     if args.weights.startswith("random:"):
         p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
+        _check_verify_work(args, p.n, args.fan_in, args.fan_out, p.n)
         i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
         cfg = derive_snn_config(p, i_max, args.k)
         seed = int(args.weights.split(":", 1)[1])
@@ -181,28 +199,14 @@ def _cmd_verify(args) -> int:
         p = layer.out_params
         if p.n > MAX_BITS:
             raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
+        _check_verify_work(args, layer.in_params.n, layer.fan_in, layer.fan_out, p.n)
         i_max = p.code_max - layer.mu
         cfg = derive_snn_config(p, i_max, layer.k)
 
     if args.exhaustive:
-        exponent = layer.in_params.n * layer.fan_in
-        if exponent > EXHAUSTIVE_BUDGET_LOG2:
-            raise ConfigError(
-                f"--exhaustive would walk (2^{layer.in_params.n})^{layer.fan_in} = 2^{exponent} "
-                f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
-            )
-        outputs = 2**exponent * layer.fan_out
-        _check_walk(outputs, f"2^{exponent} vectors x {layer.fan_out} outputs", p.n)
-        terms = outputs * layer.fan_in
-        if terms > 2**TERMS_BUDGET_LOG2:
-            raise ConfigError(
-                f"--exhaustive would sum 2^{exponent} vectors x {layer.fan_in} inputs x "
-                f"{layer.fan_out} outputs = {terms} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
-            )
         report = verify_equivalence(layer, cfg, domain="exhaustive")
         domain = "exhaustive"
     else:
-        _check_walk(args.samples, f"{args.samples} samples", p.n)
         report = verify_equivalence(layer, cfg, domain="sampled", samples=args.samples, seed=args.seed)
         domain = f"sampled:{args.samples}"
 
@@ -231,7 +235,7 @@ def _cmd_encode(args) -> int:
         {
             "code": q,
             "spike_time": tr.time,
-            "bits": tr.to_list(),
+            "bits": tr.bits.tolist(),
             "decoded": decode_spike(tr, cfg),
         }
         for q, tr in zip(codes, trains)
@@ -398,8 +402,7 @@ def _sampling_header(
 def _cmd_stats(args) -> int:
     cfg = _spike_config(args)
     sampler = _sampler(args, cfg)
-    trains = encode_samples(sampler.sample(args.count), cfg)
-    hist = spike_time_histogram(trains)
+    hist = spike_time_histogram(encode_samples(sampler.sample(args.count), cfg), cfg)
     header = _sampling_header("spike-time histogram", args, sampler, cfg, k=cfg.k)
     header.append(f"silence_fraction={hist.silence_fraction:.6f}")
     rows = [[label, count] for label, count in hist.to_rows()]
@@ -412,9 +415,10 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _spike_config(args)
+    if args.kmax > cfg.window - 1:  # every wider radius repeats the all-silent row
+        raise ConfigError(f"--kmax {args.kmax} exceeds 2^{args.bits} - 1 = {cfg.window - 1}")
     sampler = _sampler(args, replace(cfg, k=0))  # the sweep's target is silence at k=0
-    ks = list(range(0, args.kmax + 1))
-    rows = sparsity_sweep(sampler, cfg, ks, count=args.count)
+    rows = sparsity_sweep(sampler, cfg, range(args.kmax + 1), count=args.count)
     header = _sampling_header("dead-zone sparsity sweep", args, sampler, cfg)
     header.append(f"reference_silence_pct={json.dumps(REFERENCE_SILENCE_PCT, sort_keys=True)}")
     table = [
@@ -441,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check quantized/spiking layer equivalence")
     _add_quant_flags(p_verify)
     p_verify.add_argument("--weights", default="random:0", help="layer JSON file or random:SEED")
-    p_verify.add_argument("--fan-in", type=_int_in(1), default=4)
-    p_verify.add_argument("--fan-out", type=_int_in(1), default=4)
+    p_verify.add_argument("--fan-in", type=_int_in(1, MAX_FAN), default=4)
+    p_verify.add_argument("--fan-out", type=_int_in(1, MAX_FAN), default=4)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="all input code vectors")
     group.add_argument(
@@ -490,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
     p_stats.add_argument("--loc", type=float, default=0.0)
     p_stats.add_argument("--scale", type=float, default=1.0)
-    p_stats.add_argument("--count", type=_int_in(1), default=20_000)
+    p_stats.add_argument("--count", type=_int_in(1, MAX_COUNT), default=20_000)
     p_stats.add_argument("--calibrate", type=float, default=None, help="target silence at this k")
     p_stats.add_argument(
         "--baseline",
@@ -505,9 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
     p_sweep.add_argument("--loc", type=float, default=0.0)
     p_sweep.add_argument("--scale", type=float, default=1.0)
-    p_sweep.add_argument("--count", type=_int_in(1), default=20_000)
+    p_sweep.add_argument("--count", type=_int_in(1, MAX_COUNT), default=20_000)
     p_sweep.add_argument("--calibrate", type=float, default=None, help="target silence at k=0")
-    p_sweep.add_argument("--kmax", type=int, default=3)
+    p_sweep.add_argument("--kmax", type=_int_in(0), default=3)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     for p in (p_verify, p_encode, p_xbar, p_attn, p_energy, p_scen, p_area, p_stats, p_sweep):

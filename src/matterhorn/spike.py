@@ -12,9 +12,10 @@ the zero-energy all-silent train.  The module provides:
   oracle against the walk,
 - silence-rate accounting for sparsity studies.
 
-The ``*_array`` forms of encode, integrate, fire and decode handle a whole
-population at once: a population of trains is an ``int64`` array of spike
-times with -1 for silent, and the scalar functions are their oracles.
+A population of trains is an ``int64`` array of spike times with -1 for
+silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
+a whole population at once, and the scalar functions are their oracles;
+``train_times`` turns a list of ``SpikeTrain`` objects into that form.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the walk and the closed form agree
@@ -193,10 +194,6 @@ class SpikeTrain:
         if np.any(bits[window:]):
             raise ValueError(f"padding bits past step {window - 1} must be zero")
         return cls(bits[:window])
-
-    def to_list(self) -> list[int]:
-        """JSON debug form: plain 0/1 array."""
-        return self.bits.tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpikeTrain):
@@ -412,9 +409,21 @@ def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
     return _mask_times(times.reshape(v.shape), cfg)
 
 
-def silence_rate(trains) -> float:
-    """Fraction of all-zero trains in a non-empty collection."""
-    trains = list(trains)
+def train_times(trains, window: int | None = None) -> np.ndarray:
+    """Spike times of a non-empty list of trains with ``window`` steps each
+    (default: the first train's), -1 where silent."""
     if not trains:
-        raise ValueError("silence_rate needs at least one train")
-    return sum(1 for tr in trains if tr.is_silent) / len(trains)
+        raise ValueError("need at least one train")
+    window = trains[0].window if window is None else window
+    for train in trains:
+        if train.window != window:
+            raise ValueError(f"train window {train.window} != {window}")
+    return np.array([-1 if train.time is None else train.time for train in trains], dtype=np.int64)
+
+
+def silence_rate(times) -> float:
+    """Fraction of silent entries (-1) in a non-empty array of spike times."""
+    times = np.asarray(times)
+    if not times.size:
+        raise ValueError("silence_rate needs at least one spike time")
+    return np.count_nonzero(times == -1) / times.size

@@ -14,8 +14,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .qnn import quantize
-from .spike import SnnLayerConfig, SpikeTrain, encode_integer, silence_rate
+from .qnn import quantize_array
+from .spike import SnnLayerConfig, _check_times, encode_integer_array, silence_rate
 
 __all__ = [
     "SpikeHistogram",
@@ -68,23 +68,14 @@ class SpikeHistogram:
         return rows
 
 
-def spike_time_histogram(trains: list[SpikeTrain]) -> SpikeHistogram:
-    """Exact bucket counts over a collection of trains with a shared window."""
-    trains = list(trains)
-    if not trains:
-        raise ValueError("need at least one train")
-    window = trains[0].window
-    counts = np.zeros(window, dtype=np.int64)
-    silent = 0
-    for train in trains:
-        if train.window != window:
-            raise ValueError(f"train window {train.window} != {window}")
-        t = train.time
-        if t is None:
-            silent += 1
-        else:
-            counts[t] += 1
-    return SpikeHistogram(counts=counts, silent=silent)
+def spike_time_histogram(times, cfg: SnnLayerConfig) -> SpikeHistogram:
+    """Exact bucket counts over a non-empty array of spike times (-1 silent)
+    in the window of ``cfg``."""
+    times = _check_times(times, cfg).ravel()
+    if not times.size:
+        raise ValueError("need at least one spike time")
+    spiking = times[times >= 0]
+    return SpikeHistogram(np.bincount(spiking, minlength=cfg.window), times.size - spiking.size)
 
 
 @dataclass(frozen=True)
@@ -115,9 +106,10 @@ class ActivationSampler:
         return np.resize(np.asarray(self.values, dtype=np.float64), count)
 
 
-def encode_samples(samples, cfg: SnnLayerConfig) -> list[SpikeTrain]:
-    """Quantize real activations under the config's params and encode them."""
-    return [encode_integer(quantize(float(a), cfg), cfg) for a in np.asarray(samples)]
+def encode_samples(samples, cfg: SnnLayerConfig) -> np.ndarray:
+    """Quantize real activations under the config's params and encode them
+    as spike times, -1 where silent."""
+    return encode_integer_array(quantize_array(samples, cfg), cfg)
 
 
 @dataclass
@@ -141,12 +133,11 @@ def sparsity_sweep(
     k_values = list(k_range)
     if not k_values:
         raise ValueError("need at least one dead-zone radius")
-    samples = sampler.sample(count)
+    codes = quantize_array(sampler.sample(count), base_cfg)  # k only moves the mask
     rows = []
     for k in k_values:
         cfg = replace(base_cfg, k=int(k))
-        trains = encode_samples(samples, cfg)
-        silent = silence_rate(trains)
+        silent = silence_rate(encode_integer_array(codes, cfg))
         rows.append(
             SweepRow(
                 k=int(k),

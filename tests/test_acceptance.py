@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matterhorn.attention import spike_matrix, time_based_accumulate
+from matterhorn.attention import time_based_accumulate
 from matterhorn.conversion import derive_snn_config, verify_equivalence, zero_centered_i_max
 from matterhorn.crossbar import (
     MsuConfig,
@@ -34,6 +34,7 @@ from matterhorn.spike import (
     fire_analytic,
     fire_simulated,
     integrate,
+    train_times,
 )
 from matterhorn.stats import ActivationSampler, calibrate_gaussian_sigma, sparsity_sweep
 
@@ -167,7 +168,7 @@ def test_criterion_5_time_based_accumulation():
         codes = rng.integers(cfg.code_min, cfg.code_max + 1, width)
         trains = [encode_integer(int(q), cfg) for q in codes]
         weights = rng.integers(-8, 9, width).astype(float)
-        state = time_based_accumulate(spike_matrix(trains, cfg.window), weights, cfg)
+        state = time_based_accumulate(train_times(trains, cfg.window), weights, cfg)
         oracle = integrate(list(zip(trains, weights)), cfg)
         if state.v != oracle:
             failures += 1
@@ -193,7 +194,7 @@ def test_time_based_accumulation_exact_for_real_weights(seed, alpha, k, width):
     codes = rng.integers(cfg.code_min, cfg.code_max + 1, width)
     trains = [encode_integer(int(q), cfg) for q in codes]
     weights = rng.normal(size=width)
-    state = time_based_accumulate(spike_matrix(trains, cfg.window), weights, cfg)
+    state = time_based_accumulate(train_times(trains, cfg.window), weights, cfg)
     assert state.v.hex() == integrate(list(zip(trains, weights)), cfg).hex()
 
 

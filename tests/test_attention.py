@@ -1,5 +1,7 @@
 """Time-based accumulation kernel and the spiking attention pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from matterhorn.spike import (
     SpikeTrain,
     encode_integer,
     integrate,
+    train_times,
 )
 
 
@@ -29,6 +32,7 @@ def cfg16(k=0):
 
 def random_trains(rng, cfg, count):
     codes = rng.integers(cfg.code_min, cfg.code_max + 1, count)
+    codes[rng.random(count) < 0.25] = cfg.mu  # about a quarter silent
     return [encode_integer(int(q), cfg) for q in codes], codes
 
 
@@ -37,71 +41,91 @@ def random_trains(rng, cfg, count):
 
 def test_single_spike_kernel_lookup():
     cfg = cfg16()
-    cols = spike_matrix([SpikeTrain.single(4, 16)])
-    state = time_based_accumulate(cols, np.array([1.0]), cfg)
+    times = train_times([SpikeTrain.single(4, 16)])
+    state = time_based_accumulate(times, np.array([1.0]), cfg)
     assert state.v == 3.0  # f(4) = 7 - 4
     assert state.events == 1
 
 
 def test_no_spikes_accumulates_nothing():
     cfg = cfg16()
-    cols = spike_matrix([SpikeTrain.silent(16)] * 3)
-    state = time_based_accumulate(cols, np.ones(3), cfg)
+    times = train_times([SpikeTrain.silent(16)] * 3)
+    state = time_based_accumulate(times, np.ones(3), cfg)
     assert state.v == 0.0 and state.events == 0
     assert state.t == 15  # consumed the full window regardless
 
 
 def test_shape_mismatch_raises():
     cfg = cfg16()
+    with pytest.raises(ValueError):  # a time past the 16-step window
+        time_based_accumulate([16, -1], np.ones(2), cfg)
     with pytest.raises(ValueError):
-        time_based_accumulate(np.zeros((8, 2)), np.ones(2), cfg)
-    with pytest.raises(ValueError):
-        time_based_accumulate(np.zeros((16, 2)), np.ones(3), cfg)
+        time_based_accumulate([-1, -1], np.ones(3), cfg)
     with pytest.raises(ValueError):  # a bank with one row per input, not per output
-        time_based_accumulate(np.zeros((16, 2)), np.ones((3, 2)), cfg)
+        time_based_accumulate([-1, -1], np.ones((3, 2)), cfg)
     with pytest.raises(ValueError):
-        time_based_accumulate(np.zeros((16, 2)), np.ones((2, 3, 1)), cfg)
+        time_based_accumulate([-1, -1], np.ones((2, 3, 1)), cfg)
+    with pytest.raises(ValueError):  # dense spike columns are not spike times
+        time_based_accumulate(np.zeros((16, 2), dtype=int), np.ones(2), cfg)
+
+
+def test_train_times_and_dense_view():
+    trains = [SpikeTrain.single(4, 16), SpikeTrain.silent(16), SpikeTrain.single(0, 16)]
+    assert train_times(trains).tolist() == [4, -1, 0]
+    assert np.array_equal(spike_matrix(trains), np.stack([t.bits for t in trains], axis=1))
+    with pytest.raises(ValueError):
+        train_times([SpikeTrain.silent(16), SpikeTrain.silent(8)])
+    with pytest.raises(ValueError):
+        train_times([SpikeTrain.silent(16)], window=8)
+    with pytest.raises(ValueError):
+        train_times([])
+
+
+def cfg_zero_mu(n, k=0, alpha=1.0):
+    return SnnLayerConfig(n=n, alpha=alpha, i_max=2 ** (n - 1) - 1, k=k)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 2))
-def test_matches_mac_integration(seed, k):
-    # integer weights keep both accumulation orders exact
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16), k=st.integers(0, 2))
+def test_matches_mac_integration(seed, n, k):
+    # both accumulations round exactly, so real weights agree bit for bit
     rng = np.random.default_rng(seed)
-    cfg = cfg16(k=k)
+    cfg = cfg_zero_mu(n, k)
     trains, _ = random_trains(rng, cfg, 8)
-    weights = rng.integers(-6, 7, 8).astype(float)
-    state = time_based_accumulate(spike_matrix(trains), weights, cfg)
+    weights = rng.normal(size=8)
+    state = time_based_accumulate(train_times(trains), weights, cfg)
     oracle = integrate(list(zip(trains, weights)), cfg)
-    assert state.v == oracle
+    assert state.v.hex() == oracle.hex()
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
     k=st.integers(0, 2),
     inputs=st.integers(1, 10),
     outputs=st.integers(1, 6),
 )
-def test_bank_matches_per_column_calls(seed, k, inputs, outputs):
+def test_bank_matches_per_column_calls(seed, n, k, inputs, outputs):
     # one pass over a weight bank is the per-column passes, bit for bit
     rng = np.random.default_rng(seed)
-    cfg = SnnLayerConfig(n=4, alpha=0.37, i_max=7, k=k)
+    cfg = cfg_zero_mu(n, k, alpha=0.37)
     trains, _ = random_trains(rng, cfg, inputs)
-    cols = spike_matrix(trains)
+    times = train_times(trains)
     bank = rng.normal(size=(inputs, outputs))
-    state = time_based_accumulate(cols, bank, cfg)
+    state = time_based_accumulate(times, bank, cfg)
     assert state.v.shape == (outputs,)
     for j in range(outputs):
-        column = time_based_accumulate(cols, bank[:, j], cfg)
+        column = time_based_accumulate(times, bank[:, j], cfg)
         assert state.v[j].hex() == column.v.hex()
+        assert state.v[j].hex() == integrate(list(zip(trains, bank[:, j])), cfg).hex()
         assert state.events == column.events
 
 
 def test_events_counts_active_steps_only():
     cfg = cfg16()
     trains = [SpikeTrain.single(2, 16), SpikeTrain.single(2, 16), SpikeTrain.single(9, 16)]
-    state = time_based_accumulate(spike_matrix(trains), np.ones(3), cfg)
+    state = time_based_accumulate(train_times(trains), np.ones(3), cfg)
     assert state.events == 2  # two distinct active steps, never T
 
 
@@ -110,9 +134,9 @@ def test_partial_sum_composition():
     cfg = cfg16()
     trains, _ = random_trains(rng, cfg, 10)
     weights = rng.integers(-5, 6, 10).astype(float)
-    whole = time_based_accumulate(spike_matrix(trains), weights, cfg).v
-    part_a = time_based_accumulate(spike_matrix(trains[:4]), weights[:4], cfg).v
-    part_b = time_based_accumulate(spike_matrix(trains[4:]), weights[4:], cfg).v
+    whole = time_based_accumulate(train_times(trains), weights, cfg).v
+    part_a = time_based_accumulate(train_times(trains[:4]), weights[:4], cfg).v
+    part_b = time_based_accumulate(train_times(trains[4:]), weights[4:], cfg).v
     assert part_a + part_b == whole
 
 
@@ -187,6 +211,25 @@ def test_pipeline_asymmetric_queries():
     assert np.array_equal(
         attention_pipeline(q_trains, kk, v, cfg), attention_reference(q, kk, v, cfg)
     )
+
+
+def test_pipeline_memory_does_not_grow_with_window():
+    # inputs are spike times, so nothing the pipeline allocates spans the
+    # 2^n-step window
+    rng = np.random.default_rng(3)
+    peaks = {}
+    for n in (4, 16):
+        cfg = cfg_zero_mu(n, k=1)
+        q, kk, v = rng.integers(cfg.code_min, cfg.code_max + 1, (3, 32, 32))
+        q_trains = [[encode_integer(int(c), cfg) for c in row] for row in q]
+        tracemalloc.start()
+        try:
+            got = attention_pipeline(q_trains, kk, v, cfg)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, attention_reference(q, kk, v, cfg))
+    assert peaks[16] <= 2 * peaks[4], peaks
 
 
 def test_pipeline_shape_errors():

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
+from matterhorn import cli
 from matterhorn.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    MAX_COUNT,
     dispatch,
 )
 
@@ -47,11 +49,17 @@ def test_unknown_flag_is_usage_error():
         # the threshold walk and the encode bit list grow as 2^n
         (["verify", "--bits", "40", "--fan-in", "1", "--fan-out", "1", "--samples", "1"], "--bits"),
         (["encode", "--bits", "17", "--codes", "0"], "--bits"),
-        # tokens x d_k codes per sample, tokens^2 score trains of 2^n steps
+        # tokens x d_k codes per sample, tokens^2 x d_k summed terms per stage
         (["attn", "--tokens", "0"], "--tokens"),
         (["attn", "--dk", "-1"], "--dk"),
         (["attn", "--tokens", "129"], "--tokens"),
         (["attn", "--dk", "129"], "--dk"),
+        # memory grows with the sample count and the random layer's size
+        (["stats", "--count", str(MAX_COUNT + 1)], "--count"),
+        (["sweep", "--count", str(MAX_COUNT + 1)], "--count"),
+        (["sweep", "--kmax", "-1"], "--kmax"),
+        (["verify", "--fan-in", "3000", "--fan-out", "3000", "--samples", "1"], "--fan-in"),
+        (["verify", "--fan-out", "1025", "--samples", "1"], "--fan-out"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -169,6 +177,16 @@ def test_verify_refuses_unbounded_work(tmp_path, capsys, n, fan_in, extra, needl
     assert needle in json.loads(err)["detail"]
 
 
+def test_verify_checks_budgets_before_building_the_layer(monkeypatch, capsys):
+    def unbuildable(**_):
+        raise AssertionError("layer built before the budget check")
+
+    monkeypatch.setattr(cli, "QnnLayer", unbuildable)
+    code, _, err = run(capsys, "verify", "--fan-in", "1024", "--fan-out", "1024", "--exhaustive")
+    assert code == EXIT_CONFIG
+    assert "2^4096 input vectors" in json.loads(err)["detail"]
+
+
 def test_encode_round_trip_artifact(capsys):
     code, out, _ = run(capsys, "encode", "--codes", "0,3,-2", "--k", "1")
     assert code == EXIT_OK
@@ -192,10 +210,24 @@ def test_xbar_fuzz(capsys):
         assert json.loads(out)["result"]["failures"] == 0
 
 
+# Digests of the exact attn JSON bytes and their exit codes; mu=4 (--imax 3)
+# reports mismatches and exits 4.
+ATTN_JSON_SHA256 = {
+    (): ("540b227086027d927757e316a96c7c6b4e1d572ccac5b82be35a26561e50ac98", EXIT_OK),
+    ("--imax", "3"): (
+        "421123ba448609226fb65f30077c3684ecf81e440070ddfafb02a25fe61d9b8f",
+        EXIT_VERIFY_FAILED,
+    ),
+}
+
+
 def test_attn_fuzz(capsys):
     code, out, _ = run(capsys, "attn", "--samples", "5", "--seed", "2")
     assert code == EXIT_OK
     assert json.loads(out)["result"]["mismatches"] == 0
+    for extra, (digest, want) in ATTN_JSON_SHA256.items():
+        code, out, _ = run(capsys, "attn", "--tokens", "4", "--dk", "4", "--samples", "20", *extra)
+        assert code == want and sha256(out) == digest, extra
 
 
 def test_energy_json_report(capsys):
@@ -293,6 +325,16 @@ def test_sweep_table_with_reference_column(capsys):
         assert sha256(out) == digest, extra
     assert "reference_silence_pct" in out
     assert "61.2" in out  # logged alongside, not asserted
+
+
+def test_sweep_kmax_past_all_silent_is_config_error(capsys):
+    # at 2 bits, radius 3 already silences every time of the 4-step window
+    code, out, _ = run(capsys, "sweep", "--bits", "2", "--kmax", "3", "--count", "50")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[-1].startswith("3,1.000000,")
+    code, _, err = run(capsys, "sweep", "--bits", "2", "--kmax", "4", "--count", "50")
+    assert code == EXIT_CONFIG
+    assert "--kmax 4" in json.loads(err)["detail"]
 
 
 def test_outputs_are_deterministic(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from matterhorn.spike import SnnLayerConfig, SpikeTrain
+from matterhorn.spike import SnnLayerConfig
 from matterhorn.stats import (
     ActivationSampler,
     REFERENCE_SILENCE_PCT,
@@ -20,12 +20,14 @@ def cfg16(k=0):
     return SnnLayerConfig(n=4, i_max=7, k=k)
 
 
+CFG8 = SnnLayerConfig(n=3)
+
+
 # --- histogram ------------------------------------------------------------
 
 
 def test_histogram_counts_and_silent_bucket():
-    trains = [SpikeTrain.single(3, 8)] * 2 + [SpikeTrain.silent(8)] * 3
-    hist = spike_time_histogram(trains)
+    hist = spike_time_histogram([3, 3, -1, -1, -1], CFG8)
     assert hist.counts[3] == 2 and hist.silent == 3
     assert hist.total == 5
     assert hist.silence_fraction == 0.6
@@ -33,14 +35,14 @@ def test_histogram_counts_and_silent_bucket():
 
 def test_histogram_all_center_codes_silent():
     cfg = cfg16()
-    hist = spike_time_histogram(encode_samples(np.zeros(50), cfg))
+    hist = spike_time_histogram(encode_samples(np.zeros(50), cfg), cfg)
     assert hist.silence_fraction == 1.0
 
 
 def test_histogram_uniform_codes():
     cfg = cfg16()
     codes = np.arange(-8, 8, dtype=float)  # one sample per code, alpha=1
-    hist = spike_time_histogram(encode_samples(codes + 0.5, cfg))
+    hist = spike_time_histogram(encode_samples(codes + 0.5, cfg), cfg)
     assert hist.silent == 1  # only the mu code collapses at k=0
     occupied = np.flatnonzero(hist.counts)
     assert occupied.size == 15
@@ -48,18 +50,20 @@ def test_histogram_uniform_codes():
 
 
 def test_histogram_merge_conserves_total():
-    a = spike_time_histogram([SpikeTrain.single(1, 8), SpikeTrain.silent(8)])
-    b = spike_time_histogram([SpikeTrain.single(1, 8), SpikeTrain.single(7, 8)])
+    a = spike_time_histogram([1, -1], CFG8)
+    b = spike_time_histogram([1, 7], CFG8)
     merged = a + b
     assert merged.total == a.total + b.total
     assert merged.counts[1] == 2
 
 
 def test_histogram_window_mismatch():
+    with pytest.raises(ValueError):  # a time past the 8-step window
+        spike_time_histogram([-1, 8], CFG8)
     with pytest.raises(ValueError):
-        spike_time_histogram([SpikeTrain.silent(8), SpikeTrain.silent(16)])
+        spike_time_histogram([-2], CFG8)
     with pytest.raises(ValueError):
-        spike_time_histogram([])
+        spike_time_histogram([], CFG8)
 
 
 # --- sampler ----------------------------------------------------------------
@@ -86,7 +90,7 @@ def test_sampler_kinds():
 def test_histogram_determinism_bytes():
     def run():
         sampler = ActivationSampler(kind="gaussian", scale=2.0, seed=3)
-        hist = spike_time_histogram(encode_samples(sampler.sample(2000), cfg16()))
+        hist = spike_time_histogram(encode_samples(sampler.sample(2000), cfg16()), cfg16())
         return hist.counts.tobytes(), hist.silent
 
     assert run() == run()
@@ -129,8 +133,8 @@ def test_baseline_silence_is_rare_next_to_masked():
     sampler = ActivationSampler(kind="gaussian", scale=sigma, seed=13)
     samples = sampler.sample(50_000)
     baseline_cfg = SnnLayerConfig(n=4, baseline_silent_min=True)
-    baseline = spike_time_histogram(encode_samples(samples, baseline_cfg))
-    masked = spike_time_histogram(encode_samples(samples, cfg16(k=0)))
+    baseline = spike_time_histogram(encode_samples(samples, baseline_cfg), baseline_cfg)
+    masked = spike_time_histogram(encode_samples(samples, cfg16(k=0)), cfg16(k=0))
     assert baseline.silence_fraction < 0.01
     assert masked.silence_fraction > 0.30
 
