@@ -70,6 +70,10 @@ MAX_ATTN_DIM = 128
 MAX_FAN = 1024
 # ``stats`` and ``sweep`` peak at about 129 MiB resident at this sample count.
 MAX_COUNT = 2**20
+# ``sweep`` re-encodes every sample at each of the kmax + 1 radii; 2^28
+# encodes (``--bits 16 --kmax 255 --count 2^20``) took 3.9-4.3 s on a 2-core
+# Xeon, so count x (kmax + 1) above 2^SWEEP_BUDGET_LOG2 is refused.
+SWEEP_BUDGET_LOG2 = 28
 
 
 class ConfigError(Exception):
@@ -417,6 +421,12 @@ def _cmd_sweep(args) -> int:
     cfg = _spike_config(args)
     if args.kmax > cfg.window - 1:  # every wider radius repeats the all-silent row
         raise ConfigError(f"--kmax {args.kmax} exceeds 2^{args.bits} - 1 = {cfg.window - 1}")
+    encodes = args.count * (args.kmax + 1)
+    if encodes > 2**SWEEP_BUDGET_LOG2:
+        raise ConfigError(
+            f"sweep would encode {args.count} samples x {args.kmax + 1} radii = {encodes} "
+            f"codes, over the budget of 2^{SWEEP_BUDGET_LOG2}"
+        )
     sampler = _sampler(args, replace(cfg, k=0))  # the sweep's target is silence at k=0
     rows = sparsity_sweep(sampler, cfg, range(args.kmax + 1), count=args.count)
     header = _sampling_header("dead-zone sparsity sweep", args, sampler, cfg)

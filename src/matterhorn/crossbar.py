@@ -90,6 +90,13 @@ class CrossbarMacro:
         return 2 * self.binary() - 1
 
 
+def _compensated_adc(currents, n_active, v_read: float, g_on: float, g_off: float) -> np.ndarray:
+    """ADC codes after subtracting the off-cell baseline of ``n_active``
+    driven rows: exact on-cell counts, clipped to ``[0, n_active]``."""
+    counts = np.rint((currents - n_active * v_read * g_off) / (v_read * (g_on - g_off)))
+    return np.clip(counts, 0, n_active).astype(np.int64)
+
+
 def analog_column_readout(
     active_rows, macro: CrossbarMacro, compensate_leakage: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -112,12 +119,19 @@ def analog_column_readout(
     currents = macro.v_read * (active @ macro.conductance)
     if compensate_leakage:
         n_active = float(active.sum())
-        span = macro.v_read * (macro.g_on - macro.g_off)
-        counts = np.rint((currents - n_active * macro.v_read * macro.g_off) / span)
-        codes = np.clip(counts, 0, n_active).astype(np.int64)
+        codes = _compensated_adc(currents, n_active, macro.v_read, macro.g_on, macro.g_off)
     else:
         codes = np.clip(np.rint(currents / macro.lsb), 0, macro.rows).astype(np.int64)
     return currents, codes
+
+
+def _check_bit_serial_inputs(inputs: np.ndarray, input_bits: int | None) -> None:
+    if not np.issubdtype(inputs.dtype, np.integer):
+        raise ValueError("bit-serial inputs must be integers")
+    if np.any(inputs < 0):
+        raise ValueError("bit-serial inputs must be non-negative")
+    if input_bits is not None and np.any(inputs >= 2**input_bits):
+        raise ValueError(f"inputs exceed the {input_bits}-bit budget")
 
 
 def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) -> np.ndarray:
@@ -129,16 +143,8 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
     inputs = np.asarray(inputs)
     if inputs.shape != (macro.rows,):
         raise ValueError(f"expected {macro.rows} inputs, got shape {inputs.shape}")
-    if not np.issubdtype(inputs.dtype, np.integer):
-        raise ValueError("bit-serial inputs must be integers")
-    if np.any(inputs < 0):
-        raise ValueError("bit-serial inputs must be non-negative")
-    if input_bits is not None:
-        if np.any(inputs >= 2**input_bits):
-            raise ValueError(f"inputs exceed the {input_bits}-bit budget")
-        planes = input_bits
-    else:
-        planes = max(1, int(inputs.max()).bit_length())
+    _check_bit_serial_inputs(inputs, input_bits)
+    planes = input_bits if input_bits is not None else max(1, int(inputs.max()).bit_length())
     acc = np.zeros(macro.cols, dtype=np.int64)
     for p in range(planes):
         plane = (inputs >> p) & 1
@@ -167,6 +173,16 @@ class MsuConfig:
             raise ValueError("input_bits must be >= 1")
         if self.tile_rows < 1 or self.tile_cols < 1:
             raise ValueError("tile dimensions must be positive")
+        if not (self.v_read > 0 and math.isfinite(self.v_read)):
+            raise ValueError(f"v_read must be a positive finite real, got {self.v_read}")
+        if not (self.g_off >= 0 and math.isfinite(self.g_off)):
+            raise ValueError(f"g_off must be a non-negative finite real, got {self.g_off}")
+        if not (self.g_on > self.g_off and math.isfinite(self.g_on)):
+            raise ValueError(
+                f"g_on must be a finite real above g_off={self.g_off}, got {self.g_on}"
+            )
+        if self.adc_lsb is not None and not (self.adc_lsb > 0 and math.isfinite(self.adc_lsb)):
+            raise ValueError(f"adc_lsb must be a positive finite real, got {self.adc_lsb}")
 
     @classmethod
     def from_json(cls, text: str) -> "MsuConfig":
@@ -196,34 +212,40 @@ def signed_correct(r_cim, input_sum: int, cfg: MsuConfig) -> np.ndarray:
 def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     """Signed VMM of arbitrary dimensions over a grid of macro tiles.
 
-    The weight matrix is partitioned into tile_rows x tile_cols macros;
-    each tile contributes its bit-serial result corrected with its own
-    input-slice sum.  The digital accumulation is an integer sum, so the
-    result equals the monolithic product exactly (before gamma) and is
-    independent of tile traversal order.
+    One row band (``tile_rows`` rows) at a time: one check that the band's
+    weights are exactly +/-1, and one matmul that reads every input bit
+    plane against every column, followed by the leakage-compensated ADC
+    step of ``analog_column_readout``.  Column tiles change no number: a
+    column's on-cell count depends only on its own cells and the band's
+    rows.  Codes are shift-added and corrected with the band's input-slice
+    sum in integers, so the result equals the monolithic product exactly
+    (before gamma) in any traversal order.  ``CrossbarMacro`` with
+    ``bit_serial_vmm``, one per tile, is the device oracle of this function.
     """
     inputs = np.asarray(inputs)
-    w_signed = np.asarray(w_signed, dtype=np.float64)
+    w_signed = np.asarray(w_signed)
     if w_signed.ndim != 2 or inputs.shape != (w_signed.shape[0],):
         raise ValueError(
             f"input length {inputs.shape} does not match weight rows {w_signed.shape}"
         )
+    _check_bit_serial_inputs(inputs, cfg.input_bits)
+    # integer inputs hold at most 64 bits; higher planes are all zero
+    shifts = np.arange(min(cfg.input_bits, 64))[:, None]
+    planes = ((inputs.astype(np.uint64) >> shifts.astype(np.uint64)) & 1).astype(np.float64)
     c_in, c_out = w_signed.shape
     acc = np.zeros(c_out, dtype=np.int64)
     for r0 in range(0, c_in, cfg.tile_rows):
-        r1 = min(r0 + cfg.tile_rows, c_in)
-        slice_sum = int(inputs[r0:r1].sum())
-        for c0 in range(0, c_out, cfg.tile_cols):
-            c1 = min(c0 + cfg.tile_cols, c_out)
-            macro = CrossbarMacro.from_signed(
-                w_signed[r0:r1, c0:c1],
-                v_read=cfg.v_read,
-                g_on=cfg.g_on,
-                g_off=cfg.g_off,
-                adc_lsb=cfg.adc_lsb,
-            )
-            r_cim = bit_serial_vmm(inputs[r0:r1], macro, cfg.input_bits)
-            acc[c0:c1] += 2 * r_cim - slice_sum
+        rows = slice(r0, r0 + cfg.tile_rows)
+        band = np.asarray(w_signed[rows], dtype=np.float64)
+        if not np.all((band == 1.0) | (band == -1.0)):
+            raise ValueError("weights must be exactly +1 or -1")
+        bits = planes[:, rows]
+        n_active = bits.sum(axis=1, keepdims=True)
+        # (n_active + bits @ band) / 2 is the on-cell count: integers below 2^53
+        on = (n_active + bits @ band) / 2
+        currents = cfg.v_read * (n_active * cfg.g_off + on * (cfg.g_on - cfg.g_off))
+        codes = _compensated_adc(currents, n_active, cfg.v_read, cfg.g_on, cfg.g_off)
+        acc += 2 * (codes << shifts).sum(axis=0) - int(inputs[rows].sum())
     return cfg.gamma * acc
 
 

@@ -337,6 +337,17 @@ def test_sweep_kmax_past_all_silent_is_config_error(capsys):
     assert "--kmax 4" in json.loads(err)["detail"]
 
 
+def test_sweep_over_encode_budget_is_config_error(capsys, monkeypatch):
+    code, _, err = run(capsys, "sweep", "--bits", "16", "--kmax", "256", "--count", str(MAX_COUNT))
+    assert code == EXIT_CONFIG
+    detail = json.loads(err)["detail"]
+    assert f"{MAX_COUNT} samples x 257 radii" in detail
+    assert f"budget of 2^{cli.SWEEP_BUDGET_LOG2}" in detail
+    monkeypatch.setattr(cli, "SWEEP_BUDGET_LOG2", 10)  # the bound itself is inclusive
+    assert run(capsys, "sweep", "--kmax", "3", "--count", "256")[0] == EXIT_OK
+    assert run(capsys, "sweep", "--kmax", "3", "--count", "257")[0] == EXIT_CONFIG
+
+
 def test_outputs_are_deterministic(capsys):
     _, first, _ = run(capsys, "sweep", "--count", "300", "--seed", "7")
     _, second, _ = run(capsys, "sweep", "--count", "300", "--seed", "7")

@@ -1,5 +1,7 @@
 """Crossbar mapping, analog read-out, bit-serial VMM and tiling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,21 +197,105 @@ def test_tiled_ragged_dimensions():
     assert np.array_equal(tiled_vmm(x, w, MsuConfig()), x @ w.astype(np.int64))
 
 
+def tile_oracle(x, w, cfg: MsuConfig) -> np.ndarray:
+    """The device oracle: one programmed macro and one bit-serial read per
+    tile, visited column-tile-major (the reverse of the row-band order)."""
+    c_in, c_out = w.shape
+    device = dict(v_read=cfg.v_read, g_on=cfg.g_on, g_off=cfg.g_off, adc_lsb=cfg.adc_lsb)
+    acc = np.zeros(c_out, dtype=np.int64)
+    for c0 in range(0, c_out, cfg.tile_cols):
+        for r0 in range(0, c_in, cfg.tile_rows):
+            r1, c1 = min(r0 + cfg.tile_rows, c_in), min(c0 + cfg.tile_cols, c_out)
+            macro = CrossbarMacro.from_signed(w[r0:r1, c0:c1], **device)
+            r_cim = bit_serial_vmm(x[r0:r1], macro, cfg.input_bits)
+            acc[c0:c1] += 2 * r_cim - int(x[r0:r1].sum())
+    return cfg.gamma * acc
+
+
 def test_tiling_traversal_order_is_irrelevant():
     # column-tile-major accumulation gives the same integers
     rng = np.random.default_rng(7)
     w = rng.choice([-1.0, 1.0], (40, 30))
     x = rng.integers(0, 16, 40)
     cfg = MsuConfig(tile_rows=16, tile_cols=8)
-    expected = tiled_vmm(x, w, cfg)
-    acc = np.zeros(30, dtype=np.int64)
-    for c0 in range(0, 30, 8):  # reversed loop nesting vs the implementation
-        for r0 in range(0, 40, 16):
-            r1, c1 = min(r0 + 16, 40), min(c0 + 8, 30)
-            macro = CrossbarMacro.from_signed(w[r0:r1, c0:c1])
-            r_cim = bit_serial_vmm(x[r0:r1], macro, 4)
-            acc[c0:c1] += 2 * r_cim - int(x[r0:r1].sum())
-    assert np.array_equal(acc.astype(float), expected)
+    assert np.array_equal(tile_oracle(x, w, cfg), tiled_vmm(x, w, cfg))
+
+
+DTYPE_MAX = {np.int8: 2**7, np.uint8: 2**8, np.int32: 2**31, np.int64: 2**63, np.uint64: 2**64}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c_in=st.integers(1, 60),  # 60 rows of 57-bit inputs keep every sum inside int64
+    c_out=st.integers(1, 60),
+    tile_rows=st.integers(1, 40),
+    tile_cols=st.integers(1, 40),
+    bits=st.integers(1, 57),
+    dtype=st.sampled_from(list(DTYPE_MAX)),
+    gamma=st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+    g_on=st.floats(1e-6, 1e-3),
+    off_ratio=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    v_read=st.floats(0.01, 2.0),
+)
+def test_tiled_vmm_matches_tile_oracle(
+    seed, c_in, c_out, tile_rows, tile_cols, bits, dtype, gamma, g_on, off_ratio, v_read
+):
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-1.0, 1.0], (c_in, c_out))
+    x = rng.integers(0, min(2**bits, DTYPE_MAX[dtype]), c_in, dtype=np.uint64).astype(dtype)
+    cfg = MsuConfig(
+        gamma=gamma,
+        input_bits=bits,
+        tile_rows=tile_rows,
+        tile_cols=tile_cols,
+        v_read=v_read,
+        g_on=g_on,
+        g_off=g_on * off_ratio,
+    )
+    got = tiled_vmm(x, w, cfg)
+    assert np.array_equal(got, tile_oracle(x, w, cfg))
+    assert np.array_equal(got, gamma * (x.astype(np.int64) @ w.astype(np.int64)))
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, np.nan, np.inf])
+def test_tiled_rejects_bad_weight_in_last_band(bad):
+    w = np.ones((50, 7))
+    w[-1, -1] = bad  # rows 48-49 form the last 16-row band
+    with pytest.raises(ValueError, match="weights must be exactly"):
+        tiled_vmm(np.ones(50, dtype=np.int64), w, MsuConfig(tile_rows=16, tile_cols=4))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (np.array([1, -1, 0]), "must be non-negative"),
+        (np.array([1, 16, 0]), "exceed the 4-bit budget"),
+        (np.array([1.0, 2.0, 0.0]), "must be integers"),
+    ],
+)
+def test_tiled_rejects_bad_inputs(x, message):
+    with pytest.raises(ValueError, match=message):
+        tiled_vmm(x, np.ones((3, 2)), MsuConfig(input_bits=4))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
+def test_tiled_rejects_non_matrix_weights(shape):
+    with pytest.raises(ValueError, match="does not match weight rows"):
+        tiled_vmm(np.ones(3, dtype=np.int64), np.ones(shape), MsuConfig())
+
+
+def test_tiled_peak_memory_below_the_weight_matrix():
+    rng = np.random.default_rng(9)
+    w = rng.choice([-1.0, 1.0], (768, 3072))
+    x = rng.integers(0, 16, 768)
+    tracemalloc.start()
+    try:
+        tiled_vmm(x, w, MsuConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes  # 18.9 MB; temporaries stay within one row band
 
 
 def test_gamma_applies_once_after_tiling():
@@ -239,3 +325,23 @@ def test_msu_config_validation():
         MsuConfig(gamma=0.0)
     with pytest.raises(ValueError):
         MsuConfig(input_bits=0)
+    for field, bad in [
+        ("v_read", 0.0),
+        ("v_read", -0.1),
+        ("v_read", float("nan")),
+        ("v_read", float("inf")),
+        ("g_off", -1e-6),
+        ("g_off", float("nan")),
+        ("g_off", float("inf")),
+        ("g_on", G_OFF_DEFAULT),  # g_on == g_off: no on/off contrast to read
+        ("g_on", G_OFF_DEFAULT / 2),
+        ("g_on", float("inf")),
+        ("g_on", float("nan")),
+        ("adc_lsb", 0.0),
+        ("adc_lsb", -1e-5),
+        ("adc_lsb", float("nan")),
+        ("adc_lsb", float("inf")),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            MsuConfig(**{field: bad})
+    MsuConfig(g_off=0.0, adc_lsb=1e-5)  # an ideal off cell and an explicit LSB are legal
