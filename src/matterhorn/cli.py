@@ -49,19 +49,22 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 
-# Widest code: the threshold walk and the ``encode`` bit list are O(2^n).
+# Widest code: the sampled domain's scalar threshold walk and the ``encode``
+# bit list are O(2^n); the exhaustive domain's certified walk is not.
 MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
-# Each verified output walks up to 2^n thresholds.  The scalar walk of the
-# sampled domain costs 0.6-0.8 us a step on a 2-core Xeon, so
-# 2^WALK_BUDGET_LOG2 steps bound its walking to about 10-14 s there; the
-# exhaustive domain's array walk costs 25-50 ns a step.
+# Each sample of the sampled domain walks up to 2^n thresholds one scalar
+# step at a time, at 0.6-0.8 us a step on a 2-core Xeon, so
+# 2^WALK_BUDGET_LOG2 steps bound its walking to about 10-14 s there.  The
+# exhaustive domain certifies each firing time with two exact comparisons,
+# so only its vector and term budgets bound it.
 WALK_BUDGET_LOG2 = 24
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
-# each side, exactly rounded per output, at about 0.3 us a term on the same
-# host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 11 s there.
+# each side, exactly rounded per output, at about 0.4 us a real-valued term
+# on the same host (integer terms add in plain float, far faster), so
+# 2^TERMS_BUDGET_LOG2 terms keep a run within about 14 s there.
 TERMS_BUDGET_LOG2 = 25
 # ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
 # width; at this cap one sample takes about 0.16 s on the same host.
@@ -154,27 +157,29 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _check_verify_work(args, in_n: int, fan_in: int, fan_out: int, n: int) -> None:
-    """Refuse a verify run over its vector, walk (2^n steps per fired output)
-    or term budget, before the layer's weights are built."""
-    if args.exhaustive:
-        exponent = in_n * fan_in
-        if exponent > EXHAUSTIVE_BUDGET_LOG2:
+    """Refuse a verify run over its budget, before the layer's weights are
+    built: vectors and summed terms for ``--exhaustive``, whose certified
+    walk costs two comparisons per output, and walk steps (2^n per sample)
+    for the sampled domain."""
+    if not args.exhaustive:
+        steps = args.samples * 2**n
+        if steps > 2**WALK_BUDGET_LOG2:
             raise ConfigError(
-                f"--exhaustive would walk (2^{in_n})^{fan_in} = 2^{exponent} "
-                f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
+                f"verify would walk {args.samples} samples x 2^{n} thresholds = {steps} "
+                f"steps, over the budget of 2^{WALK_BUDGET_LOG2}"
             )
-        outputs, what = 2**exponent * fan_out, f"2^{exponent} vectors x {fan_out} outputs"
-    else:
-        outputs, what = args.samples, f"{args.samples} samples"
-    if outputs * 2**n > 2**WALK_BUDGET_LOG2:
+        return
+    exponent = in_n * fan_in
+    if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(
-            f"verify would walk {what} x 2^{n} thresholds = {outputs * 2**n} steps, "
-            f"over the budget of 2^{WALK_BUDGET_LOG2}"
+            f"--exhaustive would walk (2^{in_n})^{fan_in} = 2^{exponent} "
+            f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
         )
-    if args.exhaustive and outputs * fan_in > 2**TERMS_BUDGET_LOG2:
+    terms = 2**exponent * fan_out * fan_in
+    if terms > 2**TERMS_BUDGET_LOG2:
         raise ConfigError(
             f"--exhaustive would sum 2^{exponent} vectors x {fan_in} inputs x {fan_out} "
-            f"outputs = {outputs * fan_in} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
+            f"outputs = {terms} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
         )
 
 

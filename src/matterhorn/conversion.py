@@ -152,16 +152,19 @@ def verify_equivalence(
     is checked, in blocks of about ``BLOCK_TERMS`` summed terms built from
     vector indices, with the array forms of the scalar functions.  The
     quantized side filters the codes, sums each pre-activation exactly
-    (``math.fsum``), floors exactly, clips and filters the output.  The
-    spiking side, independently, encodes the codes to spike times, sums
-    each potential exactly over the spiking inputs, walks the whole
-    threshold ramp (never a closed-form floor), masks and decodes.  The two
-    integer outputs must agree per output neuron.  Additionally asserts the
-    dead-zone agreement: the mask silences the output exactly when the
-    unfiltered quantized code lies within k of mu.  The report is the one
-    the scalar loop in the tests produces, mismatches in vector order, then
-    output, then code check before dead-zone check.  Raises ValueError for
-    weights and bias whose pre-activations could overflow.
+    (``numerics.fsum_rows``), floors exactly, clips and filters the output.
+    The spiking side, independently, encodes the codes to spike times, sums
+    each potential exactly over the spiking inputs, fires by the certified
+    walk of ``fire_simulated_array`` (a float quotient proposes each firing
+    time, and two exact threshold comparisons accept it only if it is the
+    first step of the ramp the potential meets; the quantized side's floor
+    is never used), masks and decodes.  The two integer outputs must agree
+    per output neuron.  Additionally asserts the dead-zone agreement: the
+    mask silences the output exactly when the unfiltered quantized code
+    lies within k of mu.  The report is the one the scalar loop in the
+    tests produces, mismatches in vector order, then output, then code
+    check before dead-zone check.  Raises ValueError for weights and bias
+    whose pre-activations could overflow.
 
     domain="sampled": draws real pre-activations spanning twice the code
     range and compares filtered quantization against the fired-and-decoded

@@ -27,6 +27,8 @@ __all__ = [
     "reference_readout",
 ]
 
+# The signed result and 2 * r_cim of every row band stay at or below this.
+_INT64_MAX = 2**63 - 1
 G_ON_DEFAULT = 100e-6  # Siemens, logic 1
 G_OFF_DEFAULT = 1e-6  # Siemens, logic 0
 V_READ_DEFAULT = 0.1  # Volts
@@ -46,6 +48,19 @@ def map_signed_weights(
     return np.where(w > 0, g_on, g_off)
 
 
+def _check_device(v_read: float, g_on: float, g_off: float, adc_lsb: float | None) -> None:
+    """Refuse read-out constants the ADC step cannot divide by: a read
+    voltage and an on/off contrast that are positive and finite."""
+    if not (v_read > 0 and math.isfinite(v_read)):
+        raise ValueError(f"v_read must be a positive finite real, got {v_read}")
+    if not (g_off >= 0 and math.isfinite(g_off)):
+        raise ValueError(f"g_off must be a non-negative finite real, got {g_off}")
+    if not (g_on > g_off and math.isfinite(g_on)):
+        raise ValueError(f"g_on must be a finite real above g_off={g_off}, got {g_on}")
+    if adc_lsb is not None and not (adc_lsb > 0 and math.isfinite(adc_lsb)):
+        raise ValueError(f"adc_lsb must be a positive finite real, got {adc_lsb}")
+
+
 @dataclass
 class CrossbarMacro:
     """One programmed crossbar array plus its read-out constants."""
@@ -57,6 +72,7 @@ class CrossbarMacro:
     adc_lsb: float | None = None
 
     def __post_init__(self) -> None:
+        _check_device(self.v_read, self.g_on, self.g_off, self.adc_lsb)
         self.conductance = np.asarray(self.conductance, dtype=np.float64)
         if self.conductance.ndim != 2:
             raise ValueError("conductance grid must be 2-D")
@@ -173,16 +189,7 @@ class MsuConfig:
             raise ValueError("input_bits must be >= 1")
         if self.tile_rows < 1 or self.tile_cols < 1:
             raise ValueError("tile dimensions must be positive")
-        if not (self.v_read > 0 and math.isfinite(self.v_read)):
-            raise ValueError(f"v_read must be a positive finite real, got {self.v_read}")
-        if not (self.g_off >= 0 and math.isfinite(self.g_off)):
-            raise ValueError(f"g_off must be a non-negative finite real, got {self.g_off}")
-        if not (self.g_on > self.g_off and math.isfinite(self.g_on)):
-            raise ValueError(
-                f"g_on must be a finite real above g_off={self.g_off}, got {self.g_on}"
-            )
-        if self.adc_lsb is not None and not (self.adc_lsb > 0 and math.isfinite(self.adc_lsb)):
-            raise ValueError(f"adc_lsb must be a positive finite real, got {self.adc_lsb}")
+        _check_device(self.v_read, self.g_on, self.g_off, self.adc_lsb)
 
     @classmethod
     def from_json(cls, text: str) -> "MsuConfig":
@@ -219,8 +226,10 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     column's on-cell count depends only on its own cells and the band's
     rows.  Codes are shift-added and corrected with the band's input-slice
     sum in integers, so the result equals the monolithic product exactly
-    (before gamma) in any traversal order.  ``CrossbarMacro`` with
-    ``bit_serial_vmm``, one per tile, is the device oracle of this function.
+    (before gamma) in any traversal order.  Inputs whose signed result or
+    doubled band sum could leave int64 raise ValueError.  ``CrossbarMacro``
+    with ``bit_serial_vmm``, one per tile, is the device oracle of this
+    function.
     """
     inputs = np.asarray(inputs)
     w_signed = np.asarray(w_signed)
@@ -229,12 +238,21 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
             f"input length {inputs.shape} does not match weight rows {w_signed.shape}"
         )
     _check_bit_serial_inputs(inputs, cfg.input_bits)
+    c_in, c_out = w_signed.shape
+    # A band adds 2 * r - s with 0 <= r <= s, its input sum, so Python-int
+    # band sums bound every int64 value the accumulation takes.
+    values = inputs.tolist()
+    band_sums = [sum(values[r0 : r0 + cfg.tile_rows]) for r0 in range(0, c_in, cfg.tile_rows)]
+    if 2 * max(band_sums, default=0) > _INT64_MAX or sum(band_sums) > _INT64_MAX:
+        raise ValueError(
+            f"inputs sum to {sum(band_sums)}, up to {max(band_sums)} in one row band: "
+            "the signed result or 2 * r_cim could leave int64"
+        )
     # integer inputs hold at most 64 bits; higher planes are all zero
     shifts = np.arange(min(cfg.input_bits, 64))[:, None]
     planes = ((inputs.astype(np.uint64) >> shifts.astype(np.uint64)) & 1).astype(np.float64)
-    c_in, c_out = w_signed.shape
     acc = np.zeros(c_out, dtype=np.int64)
-    for r0 in range(0, c_in, cfg.tile_rows):
+    for r0, band_sum in zip(range(0, c_in, cfg.tile_rows), band_sums):
         rows = slice(r0, r0 + cfg.tile_rows)
         band = np.asarray(w_signed[rows], dtype=np.float64)
         if not np.all((band == 1.0) | (band == -1.0)):
@@ -245,7 +263,7 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
         on = (n_active + bits @ band) / 2
         currents = cfg.v_read * (n_active * cfg.g_off + on * (cfg.g_on - cfg.g_off))
         codes = _compensated_adc(currents, n_active, cfg.v_read, cfg.g_on, cfg.g_off)
-        acc += 2 * (codes << shifts).sum(axis=0) - int(inputs[rows].sum())
+        acc += 2 * (codes << shifts).sum(axis=0) - band_sum
     return cfg.gamma * acc
 
 

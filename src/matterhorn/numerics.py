@@ -14,7 +14,8 @@ rational arithmetic (floats are rationals); they are the oracles.  The
 near-ties by the exact error term of Dekker's two-product (Dekker 1971;
 Shewchuk 1997, "Adaptive precision floating-point arithmetic"), and send
 the few elements outside the range where that term is exact to the scalar
-functions.
+functions.  ``fsum_rows`` adds small integer terms in plain float, which
+is exact for them, and every other block with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -133,11 +134,23 @@ def floor_ratio_array(values, scale: float) -> np.ndarray:
 
 def fsum_rows(terms) -> np.ndarray:
     """``math.fsum`` along the last axis: each row's exactly rounded sum,
-    independent of term order."""
+    independent of term order.
+
+    In a block of integer terms whose rows' summed magnitudes stay below
+    2^53, every partial sum in any order is exact (Shewchuk 1997), so the
+    plain sum is taken; the float magnitude sum reaches 2^53 whenever the
+    real one does, and is never below it for inf or NaN.  Every other block
+    goes through ``math.fsum`` row by row.
+    """
     terms = np.asarray(terms, dtype=np.float64)
     width, shape = terms.shape[-1], terms.shape[:-1]
     if width == 0:
         return np.zeros(shape)
+    with np.errstate(invalid="ignore"):
+        small = np.all(np.abs(terms).sum(axis=-1) < _EXACT_INT)
+    if small and np.all(terms == np.floor(terms)):
+        # fsum's zero is +0.0, whatever zero the reduction starts from
+        return terms.sum(axis=-1) + 0.0
     flat = terms.ravel().tolist()
     rows = zip(*[iter(flat)] * width)  # consecutive width-long tuples
     return np.fromiter(map(math.fsum, rows), dtype=np.float64, count=math.prod(shape)).reshape(shape)

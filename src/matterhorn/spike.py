@@ -16,6 +16,8 @@ A population of trains is an ``int64`` array of spike times with -1 for
 silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
 a whole population at once, and the scalar functions are their oracles;
 ``train_times`` turns a list of ``SpikeTrain`` objects into that form.
+``fire_simulated_array`` certifies a proposed firing time with two exact
+threshold comparisons instead of walking the ramp, whatever the window.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the walk and the closed form agree
@@ -34,9 +36,9 @@ from .numerics import floor_ratio, fsum_rows, ge_scaled, ge_scaled_array
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
-# Potentials x thresholds one step of ``fire_simulated_array`` compares at
-# once; bounds the walk's temporaries to a few MiB whatever the window.
-WALK_BLOCK = 2**16
+# Checks a proposed firing time gets before the scalar walk decides it: each
+# failed check moves it one step, and the float floor is at most one off.
+_CERTIFY_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -382,30 +384,55 @@ def integrate_array(times, weights, cfg_prev: SnnLayerConfig, bias=0.0) -> np.nd
     return fsum_rows(terms) + bias
 
 
+def _certify_times(v: np.ndarray, cfg: SnnLayerConfig, times: np.ndarray):
+    """Certify proposed unmasked firing times of the potentials ``v``.
+
+    The ramp ``alpha * (origin - t)`` strictly decreases in t, so "v meets
+    step t" is monotone in t, and t is the walk's answer exactly when v
+    meets step t (or t = T-1) and misses step t-1 (or t = 0).  Two exact
+    comparisons check that; a failed check says which way the answer lies,
+    and the time moves one step that way for the next round.  Returns the
+    times and a mask of the certified ones; after ``_CERTIFY_ROUNDS``
+    checks the rest stay uncertified, whatever was proposed.
+    """
+    origin = cfg.code_max + cfg.theta_shift
+    last = cfg.window - 1
+    times = np.clip(times, 0, last)
+    certified = np.zeros(v.shape, dtype=bool)
+    todo = np.arange(v.size)
+    for _ in range(_CERTIFY_ROUNDS):
+        t = times[todo]
+        ge = ge_scaled_array(v[todo], cfg.alpha, np.stack([origin - t, origin + 1 - t]))
+        meets = ge[0] | (t == last)
+        misses_prev = ~ge[1] | (t == 0)
+        done = meets & misses_prev
+        certified[todo[done]] = True
+        # monotonicity rules out missing step t while meeting step t-1
+        times[todo] = t + ~meets - ~misses_prev
+        todo = todo[~done]
+        if not todo.size:
+            break
+    return times, certified
+
+
 def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
     """Element-wise ``fire_simulated``: masked spike times, -1 where silent.
 
-    Every potential walks the threshold ramp exactly, step by step in
-    order, and takes the first step it meets (T-1 if none).  Steps are
-    compared in chunks of at most ``WALK_BLOCK`` comparisons, and a
-    potential leaves the walk at its first hit, as in the scalar walk.
+    The float quotient proposes ``clip(origin - floor(v / alpha), 0, T-1)``
+    and ``_certify_times`` accepts a time only once the walk's definition
+    holds for it; a potential still uncertified walks the scalar
+    ``candidate_fire_time``.  The proposal is never trusted.
     """
     v = np.asarray(potentials, dtype=np.float64)
     if np.isnan(v).any():
         raise ValueError("potential is NaN")
     flat = v.ravel()
-    times = np.full(flat.shape, cfg.window - 1, dtype=np.int64)
-    pending = np.arange(flat.size)
     origin = cfg.code_max + cfg.theta_shift
-    start = 0
-    while pending.size and start < cfg.window - 1:
-        stop = min(cfg.window - 1, start + max(1, WALK_BLOCK // pending.size))
-        steps = np.arange(start, stop)
-        ge = ge_scaled_array(flat[pending, None], cfg.alpha, origin - steps)
-        hit = ge.any(axis=1)
-        times[pending[hit]] = steps[ge[hit].argmax(axis=1)]
-        pending = pending[~hit]
-        start = stop
+    with np.errstate(all="ignore"):
+        hint = np.clip(origin - np.floor(flat / cfg.alpha), 0, cfg.window - 1)
+    times, certified = _certify_times(flat, cfg, hint.astype(np.int64))
+    for i in np.flatnonzero(~certified).tolist():
+        times[i] = candidate_fire_time(float(flat[i]), cfg)
     return _mask_times(times.reshape(v.shape), cfg)
 
 

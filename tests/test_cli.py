@@ -128,6 +128,15 @@ def test_verify_bad_weight_magnitudes_are_config_errors(tmp_path, capsys, weight
     assert needle in json.loads(err)["detail"]
 
 
+def test_verify_exhaustive_walk_is_not_charged_per_step(capsys):
+    # 2^20 vectors x 4 outputs x 2^5 thresholds: refused while every output
+    # walked its ramp, two certificate comparisons each now
+    code, out, _ = run(capsys, "verify", "--bits", "5", "--fan-in", "4", "--exhaustive")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["passed"] is True and result["cases_checked"] == 2**20
+
+
 def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
     # summation order alone used to flip codes for non-integer weights
     layer = {
@@ -153,10 +162,11 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
         (17, 1, ["--samples", "1"], "n=17"),  # wider than --bits accepts
         (4, 6, ["--exhaustive"], "2^24"),  # over the exhaustive budget
         (None, None, ["--bits", "4", "--fan-in", "10", "--exhaustive"], "2^40"),
-        # inside the vector budget, but each output walks up to 2^n thresholds
-        (None, None, ["--bits", "5", "--fan-in", "4", "--exhaustive"], "134217728 steps"),
+        # each sample walks up to 2^n thresholds one scalar step at a time,
+        # also on a shape whose exhaustive run is admitted
+        (None, None, ["--bits", "5", "--fan-in", "4", "--samples", "600000"], "19200000 steps"),
         (None, None, ["--bits", "16", "--fan-in", "1", "--samples", "1000"], "65536000 steps"),
-        # inside the vector and walk budgets, but 2^20 x 20 x 8 summed terms
+        # inside the vector budget, but 2^20 x 20 x 8 summed terms
         (
             None,
             None,

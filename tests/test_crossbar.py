@@ -279,6 +279,34 @@ def test_tiled_rejects_bad_inputs(x, message):
         tiled_vmm(x, np.ones((3, 2)), MsuConfig(input_bits=4))
 
 
+@pytest.mark.parametrize(
+    "x, tile_rows",
+    [
+        ([2**61, 2**61 - 1], 256),  # 2 * r_cim = 2^63 - 2
+        ([2**61, 2**61, 2**61], 1),  # one input a band: 3 * 2^61 in total
+        ([2**62 - 1], 256),
+    ],
+)
+def test_tiled_exact_up_to_the_int64_bound(x, tile_rows):
+    cfg = MsuConfig(input_bits=63, tile_rows=tile_rows)
+    got = tiled_vmm(np.array(x, dtype=np.uint64), np.ones((len(x), 1)), cfg)
+    assert got.tolist() == [float(sum(x))]
+
+
+@pytest.mark.parametrize(
+    "x, tile_rows",
+    [
+        ([2**62, 2**62], 256),  # the exact result 2^63 leaves int64
+        ([2**61, 2**61], 256),  # 2 * r_cim = 2^63 leaves int64
+        ([2**62, 2**62, 2**62], 1),  # every band fits, the total does not
+    ],
+)
+def test_tiled_refuses_sums_past_int64(x, tile_rows):
+    cfg = MsuConfig(input_bits=63, tile_rows=tile_rows)
+    with pytest.raises(ValueError, match="could leave int64"):
+        tiled_vmm(np.array(x, dtype=np.uint64), np.ones((len(x), 1)), cfg)
+
+
 @pytest.mark.parametrize("shape", [(3,), (3, 2, 2)])
 def test_tiled_rejects_non_matrix_weights(shape):
     with pytest.raises(ValueError, match="does not match weight rows"):
@@ -344,4 +372,7 @@ def test_msu_config_validation():
     ]:
         with pytest.raises(ValueError, match=f"^{field} "):
             MsuConfig(**{field: bad})
+        with pytest.raises(ValueError, match=f"^{field} "):
+            CrossbarMacro.from_signed(np.ones((2, 2)), **{field: bad})
     MsuConfig(g_off=0.0, adc_lsb=1e-5)  # an ideal off cell and an explicit LSB are legal
+    CrossbarMacro.from_signed(-np.ones((2, 2)), g_off=0.0, adc_lsb=1e-5)

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matterhorn import numerics
-from matterhorn.numerics import floor_ratio, floor_ratio_array, ge_scaled, ge_scaled_array
+from matterhorn.numerics import (
+    floor_ratio,
+    floor_ratio_array,
+    fsum_rows,
+    ge_scaled,
+    ge_scaled_array,
+)
 from matterhorn.qnn import QuantParams, quantize, quantize_array
 from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, fire_analytic, fire_simulated
 
@@ -159,6 +165,54 @@ def test_floor_ratio_array_matches_scalar(monkeypatch, alpha):
 def test_floor_ratio_array_matches_scalar_on_random_values(alpha, values):
     got = floor_ratio_array(np.array(values), alpha)
     assert got.tolist() == [floor_ratio(v, alpha) for v in values]
+
+
+def _assert_fsum_rows(rows):
+    got = fsum_rows(np.array(rows, dtype=np.float64).reshape(len(rows), -1))
+    assert [g.hex() for g in got.tolist()] == [math.fsum(row).hex() for row in rows]
+
+
+FSUM_ROWS = [
+    [2.0**52, 2.0**52 - 1, 0.0],  # 2^53 - 1: integers, summed magnitude below 2^53
+    [2.0**53, 1.0, 1.0],  # a plain left-to-right sum loses both ones
+    [2.0**53 - 1, 1.0, -1.0],  # exact sum below 2^53, summed magnitude not
+    [-(2.0**52), -(2.0**52) + 1, -1.0],
+    [1.0, -3.0, 0.5],  # one fractional term
+    [0.1, 0.2, -0.3],
+    [-0.0, -0.0, -0.0],
+    [-0.0, 0.0, -0.0],
+    [3.0, -3.0, -0.0],
+    [math.inf, 1.0, 2.0],
+    [math.nan, 1.0, 2.0],
+]
+
+
+@pytest.mark.parametrize("row", FSUM_ROWS)
+def test_fsum_rows_matches_math_fsum_row_by_row(row):
+    _assert_fsum_rows([row])
+
+
+def test_fsum_rows_matches_math_fsum_on_mixed_blocks():
+    _assert_fsum_rows(FSUM_ROWS)
+    _assert_fsum_rows(FSUM_ROWS[:4] + FSUM_ROWS[6:9])  # integer terms only
+    with pytest.raises(ValueError):
+        fsum_rows([[1.0, 2.0], [-math.inf, math.inf]])  # as math.fsum raises
+    assert fsum_rows(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]  # empty rows
+    assert fsum_rows(np.zeros((0, 4))).shape == (0,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.integers(-(2**51), 2**51).map(float), min_size=3, max_size=3),
+        min_size=1,
+        max_size=5,
+    ),
+    fraction=st.sampled_from([0.0, 0.5, 2.0**-30]),
+)
+def test_fsum_rows_matches_math_fsum_on_integer_blocks(rows, fraction):
+    rows[0][0] += fraction  # one fractional term sends the block to math.fsum
+    _assert_fsum_rows(rows)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

@@ -11,8 +11,10 @@ from matterhorn import spike
 from matterhorn.spike import (
     ASYMMETRIC,
     SYMMETRIC,
+    QuantParams,
     SnnLayerConfig,
     SpikeTrain,
+    candidate_fire_time,
     decode_spike,
     decode_spike_array,
     encode_integer,
@@ -360,10 +362,63 @@ def test_fire_simulated_array_matches_scalar(cfg, reals):
     )
     got = fire_simulated_array(potentials, cfg)
     assert got.tolist() == [_time(fire_simulated(a, cfg)) for a in potentials.tolist()]
-    # the walk takes the same first steps when it splits the ramp into chunks
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spike, "WALK_BLOCK", 3)
-        assert fire_simulated_array(potentials, cfg).tolist() == got.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    alpha=st.sampled_from([1.0, 0.37, 0.1]),
+    theta_shift=st.integers(0, 1),
+    k=st.integers(0, 2),
+    steps=st.lists(st.integers(0, 2**16 + 3), min_size=1, max_size=4),
+)
+def test_fire_simulated_array_matches_scalar_at_every_width(
+    n, mode, alpha, theta_shift, k, steps
+):
+    i_max = QuantParams(n=n, mode=mode).code_max  # silent state on code zero
+    cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, i_max=i_max, k=k, theta_shift=theta_shift)
+    # thresholds of planted steps, two past either end of the window included
+    t = np.array(steps) % (cfg.window + 4) - 2
+    ties = alpha * (cfg.code_max + theta_shift - t).astype(np.float64)
+    potentials = np.concatenate(
+        [
+            np.nextafter(ties, -np.inf),
+            ties,
+            np.nextafter(ties, np.inf),
+            [np.inf, -np.inf, 1e300, -1e300],
+        ]
+    )
+    got = fire_simulated_array(potentials, cfg)
+    assert got.tolist() == [_time(fire_simulated(a, cfg)) for a in potentials.tolist()]
+
+
+@pytest.mark.parametrize("n, alpha, theta_shift", [(4, 1.0, 0), (8, 0.37, 1), (12, 0.1, 0)])
+def test_certified_walk_accepts_no_wrong_hint(monkeypatch, n, alpha, theta_shift):
+    cfg = SnnLayerConfig(n=n, alpha=alpha, theta_shift=theta_shift)
+    rng = np.random.default_rng(n)
+    ties = alpha * (cfg.code_max + theta_shift - rng.integers(-2, cfg.window + 2, 100))
+    v = np.concatenate(
+        [
+            np.nextafter(ties, -np.inf),
+            ties,
+            np.nextafter(ties, np.inf),
+            [np.inf, -np.inf, 1e300, -1e300],
+        ]
+    )
+    want = np.array([candidate_fire_time(a, cfg) for a in v.tolist()])
+    for shift in (-3, -1, 1, 3):
+        hint = np.clip(want + shift, 0, cfg.window - 1)
+        times, certified = spike._certify_times(v, cfg, hint)
+        # a certified time is the walk's; a hint the moves cannot reach stays uncertified
+        assert times[certified].tolist() == want[certified].tolist()
+        reachable = np.abs(hint - want) < spike._CERTIFY_ROUNDS
+        assert certified.tolist() == reachable.tolist()
+        assert certified.all() if abs(shift) < spike._CERTIFY_ROUNDS else not certified.all()
+    # the float quotient's own hint is at most one step off: no potential
+    # needs the scalar walk
+    monkeypatch.setattr(spike, "candidate_fire_time", None)
+    assert fire_simulated_array(v, cfg).tolist() == want.tolist()
 
 
 def test_array_kernels_reject_bad_inputs():
