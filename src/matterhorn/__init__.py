@@ -12,7 +12,6 @@ from .crossbar import (
     analog_column_readout,
     bit_serial_vmm,
     map_signed_weights,
-    signed_correct,
     tiled_vmm,
 )
 from .energy import (

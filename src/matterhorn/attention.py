@@ -88,28 +88,16 @@ def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
     return np.clip(scores - shift, 0, window - 1)
 
 
-def _score_config(cfg: SnnLayerConfig) -> SnnLayerConfig:
-    # Scores are non-negative: asymmetric encoding, silence on code zero.
-    return SnnLayerConfig(
-        n=cfg.n, alpha=1.0, mode=ASYMMETRIC, i_max=2**cfg.n - 1, k=0
-    )
-
-
 def attention_pipeline(
-    q_trains: list[list[SpikeTrain]],
-    k_codes,
-    v_codes,
-    cfg: SnnLayerConfig,
-    score_cfg: SnnLayerConfig | None = None,
-    normalizer=normalize_scores,
+    q_trains: list[list[SpikeTrain]], k_codes, v_codes, cfg: SnnLayerConfig
 ) -> np.ndarray:
     """Two-stage attention over spiking queries and integer K/V codes.
 
     Stage one accumulates each query row against the bank of keys (Q x K^T
-    in code space); stage two normalizes, re-encodes the scores as spike
-    times and accumulates each row against the bank of V columns.
-    Returns the raw integer output matrix, which matches
-    ``attention_reference`` exactly.
+    in code space); stage two normalizes the scores with
+    ``normalize_scores``, re-encodes them as spike times and accumulates
+    each row against the bank of V columns.  Returns the raw integer output
+    matrix, which matches ``attention_reference`` exactly.
     """
     k_codes = np.asarray(k_codes, dtype=np.int64)
     v_codes = np.asarray(v_codes, dtype=np.int64)
@@ -120,45 +108,32 @@ def attention_pipeline(
         raise ValueError(f"K shape {k_codes.shape} does not match d_k={d_k}")
     if v_codes.ndim != 2 or v_codes.shape[0] != k_codes.shape[0]:
         raise ValueError(f"V shape {v_codes.shape} does not match {k_codes.shape[0]} keys")
-    if score_cfg is None:
-        score_cfg = _score_config(cfg)
-
+    # Scores are non-negative: asymmetric codes, silence on code zero.
+    score_cfg = SnnLayerConfig(n=cfg.n, mode=ASYMMETRIC, i_max=2**cfg.n - 1)
     unit_cfg = replace(cfg, alpha=1.0)  # scores live in code space
-    unit_score_cfg = replace(score_cfg, alpha=1.0)
     scores = np.rint([
         time_based_accumulate(train_times(row, cfg.window), k_codes.T, unit_cfg).v
         for row in q_trains
     ])
-    score_codes = normalizer(scores.astype(np.int64), score_cfg.window)
+    score_codes = normalize_scores(scores.astype(np.int64), score_cfg.window)
     out = np.zeros((len(q_trains), v_codes.shape[1]), dtype=np.int64)
     for i, times in enumerate(encode_integer_array(score_codes, score_cfg)):
-        out[i] = np.rint(time_based_accumulate(times, v_codes, unit_score_cfg).v)
+        out[i] = np.rint(time_based_accumulate(times, v_codes, score_cfg).v)
     return out
 
 
-def attention_reference(
-    q_codes,
-    k_codes,
-    v_codes,
-    cfg: SnnLayerConfig,
-    score_cfg: SnnLayerConfig | None = None,
-    normalizer=normalize_scores,
-) -> np.ndarray:
+def attention_reference(q_codes, k_codes, v_codes, cfg: SnnLayerConfig) -> np.ndarray:
     """All-integer reference for the spiking pipeline: plain matmuls plus
-    the same normalization and dead-zone collapse.
+    the same normalization.
 
     Takes raw query codes; the query-side dead zone is applied here the
-    same way encoding applies it on the spiking side.
+    same way encoding applies it on the spiking side.  The score side's
+    dead zone is code zero alone, which decodes to zero, so it changes no
+    score.
     """
     q_codes = np.asarray(q_codes, dtype=np.int64)
     k_codes = np.asarray(k_codes, dtype=np.int64)
     v_codes = np.asarray(v_codes, dtype=np.int64)
-    if score_cfg is None:
-        score_cfg = _score_config(cfg)
     if cfg.masked:
         q_codes = np.where(np.abs(q_codes - cfg.mu) <= cfg.k, cfg.mu, q_codes)
-    scores = q_codes @ k_codes.T
-    codes = normalizer(scores, score_cfg.window)
-    # The dead zone around the score silence collapses nearby codes.
-    collapsed = np.where(np.abs(codes - score_cfg.mu) <= score_cfg.k, score_cfg.mu, codes)
-    return collapsed @ v_codes
+    return normalize_scores(q_codes @ k_codes.T, 2**cfg.n) @ v_codes

@@ -330,7 +330,7 @@ def _cmd_energy(args) -> int:
     if args.shape:
         try:
             block = TransformerBlockShape(**_load_json_file(args.shape))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad block shape in {args.shape}: {exc}") from exc
     else:
         block = TransformerBlockShape()

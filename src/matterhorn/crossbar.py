@@ -10,7 +10,6 @@ drift or IR drop, binary cells only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ __all__ = [
     "map_signed_weights",
     "analog_column_readout",
     "bit_serial_vmm",
-    "signed_correct",
     "tiled_vmm",
     "reference_readout",
 ]
@@ -48,7 +46,9 @@ def map_signed_weights(
     return np.where(w > 0, g_on, g_off)
 
 
-def _check_device(v_read: float, g_on: float, g_off: float, adc_lsb: float | None) -> None:
+def _check_device(
+    v_read: float, g_on: float, g_off: float, adc_lsb: float | None = None
+) -> None:
     """Refuse read-out constants the ADC step cannot divide by: a read
     voltage and an on/off contrast that are positive and finite."""
     if not (v_read > 0 and math.isfinite(v_read)):
@@ -101,9 +101,6 @@ class CrossbarMacro:
     def binary(self) -> np.ndarray:
         """The stored 0/1 grid (1 where the cell is on)."""
         return (self.conductance == self.g_on).astype(np.int64)
-
-    def signed_weights(self) -> np.ndarray:
-        return 2 * self.binary() - 1
 
 
 def _compensated_adc(currents, n_active, v_read: float, g_on: float, g_off: float) -> np.ndarray:
@@ -171,7 +168,9 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
 
 @dataclass(frozen=True)
 class MsuConfig:
-    """Scale, input precision and tiling geometry of the synapse unit."""
+    """Scale, input precision, tiling geometry and device constants of the
+    synapse unit.  Its reads compensate the off-cell leakage, so it has no
+    plain ADC step (``CrossbarMacro.adc_lsb``)."""
 
     gamma: float = 1.0
     input_bits: int = 4
@@ -180,7 +179,6 @@ class MsuConfig:
     v_read: float = V_READ_DEFAULT
     g_on: float = G_ON_DEFAULT
     g_off: float = G_OFF_DEFAULT
-    adc_lsb: float | None = None
 
     def __post_init__(self) -> None:
         if self.gamma <= 0 or not math.isfinite(self.gamma):
@@ -189,31 +187,7 @@ class MsuConfig:
             raise ValueError("input_bits must be >= 1")
         if self.tile_rows < 1 or self.tile_cols < 1:
             raise ValueError("tile dimensions must be positive")
-        _check_device(self.v_read, self.g_on, self.g_off, self.adc_lsb)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MsuConfig":
-        doc = json.loads(text)
-        return cls(
-            gamma=float(doc.get("gamma", 1.0)),
-            input_bits=int(doc.get("input_bits", 4)),
-            tile_rows=int(doc.get("rows", 256)),
-            tile_cols=int(doc.get("cols", 256)),
-            v_read=float(doc.get("v_read_V", V_READ_DEFAULT)),
-            g_on=float(doc.get("g_on_uS", G_ON_DEFAULT * 1e6)) * 1e-6,
-            g_off=float(doc.get("g_off_uS", G_OFF_DEFAULT * 1e6)) * 1e-6,
-            adc_lsb=None if doc.get("adc_lsb_A") is None else float(doc["adc_lsb_A"]),
-        )
-
-
-def signed_correct(r_cim, input_sum: int, cfg: MsuConfig) -> np.ndarray:
-    """Recover signed synaptic values from the raw crossbar accumulation.
-
-    ``gamma * (2 * r_cim - input_sum)``; exact in integer arithmetic before
-    the gamma scale.
-    """
-    r_cim = np.asarray(r_cim, dtype=np.int64)
-    return cfg.gamma * (2 * r_cim - int(input_sum))
+        _check_device(self.v_read, self.g_on, self.g_off)
 
 
 def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:

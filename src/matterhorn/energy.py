@@ -20,7 +20,8 @@ inputs are picojoules (femtojoules for the in-memory MAC).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
     "EnergyParams",
@@ -291,6 +292,12 @@ class TransformerBlockShape:
     ffn_dim: int = 3072
     heads: int = 12
     time_steps: int = 16
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
 
     @property
     def d_k(self) -> int:

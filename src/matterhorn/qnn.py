@@ -113,11 +113,6 @@ class QnnLayer:
     def fan_out(self) -> int:
         return int(self.weights.shape[1])
 
-    @property
-    def msu_backed(self) -> bool:
-        """True when every weight is exactly +/-1 (crossbar-mappable)."""
-        return bool(np.all(np.abs(self.weights) == 1.0))
-
     def pre_activation(self, x_codes) -> np.ndarray:
         """Real pre-activations for integer input codes.
 
@@ -143,20 +138,6 @@ class QnnLayer:
             raise ValueError(f"expected rows of {self.fan_in} input codes, got shape {x.shape}")
         scaled = self.in_params.alpha * x.astype(np.float64)
         return fsum_rows(scaled[:, None, :] * self.weights[:, outputs].T) + self.bias[outputs]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.in_params.n,
-                "alpha_in": self.in_params.alpha,
-                "alpha_out": self.out_params.alpha,
-                "mode": self.in_params.mode,
-                "mu": self.mu,
-                "k": self.k,
-                "weights": self.weights.flatten().tolist(),
-                "bias": self.bias.tolist(),
-            }
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "QnnLayer":

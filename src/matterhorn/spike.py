@@ -27,6 +27,7 @@ bit-exactly for every representable input.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class QuantParams:
     mode: str = SYMMETRIC
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"bit width must be >= 1, got {self.n}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"bit width must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
         if self.mode not in _MODES:
@@ -125,21 +126,14 @@ class SnnLayerConfig(QuantParams):
 
 
 class SpikeTrain:
-    """Binary train of length ``window`` carrying at most one spike."""
+    """Binary train of ``window`` steps carrying at most one spike.
+
+    A train stores only its arrival step; ``silent`` and ``single`` are its
+    constructors.  A population of trains is an array of spike times (see
+    ``train_times``), not a list of these objects.
+    """
 
     __slots__ = ("_window", "_time")
-
-    def __init__(self, bits) -> None:
-        arr = np.asarray(bits)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("spike train must be a non-empty 1-D binary vector")
-        if not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("spike train entries must be 0 or 1")
-        hits = np.flatnonzero(arr)
-        if hits.size > 1:
-            raise ValueError("at most one spike per train")
-        self._window = int(arr.size)
-        self._time = int(hits[0]) if hits.size else None
 
     @classmethod
     def silent(cls, window: int) -> "SpikeTrain":
@@ -172,30 +166,11 @@ class SpikeTrain:
 
     @property
     def bits(self) -> np.ndarray:
-        """Dense 0/1 vector of length ``window``, built on demand: a train
-        stores only its arrival step."""
+        """Dense 0/1 vector of length ``window``, built on demand."""
         bits = np.zeros(self._window, dtype=np.uint8)
         if self._time is not None:
             bits[self._time] = 1
         return bits
-
-    def to_bytes(self) -> bytes:
-        """Little-endian bit packing, LSB = t=0, padded to whole bytes."""
-        return np.packbits(self.bits, bitorder="little").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, window: int) -> "SpikeTrain":
-        """Inverse of ``to_bytes``: exactly ceil(window / 8) bytes whose
-        padding bits past the window are zero."""
-        expected = -(-window // 8)
-        if len(data) != expected:
-            raise ValueError(
-                f"a {window}-step train packs into {expected} bytes, got {len(data)}"
-            )
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-        if np.any(bits[window:]):
-            raise ValueError(f"padding bits past step {window - 1} must be zero")
-        return cls(bits[:window])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpikeTrain):

@@ -9,6 +9,7 @@ and are reported alongside, never asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -45,10 +46,6 @@ class SpikeHistogram:
         self.counts = np.asarray(self.counts, dtype=np.int64)
 
     @property
-    def window(self) -> int:
-        return int(self.counts.size)
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum()) + self.silent
 
@@ -56,11 +53,6 @@ class SpikeHistogram:
     def silence_fraction(self) -> float:
         total = self.total
         return self.silent / total if total else 0.0
-
-    def __add__(self, other: "SpikeHistogram") -> "SpikeHistogram":
-        if self.window != other.window:
-            raise ValueError("histogram windows differ")
-        return SpikeHistogram(self.counts + other.counts, self.silent + other.silent)
 
     def to_rows(self) -> list[tuple[str, int]]:
         rows: list[tuple[str, int]] = [(str(t), int(c)) for t, c in enumerate(self.counts)]
@@ -80,30 +72,28 @@ def spike_time_histogram(times, cfg: SnnLayerConfig) -> SpikeHistogram:
 
 @dataclass(frozen=True)
 class ActivationSampler:
-    """Seeded synthetic activation source; identical seeds reproduce
-    identical samples bit for bit."""
+    """Seeded Gaussian or Laplace activation source with a finite ``loc``
+    and ``scale``; identical seeds reproduce identical samples bit for
+    bit."""
 
     kind: str = "gaussian"
     loc: float = 0.0
     scale: float = 1.0
-    values: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "laplace", "file"):
+        if self.kind not in ("gaussian", "laplace"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind != "file" and self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.kind == "file" and not self.values:
-            raise ValueError("file-backed sampler needs values")
+        if not math.isfinite(self.loc):
+            raise ValueError(f"loc must be a finite real, got {self.loc}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be a positive finite real, got {self.scale}")
 
     def sample(self, count: int) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
         if self.kind == "gaussian":
             return rng.normal(self.loc, self.scale, count)
-        if self.kind == "laplace":
-            return rng.laplace(self.loc, self.scale, count)
-        return np.resize(np.asarray(self.values, dtype=np.float64), count)
+        return rng.laplace(self.loc, self.scale, count)
 
 
 def encode_samples(samples, cfg: SnnLayerConfig) -> np.ndarray:

@@ -128,6 +128,16 @@ def test_verify_bad_weight_magnitudes_are_config_errors(tmp_path, capsys, weight
     assert needle in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("domain", [["--exhaustive"], ["--samples", "100"]])
+def test_verify_non_integral_bit_width_is_config_error(tmp_path, capsys, domain):
+    layer = {"n": 3.5, "alpha_in": 1.0, "alpha_out": 1.0, "weights": [1.0], "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, _, err = run(capsys, "verify", "--weights", str(path), *domain)
+    assert code == EXIT_CONFIG
+    assert "bit width must be an integer >= 1, got 3.5" in json.loads(err)["detail"]
+
+
 def test_verify_exhaustive_walk_is_not_charged_per_step(capsys):
     # 2^20 vectors x 4 outputs x 2^5 thresholds: refused while every output
     # walked its ramp, two certificate comparisons each now
@@ -265,6 +275,23 @@ def test_energy_bad_rates_file_is_config_error(tmp_path, capsys):
     assert "missing spike rate" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize(
+    "shape, field",
+    [
+        ({"heads": 0}, "heads"),  # d_k divides by it
+        ({"hidden": -768}, "hidden"),
+        ({"seq": 2.5}, "seq"),
+        ({"time_steps": True}, "time_steps"),
+    ],
+)
+def test_energy_bad_shape_is_config_error(tmp_path, capsys, shape, field):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(shape))
+    code, _, err = run(capsys, "energy", "--shape", str(path))
+    assert code == EXIT_CONFIG
+    assert f"{field} must be a positive integer" in json.loads(err)["detail"]
+
+
 def test_scenario_table(capsys):
     code, out, _ = run(capsys, "scenario")
     assert code == EXIT_OK
@@ -335,6 +362,17 @@ def test_sweep_table_with_reference_column(capsys):
         assert sha256(out) == digest, extra
     assert "reference_silence_pct" in out
     assert "61.2" in out  # logged alongside, not asserted
+
+
+@pytest.mark.parametrize("command", ["stats", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("loc", "inf"), ("loc", "-inf"), ("loc", "nan"), ("scale", "inf"), ("scale", "nan")],
+)
+def test_non_finite_sampler_flags_are_config_errors(capsys, command, flag, value):
+    code, out, err = run(capsys, command, "--count", "50", f"--{flag}={value}")
+    assert code == EXIT_CONFIG and out == ""
+    assert json.loads(err)["detail"].startswith(f"{flag} must be")
 
 
 def test_sweep_kmax_past_all_silent_is_config_error(capsys):

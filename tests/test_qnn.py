@@ -126,30 +126,47 @@ def test_layer_rejects_non_finite_weights_and_bias(bad):
         QnnLayer(weights=np.ones((2, 1)), bias=np.array([bad]), in_params=p, out_params=p)
 
 
+DESCRIPTOR = {
+    "n": 4,
+    "alpha_in": 0.5,
+    "alpha_out": 2.0,
+    "mode": SYMMETRIC,
+    "mu": 0,
+    "k": 1,
+    "weights": [1.0, -1.0, -1.0, 1.0, 1.0, 1.0],
+    "bias": [0.25, -0.5],
+}
+
+
 def test_layer_json_round_trip():
-    p_in = QuantParams(n=4, alpha=0.5)
-    p_out = QuantParams(n=4, alpha=2.0)
-    rng = np.random.default_rng(0)
-    layer = QnnLayer(
-        weights=rng.choice([-1.0, 1.0], (3, 2)),
-        bias=np.array([0.25, -0.5]),
-        in_params=p_in,
-        out_params=p_out,
-        mu=0,
-        k=1,
-    )
-    clone = QnnLayer.from_json(layer.to_json())
-    assert np.array_equal(clone.weights, layer.weights)
-    assert np.array_equal(clone.bias, layer.bias)
-    assert clone.in_params == layer.in_params
-    assert clone.out_params == layer.out_params
-    assert (clone.mu, clone.k) == (layer.mu, layer.k)
-    assert clone.msu_backed
+    layer = QnnLayer.from_json(json.dumps(DESCRIPTOR))
+    assert layer.weights.tolist() == [[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]  # input-major
+    assert layer.bias.tolist() == [0.25, -0.5]
+    assert layer.in_params == QuantParams(n=4, alpha=0.5)
+    assert layer.out_params == QuantParams(n=4, alpha=2.0)
+    assert (layer.mu, layer.k) == (0, 1)
 
 
 def test_layer_descriptor_fields():
-    doc = json.loads(identity_layer().to_json())
-    assert set(doc) == {"n", "alpha_in", "alpha_out", "mode", "mu", "k", "weights", "bias"}
+    # mode, mu and k are optional; every other field is required
+    required = {"n", "alpha_in", "alpha_out", "weights", "bias"}
+    minimal = {key: DESCRIPTOR[key] for key in required}
+    layer = QnnLayer.from_json(json.dumps(minimal))
+    assert layer.in_params.mode == SYMMETRIC and (layer.mu, layer.k) == (0, 0)
+    for key in required:
+        with pytest.raises(KeyError):
+            QnnLayer.from_json(json.dumps({k: v for k, v in minimal.items() if k != key}))
+
+
+@pytest.mark.parametrize("n", [3.5, 4.0, True, "4", None])
+def test_quant_params_reject_non_integral_bit_width(n):
+    with pytest.raises(ValueError, match="bit width must be an integer"):
+        QuantParams(n=n)
+
+
+def test_quant_params_accept_python_and_numpy_integers():
+    for n in (4, np.int64(4), np.int32(4), np.uint8(4)):
+        assert QuantParams(n=n).code_max == 7
 
 
 # --- straight-through estimator ----------------------------------------

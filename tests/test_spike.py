@@ -36,52 +36,10 @@ def cfg_sym16(k=0, i_max=7, **kw):
 # --- SpikeTrain ---------------------------------------------------------
 
 
-def test_train_rejects_multiple_spikes():
-    with pytest.raises(ValueError):
-        SpikeTrain([0, 1, 1, 0])
-
-
-def test_train_rejects_non_binary():
-    # fractional and negative entries must not be cast to 0/1 on the way in
-    for bits in ([0, 2, 0, 0], [0.5, 0, 0, 0], [1.7, 0, 0, 0], [-1, 0]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            SpikeTrain(bits)
-
-
 def test_train_time_and_silence():
     assert SpikeTrain.silent(8).time is None
     assert SpikeTrain.single(5, 8).time == 5
     assert SpikeTrain.silent(8).is_silent
-
-
-@given(t=st.integers(0, 15))
-def test_train_byte_round_trip(t):
-    train = SpikeTrain.single(t, 16)
-    packed = train.to_bytes()
-    assert len(packed) == 2  # padded to whole bytes
-    assert SpikeTrain.from_bytes(packed, 16) == train
-    short = SpikeTrain.single(t % 12, 12)  # zero padding bits in the last byte
-    assert SpikeTrain.from_bytes(short.to_bytes(), 12) == short
-
-
-@pytest.mark.parametrize(
-    "data, window, match",
-    [
-        (b"", 16, "2 bytes, got 0"),  # unpackbits would read uninitialised memory
-        (b"\x01", 16, "2 bytes, got 1"),  # short buffer must not be zero-padded
-        (b"\x00\x00\x00", 16, "2 bytes, got 3"),
-        (b"\x00\x80", 12, "padding"),  # a set bit past the window is not dropped
-    ],
-)
-def test_train_from_bytes_rejects_malformed(data, window, match):
-    with pytest.raises(ValueError, match=match):
-        SpikeTrain.from_bytes(data, window)
-
-
-def test_train_bit_packing_is_little_endian():
-    # spike at t=0 sits in the LSB of the first byte
-    assert SpikeTrain.single(0, 16).to_bytes() == b"\x01\x00"
-    assert SpikeTrain.single(9, 16).to_bytes() == b"\x00\x02"
 
 
 # --- configuration ------------------------------------------------------
