@@ -6,8 +6,12 @@ once: ``V_t = f(t) * sum(w_i | s_i = 1) + V_{t-1}``.  Steps with no spikes
 cost nothing, so sparsity passes straight through to work done.  Inputs
 arrive as one spike time each (-1 silent), so the work of a pass grows with
 the spikes, never with the 2^n-step window.  The attention pipeline runs
-Q x K^T this way with spiking queries, re-encodes the normalized scores as
-spike times, and accumulates them against V.
+each stage as one pass over all query rows: Q x K^T with the query spike
+times of every row against the bank of keys, then the normalized scores,
+re-encoded as spike times, against V.  Integer decays and weights sum in
+one matrix product wherever ``numerics.integer_matmul`` certifies every
+sum exact, and ``time_based_accumulate`` is the one-row call of the same
+kernel.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import fsum_rows
+from .numerics import fsum_rows, integer_matmul
 from .spike import (
     ASYMMETRIC,
     SnnLayerConfig,
@@ -38,12 +42,14 @@ __all__ = [
 
 @dataclass
 class TimeAccState:
-    """Accumulator state after a time-based pass.
+    """Accumulator state after one row's time-based pass.
 
     ``v`` is the exactly rounded potential ``integrate`` settles on: a float
     per weight vector, an array of them for a bank.  ``events`` counts the
     distinct steps at which at least one input spikes (the work done),
-    never the full window unconditionally.
+    never the full window unconditionally.  ``time_based_accumulate``
+    returns one; the pipeline's row-batched passes keep only the
+    potentials.
     """
 
     v: float | np.ndarray = 0.0
@@ -57,23 +63,44 @@ def spike_matrix(trains: list[SpikeTrain], window: int | None = None) -> np.ndar
     return (np.arange(trains[0].window)[:, None] == times).astype(np.uint8)
 
 
+def _accumulate_rows(times: np.ndarray, weights: np.ndarray, cfg: SnnLayerConfig):
+    """Time-based passes of every row of ``times`` (rows, inputs) over one
+    bank ``weights`` (inputs, outputs).
+
+    Returns each row's exactly rounded potentials (rows, outputs) and its
+    count of distinct spiking steps (rows,).  Integer decays and weights,
+    the attention stages' case, sum in one matrix product when
+    ``integer_matmul`` certifies it exact; anything else sums each row's
+    spiking terms with ``fsum_rows``, so silent inputs never touch a weight.
+    """
+    spiking = times >= 0
+    decay = np.where(spiking, cfg.alpha * decode_spike_array(times, cfg), 0.0)
+    ordered = np.sort(times, axis=1)
+    events = np.count_nonzero((ordered >= 0) & (np.diff(ordered, axis=1, prepend=-1) != 0), axis=1)
+    v = integer_matmul(decay, weights)
+    if v is None:
+        v = np.array([fsum_rows(weights[s].T * d[s]) for d, s in zip(decay, spiking)])
+    return v, events
+
+
 def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:
     """Run the per-step weight-sum accumulation over one window.
 
     ``times`` holds one spike time per input (-1 silent); ``weights`` is one
     real per input or a bank ``(inputs, outputs)`` read through the same
     times.  A spike at step t adds ``w * (alpha * f(t))`` to each output,
-    and ``math.fsum`` sums each output's terms, the rule of ``integrate``.
+    and each output's terms sum exactly rounded, the rule of ``integrate``.
+    This is the one-row call of the kernel ``attention_pipeline`` runs over
+    all query rows at once.
     """
     times = np.asarray(times, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if times.ndim != 1 or weights.ndim not in (1, 2) or weights.shape[0] != times.size:
         raise ValueError(f"weights shape {weights.shape} does not match spike times {times.shape}")
-    spiking = times >= 0
-    decay = cfg.alpha * decode_spike_array(times, cfg)[spiking].astype(np.float64)
-    v = fsum_rows(weights[spiking].T * decay)  # one row of terms per output
-    events = len(set(times[spiking].tolist()))
-    return TimeAccState(v=float(v) if weights.ndim == 1 else v, t=cfg.window - 1, events=events)
+    bank = weights if weights.ndim == 2 else weights[:, None]
+    v, events = _accumulate_rows(times[None, :], bank, cfg)
+    v = float(v[0, 0]) if weights.ndim == 1 else v[0]
+    return TimeAccState(v=v, t=cfg.window - 1, events=int(events[0]))
 
 
 def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
@@ -93,33 +120,33 @@ def attention_pipeline(
 ) -> np.ndarray:
     """Two-stage attention over spiking queries and integer K/V codes.
 
-    Stage one accumulates each query row against the bank of keys (Q x K^T
+    The query trains (rows of equal length, every train of ``cfg``'s
+    window) become one (rows, d_k) array of spike times.  Stage one
+    accumulates every row against the bank of keys in one pass (Q x K^T
     in code space); stage two normalizes the scores with
     ``normalize_scores``, re-encodes them as spike times and accumulates
-    each row against the bank of V columns.  Returns the raw integer output
-    matrix, which matches ``attention_reference`` exactly.
+    every row against the bank of V columns in one pass.  Returns the raw
+    integer output matrix, which matches ``attention_reference`` exactly.
     """
     k_codes = np.asarray(k_codes, dtype=np.int64)
     v_codes = np.asarray(v_codes, dtype=np.int64)
     if not q_trains or not q_trains[0]:
         raise ValueError("need at least one query train")
     d_k = len(q_trains[0])
+    if any(len(row) != d_k for row in q_trains):
+        raise ValueError(f"query rows differ in length (first has {d_k} trains)")
     if k_codes.ndim != 2 or k_codes.shape[1] != d_k:
         raise ValueError(f"K shape {k_codes.shape} does not match d_k={d_k}")
     if v_codes.ndim != 2 or v_codes.shape[0] != k_codes.shape[0]:
         raise ValueError(f"V shape {v_codes.shape} does not match {k_codes.shape[0]} keys")
+    q_times = train_times([train for row in q_trains for train in row], cfg.window)
     # Scores are non-negative: asymmetric codes, silence on code zero.
     score_cfg = SnnLayerConfig(n=cfg.n, mode=ASYMMETRIC, i_max=2**cfg.n - 1)
     unit_cfg = replace(cfg, alpha=1.0)  # scores live in code space
-    scores = np.rint([
-        time_based_accumulate(train_times(row, cfg.window), k_codes.T, unit_cfg).v
-        for row in q_trains
-    ])
-    score_codes = normalize_scores(scores.astype(np.int64), score_cfg.window)
-    out = np.zeros((len(q_trains), v_codes.shape[1]), dtype=np.int64)
-    for i, times in enumerate(encode_integer_array(score_codes, score_cfg)):
-        out[i] = np.rint(time_based_accumulate(times, v_codes, score_cfg).v)
-    return out
+    scores, _ = _accumulate_rows(q_times.reshape(len(q_trains), d_k), k_codes.T, unit_cfg)
+    score_codes = normalize_scores(np.rint(scores).astype(np.int64), score_cfg.window)
+    out, _ = _accumulate_rows(encode_integer_array(score_codes, score_cfg), v_codes, score_cfg)
+    return np.rint(out).astype(np.int64)
 
 
 def attention_reference(q_codes, k_codes, v_codes, cfg: SnnLayerConfig) -> np.ndarray:

@@ -15,7 +15,9 @@ near-ties by the exact error term of Dekker's two-product (Dekker 1971;
 Shewchuk 1997, "Adaptive precision floating-point arithmetic"), and send
 the few elements outside the range where that term is exact to the scalar
 functions.  ``fsum_rows`` adds small integer terms in plain float, which
-is exact for them, and every other block with ``math.fsum``.
+is exact for them, and every other block with ``math.fsum``;
+``integer_matmul`` takes the same plain-float route for the sums of
+products of a matrix product.
 """
 
 from __future__ import annotations
@@ -154,3 +156,22 @@ def fsum_rows(terms) -> np.ndarray:
     flat = terms.ravel().tolist()
     rows = zip(*[iter(flat)] * width)  # consecutive width-long tuples
     return np.fromiter(map(math.fsum, rows), dtype=np.float64, count=math.prod(shape)).reshape(shape)
+
+
+def integer_matmul(a, b) -> np.ndarray | None:
+    """``a @ b`` when each entry is an exact integer sum, else None.
+
+    Every product ``a[r, i] * b[i, j]`` is integral when both operands are,
+    and while an entry's summed magnitudes ``(|a| @ |b|)[r, j]`` stay below
+    2^53 each product and partial sum is exact in any order, the condition
+    of ``fsum_rows``' plain-float path; the float magnitude sums reach 2^53
+    whenever the real ones do, and are never below it for inf or NaN.  The
+    result then equals ``fsum_rows`` of each entry's products.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        small = np.all(np.abs(a) @ np.abs(b) < _EXACT_INT)
+    if not (small and np.all(a == np.floor(a)) and np.all(b == np.floor(b))):
+        return None
+    return a @ b + 0.0  # fsum's zero is +0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import floor_ratio, floor_ratio_array, fsum_rows
-from .spike import SYMMETRIC, QuantParams
+from .spike import SYMMETRIC, QuantParams, require_integer
 
 __all__ = [
     "QuantParams",
@@ -102,6 +102,8 @@ class QnnLayer:
             )
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("weights and bias must be finite")
+        require_integer("mu", self.mu)
+        require_integer("k", self.k)
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
 
@@ -150,8 +152,8 @@ class QnnLayer:
             bias=bias,
             in_params=QuantParams(doc["n"], doc["alpha_in"], mode),
             out_params=QuantParams(doc["n"], doc["alpha_out"], mode),
-            mu=int(doc.get("mu", 0)),
-            k=int(doc.get("k", 0)),
+            mu=doc.get("mu", 0),
+            k=doc.get("k", 0),
         )
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,9 +43,22 @@ _MODES = (SYMMETRIC, ASYMMETRIC)
 _CERTIFY_ROUNDS = 3
 
 
+def require_integer(name: str, value) -> None:
+    """Refuse ``value`` for the field ``name`` unless it is a Python or
+    numpy integer; bool, float and str are refused, integral or not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
-    """Bit width, scale and mode of one quantized activation tensor."""
+    """Bit width, scale and mode of one quantized activation tensor.
+
+    The derived constants (``code_min``, ``code_max`` and, on
+    ``SnnLayerConfig``, ``window``, ``masked``, ``mu``) are computed once
+    per instance; they are not fields, so equality, hashing, ``repr``,
+    ``asdict`` and ``replace`` see only the fields.
+    """
 
     n: int
     alpha: float = 1.0
@@ -58,11 +72,11 @@ class QuantParams:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
-    @property
+    @cached_property
     def code_min(self) -> int:
         return -(2 ** (self.n - 1)) if self.mode == SYMMETRIC else 0
 
-    @property
+    @cached_property
     def code_max(self) -> int:
         """Top representable code; also the origin of the time ramp."""
         return 2 ** (self.n - 1) - 1 if self.mode == SYMMETRIC else 2**self.n - 1
@@ -87,20 +101,24 @@ class SnnLayerConfig(QuantParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.i_max is not None and not 0 <= self.i_max <= self.window - 1:
-            raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
+        if self.i_max is not None:
+            require_integer("i_max", self.i_max)
+            if not 0 <= self.i_max <= self.window - 1:
+                raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
+        require_integer("k", self.k)
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
+        require_integer("theta_shift", self.theta_shift)
 
-    @property
+    @cached_property
     def window(self) -> int:
         return 2**self.n
 
-    @property
+    @cached_property
     def masked(self) -> bool:
         return self.i_max is not None
 
-    @property
+    @cached_property
     def mu(self) -> int | None:
         """Code represented by the silent train (dead-zone center)."""
         if self.i_max is None:
@@ -192,16 +210,18 @@ def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
     Raises ValueError for codes outside the representable range.
     """
     code = int(code)
-    if not cfg.code_min <= code <= cfg.code_max:
-        raise ValueError(
-            f"code {code} outside representable range [{cfg.code_min}, {cfg.code_max}]"
-        )
+    code_min, code_max, window = cfg.code_min, cfg.code_max, cfg.window
+    if not code_min <= code <= code_max:
+        raise ValueError(f"code {code} outside representable range [{code_min}, {code_max}]")
+    t = code_max - code  # in [0, window - 1] for an in-range code
     if cfg.masked and abs(code - cfg.mu) <= cfg.k:
-        return SpikeTrain.silent(cfg.window)
-    t = cfg.spike_time(code)
-    if cfg.baseline_silent_min and t == cfg.window - 1:
-        return SpikeTrain.silent(cfg.window)
-    return SpikeTrain.single(t, cfg.window)
+        t = None
+    elif cfg.baseline_silent_min and t == window - 1:
+        t = None
+    train = SpikeTrain.__new__(SpikeTrain)
+    train._window = window
+    train._time = t
+    return train
 
 
 def decode_spike(train: SpikeTrain, cfg: SnnLayerConfig) -> int:
@@ -417,10 +437,12 @@ def train_times(trains, window: int | None = None) -> np.ndarray:
     if not trains:
         raise ValueError("need at least one train")
     window = trains[0].window if window is None else window
+    times = []
     for train in trains:
-        if train.window != window:
-            raise ValueError(f"train window {train.window} != {window}")
-    return np.array([-1 if train.time is None else train.time for train in trains], dtype=np.int64)
+        if train._window != window:
+            raise ValueError(f"train window {train._window} != {window}")
+        times.append(-1 if train._time is None else train._time)
+    return np.array(times, dtype=np.int64)
 
 
 def silence_rate(times) -> float:

@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matterhorn.attention import (
+    _accumulate_rows,
     attention_pipeline,
     attention_reference,
     normalize_scores,
@@ -120,6 +121,51 @@ def test_bank_matches_per_column_calls(seed, n, k, inputs, outputs):
         assert state.v[j].hex() == column.v.hex()
         assert state.v[j].hex() == integrate(list(zip(trains, bank[:, j])), cfg).hex()
         assert state.events == column.events
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    k=st.integers(0, 2),
+    alpha=st.sampled_from([1.0, 0.37]),
+    rows=st.integers(1, 8),
+    inputs=st.integers(1, 10),
+    outputs=st.integers(1, 6),
+    weight_bits=st.sampled_from([None, 4, 40, 52]),  # None: real weights
+)
+@example(seed=1, n=16, k=0, alpha=1.0, rows=4, inputs=10, outputs=3, weight_bits=52)
+def test_row_kernel_matches_one_row_calls(seed, n, k, alpha, rows, inputs, outputs, weight_bits):
+    # whichever sum the block takes (one integer matmul past the 2^53
+    # guard or not, or fsum per row), each row is the one-row call and the
+    # scalar oracle, bit for bit
+    rng = np.random.default_rng(seed)
+    cfg = cfg_zero_mu(n, k, alpha=alpha)
+    trains = [random_trains(rng, cfg, inputs)[0] for _ in range(rows)]
+    trains[rng.integers(rows)] = [SpikeTrain.silent(cfg.window)] * inputs
+    if weight_bits is None:
+        bank = rng.normal(size=(inputs, outputs))
+    else:
+        bound = 2**weight_bits
+        bank = rng.integers(-bound, bound, size=(inputs, outputs), endpoint=True).astype(float)
+    times = np.stack([train_times(row) for row in trains])
+    v, events = _accumulate_rows(times, bank, cfg)
+    assert v.shape == (rows, outputs) and events.shape == (rows,)
+    for r in range(rows):
+        state = time_based_accumulate(times[r], bank, cfg)
+        assert events[r] == state.events
+        for j in range(outputs):
+            assert v[r, j].hex() == state.v[j].hex()
+            assert v[r, j].hex() == integrate(list(zip(trains[r], bank[:, j])), cfg).hex()
+
+
+def test_silent_inputs_never_touch_their_weights():
+    # a silent input adds nothing, even where its weight is not finite
+    cfg = cfg16()
+    times = np.array([[4, -1], [-1, -1]])
+    bank = np.array([[2.0, 1.0], [np.inf, np.nan]])
+    v, events = _accumulate_rows(times, bank, cfg)
+    assert v.tolist() == [[6.0, 3.0], [0.0, 0.0]] and events.tolist() == [1, 0]
 
 
 def test_events_counts_active_steps_only():
@@ -239,3 +285,17 @@ def test_pipeline_shape_errors():
         attention_pipeline(q_trains, np.ones((2, 3), int), np.ones((2, 1), int), cfg)
     with pytest.raises(ValueError):
         attention_pipeline(q_trains, np.ones((2, 1), int), np.ones((3, 1), int), cfg)
+
+
+def test_pipeline_input_errors():
+    cfg = cfg16()
+    kk, v = np.ones((2, 2), int), np.ones((2, 1), int)
+    one, silent = encode_integer(1, cfg), SpikeTrain.silent(16)
+    with pytest.raises(ValueError, match="differ in length"):  # ragged query rows
+        attention_pipeline([[one, silent], [one]], kk, v, cfg)
+    with pytest.raises(ValueError, match="differ in length"):
+        attention_pipeline([[one, silent], [one, silent, one]], kk, v, cfg)
+    with pytest.raises(ValueError, match="window"):  # a train of another window
+        attention_pipeline([[one, silent], [one, SpikeTrain.silent(8)]], kk, v, cfg)
+    with pytest.raises(ValueError, match="window"):  # every train of another window
+        attention_pipeline([[SpikeTrain.single(1, 8)] * 2], kk, v, cfg)

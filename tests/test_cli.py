@@ -138,6 +138,17 @@ def test_verify_non_integral_bit_width_is_config_error(tmp_path, capsys, domain)
     assert "bit width must be an integer >= 1, got 3.5" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("field, value", [("mu", 0.9), ("k", 1.7)])
+def test_verify_non_integral_dead_zone_is_config_error(tmp_path, capsys, field, value):
+    # once cast with int(), these ran as mu=0 and k=1 and passed
+    layer = {"n": 3, "alpha_in": 1.0, "alpha_out": 1.0, "weights": [1.0], "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({**layer, field: value}))
+    code, out, err = run(capsys, "verify", "--weights", str(path), "--exhaustive")
+    assert code == EXIT_CONFIG and not out
+    assert f"{field} must be an integer, got {value}" in json.loads(err)["detail"]
+
+
 def test_verify_exhaustive_walk_is_not_charged_per_step(capsys):
     # 2^20 vectors x 4 outputs x 2^5 thresholds: refused while every output
     # walked its ramp, two certificate comparisons each now

@@ -164,6 +164,17 @@ def test_quant_params_reject_non_integral_bit_width(n):
         QuantParams(n=n)
 
 
+@pytest.mark.parametrize("field", ["mu", "k"])
+@pytest.mark.parametrize("bad", [0.9, 1.0, True, "1"])
+def test_layer_refuses_non_integral_dead_zone(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        QnnLayer.from_json(json.dumps({**DESCRIPTOR, field: bad}))
+    p = QuantParams(n=4)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        QnnLayer(np.ones((1, 1)), np.zeros(1), p, p, **{field: bad})
+    assert getattr(QnnLayer(np.ones((1, 1)), np.zeros(1), p, p, **{field: np.int64(1)}), field) == 1
+
+
 def test_quant_params_accept_python_and_numpy_integers():
     for n in (4, np.int64(4), np.int32(4), np.uint8(4)):
         assert QuantParams(n=n).code_max == 7

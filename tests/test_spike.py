@@ -1,5 +1,6 @@
 """Spike encoding, integration and firing: examples, invariants, oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,31 @@ def test_config_rejects_bad_values():
         SnnLayerConfig(n=4, alpha=0.0)
     with pytest.raises(ValueError):
         SnnLayerConfig(n=4, mode="ternary")
+
+
+def test_cached_constants_stay_out_of_the_fields():
+    cfg = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
+    fresh = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
+    derived = (cfg.code_min, cfg.code_max, cfg.window, cfg.mu, cfg.masked)
+    assert derived == (-8, 7, 16, 0, True)
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+    wider = dataclasses.replace(cfg, n=5)
+    assert (wider.window, wider.code_min, wider.code_max, wider.mu) == (32, -16, 15, 8)
+    assert cfg.window == 16  # the original keeps its own constants
+
+
+@pytest.mark.parametrize("field", ["i_max", "k", "theta_shift"])
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1"])
+def test_config_refuses_non_integral_codes_and_radii(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SnnLayerConfig(n=4, **{"i_max": 7, field: bad})
+
+
+def test_config_accepts_python_and_numpy_integer_fields():
+    for value in (1, np.int64(1), np.int32(1), np.uint8(1)):
+        cfg = SnnLayerConfig(n=4, i_max=value + 6, k=value, theta_shift=value)
+        assert (cfg.mu, cfg.k, cfg.theta_shift) == (0, 1, 1)
 
 
 def test_dead_zone_clipped_to_window():
