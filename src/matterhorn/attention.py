@@ -8,10 +8,10 @@ arrive as one spike time each (-1 silent), so the work of a pass grows with
 the spikes, never with the 2^n-step window.  The attention pipeline runs
 each stage as one pass over all query rows: Q x K^T with the query spike
 times of every row against the bank of keys, then the normalized scores,
-re-encoded as spike times, against V.  Integer decays and weights sum in
-one matrix product wherever ``numerics.integer_matmul`` certifies every
-sum exact, and ``time_based_accumulate`` is the one-row call of the same
-kernel.
+re-encoded as spike times, against V.  Each pass is one
+``numerics.exact_matmul``, a single float matrix product wherever integer
+decays and weights make every sum exact, and ``time_based_accumulate`` is
+the one-row call of the same kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import fsum_rows, integer_matmul
+from .numerics import exact_matmul
 from .spike import (
     ASYMMETRIC,
     SnnLayerConfig,
@@ -68,19 +68,14 @@ def _accumulate_rows(times: np.ndarray, weights: np.ndarray, cfg: SnnLayerConfig
     bank ``weights`` (inputs, outputs).
 
     Returns each row's exactly rounded potentials (rows, outputs) and its
-    count of distinct spiking steps (rows,).  Integer decays and weights,
-    the attention stages' case, sum in one matrix product when
-    ``integer_matmul`` certifies it exact; anything else sums each row's
-    spiking terms with ``fsum_rows``, so silent inputs never touch a weight.
+    count of distinct spiking steps (rows,).  ``exact_matmul`` sums them:
+    integer decays and weights, the attention stages' case, in one matrix
+    product; silent inputs add an exact zero and never touch a weight.
     """
-    spiking = times >= 0
-    decay = np.where(spiking, cfg.alpha * decode_spike_array(times, cfg), 0.0)
+    decay = cfg.alpha * decode_spike_array(times, cfg)
     ordered = np.sort(times, axis=1)
     events = np.count_nonzero((ordered >= 0) & (np.diff(ordered, axis=1, prepend=-1) != 0), axis=1)
-    v = integer_matmul(decay, weights)
-    if v is None:
-        v = np.array([fsum_rows(weights[s].T * d[s]) for d, s in zip(decay, spiking)])
-    return v, events
+    return exact_matmul(decay, weights, mask=times >= 0), events
 
 
 def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:

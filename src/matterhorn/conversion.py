@@ -7,7 +7,10 @@ quantized ground truth: exhaustively over all input code vectors, or over
 sampled real pre-activations.  Zero mismatches is the predicted outcome
 whenever the input-side dead zone is centered on code zero, i.e. silent
 inputs genuinely stand for a zero contribution; off-center configurations
-surface as honest mismatches in the report.
+surface as honest mismatches in the report.  Every sum and threshold
+compare is exact: integer codes, scales and weights sum in one float
+matmul, and thresholds at dyadic scales compare in plain float (see
+``numerics``).
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ __all__ = [
     "verify_equivalence",
 ]
 
-# Summed terms (vectors x outputs x inputs) one block of the exhaustive
-# sweep holds; its temporaries stay near a few MiB whatever the layer.
-BLOCK_TERMS = 2**12
+# Products (vectors x outputs x inputs) one block of the exhaustive sweep
+# sums.  Integer blocks sum as one matmul and never hold them; any other
+# block holds them as one terms tensor, so its temporaries stay near a few
+# MiB whatever the layer.
+BLOCK_TERMS = 2**14
 # While the summed magnitudes of an output's terms and bias stay below this
 # bound (a float sum is within a hair of the exact one, far inside the 4x
 # headroom to the largest float), no partial sum of ``math.fsum`` and no
@@ -149,15 +154,18 @@ def verify_equivalence(
     """Run the quantized and spiking paths side by side and diff the codes.
 
     domain="exhaustive": every input code vector over the layer's fan-in
-    is checked, in blocks of about ``BLOCK_TERMS`` summed terms built from
-    vector indices, with the array forms of the scalar functions.  The
+    is checked, in blocks of about ``BLOCK_TERMS`` summed products built
+    from vector indices, with the array forms of the scalar functions.  The
     quantized side filters the codes, sums each pre-activation exactly
-    (``numerics.fsum_rows``), floors exactly, clips and filters the output.
-    The spiking side, independently, encodes the codes to spike times, sums
-    each potential exactly over the spiking inputs, fires by the certified
+    rounded (``numerics.exact_matmul``: one float matmul for integer codes,
+    scales and weights, ``fsum_rows`` of the products otherwise), floors
+    exactly, clips and filters the output.  The spiking side,
+    independently, encodes the codes to spike times, sums each potential
+    the same exact way over the spiking inputs, fires by the certified
     walk of ``fire_simulated_array`` (a float quotient proposes each firing
     time, and two exact threshold comparisons accept it only if it is the
-    first step of the ramp the potential meets; the quantized side's floor
+    first step of the ramp the potential meets, plain float compares when
+    every threshold is an exact float; the quantized side's floor
     is never used), masks and decodes.  The two integer outputs must agree
     per output neuron.  Additionally asserts the dead-zone agreement: the
     mask silences the output exactly when the unfiltered quantized code

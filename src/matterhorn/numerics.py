@@ -10,19 +10,21 @@ the reals.
 
 ``ge_scaled`` and ``floor_ratio`` work on one scalar and fall back to
 rational arithmetic (floats are rationals); they are the oracles.  The
-``*_array`` forms decide a whole array the same way: clear cases by float,
-near-ties by the exact error term of Dekker's two-product (Dekker 1971;
-Shewchuk 1997, "Adaptive precision floating-point arithmetic"), and send
-the few elements outside the range where that term is exact to the scalar
-functions.  ``fsum_rows`` adds small integer terms in plain float, which
-is exact for them, and every other block with ``math.fsum``;
-``integer_matmul`` takes the same plain-float route for the sums of
-products of a matrix product.
+``*_array`` forms decide a whole array the same way.  When every product
+``scale * factor`` is an exact normal float, ``ge_scaled_array`` compares
+in plain float; otherwise it decides clear cases by float, near-ties by the
+exact error term of Dekker's two-product (Dekker 1971; Shewchuk 1997,
+"Adaptive precision floating-point arithmetic"), and sends the few elements
+outside the range where that term is exact to the scalar functions.
+``exact_matmul`` is the exactly rounded matrix product: one float matmul
+where integer operands make every sum exact, else ``math.fsum`` of each
+entry's products (``fsum_rows``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -80,15 +82,24 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
     """Element-wise ``ge_scaled``: ``values >= scale * factors`` exactly.
 
     ``values`` (floats) and ``factors`` (integers) broadcast together;
-    ``scale`` is one finite positive float.  A gap wider than one ulp is
-    decided by float, as in ``ge_scaled``.  In a near-tie ``v - p`` is
-    exact (Sterbenz), so ``v >= scale * f`` holds iff ``v - p >= err``,
-    where ``p + err`` is the exact product.  Non-finite values, factors
-    beyond 2^53 and products outside [2^-900, 2^995) go to ``ge_scaled``.
+    ``scale`` is one finite positive float or int.  When the significant
+    bits of ``scale`` and of the largest ``|factor|`` add up to at most 53,
+    and the products lie in [2^-900, 2^995), every product is an exact
+    normal float and plain ``>=`` decides the call (for inf and NaN values
+    too).  Otherwise a gap wider than one ulp is decided by float, as in
+    ``ge_scaled``.  In a near-tie ``v - p`` is exact (Sterbenz), so
+    ``v >= scale * f`` holds iff ``v - p >= err``, where ``p + err`` is the
+    exact product.  Non-finite values, factors beyond 2^53 and products
+    outside [2^-900, 2^995) go to ``ge_scaled``.
     """
     v, f = np.broadcast_arrays(
         np.asarray(values, dtype=np.float64), np.asarray(factors, dtype=np.int64)
     )
+    exact = int(scale) if isinstance(scale, numbers.Integral) else float(scale)
+    num, top = exact.as_integer_ratio()[0], max(-int(f.min()), int(f.max())) if f.size else 0
+    if (num // (num & -num)).bit_length() + top.bit_length() <= 53 and _TINY <= exact:
+        if exact * top < _HUGE:  # every product is an exact normal float
+            return v >= scale * f.astype(np.float64)
     f_exact = np.abs(f) <= _EXACT_INT
     ff = f.astype(np.float64)
     with np.errstate(all="ignore"):
@@ -136,42 +147,39 @@ def floor_ratio_array(values, scale: float) -> np.ndarray:
 
 def fsum_rows(terms) -> np.ndarray:
     """``math.fsum`` along the last axis: each row's exactly rounded sum,
-    independent of term order.
-
-    In a block of integer terms whose rows' summed magnitudes stay below
-    2^53, every partial sum in any order is exact (Shewchuk 1997), so the
-    plain sum is taken; the float magnitude sum reaches 2^53 whenever the
-    real one does, and is never below it for inf or NaN.  Every other block
-    goes through ``math.fsum`` row by row.
-    """
+    independent of term order."""
     terms = np.asarray(terms, dtype=np.float64)
     width, shape = terms.shape[-1], terms.shape[:-1]
     if width == 0:
         return np.zeros(shape)
-    with np.errstate(invalid="ignore"):
-        small = np.all(np.abs(terms).sum(axis=-1) < _EXACT_INT)
-    if small and np.all(terms == np.floor(terms)):
-        # fsum's zero is +0.0, whatever zero the reduction starts from
-        return terms.sum(axis=-1) + 0.0
     flat = terms.ravel().tolist()
     rows = zip(*[iter(flat)] * width)  # consecutive width-long tuples
     return np.fromiter(map(math.fsum, rows), dtype=np.float64, count=math.prod(shape)).reshape(shape)
 
 
-def integer_matmul(a, b) -> np.ndarray | None:
-    """``a @ b`` when each entry is an exact integer sum, else None.
+def exact_matmul(a, b, mask=None) -> np.ndarray:
+    """Exactly rounded ``a @ b`` for ``a`` (..., inputs), ``b`` (inputs,
+    outputs): each entry is ``math.fsum`` of its products, independent of
+    order.  Where ``mask`` (shaped like ``a``) is False the term is an
+    exact +0.0, whatever ``b`` holds.
 
-    Every product ``a[r, i] * b[i, j]`` is integral when both operands are,
-    and while an entry's summed magnitudes ``(|a| @ |b|)[r, j]`` stay below
-    2^53 each product and partial sum is exact in any order, the condition
-    of ``fsum_rows``' plain-float path; the float magnitude sums reach 2^53
-    whenever the real ones do, and are never below it for inf or NaN.  The
-    result then equals ``fsum_rows`` of each entry's products.
+    When both operands are integral, so is every product, and while an
+    entry's summed magnitudes ``(|a| @ |b|)[r, j]`` stay below 2^53 every
+    product and partial sum is exact in any order (Shewchuk 1997): one
+    float matmul gives the result.  The float magnitude sums reach 2^53
+    whenever the real ones do, and are never below it for inf or NaN.
+    Any other product goes through ``fsum_rows``.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        a = np.where(mask, a, 0.0)
+    with np.errstate(all="ignore"):  # inf and NaN products sum as in math.fsum
         small = np.all(np.abs(a) @ np.abs(b) < _EXACT_INT)
-    if not (small and np.all(a == np.floor(a)) and np.all(b == np.floor(b))):
-        return None
-    return a @ b + 0.0  # fsum's zero is +0.0
+        if small and np.all(a == np.floor(a)) and np.all(b == np.floor(b)):
+            return a @ b + 0.0  # fsum's zero is +0.0
+        terms = a[..., None, :] * b.T
+    if mask is not None:
+        terms = np.where(mask[..., None, :], terms, 0.0)
+    return fsum_rows(terms)

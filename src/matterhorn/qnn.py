@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import floor_ratio, floor_ratio_array, fsum_rows
+from .numerics import exact_matmul, floor_ratio, floor_ratio_array
 from .spike import SYMMETRIC, QuantParams, require_integer
 
 __all__ = [
@@ -139,7 +139,7 @@ class QnnLayer:
         if x.ndim != 2 or x.shape[1] != self.fan_in:
             raise ValueError(f"expected rows of {self.fan_in} input codes, got shape {x.shape}")
         scaled = self.in_params.alpha * x.astype(np.float64)
-        return fsum_rows(scaled[:, None, :] * self.weights[:, outputs].T) + self.bias[outputs]
+        return exact_matmul(scaled, self.weights[:, outputs]) + self.bias[outputs]
 
     @classmethod
     def from_json(cls, text: str) -> "QnnLayer":

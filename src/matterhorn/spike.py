@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import floor_ratio, fsum_rows, ge_scaled, ge_scaled_array
+from .numerics import exact_matmul, floor_ratio, ge_scaled, ge_scaled_array
 
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
@@ -373,10 +373,8 @@ def integrate_array(times, weights, cfg_prev: SnnLayerConfig, bias=0.0) -> np.nd
     (silent ones add an exact zero) plus the bias, as in ``integrate``.
     """
     times = _check_times(times, cfg_prev)
-    weights = np.asarray(weights, dtype=np.float64)
     scaled = cfg_prev.alpha * _kernel_array(times, cfg_prev).astype(np.float64)
-    terms = np.where((times < 0)[..., None, :], 0.0, scaled[..., None, :] * weights.T)
-    return fsum_rows(terms) + bias
+    return exact_matmul(scaled, weights, mask=times >= 0) + bias
 
 
 def _certify_times(v: np.ndarray, cfg: SnnLayerConfig, times: np.ndarray):

@@ -252,6 +252,33 @@ ATTN_JSON_SHA256 = {
 }
 
 
+# Digests of the exact verify --exhaustive JSON bytes and their exit codes.
+# --imax 2 puts the dead zone off code zero: 4,558 mismatches, pinned in
+# order.  That digest changes on purpose when off-centre mu is mended
+# (ROADMAP item 3).
+VERIFY_EXHAUSTIVE_JSON_SHA256 = {
+    ("--bits", "3", "--k", "1"): (
+        "f85e9dcf2c37550aac1eff3acffbceb3d334dfc1d37333774fdbeeeef03ce9f9",
+        EXIT_OK,
+    ),
+    ("--bits", "3", "--imax", "2"): (
+        "fdabb3f44728b152e2c52920d029cc920bd944b315eb28700552d9640351be4c",
+        EXIT_VERIFY_FAILED,
+    ),
+    ("--bits", "4", "--k", "2", "--fan-in", "4", "--fan-out", "6", "--seed", "9"): (
+        "4aa00f28326b523c3844a78679b70306594660513788bdac610d44bd4c98e266",
+        EXIT_OK,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_EXHAUSTIVE_JSON_SHA256))
+def test_verify_exhaustive_json_bytes_are_pinned(capsys, argv):
+    digest, want = VERIFY_EXHAUSTIVE_JSON_SHA256[argv]
+    code, out, _ = run(capsys, "verify", *argv, "--exhaustive")
+    assert code == want and sha256(out) == digest
+
+
 def test_attn_fuzz(capsys):
     code, out, _ = run(capsys, "attn", "--samples", "5", "--seed", "2")
     assert code == EXIT_OK

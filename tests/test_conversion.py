@@ -16,7 +16,7 @@ from matterhorn.conversion import (
     zero_centered_i_max,
 )
 from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
-from matterhorn import conversion, spike
+from matterhorn import conversion, numerics, spike
 from matterhorn.spike import ASYMMETRIC, decode_spike, encode_integer, fire_simulated, integrate
 
 
@@ -223,6 +223,34 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
         assert verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict() == want
         failing += not want["passed"]
     assert failing > 0
+
+
+@pytest.mark.parametrize("alpha, real", [(1.0, False), (0.37, True)])
+def test_exhaustive_sweep_takes_the_slow_exact_kernels_only_for_real_values(monkeypatch, alpha, real):
+    # spike and qnn sum through numerics.exact_matmul and compare through
+    # ge_scaled_array, which look fsum_rows and the Dekker split up here:
+    # integer sums and dyadic thresholds need neither
+    p = QuantParams(n=3, alpha=alpha)
+    layer, cfg = pm_layer(p, k=1, seed=5)
+    if real:
+        rng = np.random.default_rng(5)
+        layer = replace(layer, weights=rng.normal(size=(4, 4)), bias=rng.normal(size=4))
+    calls = []
+
+    def guard(name, slow):
+        def call(*args):
+            calls.append(name)
+            if not real:
+                raise AssertionError(f"{name} reached on an integer layer")
+            return slow(*args)
+
+        return call
+
+    for name in ("fsum_rows", "_split"):
+        monkeypatch.setattr(numerics, name, guard(name, getattr(numerics, name)))
+    got = verify_equivalence(layer, cfg, domain="exhaustive").to_dict()
+    assert sorted(set(calls)) == (["_split", "fsum_rows"] if real else [])
+    assert got == reference_exhaustive(layer, cfg).to_dict()
 
 
 def test_exhaustive_memory_is_bounded_by_the_block():

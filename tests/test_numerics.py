@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from matterhorn import numerics
 from matterhorn.numerics import (
+    exact_matmul,
     floor_ratio,
     floor_ratio_array,
     fsum_rows,
@@ -145,6 +146,47 @@ def test_ge_scaled_array_matches_scalar_on_random_operands(alpha, values, factor
     assert got.tolist() == [ge_scaled(v, alpha, f) for v, f in zip(values, factors)]
 
 
+# scales 2^e, 3*2^e, a non-dyadic one, the int 1, the bottom of the exact
+# range and just below it, and one near the top of the float range
+EDGE_SCALES = (2.0**-20, 2.0**30, 3 * 2.0**-7, 3 * 2.0**40, 0.37, 1, numerics._TINY, 2.0**-901, 2.0**990)
+
+
+def _significant_bits(scale) -> int:
+    num = Fraction(scale).numerator
+    return (num // (num & -num)).bit_length()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scale=st.sampled_from(EDGE_SCALES),
+    # the factors' top magnitude: significant bits summing to 53 or 54 with
+    # the scale's, or scale * top just below and at 2^995 (for 2^990)
+    top=st.sampled_from(["53", "54", "31", "32"]),
+    data=st.data(),
+)
+def test_ge_scaled_array_matches_scalar_at_the_certificate_edges(scale, top, data):
+    bits = _significant_bits(scale)
+    top = {"53": 2 ** (53 - bits) - 1, "54": 2 ** (54 - bits) - 1}.get(top) or int(top)
+    factors = data.draw(st.lists(st.integers(-top, top), max_size=6))
+    factors.append(top * data.draw(st.sampled_from([1, -1])))
+    with np.errstate(over="ignore"):
+        products = scale * np.array(factors, dtype=np.float64)  # rounded where inexact
+    values = np.concatenate([_planted(1.0, products), [math.inf, -math.inf, math.nan]])
+    facs = np.array(factors * 3 + [top] * 3, dtype=np.int64)
+    certified = (
+        bits + top.bit_length() <= 53 and scale >= numerics._TINY and Fraction(scale) * top < numerics._HUGE
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        slow = []  # Dekker splits and scalar fallbacks
+        for name in ("_split", "ge_scaled"):
+            mp.setattr(numerics, name, lambda *a, _f=getattr(numerics, name): slow.append(a) or _f(*a))
+        got = ge_scaled_array(values, scale, facs)
+    assert got.tolist() == [ge_scaled(v, scale, f) for v, f in zip(values.tolist(), facs.tolist())]
+    # a planted exact tie is never clear, so only the certificate skips both
+    assert (not slow) == certified, (scale, top)
+    assert ge_scaled_array(np.zeros(0), scale, np.zeros(0, dtype=np.int64)).shape == (0,)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_floor_ratio_array_matches_scalar(monkeypatch, alpha):
     huge = np.array([2.0**52, 2.0**60, -(2.0**61)]) * alpha
@@ -211,8 +253,71 @@ def test_fsum_rows_matches_math_fsum_on_mixed_blocks():
     fraction=st.sampled_from([0.0, 0.5, 2.0**-30]),
 )
 def test_fsum_rows_matches_math_fsum_on_integer_blocks(rows, fraction):
-    rows[0][0] += fraction  # one fractional term sends the block to math.fsum
+    rows[0][0] += fraction  # integer blocks, or one fractional term
     _assert_fsum_rows(rows)
+
+
+def _fsum_products(a, b, mask):
+    """``math.fsum`` of each entry's products; masked-out terms are +0.0."""
+    return [
+        [math.fsum(x * w if m else 0.0 for x, w, m in zip(row, col, keep)) for col in zip(*b)]
+        for row, keep in zip(a, mask)
+    ]
+
+
+def _assert_exact_matmul(a, b, mask=None):
+    a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+    keep = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask)
+    try:
+        want = _fsum_products(a.tolist(), b.tolist(), keep.tolist())
+    except (ValueError, OverflowError) as exc:  # inf - inf, or an overflowing partial sum
+        with pytest.raises(type(exc)):
+            exact_matmul(a, b, mask)
+        return
+    got = exact_matmul(a, b, mask)
+    assert [[x.hex() for x in row] for row in got.tolist()] == [[x.hex() for x in row] for row in want]
+
+
+def test_exact_matmul_takes_the_integer_route_below_2_53(monkeypatch):
+    ones = np.ones((2, 1))
+    fsums = _count_fallbacks(monkeypatch, "fsum_rows")
+    for row, certified in [([2.0**52, 2.0**52 - 1], True), ([2.0**52, 2.0**52], False)]:
+        fsums.clear()
+        _assert_exact_matmul([row], ones)
+        assert (not fsums) == certified, row
+    _assert_exact_matmul([[2.0**53, 1.0, 1.0]], np.ones((3, 1)))  # a plain sum loses both ones
+    # silent +0.0 inputs against negative weights: fsum's zero is +0.0
+    _assert_exact_matmul([[0.0, 0.0]], [[-1.0], [-3.0]])
+    _assert_exact_matmul([[2.0, 5.0]], [[-1.0], [-3.0]], mask=[[False, False]])
+    assert exact_matmul([[0.0]], [[-2.0]]).tolist()[0][0].hex() == "0x0.0p+0"
+    # a silent input never touches its weight, even an infinite one
+    _assert_exact_matmul([[1.0, 7.0]], [[2.0], [math.inf]], mask=[[True, False]])
+    _assert_exact_matmul([[1.0, 7.0]], [[math.inf], [-math.inf]])  # raises as fsum_rows does
+    _assert_exact_matmul([[1.0, 7.0]], [[math.inf], [1.0]])
+
+
+_ENTRIES = {
+    "integer": st.integers(-(2**27), 2**27).map(float),
+    "real": st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0, 0.1, math.inf, -math.inf, math.nan, 1e308, -1e308]),
+    ),
+}
+
+
+def _matrix(entry, rows, cols):
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_ENTRIES)), shape=st.tuples(*[st.integers(1, 4)] * 3), data=st.data())
+def test_exact_matmul_matches_math_fsum_of_products(kind, shape, data):
+    rows, inputs, outputs = shape
+    a = data.draw(_matrix(_ENTRIES[kind], rows, inputs))
+    b = data.draw(_matrix(_ENTRIES[kind], inputs, outputs))
+    mask = data.draw(st.none() | _matrix(st.booleans(), rows, inputs))
+    with np.errstate(all="ignore"):
+        _assert_exact_matmul(a, b, mask)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
