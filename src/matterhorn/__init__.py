@@ -18,7 +18,6 @@ from .energy import (
     EnergyParams,
     EnergyReport,
     TransformerBlockShape,
-    WorkloadShape,
     area_estimate,
     block_energy,
     scenario_compare,

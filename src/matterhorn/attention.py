@@ -9,9 +9,9 @@ the spikes, never with the 2^n-step window.  The attention pipeline runs
 each stage as one pass over all query rows: Q x K^T with the query spike
 times of every row against the bank of keys, then the normalized scores,
 re-encoded as spike times, against V.  Each pass is one
-``numerics.exact_matmul``, a single float matrix product wherever integer
+``spike.integrate_array``, a single float matrix product wherever integer
 decays and weights make every sum exact, and ``time_based_accumulate`` is
-the one-row call of the same kernel.
+its one-row call.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import exact_matmul
 from .spike import (
     ASYMMETRIC,
     SnnLayerConfig,
     SpikeTrain,
-    decode_spike_array,
     encode_integer_array,
+    integrate_array,
     train_times,
 )
 
@@ -48,8 +47,8 @@ class TimeAccState:
     per weight vector, an array of them for a bank.  ``events`` counts the
     distinct steps at which at least one input spikes (the work done),
     never the full window unconditionally.  ``time_based_accumulate``
-    returns one; the pipeline's row-batched passes keep only the
-    potentials.
+    returns one; the pipeline's row-batched ``integrate_array`` passes
+    compute only the potentials.
     """
 
     v: float | np.ndarray = 0.0
@@ -61,21 +60,6 @@ def spike_matrix(trains: list[SpikeTrain], window: int | None = None) -> np.ndar
     """Dense (window x inputs) binary view of trains, one column each."""
     times = train_times(trains, window)  # every train has trains[0].window steps
     return (np.arange(trains[0].window)[:, None] == times).astype(np.uint8)
-
-
-def _accumulate_rows(times: np.ndarray, weights: np.ndarray, cfg: SnnLayerConfig):
-    """Time-based passes of every row of ``times`` (rows, inputs) over one
-    bank ``weights`` (inputs, outputs).
-
-    Returns each row's exactly rounded potentials (rows, outputs) and its
-    count of distinct spiking steps (rows,).  ``exact_matmul`` sums them:
-    integer decays and weights, the attention stages' case, in one matrix
-    product; silent inputs add an exact zero and never touch a weight.
-    """
-    decay = cfg.alpha * decode_spike_array(times, cfg)
-    ordered = np.sort(times, axis=1)
-    events = np.count_nonzero((ordered >= 0) & (np.diff(ordered, axis=1, prepend=-1) != 0), axis=1)
-    return exact_matmul(decay, weights, mask=times >= 0), events
 
 
 def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:
@@ -92,10 +76,9 @@ def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:
     weights = np.asarray(weights, dtype=np.float64)
     if times.ndim != 1 or weights.ndim not in (1, 2) or weights.shape[0] != times.size:
         raise ValueError(f"weights shape {weights.shape} does not match spike times {times.shape}")
-    bank = weights if weights.ndim == 2 else weights[:, None]
-    v, events = _accumulate_rows(times[None, :], bank, cfg)
-    v = float(v[0, 0]) if weights.ndim == 1 else v[0]
-    return TimeAccState(v=v, t=cfg.window - 1, events=int(events[0]))
+    v = integrate_array(times, weights if weights.ndim == 2 else weights[:, None], cfg)
+    events = np.unique(times[times >= 0]).size  # distinct spiking steps
+    return TimeAccState(v=float(v[0]) if weights.ndim == 1 else v, t=cfg.window - 1, events=events)
 
 
 def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
@@ -138,9 +121,9 @@ def attention_pipeline(
     # Scores are non-negative: asymmetric codes, silence on code zero.
     score_cfg = SnnLayerConfig(n=cfg.n, mode=ASYMMETRIC, i_max=2**cfg.n - 1)
     unit_cfg = replace(cfg, alpha=1.0)  # scores live in code space
-    scores, _ = _accumulate_rows(q_times.reshape(len(q_trains), d_k), k_codes.T, unit_cfg)
+    scores = integrate_array(q_times.reshape(len(q_trains), d_k), k_codes.T, unit_cfg)
     score_codes = normalize_scores(np.rint(scores).astype(np.int64), score_cfg.window)
-    out, _ = _accumulate_rows(encode_integer_array(score_codes, score_cfg), v_codes, score_cfg)
+    out = integrate_array(encode_integer_array(score_codes, score_cfg), v_codes, score_cfg)
     return np.rint(out).astype(np.int64)
 
 

@@ -175,7 +175,6 @@ class MsuConfig:
     gamma: float = 1.0
     input_bits: int = 4
     tile_rows: int = 256
-    tile_cols: int = 256
     v_read: float = V_READ_DEFAULT
     g_on: float = G_ON_DEFAULT
     g_off: float = G_OFF_DEFAULT
@@ -185,8 +184,8 @@ class MsuConfig:
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
         if self.input_bits < 1:
             raise ValueError("input_bits must be >= 1")
-        if self.tile_rows < 1 or self.tile_cols < 1:
-            raise ValueError("tile dimensions must be positive")
+        if self.tile_rows < 1:
+            raise ValueError("tile_rows must be >= 1")
         _check_device(self.v_read, self.g_on, self.g_off)
 
 

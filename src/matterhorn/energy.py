@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
     "EnergyParams",
-    "WorkloadShape",
     "EnergyReport",
     "TransformerBlockShape",
     "AreaEstimate",
@@ -70,7 +69,8 @@ class EnergyParams:
     Fields left as None are derived: per-access threshold/KV costs price
     the datum's bit width at the per-bit SRAM read cost; the input-sum,
     mapping, encoding and decay costs reuse the accumulate/MAC constants.
-    Every report stamps the resolved set.
+    Every report stamps the resolved set.  A unit energy must be a finite,
+    non-negative real and ``weight_bits`` a positive integer.
     """
 
     mac_int4_pj: float = 0.0848
@@ -90,6 +90,19 @@ class EnergyParams:
     map_pj: float | None = None
     encoding_pj: float | None = None
     decay_pj: float | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue  # derived in ``resolved``
+            if f.name == "weight_bits":
+                what, ok = "a positive integer", isinstance(value, numbers.Integral) and value >= 1
+            else:
+                what = "a finite non-negative real"
+                ok = isinstance(value, numbers.Real) and 0 <= value < math.inf
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
     def resolved(self, time_steps: int) -> dict[str, float]:
         """Concrete pJ values for a window of ``time_steps`` (activation
@@ -116,35 +129,6 @@ class EnergyParams:
             "encoding_pj": self.encoding_pj if self.encoding_pj is not None else self.acc_4b_pj,
             "decay_pj": self.decay_pj if self.decay_pj is not None else self.acc_4b_pj,
         }
-
-
-@dataclass(frozen=True)
-class WorkloadShape:
-    """Tensor dimensions and spike ratio feeding the energy equations."""
-
-    b: int = 64
-    s: int = 128
-    c_i: int = 768
-    c_o: int = 768
-    d_k: int = 64
-    h: int = 12
-    t: int = 16
-    s_r: float = 0.0407
-
-    def __post_init__(self) -> None:
-        for name in ("b", "s", "c_i", "c_o", "d_k", "h", "t"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.s_r <= 1.0:
-            raise ValueError(f"spike ratio must lie in [0, 1], got {self.s_r}")
-
-    @property
-    def n_fc_out(self) -> int:
-        return self.b * self.s * self.c_o
-
-    @property
-    def n_qkv_out(self) -> int:
-        return self.b * self.h * self.s**2
 
 
 @dataclass
@@ -223,52 +207,65 @@ _SPIKE_COMPUTE = {
 
 
 def component_energy(
-    kind: str, mode: str, shape: WorkloadShape, params: EnergyParams = EnergyParams()
+    kind: str,
+    mode: str,
+    block: TransformerBlockShape,
+    c_i: int,
+    c_o: int,
+    s_r: float,
+    params: EnergyParams = EnergyParams(),
 ) -> EnergyReport:
-    """Energy of one block component of ``kind`` ("fc" or "qkv") in ``mode``.
+    """Energy of one component of ``block``, of ``kind`` ("fc" or "qkv"), in
+    ``mode``, with ``c_i`` inputs, ``c_o`` outputs and spike ratio ``s_r``.
 
-    An FC layer has B*S*C_o outputs that each integrate C_i inputs over T
-    steps; attention scores over the KV cache have B*h*S^2 outputs with a
-    d_k inner dimension.  Spike-processing terms (compute, movement, weight
-    or KV reads) scale with the spike ratio; leakage and thresholding do
-    not.  Under ``msu`` an FC layer keeps its weights in the crossbar, so
-    weight access is zero by construction and its compute is analog, and
-    attention pays a per-step encoding + MAC for the time-based scaling.
-    The digital and rate-coded pricings charge each FC output one KV write
-    (``n_out * kv_write_pj``); ``msu`` charges an FC layer none, so its
-    ``kv_traffic`` is attention's KV reads alone, and the golden
-    ``block_energy_msu.csv`` carries this.
+    An FC layer has B*S*C_o outputs; attention scores over the KV cache
+    have B*h*S^2 outputs whatever ``c_o`` is.  Each output integrates C_i
+    inputs over T steps (for scores, C_i is d_k, as ``components()`` lists).
+    Spike-processing terms (compute, movement, weight or KV reads) scale
+    with the spike ratio; leakage and thresholding do not.  Under ``msu`` an
+    FC layer keeps its weights in the crossbar, so weight access is zero by
+    construction and its compute is analog, and attention pays a per-step
+    encoding + MAC for the time-based scaling.  The digital and rate-coded
+    pricings charge each FC output one KV write (``n_out * kv_write_pj``);
+    ``msu`` charges an FC layer none, so its ``kv_traffic`` is attention's
+    KV reads alone, and the golden ``block_energy_msu.csv`` carries this.
     """
     if mode not in _PRICING:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")
     if kind not in ("fc", "qkv"):
         raise ValueError(f"unknown component kind {kind!r}; expected 'fc' or 'qkv'")
+    if isinstance(s_r, bool) or not isinstance(s_r, numbers.Real):
+        raise ValueError(f"spike ratio must be a real number, got {s_r!r}")
+    if not 0.0 <= s_r <= 1.0:
+        raise ValueError(f"spike ratio must lie in [0, 1], got {s_r}")
     pricing = _PRICING[mode]
-    r = params.resolved(shape.t)
+    t = block.time_steps
+    r = params.resolved(t)
     if kind == "fc":
-        n_out, per_in = shape.n_fc_out, shape.c_i * shape.t
+        n_out = block.batch * block.seq * c_o
     else:
-        n_out, per_in = shape.n_qkv_out, shape.d_k * shape.t
-    spikes = n_out * per_in * shape.s_r  # arriving spikes over all (input, step) slots
+        n_out = block.batch * block.heads * block.seq**2
+    per_in = c_i * t
+    spikes = n_out * per_in * s_r  # arriving spikes over all (input, step) slots
     digital = spikes * sum(r[name] for name in _SPIKE_COMPUTE[kind, pricing])
     cats = {
         "spike_movement": spikes * r["spike_move_pj"] * PJ,
         "leakage": n_out * per_in * r["leak_pj"] * PJ,
-        "thresholding": n_out * shape.t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
+        "thresholding": n_out * t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
     }
     if kind == "qkv":
         if pricing == "msu":
-            digital += n_out * shape.t * (r["encoding_pj"] + r["mac_int4_pj"])
+            digital += n_out * t * (r["encoding_pj"] + r["mac_int4_pj"])
         cats["kv_traffic"] = spikes * r["kv_read_pj"] * PJ
     elif pricing == "msu":
         # input-sum staging, log2(T) bit-plane readouts with shift-and-add,
         # and the signed-recovery mapping
-        if (shape.t & (shape.t - 1)) != 0:
-            raise ValueError(f"time window must be a power of two, got {shape.t}")
-        bits = int(math.log2(shape.t))
-        analog = (shape.b * shape.s) * (
-            shape.t * shape.c_i * r["sum_pj"]
-            + shape.c_o * (bits * (shape.c_i * r["cim_pj"] + r["acc_4b_pj"]) + r["map_pj"])
+        if (t & (t - 1)) != 0:
+            raise ValueError(f"time window must be a power of two, got {t}")
+        bits = int(math.log2(t))
+        analog = (block.batch * block.seq) * (
+            t * c_i * r["sum_pj"]
+            + c_o * (bits * (c_i * r["cim_pj"] + r["acc_4b_pj"]) + r["map_pj"])
         )
         cats["analog_compute"] = analog * PJ
     else:
@@ -276,9 +273,7 @@ def component_energy(
         cats["kv_traffic"] = n_out * r["kv_write_pj"] * PJ
     cats["digital_compute"] = digital * PJ
     return EnergyReport(
-        label=f"{kind}_{mode}",
-        categories=cats,
-        assumptions={"shape": dict(vars(shape)), "unit_energies_pj": dict(r)},
+        label=f"{kind}_{mode}", categories=cats, assumptions={"unit_energies_pj": dict(r)}
     )
 
 
@@ -316,18 +311,6 @@ class TransformerBlockShape:
             ("ffn_out", "fc", self.ffn_dim, h),
         )
 
-    def workload(self, c_i: int, c_o: int, s_r: float) -> WorkloadShape:
-        return WorkloadShape(
-            b=self.batch,
-            s=self.seq,
-            c_i=c_i,
-            c_o=c_o,
-            d_k=self.d_k,
-            h=self.heads,
-            t=self.time_steps,
-            s_r=s_r,
-        )
-
 
 def block_energy(
     block: TransformerBlockShape,
@@ -346,17 +329,19 @@ def block_energy(
     components = block.components()
     if rates is None:
         rates = DEFAULT_MODE_RATES.get(mode, DEFAULT_MODE_RATES["baseline"])
-    if isinstance(rates, (int, float)):
-        rates = {name: float(rates) for name, _, _, _ in components}
+    if isinstance(rates, (int, float)) and not isinstance(rates, bool):
+        rates = float(rates)
+    if not isinstance(rates, dict):
+        rates = {name: rates for name, _, _, _ in components}
     missing = [name for name, _, _, _ in components if name not in rates]
     if missing:
         raise ValueError(f"missing spike rate for components: {missing}")
 
     reports = []
     for name, kind, c_i, c_o in components:
-        shape = block.workload(c_i, c_o, rates[name])
-        rep = component_energy(kind, mode, shape, params)
-        reports.append(EnergyReport(label=name, categories=rep.categories, assumptions=rep.assumptions))
+        report = component_energy(kind, mode, block, c_i, c_o, rates[name], params)
+        report.label = name
+        reports.append(report)
     merged = EnergyReport.merged(f"block_{mode}", reports)
     merged.assumptions["mode"] = mode
     merged.assumptions["rates"] = dict(rates)

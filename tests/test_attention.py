@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matterhorn.attention import (
-    _accumulate_rows,
     attention_pipeline,
     attention_reference,
     normalize_scores,
@@ -23,6 +22,7 @@ from matterhorn.spike import (
     SpikeTrain,
     encode_integer,
     integrate,
+    integrate_array,
     train_times,
 )
 
@@ -149,11 +149,11 @@ def test_row_kernel_matches_one_row_calls(seed, n, k, alpha, rows, inputs, outpu
         bound = 2**weight_bits
         bank = rng.integers(-bound, bound, size=(inputs, outputs), endpoint=True).astype(float)
     times = np.stack([train_times(row) for row in trains])
-    v, events = _accumulate_rows(times, bank, cfg)
-    assert v.shape == (rows, outputs) and events.shape == (rows,)
+    v = integrate_array(times, bank, cfg)
+    assert v.shape == (rows, outputs)
     for r in range(rows):
         state = time_based_accumulate(times[r], bank, cfg)
-        assert events[r] == state.events
+        assert state.events == len({t for t in times[r].tolist() if t >= 0})
         for j in range(outputs):
             assert v[r, j].hex() == state.v[j].hex()
             assert v[r, j].hex() == integrate(list(zip(trains[r], bank[:, j])), cfg).hex()
@@ -164,8 +164,9 @@ def test_silent_inputs_never_touch_their_weights():
     cfg = cfg16()
     times = np.array([[4, -1], [-1, -1]])
     bank = np.array([[2.0, 1.0], [np.inf, np.nan]])
-    v, events = _accumulate_rows(times, bank, cfg)
-    assert v.tolist() == [[6.0, 3.0], [0.0, 0.0]] and events.tolist() == [1, 0]
+    v = integrate_array(times, bank, cfg)
+    events = [time_based_accumulate(row, bank, cfg).events for row in times]
+    assert v.tolist() == [[6.0, 3.0], [0.0, 0.0]] and events == [1, 0]
 
 
 def test_events_counts_active_steps_only():

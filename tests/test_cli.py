@@ -330,6 +330,25 @@ def test_energy_bad_shape_is_config_error(tmp_path, capsys, shape, field):
     assert f"{field} must be a positive integer" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text, field",
+    [
+        (["scenario"], "--params", '{"mac_int4_pj": "x"}', "mac_int4_pj"),
+        (["energy", "--format", "csv"], "--params", '{"leak_pj": NaN}', "leak_pj"),
+        (["energy"], "--params", '{"weight_bits": 0}', "weight_bits"),
+        (["energy"], "--rates", "true", "spike ratio"),
+        (["energy"], "--rates", "1.5", "spike ratio"),
+    ],
+    ids=["params-str", "params-nan", "params-weight-bits", "rates-bool", "rates-out-of-range"],
+)
+def test_malformed_energy_inputs_are_config_errors(tmp_path, capsys, argv, flag, text, field):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert json.loads(err)["detail"].startswith(f"{field} must ")
+
+
 def test_scenario_table(capsys):
     code, out, _ = run(capsys, "scenario")
     assert code == EXIT_OK
@@ -363,6 +382,35 @@ SWEEP_CSV_SHA256 = {
         "db7cbf8f349061c53cd45715d3e96f5218e990ad86de94112aa1e2bfc391bafa"
     ),
 }
+
+
+# Digests of the exact energy, scenario and area JSON bytes.  Beside the
+# categories and totals of the golden CSVs they carry the percentages,
+# per-component totals, rates, block and resolved unit energies.
+MODEL_JSON_SHA256 = {
+    ("energy", "--mode", "baseline", "--format", "json"): (
+        "37527a61074b77db37d055e743c8321cf561de6dcfd9cba123a01bf6960db4d4"
+    ),
+    ("energy", "--mode", "mttfs", "--format", "json"): (
+        "61a39f23673c784ebac0999fc6cbd33610c972f210eb474c345485e99ffa27c1"
+    ),
+    ("energy", "--mode", "deadzone", "--format", "json"): (
+        "d9b1b021a416d2d73d3bce90b999f41f6745fdec65be494c7970812532c519e8"
+    ),
+    ("energy", "--mode", "msu", "--format", "json"): (
+        "7d0dc32e34f4a6f5d4f072bb90d9a35c84d1bb20713a7aa204144e9f51274368"
+    ),
+    ("scenario", "--format", "json"): (
+        "2efd008a22878f11a52a067db99d703f30ee7d91c1afd1e8ab1adb207f06c416"
+    ),
+    ("area",): "62f56217d8291f6118a7372f353c5657a2ab762417226996a210af4648576de1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MODEL_JSON_SHA256), ids=" ".join)
+def test_model_json_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and sha256(out) == MODEL_JSON_SHA256[argv]
 
 
 def test_stats_csv_and_svg(tmp_path, capsys):

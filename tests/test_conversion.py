@@ -193,6 +193,8 @@ def reference_exhaustive(layer, cfg, input_cfg=None):
         ((3, 3, 3, 2), conversion.BLOCK_TERMS),
         ((2, 4, 2, 4), 6),  # one vector a block, its outputs in chunks of 3 and 1
     ],
+    # ids name the constant, not its value, so retuning it renames no test
+    ids=["shape0-BLOCK_TERMS", "shape1-BLOCK_TERMS", "shape2-6"],
 )
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
 def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_terms, mode):

@@ -163,15 +163,16 @@ def test_tiled_ragged_dimensions():
     assert np.array_equal(tiled_vmm(x, w, MsuConfig()), x @ w.astype(np.int64))
 
 
-def tile_oracle(x, w, cfg: MsuConfig) -> np.ndarray:
+def tile_oracle(x, w, cfg: MsuConfig, tile_cols: int) -> np.ndarray:
     """The device oracle: one programmed macro and one bit-serial read per
-    tile, visited column-tile-major (the reverse of the row-band order)."""
+    ``cfg.tile_rows`` x ``tile_cols`` tile, visited column-tile-major (the
+    reverse of the row-band order)."""
     c_in, c_out = w.shape
     device = dict(v_read=cfg.v_read, g_on=cfg.g_on, g_off=cfg.g_off)
     acc = np.zeros(c_out, dtype=np.int64)
-    for c0 in range(0, c_out, cfg.tile_cols):
+    for c0 in range(0, c_out, tile_cols):
         for r0 in range(0, c_in, cfg.tile_rows):
-            r1, c1 = min(r0 + cfg.tile_rows, c_in), min(c0 + cfg.tile_cols, c_out)
+            r1, c1 = min(r0 + cfg.tile_rows, c_in), min(c0 + tile_cols, c_out)
             macro = CrossbarMacro.from_signed(w[r0:r1, c0:c1], **device)
             r_cim = bit_serial_vmm(x[r0:r1], macro, cfg.input_bits)
             acc[c0:c1] += 2 * r_cim - int(x[r0:r1].sum())
@@ -183,8 +184,8 @@ def test_tiling_traversal_order_is_irrelevant():
     rng = np.random.default_rng(7)
     w = rng.choice([-1.0, 1.0], (40, 30))
     x = rng.integers(0, 16, 40)
-    cfg = MsuConfig(tile_rows=16, tile_cols=8)
-    assert np.array_equal(tile_oracle(x, w, cfg), tiled_vmm(x, w, cfg))
+    cfg = MsuConfig(tile_rows=16)
+    assert np.array_equal(tile_oracle(x, w, cfg, tile_cols=8), tiled_vmm(x, w, cfg))
 
 
 DTYPE_MAX = {np.int8: 2**7, np.uint8: 2**8, np.int32: 2**31, np.int64: 2**63, np.uint64: 2**64}
@@ -214,13 +215,12 @@ def test_tiled_vmm_matches_tile_oracle(
         gamma=gamma,
         input_bits=bits,
         tile_rows=tile_rows,
-        tile_cols=tile_cols,
         v_read=v_read,
         g_on=g_on,
         g_off=g_on * off_ratio,
     )
     got = tiled_vmm(x, w, cfg)
-    assert np.array_equal(got, tile_oracle(x, w, cfg))
+    assert np.array_equal(got, tile_oracle(x, w, cfg, tile_cols))
     assert np.array_equal(got, gamma * (x.astype(np.int64) @ w.astype(np.int64)))
 
 
@@ -229,7 +229,7 @@ def test_tiled_rejects_bad_weight_in_last_band(bad):
     w = np.ones((50, 7))
     w[-1, -1] = bad  # rows 48-49 form the last 16-row band
     with pytest.raises(ValueError, match="weights must be exactly"):
-        tiled_vmm(np.ones(50, dtype=np.int64), w, MsuConfig(tile_rows=16, tile_cols=4))
+        tiled_vmm(np.ones(50, dtype=np.int64), w, MsuConfig(tile_rows=16))
 
 
 @pytest.mark.parametrize(
@@ -296,7 +296,7 @@ def test_gamma_applies_once_after_tiling():
     rng = np.random.default_rng(8)
     w = rng.choice([-1.0, 1.0], (20, 10))
     x = rng.integers(0, 16, 20)
-    got = tiled_vmm(x, w, MsuConfig(gamma=0.25, tile_rows=8, tile_cols=4))
+    got = tiled_vmm(x, w, MsuConfig(gamma=0.25, tile_rows=8))
     assert np.array_equal(got, 0.25 * (x @ w.astype(np.int64)))
 
 

@@ -10,7 +10,6 @@ from matterhorn.energy import (
     EnergyParams,
     EnergyReport,
     TransformerBlockShape,
-    WorkloadShape,
     area_estimate,
     block_energy,
     component_energy,
@@ -39,7 +38,8 @@ UNIT_PARAMS = EnergyParams(
     decay_pj=1.0,
 )
 
-TINY = WorkloadShape(b=1, s=1, c_i=1, c_o=1, d_k=1, h=1, t=1, s_r=1.0)
+TINY = TransformerBlockShape(1, 1, 1, 1, 1, 1)  # priced below with c_i = c_o = 1
+BLOCK = TransformerBlockShape()
 
 
 # --- hand-computable unit cases ------------------------------------------
@@ -47,7 +47,7 @@ TINY = WorkloadShape(b=1, s=1, c_i=1, c_o=1, d_k=1, h=1, t=1, s_r=1.0)
 
 def test_fc_baseline_unit_case():
     # 1*[1*1*(1*(decay+mac+w+move) + leak) + 1*(cmp+th) + kvw] = 8 pJ
-    rep = component_energy("fc", "baseline", TINY, UNIT_PARAMS)
+    rep = component_energy("fc", "baseline", TINY, 1, 1, 1.0, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(8 * PJ)
     assert rep.categories["digital_compute"] == pytest.approx(2 * PJ)
     assert rep.categories["thresholding"] == pytest.approx(2 * PJ)
@@ -55,21 +55,21 @@ def test_fc_baseline_unit_case():
 
 def test_qkv_baseline_unit_case():
     # (enc+mac+move+kv_read) + leak + (cmp+th) = 7 pJ
-    rep = component_energy("qkv", "baseline", TINY, UNIT_PARAMS)
+    rep = component_energy("qkv", "baseline", TINY, 1, 1, 1.0, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(7 * PJ)
 
 
 def test_fc_msu_unit_case():
     # T=2: analog = 2*sum + (cim+acc) + map = 5; digital = move*2 + leak*2 + 2*(cmp+th) = 8
-    shape = replace(TINY, t=2)
-    rep = component_energy("fc", "msu", shape, UNIT_PARAMS)
+    block = replace(TINY, time_steps=2)
+    rep = component_energy("fc", "msu", block, 1, 1, 1.0, UNIT_PARAMS)
     assert rep.categories["analog_compute"] == pytest.approx(5 * PJ)
     assert rep.total_j == pytest.approx(13 * PJ)
 
 
 def test_qkv_timeacc_unit_case():
     # (acc+move+kv_read) + leak + (enc+mac) + (cmp+th) = 8 pJ
-    rep = component_energy("qkv", "msu", TINY, UNIT_PARAMS)
+    rep = component_energy("qkv", "msu", TINY, 1, 1, 1.0, UNIT_PARAMS)
     assert rep.total_j == pytest.approx(8 * PJ)
 
 
@@ -77,20 +77,20 @@ def test_qkv_timeacc_unit_case():
 
 
 def test_fc_baseline_sparsity_limit():
-    rep = component_energy("fc", "baseline", replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("fc", "baseline", TINY, 1, 1, 0.0, UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding", "kv_traffic"}
 
 
 def test_qkv_baseline_sparsity_limit():
-    rep = component_energy("qkv", "baseline", replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("qkv", "baseline", TINY, 1, 1, 0.0, UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding"}
 
 
 def test_qkv_timeacc_sparsity_limit():
     # per-step scaling survives at zero spikes; per-spike terms vanish
-    rep = component_energy("qkv", "msu", replace(TINY, s_r=0.0), UNIT_PARAMS)
+    rep = component_energy("qkv", "msu", TINY, 1, 1, 0.0, UNIT_PARAMS)
     live = {name for name, v in rep.categories.items() if v > 0}
     assert live == {"leakage", "thresholding", "digital_compute"}
     assert rep.categories["digital_compute"] == pytest.approx(2 * PJ)  # enc + mac
@@ -98,43 +98,42 @@ def test_qkv_timeacc_sparsity_limit():
 
 def test_msu_weight_access_is_zero():
     for s_r in (0.0, 0.3, 1.0):
-        shape = WorkloadShape(s_r=s_r)
-        assert component_energy("fc", "msu", shape).categories["weight_access"] == 0.0
+        rep = component_energy("fc", "msu", BLOCK, 768, 768, s_r)
+        assert rep.categories["weight_access"] == 0.0
 
 
 def test_msu_fc_charges_no_per_output_kv_write():
     # the digital and rate-coded pricings charge every FC output one KV
     # write; msu charges none, and block_energy_msu.csv carries that
-    shape = replace(TINY, c_o=3, t=2)
-    assert component_energy("fc", "msu", shape, UNIT_PARAMS).categories["kv_traffic"] == 0.0
+    block = replace(TINY, time_steps=2)
+    msu = component_energy("fc", "msu", block, 1, 3, 1.0, UNIT_PARAMS)
+    assert msu.categories["kv_traffic"] == 0.0
     for mode in ("baseline", "mttfs", "deadzone", "rate_coded"):
-        rep = component_energy("fc", mode, shape, UNIT_PARAMS)
-        assert rep.categories["kv_traffic"] == pytest.approx(shape.n_fc_out * PJ)
-    block = TransformerBlockShape()
+        rep = component_energy("fc", mode, block, 1, 3, 1.0, UNIT_PARAMS)
+        assert rep.categories["kv_traffic"] == pytest.approx(3 * PJ)  # batch * seq * c_o outputs
     rate = DEFAULT_MODE_RATES["msu"]
     attention_reads = sum(
-        component_energy(kind, "msu", block.workload(c_i, c_o, rate)).categories["kv_traffic"]
-        for _, kind, c_i, c_o in block.components()
+        component_energy(kind, "msu", BLOCK, c_i, c_o, rate).categories["kv_traffic"]
+        for _, kind, c_i, c_o in BLOCK.components()
         if kind == "qkv"
     )
-    assert block_energy(block, "msu").categories["kv_traffic"] == pytest.approx(attention_reads)
+    assert block_energy(BLOCK, "msu").categories["kv_traffic"] == pytest.approx(attention_reads)
 
 
 def test_msu_requires_power_of_two_window():
     with pytest.raises(ValueError):
-        component_energy("fc", "msu", replace(TINY, t=12))
+        component_energy("fc", "msu", replace(TINY, time_steps=12), 1, 1, 1.0)
 
 
 def test_report_closure_and_percentages():
-    rep = component_energy("fc", "baseline", WorkloadShape(), EnergyParams())
+    rep = component_energy("fc", "baseline", BLOCK, 768, 768, 0.0407, EnergyParams())
     assert rep.total_j == math.fsum(rep.categories.values())
     assert abs(sum(rep.percentages.values()) - 100.0) < 0.01
 
 
 def test_spike_processing_categories_linear_in_rate():
-    base = WorkloadShape(s_r=0.07)
-    double = replace(base, s_r=0.14)
-    r1, r2 = component_energy("fc", "baseline", base), component_energy("fc", "baseline", double)
+    r1 = component_energy("fc", "baseline", BLOCK, 768, 768, 0.07)
+    r2 = component_energy("fc", "baseline", BLOCK, 768, 768, 0.14)
     for cat in ("spike_movement", "weight_access", "digital_compute"):
         assert r2.categories[cat] == pytest.approx(2 * r1.categories[cat], rel=1e-12)
     # fixed categories unchanged
@@ -143,17 +142,17 @@ def test_spike_processing_categories_linear_in_rate():
 
 
 def test_total_monotone_in_shape_and_rates():
-    base = WorkloadShape(b=2, s=4, c_i=8, c_o=8, d_k=4, h=2, t=4, s_r=0.2)
-    t0 = component_energy("fc", "baseline", base).total_j
-    assert component_energy("fc", "baseline", replace(base, b=3)).total_j > t0
-    assert component_energy("fc", "baseline", replace(base, s=5)).total_j > t0
-    assert component_energy("fc", "baseline", replace(base, t=8)).total_j > t0
-    assert component_energy("fc", "baseline", replace(base, s_r=0.4)).total_j > t0
+    base = TransformerBlockShape(batch=2, seq=4, hidden=8, heads=2, time_steps=4)
+    t0 = component_energy("fc", "baseline", base, 8, 8, 0.2).total_j
+    assert component_energy("fc", "baseline", replace(base, batch=3), 8, 8, 0.2).total_j > t0
+    assert component_energy("fc", "baseline", replace(base, seq=5), 8, 8, 0.2).total_j > t0
+    assert component_energy("fc", "baseline", replace(base, time_steps=8), 8, 8, 0.2).total_j > t0
+    assert component_energy("fc", "baseline", base, 8, 8, 0.4).total_j > t0
 
 
 def test_total_monotone_in_unit_energies():
-    shape = WorkloadShape(b=2, s=4, c_i=8, c_o=8, t=4, s_r=0.2)
-    t0 = component_energy("fc", "baseline", shape, EnergyParams()).total_j
+    block = TransformerBlockShape(batch=2, seq=4, time_steps=4)
+    t0 = component_energy("fc", "baseline", block, 8, 8, 0.2, EnergyParams()).total_j
     bumped = {
         "mac_mixed_pj": 0.2,
         "cmp_pj": 0.2,
@@ -164,34 +163,65 @@ def test_total_monotone_in_unit_energies():
     }
     for field, value in bumped.items():
         params = replace(EnergyParams(), **{field: value})
-        assert component_energy("fc", "baseline", shape, params).total_j > t0, field
+        assert component_energy("fc", "baseline", block, 8, 8, 0.2, params).total_j > t0, field
 
 
 def test_msu_beats_baseline_at_operating_point():
-    shape = WorkloadShape(s_r=DEFAULT_MODE_RATES["msu"])
+    rate = DEFAULT_MODE_RATES["msu"]
     assert (
-        component_energy("fc", "msu", shape).total_j
-        < component_energy("fc", "baseline", shape).total_j
+        component_energy("fc", "msu", BLOCK, 768, 768, rate).total_j
+        < component_energy("fc", "baseline", BLOCK, 768, 768, rate).total_j
     )
 
 
 def test_workload_validation():
+    with pytest.raises(ValueError, match="spike ratio must lie in"):
+        component_energy("fc", "baseline", BLOCK, 768, 768, 1.5)
     with pytest.raises(ValueError):
-        WorkloadShape(s_r=1.5)
-    with pytest.raises(ValueError):
-        WorkloadShape(b=0)
+        TransformerBlockShape(batch=0)
+
+
+@pytest.mark.parametrize("bad", [True, "0.1", math.nan, -0.1, 1.5])
+def test_malformed_spike_ratio_is_refused(bad):
+    with pytest.raises(ValueError, match="^spike ratio must"):
+        component_energy("qkv", "msu", TINY, 1, 1, bad)
+    with pytest.raises(ValueError, match="^spike ratio must"):
+        block_energy(BLOCK, "baseline", rates=bad)
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("mac_int4_pj", "x"),
+        ("mac_int4_pj", None),  # only the derived costs may be left unset
+        ("leak_pj", math.nan),
+        ("cim_fj_per_bit", math.inf),
+        ("cmp_pj", -0.01),
+        ("acc_4b_pj", True),
+        ("kv_read_pj", math.nan),
+        ("decay_pj", "0.1"),
+        ("weight_bits", 0),
+        ("weight_bits", 1.5),
+        ("weight_bits", True),
+    ],
+)
+def test_malformed_unit_energy_is_refused(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        EnergyParams(**{field: bad})
 
 
 def test_output_element_counts():
-    shape = WorkloadShape(b=3, s=5, c_i=7, c_o=11, d_k=2, h=4, t=8, s_r=0.1)
-    assert shape.n_fc_out == 3 * 5 * 11
-    assert shape.n_qkv_out == 3 * 4 * 5**2
+    # every output leaks once per (input, step) slot, c_i * time_steps of them
+    block = TransformerBlockShape(batch=3, seq=5, heads=4, time_steps=8)
+    fc = component_energy("fc", "baseline", block, 7, 11, 0.1, UNIT_PARAMS)
+    qkv = component_energy("qkv", "baseline", block, 7, 11, 0.1, UNIT_PARAMS)
+    assert fc.categories["leakage"] == pytest.approx(3 * 5 * 11 * 7 * 8 * PJ)
+    assert qkv.categories["leakage"] == pytest.approx(3 * 4 * 5**2 * 7 * 8 * PJ)
 
 
 # --- block composition ----------------------------------------------------
 
 
-BLOCK = TransformerBlockShape()
 PUBLISHED_BLOCK_MJ = {"baseline": 16.80, "mttfs": 12.24, "deadzone": 8.31, "msu": 6.14}
 
 
@@ -231,8 +261,8 @@ def test_block_report_embeds_assumptions():
 
 def test_merged_report_sums_components():
     reps = [
-        component_energy("fc", "baseline", WorkloadShape()),
-        component_energy("qkv", "baseline", WorkloadShape()),
+        component_energy("fc", "baseline", BLOCK, 768, 768, 0.0407),
+        component_energy("qkv", "baseline", BLOCK, 64, 64, 0.0407),
     ]
     merged = EnergyReport.merged("pair", reps)
     assert merged.total_j == pytest.approx(sum(r.total_j for r in reps))
