@@ -234,6 +234,9 @@ def component_energy(
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")
     if kind not in ("fc", "qkv"):
         raise ValueError(f"unknown component kind {kind!r}; expected 'fc' or 'qkv'")
+    for name, value in (("c_i", c_i), ("c_o", c_o)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if isinstance(s_r, bool) or not isinstance(s_r, numbers.Real):
         raise ValueError(f"spike ratio must be a real number, got {s_r!r}")
     if not 0.0 <= s_r <= 1.0:
@@ -293,6 +296,11 @@ class TransformerBlockShape:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+        if self.d_k < 1:
+            raise ValueError(
+                f"d_k must be a positive integer, got {self.d_k} "
+                f"(hidden={self.hidden} // heads={self.heads})"
+            )
 
     @property
     def d_k(self) -> int:

@@ -320,6 +320,7 @@ def test_energy_bad_rates_file_is_config_error(tmp_path, capsys):
         ({"hidden": -768}, "hidden"),
         ({"seq": 2.5}, "seq"),
         ({"time_steps": True}, "time_steps"),
+        ({"hidden": 8, "heads": 16}, "d_k"),  # hidden // heads floors to 0
     ],
 )
 def test_energy_bad_shape_is_config_error(tmp_path, capsys, shape, field):

@@ -179,6 +179,11 @@ def test_workload_validation():
         component_energy("fc", "baseline", BLOCK, 768, 768, 1.5)
     with pytest.raises(ValueError):
         TransformerBlockShape(batch=0)
+    with pytest.raises(ValueError, match="^d_k must be a positive integer"):
+        TransformerBlockShape(hidden=8, heads=16)
+    for c_i, c_o in ((0, 768), (768, 0), (1.5, 768), (768, True)):
+        with pytest.raises(ValueError, match="^c_[io] must be a positive integer"):
+            component_energy("fc", "baseline", BLOCK, c_i, c_o, 0.5)
 
 
 @pytest.mark.parametrize("bad", [True, "0.1", math.nan, -0.1, 1.5])
