@@ -329,8 +329,8 @@ def block_energy(
     """Total block energy for one operating mode.
 
     ``rates`` may be a single ratio applied to every component, a
-    per-component dict (every component must be present), or None for the
-    mode's default aggregate rate.
+    per-component dict (every component present, no other name), or None
+    for the mode's default aggregate rate.
     """
     if mode not in _PRICING:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_PRICING)}")
@@ -341,9 +341,13 @@ def block_energy(
         rates = float(rates)
     if not isinstance(rates, dict):
         rates = {name: rates for name, _, _, _ in components}
-    missing = [name for name, _, _, _ in components if name not in rates]
+    names = [name for name, _, _, _ in components]
+    missing = [name for name in names if name not in rates]
     if missing:
         raise ValueError(f"missing spike rate for components: {missing}")
+    unknown = [name for name in rates if name not in names]
+    if unknown:
+        raise ValueError(f"spike rate for unknown components: {unknown}")
 
     reports = []
     for name, kind, c_i, c_o in components:

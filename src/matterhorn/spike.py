@@ -12,6 +12,10 @@ the zero-energy all-silent train.  The module provides:
   oracle against the walk,
 - silence-rate accounting for sparsity studies.
 
+A layer's encoding is a codebook of at most ``2**n`` immutable trains:
+``encode_integer``, ``fire_simulated`` and ``fire_analytic`` return the
+config's shared train for a code, built on first use.
+
 A population of trains is an ``int64`` array of spike times with -1 for
 silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
 a whole population at once, and the scalar functions are their oracles;
@@ -125,6 +129,11 @@ class SnnLayerConfig(QuantParams):
             return None
         return self.code_max - self.i_max
 
+    @cached_property
+    def _codebook(self) -> dict[int, "SpikeTrain"]:
+        """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
+        return {}
+
     def spike_time(self, code: int) -> int:
         """Firing time encoding ``code``; earlier spikes carry larger codes."""
         return self.code_max - code
@@ -206,22 +215,14 @@ def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
     """Encode an integer code as a spike train under ``cfg``.
 
     Codes inside the dead zone collapse to the silent train; every other
-    code fires exactly once at ``code_max - code``.
-    Raises ValueError for codes outside the representable range.
+    code fires exactly once at ``code_max - code``.  Returns the config's
+    shared train for ``code``.  Raises ValueError for a code that is not an
+    integer (bool, float and str included) or not representable.
     """
-    code = int(code)
-    code_min, code_max, window = cfg.code_min, cfg.code_max, cfg.window
-    if not code_min <= code <= code_max:
-        raise ValueError(f"code {code} outside representable range [{code_min}, {code_max}]")
-    t = code_max - code  # in [0, window - 1] for an in-range code
-    if cfg.masked and abs(code - cfg.mu) <= cfg.k:
-        t = None
-    elif cfg.baseline_silent_min and t == window - 1:
-        t = None
-    train = SpikeTrain.__new__(SpikeTrain)
-    train._window = window
-    train._time = t
-    return train
+    if type(code) is not int:
+        require_integer("code", code)
+    train = cfg._codebook.get(code)
+    return _code_train(code, cfg) if train is None else train
 
 
 def decode_spike(train: SpikeTrain, cfg: SnnLayerConfig) -> int:
@@ -282,12 +283,30 @@ def candidate_fire_time(potential: float, cfg: SnnLayerConfig) -> int:
     return cfg.window - 1
 
 
+def _code_train(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
+    """``cfg``'s shared train for an integer ``code``, built on first use by
+    the scalar mask rule: silent where ``code_max - code`` is in the dead
+    zone, or is the last step under ``baseline_silent_min``."""
+    book = cfg._codebook
+    train = book.get(code)
+    if train is None:
+        code = int(code)
+        if not cfg.code_min <= code <= cfg.code_max:
+            raise ValueError(
+                f"code {code} outside representable range [{cfg.code_min}, {cfg.code_max}]"
+            )
+        t = cfg.code_max - code
+        if cfg.in_dead_zone(t) or (cfg.baseline_silent_min and t == cfg.window - 1):
+            train = SpikeTrain.silent(cfg.window)
+        else:
+            train = SpikeTrain.single(t, cfg.window)
+        book[code] = train
+    return train
+
+
 def _mask_fire_time(t: int, cfg: SnnLayerConfig) -> SpikeTrain:
-    if cfg.in_dead_zone(t):
-        return SpikeTrain.silent(cfg.window)
-    if cfg.baseline_silent_min and t == cfg.window - 1:
-        return SpikeTrain.silent(cfg.window)
-    return SpikeTrain.single(t, cfg.window)
+    # firing at t and encoding code_max - t mask the same times
+    return _code_train(cfg.code_max - t, cfg)
 
 
 def fire_simulated(potential: float, cfg: SnnLayerConfig) -> SpikeTrain:
@@ -347,14 +366,18 @@ def encode_integer_array(codes, cfg: SnnLayerConfig) -> np.ndarray:
     """Element-wise ``encode_integer``: spike times, -1 where silent.
 
     A code inside the dead zone is exactly a time inside the mask, so the
-    mask that silences fired times also silences encoded codes.
+    mask that silences fired times also silences encoded codes.  A
+    non-empty input must have an integer dtype: float, bool and object
+    arrays are refused, not truncated.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
+    if codes.size and codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
     if codes.size and (codes.min() < cfg.code_min or codes.max() > cfg.code_max):
         raise ValueError(
             f"codes outside representable range [{cfg.code_min}, {cfg.code_max}]"
         )
-    return _mask_times(cfg.code_max - codes, cfg)
+    return _mask_times(cfg.code_max - codes.astype(np.int64), cfg)
 
 
 def decode_spike_array(times, cfg: SnnLayerConfig) -> np.ndarray:

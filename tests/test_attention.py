@@ -260,6 +260,24 @@ def test_pipeline_asymmetric_queries():
     )
 
 
+def test_pipeline_reads_trains_by_value():
+    # codebook trains are shared objects; fresh trains of the same times
+    # must give the same output
+    cfg = cfg16(k=1)
+    rng = np.random.default_rng(8)
+    q, kk, v = rng.integers(cfg.code_min, cfg.code_max + 1, (3, 6, 5))
+    shared = [[encode_integer(int(c), cfg) for c in row] for row in q]
+    fresh = [
+        [SpikeTrain.silent(16) if tr.is_silent else SpikeTrain.single(tr.time, 16) for tr in row]
+        for row in shared
+    ]
+    assert any(tr.is_silent for row in shared for tr in row)
+    assert all(a is not b for ra, rb in zip(shared, fresh) for a, b in zip(ra, rb))
+    got = attention_pipeline(shared, kk, v, cfg)
+    assert np.array_equal(got, attention_pipeline(fresh, kk, v, cfg))
+    assert np.array_equal(got, attention_reference(q, kk, v, cfg))
+
+
 def test_pipeline_memory_does_not_grow_with_window():
     # inputs are spike times, so nothing the pipeline allocates spans the
     # 2^n-step window

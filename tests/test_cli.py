@@ -14,6 +14,7 @@ from matterhorn.cli import (
     MAX_COUNT,
     dispatch,
 )
+from matterhorn.energy import TransformerBlockShape
 
 
 def run(capsys, *argv):
@@ -311,6 +312,16 @@ def test_energy_bad_rates_file_is_config_error(tmp_path, capsys):
     code, _, err = run(capsys, "energy", "--rates", str(path))
     assert code == EXIT_CONFIG
     assert "missing spike rate" in json.loads(err)["detail"]
+
+
+def test_energy_rates_naming_no_component_is_config_error(tmp_path, capsys):
+    rates = {name: 0.01 for name, _, _, _ in TransformerBlockShape().components()}
+    rates["ffn_inn"] = 0.9
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(rates))
+    code, out, err = run(capsys, "energy", "--rates", str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert "ffn_inn" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,14 @@ def test_block_energy_missing_component_rate():
         block_energy(BLOCK, "baseline", rates=rates)
 
 
+def test_block_energy_unknown_component_rate():
+    # a misspelt name next to the true one would otherwise price nothing
+    rates = {name: 0.01 for name, _, _, _ in BLOCK.components()}
+    rates["ffn_inn"] = 0.9
+    with pytest.raises(ValueError, match="unknown components: \\['ffn_inn'\\]"):
+        block_energy(BLOCK, "baseline", rates=rates)
+
+
 def test_block_energy_unknown_mode():
     with pytest.raises(ValueError):
         block_energy(BLOCK, "turbo")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,135 @@ def test_baseline_silent_min_round_trip():
     cfg = SnnLayerConfig(n=3, mode=ASYMMETRIC, baseline_silent_min=True)
     for q in range(cfg.code_min, cfg.code_max + 1):
         assert decode_spike(encode_integer(q, cfg), cfg) == q
+
+
+# --- codebook -----------------------------------------------------------
+
+
+def _defined_train(q, cfg):
+    """The M-TTFS train of code q, written out from the definition."""
+    t = cfg.code_max - q
+    if cfg.i_max is not None and abs(t - cfg.i_max) <= cfg.k:
+        return SpikeTrain.silent(cfg.window)
+    if cfg.baseline_silent_min and t == cfg.window - 1:
+        return SpikeTrain.silent(cfg.window)
+    return SpikeTrain.single(t, cfg.window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=config_strategy)
+def test_encoding_returns_the_shared_train_of_its_definition(cfg):
+    for q in range(cfg.code_min, cfg.code_max + 1):
+        train = encode_integer(q, cfg)
+        assert encode_integer(q, cfg) is train
+        assert encode_integer(np.int64(q), cfg) is train
+        assert train == _defined_train(q, cfg)
+        assert type(train.time) is int or train.time is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=config_strategy,
+    a=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
+    encode_first=st.booleans(),
+)
+def test_fire_paths_return_the_encoded_train(cfg, a, encode_first):
+    t = candidate_fire_time(a, cfg)
+    if encode_first:
+        expected = encode_integer(cfg.code_max - t, cfg)
+    fired = fire_simulated(a, cfg)
+    assert fire_analytic(a, cfg) is fired
+    if not encode_first:
+        expected = encode_integer(cfg.code_max - t, cfg)
+    assert fired is expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=config_strategy)
+def test_out_of_range_code_raises_and_adds_no_entry(cfg):
+    outside = (cfg.code_min - 1, cfg.code_max + 1)
+    for q in outside:  # empty book
+        with pytest.raises(ValueError, match="representable range"):
+            encode_integer(q, cfg)
+    assert cfg._codebook == {}
+    for q in range(cfg.code_min, cfg.code_max + 1):
+        encode_integer(q, cfg)
+    assert len(cfg._codebook) == cfg.window
+    for q in outside:  # full book
+        with pytest.raises(ValueError, match="representable range"):
+            encode_integer(q, cfg)
+    assert sorted(cfg._codebook) == list(range(cfg.code_min, cfg.code_max + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=config_strategy, k=st.integers(0, 3))
+def test_replaced_config_starts_with_an_empty_book(cfg, k):
+    for q in range(cfg.code_min, cfg.code_max + 1):
+        encode_integer(q, cfg)
+    other = dataclasses.replace(cfg, k=k)
+    assert other._codebook == {}
+    for q in range(other.code_min, other.code_max + 1):
+        assert encode_integer(q, other) == _defined_train(q, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=config_strategy)
+def test_filled_book_leaves_config_identity_alone(cfg):
+    before = (hash(cfg), repr(cfg), dataclasses.asdict(cfg))
+    fresh = dataclasses.replace(cfg)
+    for q in range(cfg.code_min, cfg.code_max + 1):
+        encode_integer(q, cfg)
+    assert cfg._codebook and not fresh._codebook
+    assert cfg == fresh
+    assert (hash(cfg), repr(cfg), dataclasses.asdict(cfg)) == before
+
+
+def test_full_sixteen_bit_book_stays_bounded():
+    cfg = SnnLayerConfig(n=16, i_max=2**15 - 1, k=2)
+    tracemalloc.start()
+    try:
+        for q in range(cfg.code_min, cfg.code_max + 1):
+            encode_integer(q, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(cfg._codebook) == cfg.window == 2**16
+    assert held < 16 * 2**20, held  # about 150 bytes a code
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [3.5, 3.0, "3", True, None, np.float64(3.0)],
+    ids=["float", "integral-float", "str", "bool", "none", "numpy-float"],
+)
+def test_encode_refuses_non_integer_codes(bad):
+    cfg = cfg_sym16()
+    for q in range(cfg.code_min, cfg.code_max + 1):
+        encode_integer(q, cfg)  # the verdict does not depend on the book
+    with pytest.raises(ValueError, match="^code must be an integer"):
+        encode_integer(bad, cfg)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[3.5], [3.0], np.array([True]), np.array([3], dtype=object), ["3"]],
+    ids=["float", "integral-float", "bool", "object", "str"],
+)
+def test_encode_array_refuses_non_integer_codes(bad):
+    with pytest.raises(ValueError, match="^codes must be integers"):
+        encode_integer_array(bad, cfg_sym16())
+
+
+def test_encode_array_accepts_integer_dtypes_and_empty_input():
+    cfg = cfg_sym16(k=1)
+    want = encode_integer_array(np.array([-8, 0, 2, 7]), cfg).tolist()
+    for dtype in (np.int8, np.int32, np.int64):
+        assert encode_integer_array(np.array([-8, 0, 2, 7], dtype=dtype), cfg).tolist() == want
+    assert encode_integer_array(np.array([0, 2, 7], dtype=np.uint8), cfg).tolist() == want[1:]
+    with pytest.raises(ValueError, match="representable"):  # no wrap to -1
+        encode_integer_array(np.array([2**64 - 1], dtype=np.uint64), cfg)
+    empty = encode_integer_array([], cfg)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 # --- silence rate -------------------------------------------------------
