@@ -75,6 +75,9 @@ MAX_ATTN_DIM = 128
 MAX_FAN = 1024
 # ``stats`` and ``sweep`` peak at about 129 MiB resident at this sample count.
 MAX_COUNT = 2**20
+# ``xbar`` fuzzes one random VMM of up to 39 x 39 a case; this many cases
+# took 6.7 s at ``--bits 4`` and 8.3 s at ``--bits 57`` on a 2-core Xeon.
+MAX_FUZZ = 2**17
 # ``sweep`` re-encodes every sample at each of the kmax + 1 radii; 2^28
 # encodes (``--bits 16 --kmax 255 --count 2^20``) took 3.9-4.3 s on a 2-core
 # Xeon, so count x (kmax + 1) above 2^SWEEP_BUDGET_LOG2 is refused.
@@ -478,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_xbar = sub.add_parser("xbar", help="crossbar read-out replay and VMM fuzzing")
     p_xbar.add_argument("--replay", choices=["reference"], help="replay the documented read-out")
-    p_xbar.add_argument("--fuzz", type=_int_in(1), default=100, help="random VMM instances")
+    p_xbar.add_argument(
+        "--fuzz", type=_int_in(1, MAX_FUZZ), default=100, help="random VMM instances"
+    )
     # sums of up to 39 fuzzed rows stay inside int64 only up to 57-bit inputs
     p_xbar.add_argument("--bits", type=_int_in(1, 57), default=4, help="input bit budget")
     p_xbar.set_defaults(func=_cmd_xbar)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spike import require_integer
+
 __all__ = [
     "CrossbarMacro",
     "MsuConfig",
@@ -30,6 +32,14 @@ _INT64_MAX = 2**63 - 1
 G_ON_DEFAULT = 100e-6  # Siemens, logic 1
 G_OFF_DEFAULT = 1e-6  # Siemens, logic 0
 V_READ_DEFAULT = 0.1  # Volts
+# ``tiled_vmm`` checks and reads its float64 weights in row chunks of at
+# most this many bytes, so a chunk is still in the per-core L2 (2-4 MiB)
+# when the bit-plane matmul reads it; its ADC passes take at most this much
+# bit-plane product too, unless one band's alone is larger.  msu-block's six
+# reads in one single-threaded process on a 2-core Xeon (4 MiB L2), median
+# MAC/s by budget: 2^16 601M, 2^17 884M, 2^18 1140M, 2^19 1246M, 2^20 1259M,
+# 2^21 1004M, 2^22 999M, whole bands 952M; one check and matmul a band 867M.
+_CHUNK_BYTES = 2**19
 
 
 def map_signed_weights(
@@ -106,8 +116,11 @@ class CrossbarMacro:
 def _compensated_adc(currents, n_active, v_read: float, g_on: float, g_off: float) -> np.ndarray:
     """ADC codes after subtracting the off-cell baseline of ``n_active``
     driven rows: exact on-cell counts, clipped to ``[0, n_active]``."""
-    counts = np.rint((currents - n_active * v_read * g_off) / (v_read * (g_on - g_off)))
-    return np.clip(counts, 0, n_active).astype(np.int64)
+    counts = currents - n_active * v_read * g_off
+    counts /= v_read * (g_on - g_off)
+    np.rint(counts, out=counts)
+    np.maximum(counts, 0, out=counts)
+    return np.minimum(counts, n_active, out=counts).astype(np.int64)
 
 
 def analog_column_readout(
@@ -139,11 +152,13 @@ def analog_column_readout(
 
 
 def _check_bit_serial_inputs(inputs: np.ndarray, input_bits: int | None) -> None:
-    if not np.issubdtype(inputs.dtype, np.integer):
+    if inputs.dtype.kind not in "iu":
         raise ValueError("bit-serial inputs must be integers")
-    if np.any(inputs < 0):
+    if inputs.size == 0:
+        return
+    if inputs.min() < 0:
         raise ValueError("bit-serial inputs must be non-negative")
-    if input_bits is not None and np.any(inputs >= 2**input_bits):
+    if input_bits is not None and inputs.max() >= 2 ** int(input_bits):
         raise ValueError(f"inputs exceed the {input_bits}-bit budget")
 
 
@@ -182,8 +197,10 @@ class MsuConfig:
     def __post_init__(self) -> None:
         if self.gamma <= 0 or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
+        require_integer("input_bits", self.input_bits)
         if self.input_bits < 1:
             raise ValueError("input_bits must be >= 1")
+        require_integer("tile_rows", self.tile_rows)
         if self.tile_rows < 1:
             raise ValueError("tile_rows must be >= 1")
         _check_device(self.v_read, self.g_on, self.g_off)
@@ -192,12 +209,16 @@ class MsuConfig:
 def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     """Signed VMM of arbitrary dimensions over a grid of macro tiles.
 
-    One row band (``tile_rows`` rows) at a time: one check that the band's
-    weights are exactly +/-1, and one matmul that reads every input bit
-    plane against every column, followed by the leakage-compensated ADC
-    step of ``analog_column_readout``.  Column tiles change no number: a
-    column's on-cell count depends only on its own cells and the band's
-    rows.  Codes are shift-added and corrected with the band's input-slice
+    Each row band (``tile_rows`` rows) is walked in row chunks of at most
+    ``_CHUNK_BYTES`` of float64 weights: each chunk is checked to be exactly
+    +/-1 and then read by one matmul of every input bit plane against every
+    column while it is still in cache, adding into the band's bit-plane
+    product.  Once the products of a group of bands exist (every band of
+    the call, unless their products pass ``_CHUNK_BYTES``), one
+    leakage-compensated ADC step of ``analog_column_readout`` runs over all
+    of them.  Column tiles change no number: a column's on-cell count
+    depends only on its own cells and the band's rows.  Codes are
+    shift-added over planes and bands and corrected with the bands' input
     sum in integers, so the result equals the monolithic product exactly
     (before gamma) in any traversal order.  Inputs whose signed result or
     doubled band sum could leave int64 raise ValueError.  ``CrossbarMacro``
@@ -212,10 +233,12 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
         )
     _check_bit_serial_inputs(inputs, cfg.input_bits)
     c_in, c_out = w_signed.shape
-    # A band adds 2 * r - s with 0 <= r <= s, its input sum, so Python-int
-    # band sums bound every int64 value the accumulation takes.
+    tile = cfg.tile_rows
+    # A band adds 2 * r - s with 0 <= r <= s, its input sum: a doubled band
+    # sum and the total within int64 bound every value an accumulator of
+    # 2 * r_cim takes, and so every int64 value taken below.
     values = inputs.tolist()
-    band_sums = [sum(values[r0 : r0 + cfg.tile_rows]) for r0 in range(0, c_in, cfg.tile_rows)]
+    band_sums = [sum(values[r0 : r0 + tile]) for r0 in range(0, c_in, tile)]
     if 2 * max(band_sums, default=0) > _INT64_MAX or sum(band_sums) > _INT64_MAX:
         raise ValueError(
             f"inputs sum to {sum(band_sums)}, up to {max(band_sums)} in one row band: "
@@ -224,20 +247,39 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     # integer inputs hold at most 64 bits; higher planes are all zero
     shifts = np.arange(min(cfg.input_bits, 64))[:, None]
     planes = ((inputs.astype(np.uint64) >> shifts.astype(np.uint64)) & 1).astype(np.float64)
-    acc = np.zeros(c_out, dtype=np.int64)
-    for r0, band_sum in zip(range(0, c_in, cfg.tile_rows), band_sums):
-        rows = slice(r0, r0 + cfg.tile_rows)
-        band = np.asarray(w_signed[rows], dtype=np.float64)
-        if not np.all((band == 1.0) | (band == -1.0)):
-            raise ValueError("weights must be exactly +1 or -1")
-        bits = planes[:, rows]
-        n_active = bits.sum(axis=1, keepdims=True)
-        # (n_active + bits @ band) / 2 is the on-cell count: integers below 2^53
-        on = (n_active + bits @ band) / 2
-        currents = cfg.v_read * (n_active * cfg.g_off + on * (cfg.g_on - cfg.g_off))
-        codes = _compensated_adc(currents, n_active, cfg.v_read, cfg.g_on, cfg.g_off)
-        acc += 2 * (codes << shifts).sum(axis=0) - band_sum
-    return cfg.gamma * acc
+    starts = range(0, c_in, tile)
+    # active rows of every (band, plane): integers, as are the on-cell
+    # counts (n_active + bits @ band) / 2, all below 2^53
+    n_active = np.add.reduceat(planes, starts, axis=1).T[:, :, None]
+    # weight rows per chunk and bands per ADC pass within _CHUNK_BYTES
+    chunk_rows = min(tile, max(1, _CHUNK_BYTES // (8 * max(c_out, 1))))
+    group = max(1, _CHUNK_BYTES // (8 * len(shifts) * max(c_out, 1)))
+    signed = np.zeros(c_out, dtype=np.int64)
+    for g0 in range(0, len(starts), group):
+        n = n_active[g0 : g0 + group]
+        products = np.empty((len(n), len(shifts), c_out))
+        for product, r0 in zip(products, starts[g0 : g0 + group]):
+            r1 = min(r0 + tile, c_in)
+            for c0 in range(r0, r1, chunk_rows):
+                chunk = np.asarray(w_signed[c0 : min(c0 + chunk_rows, r1)], dtype=np.float64)
+                if not ((chunk == 1.0) | (chunk == -1.0)).all():
+                    raise ValueError("weights must be exactly +1 or -1")
+                bits = planes[:, c0 : c0 + len(chunk)]
+                if c0 == r0:
+                    np.matmul(bits, chunk, out=product)
+                else:
+                    product += bits @ chunk
+        # in place: on-cell counts (n + bits @ band) / 2, then column currents
+        products += n
+        products /= 2
+        products *= cfg.g_on - cfg.g_off
+        products += n * cfg.g_off
+        products *= cfg.v_read
+        codes = _compensated_adc(products, n, cfg.v_read, cfg.g_on, cfg.g_off)
+        # r_cim <= s, the group's input sum, so r - (s - r) stays in int64
+        r_cim = (codes << shifts).sum(axis=(0, 1))
+        signed += r_cim - (sum(band_sums[g0 : g0 + group]) - r_cim)
+    return cfg.gamma * signed
 
 
 # Reconstructed word-line pattern consistent with the documented three-row

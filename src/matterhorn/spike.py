@@ -134,10 +134,6 @@ class SnnLayerConfig(QuantParams):
         """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
         return {}
 
-    def spike_time(self, code: int) -> int:
-        """Firing time encoding ``code``; earlier spikes carry larger codes."""
-        return self.code_max - code
-
     def in_dead_zone(self, t: int) -> bool:
         return self.masked and abs(t - self.i_max) <= self.k
 

@@ -12,6 +12,7 @@ from matterhorn.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
     MAX_COUNT,
+    MAX_FUZZ,
     dispatch,
 )
 from matterhorn.energy import TransformerBlockShape
@@ -61,6 +62,9 @@ def test_unknown_flag_is_usage_error():
         (["sweep", "--kmax", "-1"], "--kmax"),
         (["verify", "--fan-in", "3000", "--fan-out", "3000", "--samples", "1"], "--fan-in"),
         (["verify", "--fan-out", "1025", "--samples", "1"], "--fan-out"),
+        # about 60 us a fuzzed case: 10^9 cases would run for most of a day
+        (["xbar", "--fuzz", str(MAX_FUZZ + 1)], "--fuzz"),
+        (["xbar", "--fuzz", "1000000000"], "--fuzz"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matterhorn import crossbar
 from matterhorn.crossbar import (
     CrossbarMacro,
     G_OFF_DEFAULT,
@@ -292,6 +293,80 @@ def test_tiled_peak_memory_below_the_weight_matrix():
     assert peak < w.nbytes  # 18.9 MB; temporaries stay within one row band
 
 
+# --- chunked reads -----------------------------------------------------
+#
+# A small byte budget splits each row band into several chunks of
+# budget // (8 * c_out) float64 rows, the last one often partial, and the
+# bit-plane products into several ADC groups.
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c_in=st.integers(1, 60),
+    c_out=st.integers(1, 60),
+    tile_rows=st.integers(1, 40),
+    chunk_rows=st.floats(0.0, 12.0),  # below one row reads one row a chunk
+    bits=st.integers(1, 57),
+    gamma=st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+    off_ratio=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+def test_chunked_read_matches_tile_oracle(
+    seed, c_in, c_out, tile_rows, chunk_rows, bits, gamma, off_ratio
+):
+    rng = np.random.default_rng(seed)
+    w = rng.choice([-1.0, 1.0], (c_in, c_out))
+    x = rng.integers(0, 2**bits, c_in, dtype=np.int64)
+    cfg = MsuConfig(
+        gamma=gamma, input_bits=bits, tile_rows=tile_rows, g_off=G_ON_DEFAULT * off_ratio
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossbar, "_CHUNK_BYTES", max(1, int(8 * c_out * chunk_rows)))
+        got = tiled_vmm(x, w, cfg)
+    assert np.array_equal(got, tile_oracle(x, w, cfg, tile_cols=7))
+    assert np.array_equal(got, gamma * (x @ w.astype(np.int64)))
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "row",
+    [
+        20,  # first row of the second of band 1's chunks (16-19, 20-23, 24-27, 28-31)
+        31,  # last row of band 1
+        49,  # last row of the two-row last band
+    ],
+)
+def test_chunked_read_rejects_bad_weight(monkeypatch, bad, row):
+    monkeypatch.setattr(crossbar, "_CHUNK_BYTES", 8 * 7 * 4)  # four rows of 7 columns
+    w = np.ones((50, 7))
+    w[row, 3] = bad
+    with pytest.raises(ValueError, match="weights must be exactly"):
+        tiled_vmm(np.ones(50, dtype=np.int64), w, MsuConfig(tile_rows=16))
+
+
+@pytest.mark.parametrize("budget", [8, crossbar._CHUNK_BYTES])
+@pytest.mark.parametrize("c_in, c_out", [(0, 5), (3, 0), (0, 0)])
+def test_chunked_read_of_an_empty_matrix(monkeypatch, budget, c_in, c_out):
+    monkeypatch.setattr(crossbar, "_CHUNK_BYTES", budget)
+    got = tiled_vmm(np.ones(c_in, dtype=np.int64), np.ones((c_in, c_out)), MsuConfig(gamma=0.5))
+    want = 0.5 * np.zeros(c_out, dtype=np.int64)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_chunked_read_peak_memory_is_a_few_chunks():
+    rng = np.random.default_rng(9)
+    w = rng.choice([-1.0, 1.0], (768, 3072))
+    x = rng.integers(0, 16, 768)
+    tracemalloc.start()
+    try:
+        tiled_vmm(x, w, MsuConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # chunk compares, the bit-plane products and their ADC step: 1.8 MiB
+    assert peak < 3 * 2**20
+
+
 def test_gamma_applies_once_after_tiling():
     rng = np.random.default_rng(8)
     w = rng.choice([-1.0, 1.0], (20, 10))
@@ -331,3 +406,10 @@ def test_msu_config_validation():
             CrossbarMacro.from_signed(np.ones((2, 2)), **{field: bad})
     MsuConfig(g_off=0.0)  # an ideal off cell is legal
     CrossbarMacro.from_signed(-np.ones((2, 2)), g_off=0.0, adc_lsb=1e-5)
+
+
+@pytest.mark.parametrize("field", ["input_bits", "tile_rows"])
+@pytest.mark.parametrize("bad", [True, 2.5, 4.0, "4"])
+def test_msu_config_refuses_non_integer_geometry(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        MsuConfig(**{field: bad})

@@ -142,7 +142,7 @@ def test_kernel_recovers_code_outside_dead_zone():
     for mode in (SYMMETRIC, ASYMMETRIC):
         cfg = SnnLayerConfig(n=4, mode=mode, i_max=7, k=1)
         for q in range(cfg.code_min, cfg.code_max + 1):
-            t = cfg.spike_time(q)
+            t = cfg.code_max - q
             if not cfg.in_dead_zone(t):
                 assert cfg.kernel(t) == q
 
