@@ -49,18 +49,16 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 
-# Widest code: the sampled domain's scalar threshold walk and the ``encode``
-# bit list are O(2^n); the exhaustive domain's certified walk is not.
+# Widest code: the ``encode`` bit list is O(2^n).  The threshold search of
+# ``verify`` costs n comparisons a sample and two an exhaustive output.
 MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
-# Each sample of the sampled domain walks up to 2^n thresholds one scalar
-# step at a time, at 0.6-0.8 us a step on a 2-core Xeon, so
-# 2^WALK_BUDGET_LOG2 steps bound its walking to about 10-14 s there.  The
-# exhaustive domain certifies each firing time with two exact comparisons,
-# so only its vector and term budgets bound it.
-WALK_BUDGET_LOG2 = 24
+# Each sample of the sampled domain costs n exact threshold comparisons;
+# this many took 10-12 s at ``--bits 16`` (3.6-5.4 s at ``--bits 4``) on a
+# 2-core Xeon and peaked at about 46 MiB resident.
+MAX_SAMPLES = 2**20
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
 # each side, exactly rounded per output, at about 0.4 us a real-valued term
 # on the same host (integer terms add in plain float, far faster), so
@@ -161,19 +159,10 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--k", type=int, default=0, help="dead-zone radius")
 
 
-def _check_verify_work(args, in_n: int, fan_in: int, fan_out: int, n: int) -> None:
-    """Refuse a verify run over its budget, before the layer's weights are
-    built: vectors and summed terms for ``--exhaustive``, whose certified
-    walk costs two comparisons per output, and walk steps (2^n per sample)
-    for the sampled domain."""
-    if not args.exhaustive:
-        steps = args.samples * 2**n
-        if steps > 2**WALK_BUDGET_LOG2:
-            raise ConfigError(
-                f"verify would walk {args.samples} samples x 2^{n} thresholds = {steps} "
-                f"steps, over the budget of 2^{WALK_BUDGET_LOG2}"
-            )
-        return
+def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
+    """Refuse a ``verify --exhaustive`` run over its vector or summed-term
+    budget, before the layer's weights are built; its certified threshold
+    search costs two comparisons per output."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(
@@ -191,7 +180,8 @@ def _check_verify_work(args, in_n: int, fan_in: int, fan_out: int, n: int) -> No
 def _cmd_verify(args) -> int:
     if args.weights.startswith("random:"):
         p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
-        _check_verify_work(args, p.n, args.fan_in, args.fan_out, p.n)
+        if args.exhaustive:
+            _check_exhaustive_work(p.n, args.fan_in, args.fan_out)
         i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
         cfg = derive_snn_config(p, i_max, args.k)
         seed = int(args.weights.split(":", 1)[1])
@@ -213,7 +203,8 @@ def _cmd_verify(args) -> int:
         p = layer.out_params
         if p.n > MAX_BITS:
             raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
-        _check_verify_work(args, layer.in_params.n, layer.fan_in, layer.fan_out, p.n)
+        if args.exhaustive:
+            _check_exhaustive_work(layer.in_params.n, layer.fan_in, layer.fan_out)
         i_max = p.code_max - layer.mu
         cfg = derive_snn_config(p, i_max, layer.k)
 
@@ -470,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="all input code vectors")
     group.add_argument(
-        "--samples", type=_int_in(1), default=100_000, help="sampled pre-activations"
+        "--samples", type=_int_in(1, MAX_SAMPLES), default=100_000, help="sampled pre-activations"
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spike import require_integer
+from .spike import require_integer, require_real
 
 __all__ = [
     "CrossbarMacro",
@@ -48,8 +48,11 @@ def map_signed_weights(
     """Map a +/-1 weight matrix onto the two-state conductance grid.
 
     -1 -> g_off, +1 -> g_on; the signed matrix is recoverable as
-    ``2 * binary - 1``.  Any other entry raises ValueError.
+    ``2 * binary - 1``.  Any other entry, or a conductance that is not a
+    real number, raises ValueError.
     """
+    require_real("g_on", g_on)
+    require_real("g_off", g_off)
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.abs(w) == 1.0):
         raise ValueError("weights must be exactly +1 or -1")
@@ -60,15 +63,19 @@ def _check_device(
     v_read: float, g_on: float, g_off: float, adc_lsb: float | None = None
 ) -> None:
     """Refuse read-out constants the ADC step cannot divide by: a read
-    voltage and an on/off contrast that are positive and finite."""
+    voltage and an on/off contrast that are positive and finite reals."""
+    for name, value in (("v_read", v_read), ("g_on", g_on), ("g_off", g_off)):
+        require_real(name, value)
     if not (v_read > 0 and math.isfinite(v_read)):
         raise ValueError(f"v_read must be a positive finite real, got {v_read}")
     if not (g_off >= 0 and math.isfinite(g_off)):
         raise ValueError(f"g_off must be a non-negative finite real, got {g_off}")
     if not (g_on > g_off and math.isfinite(g_on)):
         raise ValueError(f"g_on must be a finite real above g_off={g_off}, got {g_on}")
-    if adc_lsb is not None and not (adc_lsb > 0 and math.isfinite(adc_lsb)):
-        raise ValueError(f"adc_lsb must be a positive finite real, got {adc_lsb}")
+    if adc_lsb is not None:
+        require_real("adc_lsb", adc_lsb)
+        if not (adc_lsb > 0 and math.isfinite(adc_lsb)):
+            raise ValueError(f"adc_lsb must be a positive finite real, got {adc_lsb}")
 
 
 @dataclass
@@ -195,6 +202,7 @@ class MsuConfig:
     g_off: float = G_OFF_DEFAULT
 
     def __post_init__(self) -> None:
+        require_real("gamma", self.gamma)
         if self.gamma <= 0 or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
         require_integer("input_bits", self.input_bits)

@@ -43,17 +43,28 @@ _EXACT_INT = 2**53
 def ge_scaled(value: float, scale: float, factor: int) -> bool:
     """Decide ``value >= scale * factor`` exactly.
 
-    ``value`` must be finite or +/-inf (inf compares correctly through the
-    float path); ``scale`` must be finite and positive.
+    ``value`` must be finite or +/-inf; ``scale`` must be finite and
+    positive.  +inf meets every threshold and -inf none, even one whose
+    float product overflows.
     """
     approx = scale * factor
-    if not math.isfinite(value):
+    # Let P be the real product.  ``factor`` becomes the nearest float F
+    # (F = factor below 2^53), and approx is scale * F rounded to nearest;
+    # each rounding errs by at most 2^-53 of its result, or 2^-1075 below
+    # the normal range, so |P - approx| < 2^-51 |approx| when approx is
+    # normal, and < 2^-1074 when it is subnormal or zero.  Rounding is
+    # monotone, so when the computed gap exceeds the computed bound, the
+    # real gap |value - approx| exceeds 2^-51 |approx| and is nonzero,
+    # hence at least 2^-1074 (both are floats).  Either way it exceeds
+    # |P - approx|, so value lies strictly on the side of P it lies of
+    # approx, and the float compare decides.  An infinite value with a
+    # finite approx passes the test.  An overflowed approx makes the bound
+    # inf and the test fail: the rational path decides a finite value, and
+    # an infinite one is decided by its sign.
+    if abs(value - approx) > abs(approx) * 2.0**-51:
         return value > approx
-    if value != approx:
-        # approx is within 0.5 ulp of the real product, so a gap larger
-        # than one ulp cannot change the verdict.
-        if abs(value - approx) > math.ulp(max(abs(value), abs(approx))):
-            return value > approx
+    if not math.isfinite(value):
+        return value > 0
     return Fraction(value) >= Fraction(scale) * factor
 
 
@@ -86,8 +97,8 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
     bits of ``scale`` and of the largest ``|factor|`` add up to at most 53,
     and the products lie in [2^-900, 2^995), every product is an exact
     normal float and plain ``>=`` decides the call (for inf and NaN values
-    too).  Otherwise a gap wider than one ulp is decided by float, as in
-    ``ge_scaled``.  In a near-tie ``v - p`` is exact (Sterbenz), so
+    too).  Otherwise a gap wider than one ulp is decided by float (the
+    product is within half an ulp of the real one).  In a near-tie ``v - p`` is exact (Sterbenz), so
     ``v >= scale * f`` holds iff ``v - p >= err``, where ``p + err`` is the
     exact product.  Non-finite values, factors beyond 2^53 and products
     outside [2^-900, 2^995) go to ``ge_scaled``.

@@ -7,9 +7,10 @@ the zero-energy all-silent train.  The module provides:
 
 - integer <-> spike-train encoding with dead-zone collapse,
 - membrane integration of weighted input trains,
-- the step-by-step masked threshold walk (``fire_simulated``),
+- the masked threshold search (``fire_simulated``): a bisection over the
+  exact threshold comparisons of the ramp, n of them in a window of 2^n,
 - the closed-form firing time (``fire_analytic``), used as an executable
-  oracle against the walk,
+  oracle against the search,
 - silence-rate accounting for sparsity studies.
 
 A layer's encoding is a codebook of at most ``2**n`` immutable trains:
@@ -21,10 +22,10 @@ silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
 a whole population at once, and the scalar functions are their oracles;
 ``train_times`` turns a list of ``SpikeTrain`` objects into that form.
 ``fire_simulated_array`` certifies a proposed firing time with two exact
-threshold comparisons instead of walking the ramp, whatever the window.
+threshold comparisons instead of searching the ramp, whatever the window.
 
 All operations are pure functions; threshold and code-boundary comparisons
-are exact (see ``numerics``), so the walk and the closed form agree
+are exact (see ``numerics``), so the search and the closed form agree
 bit-exactly for every representable input.
 """
 
@@ -42,8 +43,8 @@ from .numerics import exact_matmul, floor_ratio, ge_scaled, ge_scaled_array
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
-# Checks a proposed firing time gets before the scalar walk decides it: each
-# failed check moves it one step, and the float floor is at most one off.
+# Checks a proposed firing time gets before the scalar search decides it:
+# each failed check moves it one step, and the float floor is at most one off.
 _CERTIFY_ROUNDS = 3
 
 
@@ -52,6 +53,14 @@ def require_integer(name: str, value) -> None:
     numpy integer; bool, float and str are refused, integral or not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Refuse ``value`` for the field ``name`` unless it is a real number
+    (a Python or numpy integer or float, or a ``Fraction``); bool, str and
+    None are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,7 @@ class QuantParams:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"bit width must be an integer >= 1, got {self.n!r}")
+        require_real("alpha", self.alpha)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
         if self.mode not in _MODES:
@@ -266,17 +276,25 @@ def candidate_fire_time(potential: float, cfg: SnnLayerConfig) -> int:
 
     Integration completes before the threshold scan (the schedule is
     layer-synchronous), so the comparison always uses the final potential.
-    If no step qualifies, the window end clamps the code floor: the neuron
-    fires at T-1, mirroring quantizer saturation.
+    If no step before T-1 qualifies, the window end clamps the code floor:
+    the neuron fires at T-1, mirroring quantizer saturation.
+
+    The ramp ``alpha * (origin - t)`` strictly decreases, so "meets step
+    t" is monotone in t, and a bisection over [0, T-1] finds the step with
+    n exact ``ge_scaled`` comparisons, no float quotient involved.
     """
     if math.isnan(potential):
         raise ValueError("potential is NaN")
     alpha = cfg.alpha
     origin = cfg.code_max + cfg.theta_shift
-    for t in range(cfg.window - 1):
-        if ge_scaled(potential, alpha, origin - t):
-            return t
-    return cfg.window - 1
+    lo, hi = 0, cfg.window - 1  # the answer lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if ge_scaled(potential, alpha, origin - mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _code_train(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
@@ -306,11 +324,12 @@ def _mask_fire_time(t: int, cfg: SnnLayerConfig) -> SpikeTrain:
 
 
 def fire_simulated(potential: float, cfg: SnnLayerConfig) -> SpikeTrain:
-    """Masked threshold walk for a settled potential.
+    """Masked threshold crossing for a settled potential.
 
     The candidate spike lands at the first step where the potential meets
-    the decreasing threshold; the mask then either passes it through or
-    silences it.  A masked candidate is consumed: no later step may fire.
+    the decreasing threshold (``candidate_fire_time``, a bisection over the
+    exact comparisons); the mask then either passes it through or silences
+    it.  A masked candidate is consumed: no later step may fire.
     """
     return _mask_fire_time(candidate_fire_time(potential, cfg), cfg)
 
@@ -321,7 +340,7 @@ def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
     The unmasked time is ``clip(code_max + theta_shift - floor(a / alpha),
     0, T-1)``; the mask is applied afterwards.  Produces output identical
     to ``fire_simulated`` on the same potential, for every input, which
-    makes it the executable oracle for the walk.
+    makes it the executable oracle for the threshold search.
     """
     if math.isnan(pre_activation):
         raise ValueError("pre-activation is NaN")
@@ -400,12 +419,13 @@ def _certify_times(v: np.ndarray, cfg: SnnLayerConfig, times: np.ndarray):
     """Certify proposed unmasked firing times of the potentials ``v``.
 
     The ramp ``alpha * (origin - t)`` strictly decreases in t, so "v meets
-    step t" is monotone in t, and t is the walk's answer exactly when v
-    meets step t (or t = T-1) and misses step t-1 (or t = 0).  Two exact
-    comparisons check that; a failed check says which way the answer lies,
-    and the time moves one step that way for the next round.  Returns the
-    times and a mask of the certified ones; after ``_CERTIFY_ROUNDS``
-    checks the rest stay uncertified, whatever was proposed.
+    step t" is monotone in t, and t is ``candidate_fire_time``'s answer
+    exactly when v meets step t (or t = T-1) and misses step t-1 (or
+    t = 0).  Two exact comparisons check that; a failed check says which
+    way the answer lies, and the time moves one step that way for the next
+    round.  Returns the times and a mask of the certified ones; after
+    ``_CERTIFY_ROUNDS`` checks the rest stay uncertified, whatever was
+    proposed.
     """
     origin = cfg.code_max + cfg.theta_shift
     last = cfg.window - 1
@@ -431,9 +451,10 @@ def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
     """Element-wise ``fire_simulated``: masked spike times, -1 where silent.
 
     The float quotient proposes ``clip(origin - floor(v / alpha), 0, T-1)``
-    and ``_certify_times`` accepts a time only once the walk's definition
-    holds for it; a potential still uncertified walks the scalar
-    ``candidate_fire_time``.  The proposal is never trusted.
+    and ``_certify_times`` accepts a time only once the definition of
+    ``candidate_fire_time`` holds for it; a potential still uncertified
+    goes to that scalar bisection (n exact comparisons).  The proposal is
+    never trusted.
     """
     v = np.asarray(potentials, dtype=np.float64)
     if np.isnan(v).any():

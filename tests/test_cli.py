@@ -13,6 +13,7 @@ from matterhorn.cli import (
     EXIT_VERIFY_FAILED,
     MAX_COUNT,
     MAX_FUZZ,
+    MAX_SAMPLES,
     dispatch,
 )
 from matterhorn.energy import TransformerBlockShape
@@ -48,7 +49,7 @@ def test_unknown_flag_is_usage_error():
         (["verify", "--samples", "0"], "--samples"),
         (["xbar", "--fuzz", "0"], "--fuzz"),
         (["attn", "--samples", "0"], "--samples"),
-        # the threshold walk and the encode bit list grow as 2^n
+        # the encode bit list grows as 2^n; verify shares the --bits flag and its cap
         (["verify", "--bits", "40", "--fan-in", "1", "--fan-out", "1", "--samples", "1"], "--bits"),
         (["encode", "--bits", "17", "--codes", "0"], "--bits"),
         # tokens x d_k codes per sample, tokens^2 x d_k summed terms per stage
@@ -65,6 +66,8 @@ def test_unknown_flag_is_usage_error():
         # about 60 us a fuzzed case: 10^9 cases would run for most of a day
         (["xbar", "--fuzz", str(MAX_FUZZ + 1)], "--fuzz"),
         (["xbar", "--fuzz", "1000000000"], "--fuzz"),
+        # n threshold comparisons a sample: about 10 s at this cap and --bits 16
+        (["verify", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -154,6 +157,18 @@ def test_verify_non_integral_dead_zone_is_config_error(tmp_path, capsys, field, 
     assert f"{field} must be an integer, got {value}" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("field", ["alpha_in", "alpha_out"])
+@pytest.mark.parametrize("value", [True, "1", None])
+def test_verify_non_real_scale_is_config_error(tmp_path, capsys, field, value):
+    # true once ran as a scale of 1, and "1" leaked a bare TypeError
+    layer = {"n": 3, "alpha_in": 1.0, "alpha_out": 1.0, "weights": [1.0], "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({**layer, field: value}))
+    code, out, err = run(capsys, "verify", "--weights", str(path), "--samples", "10")
+    assert code == EXIT_CONFIG and not out
+    assert f"alpha must be a real number, got {value!r}" in json.loads(err)["detail"]
+
+
 def test_verify_exhaustive_walk_is_not_charged_per_step(capsys):
     # 2^20 vectors x 4 outputs x 2^5 thresholds: refused while every output
     # walked its ramp, two certificate comparisons each now
@@ -188,10 +203,6 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
         (17, 1, ["--samples", "1"], "n=17"),  # wider than --bits accepts
         (4, 6, ["--exhaustive"], "2^24"),  # over the exhaustive budget
         (None, None, ["--bits", "4", "--fan-in", "10", "--exhaustive"], "2^40"),
-        # each sample walks up to 2^n thresholds one scalar step at a time,
-        # also on a shape whose exhaustive run is admitted
-        (None, None, ["--bits", "5", "--fan-in", "4", "--samples", "600000"], "19200000 steps"),
-        (None, None, ["--bits", "16", "--fan-in", "1", "--samples", "1000"], "65536000 steps"),
         # inside the vector budget, but 2^20 x 20 x 8 summed terms
         (
             None,
@@ -282,6 +293,30 @@ def test_verify_exhaustive_json_bytes_are_pinned(capsys, argv):
     digest, want = VERIFY_EXHAUSTIVE_JSON_SHA256[argv]
     code, out, _ = run(capsys, "verify", *argv, "--exhaustive")
     assert code == want and sha256(out) == digest
+
+
+# Digests of the exact sampled verify JSON bytes (all pass: the sampled
+# domain compares output codes only, so mu off zero is no mismatch there).
+VERIFY_SAMPLED_JSON_SHA256 = {
+    ("--bits", "4", "--samples", "100000", "--seed", "7"): (
+        "9be4948d0113882da009ea2ffebd7e2eb8eaa250f3080423a8260e346dcf49fc"
+    ),
+    ("--bits", "3", "--imax", "2", "--samples", "20000", "--seed", "7"): (
+        "7ade98aeae92d1f7248b7cf38fa0f1e87b61494c5a885418c017b09eca26d747"
+    ),
+    ("--bits", "4", "--alpha", "0.37", "--k", "2", "--samples", "50000", "--seed", "3"): (
+        "1ce48e04b473b133156f0ee380be69ffc533fd84873b09ea613aecc360dc91a5"
+    ),
+    ("--bits", "16", "--samples", "256", "--seed", "1"): (
+        "c4570fadd73c43c3b9be7bf0c557904a7110248550fab2b863b31f0d1e8245c1"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_SAMPLED_JSON_SHA256), ids=" ".join)
+def test_verify_sampled_json_bytes_are_pinned(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == EXIT_OK and sha256(out) == VERIFY_SAMPLED_JSON_SHA256[argv]
 
 
 def test_attn_fuzz(capsys):

@@ -1,6 +1,8 @@
 """Config derivation and quantized/spiking equivalence sweeps."""
 
+import hashlib
 import itertools
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +19,14 @@ from matterhorn.conversion import (
 )
 from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
 from matterhorn import conversion, numerics, spike
-from matterhorn.spike import ASYMMETRIC, decode_spike, encode_integer, fire_simulated, integrate
+from matterhorn.spike import (
+    ASYMMETRIC,
+    decode_spike,
+    encode_integer,
+    fire_analytic,
+    fire_simulated,
+    integrate,
+)
 
 
 def pm_layer(p, k, fan_in=4, fan_out=4, seed=0, bias=None):
@@ -110,6 +119,69 @@ def test_sampled_preactivations():
     )
     report = verify_equivalence(layer, cfg, domain="sampled", samples=5000, seed=42)
     assert report.passed and report.cases_checked == 5000
+
+
+def _sampled_control(alpha):
+    """n=4, k=1 layer whose threshold schedule is offset by one code."""
+    p = QuantParams(n=4, alpha=alpha)
+    cfg = replace(derive_snn_config(p, zero_centered_i_max(p), 1), theta_shift=1)
+    layer = QnnLayer(weights=[[1.0]], bias=[0.0], in_params=p, out_params=p, mu=0, k=1)
+    return layer, cfg
+
+
+# sha256 of the sorted-key to_dict() JSON of 10,000 sampled draws (seed 5)
+# on the offset layer: 4,026 mismatch, so the digest pins their draw order.
+SAMPLED_CONTROL_SHA256 = {
+    1.0: "54b6be51d3e68e1b3528063231b07e56aef9983e179b760eb55918cd30263af5",
+    0.37: "68ec351178db64ebe6b6a8979e7227dc036ec04befe11ea14b3880e2e396df6b",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(SAMPLED_CONTROL_SHA256))
+def test_sampled_control_report_is_pinned(alpha):
+    layer, cfg = _sampled_control(alpha)
+    report = verify_equivalence(layer, cfg, domain="sampled", samples=10_000, seed=5)
+    assert len(report.mismatches) == 4026
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_CONTROL_SHA256[alpha]
+
+
+def test_sampled_chunks_keep_the_draw_order(monkeypatch):
+    # chunks of 7 over 100 draws, the last one partial, report what one pass
+    # over one whole-size draw reports (fired by the closed form here)
+    monkeypatch.setattr(conversion, "_SAMPLE_CHUNK", 7)
+    layer, cfg = _sampled_control(0.37)
+    got = verify_equivalence(layer, cfg, domain="sampled", samples=100, seed=3)
+    want = EquivalenceReport(cases_checked=100)
+    span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
+    for a in np.random.default_rng(3).uniform(-span, span, 100).tolist():
+        qnn_code = dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k)
+        snn_code = decode_spike(fire_analytic(a, cfg), cfg)
+        if qnn_code != snn_code:
+            want.record(a, qnn_code, snn_code)
+    assert got.mismatches and got.to_dict() == want.to_dict()
+
+
+def test_sampled_memory_does_not_grow_with_the_sample_count():
+    layer, cfg = pm_layer(QuantParams(n=4, alpha=0.37), k=1, fan_in=1, fan_out=1)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(layer, cfg, domain="sampled", samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert report.passed and report.cases_checked == samples
+
+    peak(16)  # fill the config's codebook first
+    assert peak(2**15) < 1.25 * peak(2**13)  # one whole-size draw holds 8 bytes a sample
+
+
+def test_sampled_refuses_a_negative_count():
+    layer, cfg = _sampled_control(1.0)
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        verify_equivalence(layer, cfg, domain="sampled", samples=-1)
 
 
 def test_saturating_inputs_agree():

@@ -408,6 +408,20 @@ def test_msu_config_validation():
     CrossbarMacro.from_signed(-np.ones((2, 2)), g_off=0.0, adc_lsb=1e-5)
 
 
+@pytest.mark.parametrize("field", ["gamma", "v_read", "g_on", "g_off", "adc_lsb"])
+@pytest.mark.parametrize("bad", [True, "1", None])
+def test_device_constants_must_be_real(field, bad):
+    # gamma=True once scaled every read by 1; "1" leaked a bare TypeError
+    match = f"^{field} must be a real number"
+    if field != "adc_lsb":  # the plain ADC step exists only on a single macro
+        with pytest.raises(ValueError, match=match):
+            MsuConfig(**{field: bad})
+    if field != "gamma" and bad is not None:  # adc_lsb=None means no plain ADC step
+        with pytest.raises(ValueError, match=match):
+            CrossbarMacro.from_signed(np.ones((2, 2)), **{field: bad})
+    MsuConfig(gamma=2, v_read=np.float32(0.25), g_off=0)  # ints and numpy floats are reals
+
+
 @pytest.mark.parametrize("field", ["input_bits", "tile_rows"])
 @pytest.mark.parametrize("bad", [True, 2.5, 4.0, "4"])
 def test_msu_config_refuses_non_integer_geometry(field, bad):

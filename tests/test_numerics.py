@@ -1,6 +1,7 @@
 """Exact scaled comparison and floor: float fast path vs rational truth."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,62 @@ def test_half_over_tenth_is_below_five():
     assert floor_ratio(0.5, 0.1) == 4
     assert not ge_scaled(0.5, 0.1, 5)
     assert ge_scaled(0.5, 0.1, 4)
+
+
+def _exact_ge(value, scale, factor):
+    """``value >= scale * factor`` over the reals; +inf meets every real."""
+    if math.isinf(value):
+        return value > 0
+    return Fraction(value) >= Fraction(scale) * factor
+
+
+def _ulps_away(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    scale=st.one_of(
+        scales,
+        st.floats(min_value=5e-324, max_value=sys.float_info.max),  # subnormal to huge
+        st.sampled_from([5e-324, 2.0**-1022, 1e-310, 1e308, sys.float_info.max]),
+    ),
+    factor=st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)),
+)
+def test_ge_scaled_matches_fraction_at_the_fast_path_edge(scale, factor):
+    # values 0-4 ulps either side of the float product (or of the largest
+    # float when the product overflows, so the infinities come in too)
+    approx = scale * factor
+    start = math.copysign(sys.float_info.max, approx) if math.isinf(approx) else approx
+    for steps in range(-4, 5):
+        value = _ulps_away(start, steps)
+        assert ge_scaled(value, scale, factor) == _exact_ge(value, scale, factor), steps
+
+
+def test_ge_scaled_matches_fraction_next_to_products_of_wide_factors():
+    # past 2^53 a factor rounds on its way to float, so the product carries
+    # two roundings; values 1-2 ulps off it must still be decided exactly
+    rng = np.random.default_rng(0)
+    for _ in range(5000):
+        scale = float(rng.choice([0.1, 0.37, 1.0, 3.0, math.pi, rng.uniform(0.5, 2.0)]))
+        e = int(rng.integers(53, 63))
+        factor = int(rng.integers(2**e, 2 ** (e + 1))) * int(rng.choice([-1, 1]))
+        for steps in (-2, -1, 1, 2):
+            value = _ulps_away(scale * factor, steps)
+            assert ge_scaled(value, scale, factor) == _exact_ge(value, scale, factor)
+
+
+def test_ge_scaled_matches_fraction_on_extreme_operands():
+    tiny, huge = 5e-324, sys.float_info.max
+    values = [0.0, -0.0, tiny, -tiny, 2.0**-1022, 1e-310, -1e-310, huge, -huge, math.inf, -math.inf]
+    values += [_ulps_away(v, s) for v in (0.0, 2.0**-1022, huge) for s in (-2, -1, 1, 2)]
+    for scale in (tiny, 1e-310, 2.0**-1022, 0.1, 1.0, 0.37, 1e300, huge):
+        for factor in (0, 1, -1, 3, -7, 2**53 + 1, -(2**60)):
+            for value in values:
+                want = _exact_ge(value, scale, factor)
+                assert ge_scaled(value, scale, factor) == want, (value, scale, factor)
 
 
 def test_floor_ratio_of_a_huge_quotient_is_exact():

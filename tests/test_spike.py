@@ -83,6 +83,14 @@ def test_config_refuses_non_integral_codes_and_radii(field, bad):
         SnnLayerConfig(n=4, **{"i_max": 7, field: bad})
 
 
+@pytest.mark.parametrize("cls", [QuantParams, SnnLayerConfig])
+@pytest.mark.parametrize("bad", [True, "1", None])
+def test_config_refuses_a_non_real_scale(cls, bad):
+    # alpha=True once built a layer of scale 1; "1" leaked a bare TypeError
+    with pytest.raises(ValueError, match="^alpha must be a real number"):
+        cls(n=4, alpha=bad)
+
+
 def test_config_accepts_python_and_numpy_integer_fields():
     for value in (1, np.int64(1), np.int32(1), np.uint8(1)):
         cfg = SnnLayerConfig(n=4, i_max=value + 6, k=value, theta_shift=value)
@@ -191,9 +199,16 @@ def test_integrate_matches_dot_product_oracle():
 
 
 def brute_fire_time(a, cfg):
-    """Independent oracle: scan the schedule, clamp at the window end."""
+    """Independent oracle: scan the schedule step by step in exact integer
+    arithmetic, clamp at the window end."""
+    if math.isinf(a):
+        return 0 if a > 0 else cfg.window - 1
+    num, den = a.as_integer_ratio()
+    alpha_num, alpha_den = cfg.alpha.as_integer_ratio()
+    # a >= alpha * m  <=>  num * alpha_den >= alpha_num * den * m
+    lhs, unit = num * alpha_den, alpha_num * den
     for t in range(cfg.window):
-        if a >= cfg.alpha * (cfg.code_max - t + cfg.theta_shift):
+        if lhs >= unit * (cfg.code_max - t + cfg.theta_shift):
             return t
     return cfg.window - 1
 
@@ -233,6 +248,15 @@ def test_fire_rejects_nan():
         fire_analytic(math.nan, cfg)
 
 
+def test_infinite_potential_against_an_overflowing_threshold():
+    # alpha * 7 overflows to inf, yet +inf meets that real threshold and
+    # -inf meets none; the float compare inf > inf used to say it missed
+    cfg = SnnLayerConfig(n=4, alpha=1e308, i_max=7)
+    for potential, t in ((math.inf, 0), (-math.inf, 15)):
+        want = SpikeTrain.single(t, 16)
+        assert fire_simulated(potential, cfg) == fire_analytic(potential, cfg) == want
+
+
 config_strategy = st.builds(
     SnnLayerConfig,
     n=st.sampled_from([2, 3, 4]),
@@ -243,6 +267,43 @@ config_strategy = st.builds(
     baseline_silent_min=st.booleans(),
     theta_shift=st.integers(-1, 1),
 )
+
+
+def _ramp_probes(cfg, steps=None):
+    """Each threshold of the ramp (or of the planted ``steps`` only), two
+    steps past either end included, with its float neighbours, plus the
+    infinities and two huge reals."""
+    t = np.arange(-2, cfg.window + 2) if steps is None else np.array(steps) % (cfg.window + 4) - 2
+    ties = cfg.alpha * (cfg.code_max + cfg.theta_shift - t).astype(np.float64)
+    probes = [np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf)]
+    return np.concatenate([*probes, [np.inf, -np.inf, 1e300, -1e300]]).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=config_strategy,
+    n=st.integers(2, 16),
+    steps=st.lists(st.integers(0, 2**16 + 3), min_size=1, max_size=4),
+)
+def test_candidate_fire_time_matches_linear_scan(cfg, n, steps):
+    # up to 2^6 steps every threshold is probed, wider windows at planted steps
+    cfg = dataclasses.replace(cfg, n=n)
+    for a in _ramp_probes(cfg, None if n <= 6 else steps):
+        assert candidate_fire_time(a, cfg) == brute_fire_time(a, cfg), a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16])
+@pytest.mark.parametrize("theta_shift", [-2, 0, 1])
+def test_candidate_fire_time_makes_at_most_n_comparisons(monkeypatch, n, theta_shift):
+    calls = []
+    exact = spike.ge_scaled
+    monkeypatch.setattr(spike, "ge_scaled", lambda *a: calls.append(a) or exact(*a))
+    cfg = SnnLayerConfig(n=n, alpha=0.37, theta_shift=theta_shift)
+    steps = np.random.default_rng(n).integers(0, cfg.window + 4, 200)
+    for a in _ramp_probes(cfg, None if n <= 9 else steps):
+        calls.clear()
+        candidate_fire_time(a, cfg)
+        assert len(calls) <= n, a
 
 
 @settings(max_examples=300, deadline=None)
@@ -395,13 +456,13 @@ def test_certified_walk_accepts_no_wrong_hint(monkeypatch, n, alpha, theta_shift
     for shift in (-3, -1, 1, 3):
         hint = np.clip(want + shift, 0, cfg.window - 1)
         times, certified = spike._certify_times(v, cfg, hint)
-        # a certified time is the walk's; a hint the moves cannot reach stays uncertified
+        # a certified time is the search's; a hint the moves cannot reach stays uncertified
         assert times[certified].tolist() == want[certified].tolist()
         reachable = np.abs(hint - want) < spike._CERTIFY_ROUNDS
         assert certified.tolist() == reachable.tolist()
         assert certified.all() if abs(shift) < spike._CERTIFY_ROUNDS else not certified.all()
     # the float quotient's own hint is at most one step off: no potential
-    # needs the scalar walk
+    # needs the scalar search
     monkeypatch.setattr(spike, "candidate_fire_time", None)
     assert fire_simulated_array(v, cfg).tolist() == want.tolist()
 
