@@ -50,7 +50,8 @@ EXIT_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 
 # Widest code: the ``encode`` bit list is O(2^n).  The threshold search of
-# ``verify`` costs n comparisons a sample and two an exhaustive output.
+# ``verify`` costs n comparisons a sample; an exhaustive run builds one
+# threshold table of 2^n floats (512 KiB at 16 bits) and looks each output up.
 MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
@@ -161,8 +162,8 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
 
 def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
     """Refuse a ``verify --exhaustive`` run over its vector or summed-term
-    budget, before the layer's weights are built; its certified threshold
-    search costs two comparisons per output."""
+    budget, before the layer's weights are built; each output's firing
+    time is one lookup in the layer's threshold table."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(

@@ -165,13 +165,12 @@ def verify_equivalence(
     scales and weights, ``fsum_rows`` of the products otherwise), floors
     exactly, clips and filters the output.  The spiking side,
     independently, encodes the codes to spike times, sums each potential
-    the same exact way over the spiking inputs, fires by the certificate
-    of ``fire_simulated_array`` (a float quotient proposes each firing
-    time, and two exact threshold comparisons accept it only if it is the
-    first step of the ramp the potential meets, plain float compares when
-    every threshold is an exact float; the quantized side's floor
-    is never used), masks and decodes.  The two integer outputs must agree
-    per output neuron.  Additionally asserts the dead-zone agreement: the
+    the same exact way over the spiking inputs, fires by
+    ``fire_simulated_array`` (one ``searchsorted`` of each potential in the
+    config's ramp table, whose entries are the least floats meeting each
+    step's threshold, so the float compare is exact; the quantized side's
+    floor is never used), masks and decodes.  The two integer outputs must
+    agree per output neuron.  Additionally asserts the dead-zone agreement: the
     mask silences the output exactly when the unfiltered quantized code
     lies within k of mu.  The report is the one the scalar loop in the
     tests produces, mismatches in vector order, then output, then code
@@ -184,7 +183,8 @@ def verify_equivalence(
     each, one scalar call per function: ``quantize`` floors exactly, and
     ``fire_simulated`` finds the firing step by a bisection of n exact
     threshold comparisons.  Mismatches come out in draw order.  Raises
-    ValueError for a negative sample count.
+    ValueError for a negative sample count, and for a scale at which the
+    span's width overflows a float.
 
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
@@ -198,8 +198,13 @@ def verify_equivalence(
         samples = int(samples)
         if samples < 0:
             raise ValueError(f"samples must be >= 0, got {samples}")
-        rng = np.random.default_rng(seed)
         span = 2.0 * cfg.alpha * (2 ** (cfg.n - 1))
+        if not np.isfinite(2.0 * span):  # the generator draws over high - low
+            raise ValueError(
+                f"scale {cfg.alpha!r} at n={cfg.n}: the sampled pre-activations, within "
+                f"+/-2^{cfg.n} x scale, span a range wider than the largest float"
+            )
+        rng = np.random.default_rng(seed)
         p, mu, k = layer.out_params, layer.mu, layer.k
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call

@@ -100,8 +100,9 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
     too).  Otherwise a gap wider than one ulp is decided by float (the
     product is within half an ulp of the real one).  In a near-tie ``v - p`` is exact (Sterbenz), so
     ``v >= scale * f`` holds iff ``v - p >= err``, where ``p + err`` is the
-    exact product.  Non-finite values, factors beyond 2^53 and products
-    outside [2^-900, 2^995) go to ``ge_scaled``.
+    exact product.  Non-finite values, factors beyond 2^53, nonzero
+    products outside [2^-900, 2^995) and zero factors at scales of 2^995 or
+    more go to ``ge_scaled``.
     """
     v, f = np.broadcast_arrays(
         np.asarray(values, dtype=np.float64), np.asarray(factors, dtype=np.int64)
@@ -119,7 +120,8 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
         clear = (v != p) & (np.abs(v - p) > np.spacing(np.maximum(np.abs(v), np.abs(p))))
         out = clear & (v > p)
         near = ~clear & f_exact & (np.abs(v) < _HUGE) & (np.abs(p) < _HUGE)
-        near &= (np.abs(p) >= _TINY) | (f == 0)
+        # a zero factor's error term is exact too, unless splitting the scale overflows
+        near &= (np.abs(p) >= _TINY) | ((f == 0) & (scale < _HUGE))
         if near.any():
             vn, pn, fn = v[near], p[near], ff[near]
             sh, sl = _split(np.float64(scale))

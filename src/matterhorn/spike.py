@@ -21,8 +21,8 @@ A population of trains is an ``int64`` array of spike times with -1 for
 silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
 a whole population at once, and the scalar functions are their oracles;
 ``train_times`` turns a list of ``SpikeTrain`` objects into that form.
-``fire_simulated_array`` certifies a proposed firing time with two exact
-threshold comparisons instead of searching the ramp, whatever the window.
+``fire_simulated_array`` looks each potential up in the config's ramp table,
+the least float meeting each threshold, so a float compare is exact.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -43,9 +43,9 @@ from .numerics import exact_matmul, floor_ratio, ge_scaled, ge_scaled_array
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
-# Checks a proposed firing time gets before the scalar search decides it:
-# each failed check moves it one step, and the float floor is at most one off.
-_CERTIFY_ROUNDS = 3
+# Widest window whose ramp table ``fire_simulated_array`` builds: 2^20
+# floats are 8 MiB, and building them takes a few times that in temporaries.
+_RAMP_MAX_BITS = 20
 
 
 def require_integer(name: str, value) -> None:
@@ -143,6 +143,29 @@ class SnnLayerConfig(QuantParams):
     def _codebook(self) -> dict[int, "SpikeTrain"]:
         """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
         return {}
+
+    @cached_property
+    def _ramp(self) -> np.ndarray:
+        """The firing ramp as one exact table, ascending: entry i is the least
+        float >= ``alpha * threshold_code(T-1-i)``, so a potential meets step
+        t exactly when it is >= entry T-1-t.  It holds 2^n floats, as many as
+        the codebook's trains at most (512 KiB at n = 16), built once per
+        config; a window over 2^20 steps, or a threshold code beyond 2^53 (no
+        exact float), is refused with ValueError.
+        """
+        origin = self.code_max + self.theta_shift
+        if self.n > _RAMP_MAX_BITS:
+            raise ValueError(f"ramp table of 2^{self.n} steps exceeds 2^{_RAMP_MAX_BITS}")
+        if max(abs(origin), abs(origin - self.window + 1)) > 2**53:
+            raise ValueError(f"threshold codes beyond 2^53 (theta_shift {self.theta_shift})")
+        m = np.arange(origin - self.window + 1, origin + 1, dtype=np.int64)
+        # m is an exact float, so the rounded product lies within half a
+        # spacing of the real one: it is the least float meeting it, or the
+        # next float up.  An overflowed +inf stays (only +inf meets it), and
+        # -inf becomes -max (every finite value meets it), as in ge_scaled.
+        with np.errstate(over="ignore"):
+            ramp = self.alpha * m.astype(np.float64)
+            return np.where(ge_scaled_array(ramp, self.alpha, m), ramp, np.nextafter(ramp, np.inf))
 
     def in_dead_zone(self, t: int) -> bool:
         return self.masked and abs(t - self.i_max) <= self.k
@@ -415,58 +438,20 @@ def integrate_array(times, weights, cfg_prev: SnnLayerConfig, bias=0.0) -> np.nd
     return exact_matmul(scaled, weights, mask=times >= 0) + bias
 
 
-def _certify_times(v: np.ndarray, cfg: SnnLayerConfig, times: np.ndarray):
-    """Certify proposed unmasked firing times of the potentials ``v``.
-
-    The ramp ``alpha * (origin - t)`` strictly decreases in t, so "v meets
-    step t" is monotone in t, and t is ``candidate_fire_time``'s answer
-    exactly when v meets step t (or t = T-1) and misses step t-1 (or
-    t = 0).  Two exact comparisons check that; a failed check says which
-    way the answer lies, and the time moves one step that way for the next
-    round.  Returns the times and a mask of the certified ones; after
-    ``_CERTIFY_ROUNDS`` checks the rest stay uncertified, whatever was
-    proposed.
-    """
-    origin = cfg.code_max + cfg.theta_shift
-    last = cfg.window - 1
-    times = np.clip(times, 0, last)
-    certified = np.zeros(v.shape, dtype=bool)
-    todo = np.arange(v.size)
-    for _ in range(_CERTIFY_ROUNDS):
-        t = times[todo]
-        ge = ge_scaled_array(v[todo], cfg.alpha, np.stack([origin - t, origin + 1 - t]))
-        meets = ge[0] | (t == last)
-        misses_prev = ~ge[1] | (t == 0)
-        done = meets & misses_prev
-        certified[todo[done]] = True
-        # monotonicity rules out missing step t while meeting step t-1
-        times[todo] = t + ~meets - ~misses_prev
-        todo = todo[~done]
-        if not todo.size:
-            break
-    return times, certified
-
-
 def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
     """Element-wise ``fire_simulated``: masked spike times, -1 where silent.
 
-    The float quotient proposes ``clip(origin - floor(v / alpha), 0, T-1)``
-    and ``_certify_times`` accepts a time only once the definition of
-    ``candidate_fire_time`` holds for it; a potential still uncertified
-    goes to that scalar bisection (n exact comparisons).  The proposal is
-    never trusted.
+    The thresholds fall as t grows, so the steps a potential misses are a
+    prefix of the window; their count is the number of ``cfg._ramp``
+    entries above it, one ``searchsorted``, and it fires at the first step
+    it meets, or at T-1 if it meets none.  Raises ValueError for NaN, and
+    for a config whose ramp table is refused (see ``SnnLayerConfig._ramp``).
     """
     v = np.asarray(potentials, dtype=np.float64)
     if np.isnan(v).any():
         raise ValueError("potential is NaN")
-    flat = v.ravel()
-    origin = cfg.code_max + cfg.theta_shift
-    with np.errstate(all="ignore"):
-        hint = np.clip(origin - np.floor(flat / cfg.alpha), 0, cfg.window - 1)
-    times, certified = _certify_times(flat, cfg, hint.astype(np.int64))
-    for i in np.flatnonzero(~certified).tolist():
-        times[i] = candidate_fire_time(float(flat[i]), cfg)
-    return _mask_times(times.reshape(v.shape), cfg)
+    missed = cfg.window - np.searchsorted(cfg._ramp, v, side="right")
+    return _mask_times(np.minimum(missed, cfg.window - 1), cfg)
 
 
 def train_times(trains, window: int | None = None) -> np.ndarray:

@@ -169,9 +169,16 @@ def test_verify_non_real_scale_is_config_error(tmp_path, capsys, field, value):
     assert f"alpha must be a real number, got {value!r}" in json.loads(err)["detail"]
 
 
+def test_verify_overflowing_sample_span_is_config_error(capsys):
+    # the draws span +/-2^4 x 1e308; this leaked numpy's OverflowError (exit 1)
+    code, out, err = run(capsys, "verify", "--alpha", "1e308", "--samples", "10")
+    assert code == EXIT_CONFIG and not out
+    assert "scale 1e+308 at n=4" in json.loads(err)["detail"]
+
+
 def test_verify_exhaustive_walk_is_not_charged_per_step(capsys):
     # 2^20 vectors x 4 outputs x 2^5 thresholds: refused while every output
-    # walked its ramp, two certificate comparisons each now
+    # walked its ramp, one lookup in the config's threshold table each now
     code, out, _ = run(capsys, "verify", "--bits", "5", "--fan-in", "4", "--exhaustive")
     assert code == EXIT_OK
     result = json.loads(out)["result"]
@@ -283,6 +290,14 @@ VERIFY_EXHAUSTIVE_JSON_SHA256 = {
     ),
     ("--bits", "4", "--k", "2", "--fan-in", "4", "--fan-out", "6", "--seed", "9"): (
         "4aa00f28326b523c3844a78679b70306594660513788bdac610d44bd4c98e266",
+        EXIT_OK,
+    ),
+    ("--bits", "4", "--k", "1", "--alpha", "0.37", "--fan-in", "3", "--fan-out", "4", "--seed", "5"): (
+        "ea9b63f4e0d6e847af533c2ed08a7ba0eef8157729288866ac8752ce8821fd76",
+        EXIT_OK,
+    ),
+    ("--bits", "16", "--k", "3", "--fan-in", "1", "--fan-out", "8", "--seed", "2"): (
+        "a2f0af87fb68d0267deafbbb5b281c06774364b5fd4f7a593e1c77c609ed00b8",
         EXIT_OK,
     ),
 }

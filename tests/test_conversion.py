@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -182,6 +183,19 @@ def test_sampled_refuses_a_negative_count():
     layer, cfg = _sampled_control(1.0)
     with pytest.raises(ValueError, match="samples must be >= 0"):
         verify_equivalence(layer, cfg, domain="sampled", samples=-1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 30])
+def test_sampled_refuses_an_overflowing_span(n):
+    # the draws span +/-2^n x alpha, a width of 2^(n+1) x alpha; numpy
+    # refused a width past the largest float with a bare OverflowError
+    for alpha in (2.0 ** (1023 - n), 1e308):
+        layer, cfg = pm_layer(QuantParams(n=n, alpha=alpha), k=0, fan_in=1, fan_out=1)
+        with pytest.raises(ValueError, match=re.escape(f"scale {alpha!r} at n={n}")):
+            verify_equivalence(layer, cfg, domain="sampled", samples=10)
+    # one binade lower the width is finite, and the draws run
+    layer, cfg = pm_layer(QuantParams(n=n, alpha=2.0 ** (1022 - n)), k=0, fan_in=1, fan_out=1)
+    assert verify_equivalence(layer, cfg, domain="sampled", samples=10).cases_checked == 10
 
 
 def test_saturating_inputs_agree():

@@ -19,7 +19,13 @@ from matterhorn.numerics import (
     ge_scaled_array,
 )
 from matterhorn.qnn import QuantParams, quantize, quantize_array
-from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, fire_analytic, fire_simulated
+from matterhorn.spike import (
+    ASYMMETRIC,
+    SnnLayerConfig,
+    fire_analytic,
+    fire_simulated,
+    fire_simulated_array,
+)
 
 scales = st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.3, 0.7, 2.5, 3.0, 1e-3, 1e3, math.pi])
 
@@ -189,6 +195,22 @@ def test_ge_scaled_array_fallback_outside_the_exact_range(monkeypatch):
         for v, f, g in zip(probes.tolist(), facs.tolist(), got.tolist()):
             assert g == (Fraction(v) >= Fraction(scale) * f), (scale, v, f)
     assert len(fallbacks) == probes_made
+
+
+@pytest.mark.parametrize("scale", [2.0**995, 2.0**997, 1e305, sys.float_info.max])
+def test_zero_factor_at_a_huge_scale(scale):
+    # splitting such a scale overflows, so the error term of a zero factor's
+    # exact product 0 must not come from the split
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 0.0, 1e300])
+    factors = np.array([0, 0, 0, 0, 1, 0])
+    got = ge_scaled_array(values, scale, factors)
+    assert got.tolist() == [ge_scaled(v, scale, f) for v, f in zip(values.tolist(), factors.tolist())]
+    assert got.tolist() == [True, True, True, False, False, True]
+    p = QuantParams(3, alpha=scale)
+    probes = [0.0, scale, 5e-324, -5e-324, 1e300, -1e300]
+    assert quantize_array(probes, p).tolist() == [quantize(a, p) for a in probes]
+    cfg = SnnLayerConfig(n=3, alpha=scale)
+    assert fire_simulated_array(probes, cfg).tolist() == [fire_simulated(a, cfg).time for a in probes]
 
 
 @settings(max_examples=300, deadline=None)

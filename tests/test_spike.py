@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -414,7 +416,7 @@ def test_fire_simulated_array_matches_scalar(cfg, reals):
 @given(
     n=st.integers(1, 16),
     mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
-    alpha=st.sampled_from([1.0, 0.37, 0.1]),
+    alpha=st.sampled_from([1.0, 0.37, 0.1, 1e305, 1e-310]),
     theta_shift=st.integers(0, 1),
     k=st.integers(0, 2),
     steps=st.lists(st.integers(0, 2**16 + 3), min_size=1, max_size=4),
@@ -426,45 +428,82 @@ def test_fire_simulated_array_matches_scalar_at_every_width(
     cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, i_max=i_max, k=k, theta_shift=theta_shift)
     # thresholds of planted steps, two past either end of the window included
     t = np.array(steps) % (cfg.window + 4) - 2
-    ties = alpha * (cfg.code_max + theta_shift - t).astype(np.float64)
+    with np.errstate(over="ignore"):
+        ties = alpha * (cfg.code_max + theta_shift - t).astype(np.float64)
     potentials = np.concatenate(
         [
             np.nextafter(ties, -np.inf),
             ties,
             np.nextafter(ties, np.inf),
-            [np.inf, -np.inf, 1e300, -1e300],
+            [np.inf, -np.inf, 1e300, -1e300, 0.0, 5e-324, -5e-324],
         ]
     )
     got = fire_simulated_array(potentials, cfg)
     assert got.tolist() == [_time(fire_simulated(a, cfg)) for a in potentials.tolist()]
 
 
-@pytest.mark.parametrize("n, alpha, theta_shift", [(4, 1.0, 0), (8, 0.37, 1), (12, 0.1, 0)])
-def test_certified_walk_accepts_no_wrong_hint(monkeypatch, n, alpha, theta_shift):
-    cfg = SnnLayerConfig(n=n, alpha=alpha, theta_shift=theta_shift)
-    rng = np.random.default_rng(n)
-    ties = alpha * (cfg.code_max + theta_shift - rng.integers(-2, cfg.window + 2, 100))
+# subnormal to near the top of the float range, dyadic and not
+RAMP_SCALES = (
+    5e-324, 1e-310, 2.0**-1000, 1e-300, 1e-3, 0.1, 0.37,
+    1.0, math.pi / 4, 3.0, 1e10, 2.0**995, 1e305, 1.7e308,
+)
+
+
+def _ceiling(x):
+    """The least float >= the rational ``x``: -max below the float range,
+    inf above it."""
+    try:
+        c = float(x)  # correctly rounded
+    except OverflowError:
+        return math.inf if x > 0 else -sys.float_info.max
+    return c if Fraction(c) >= x else math.nextafter(c, math.inf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    alpha=st.sampled_from(RAMP_SCALES),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    theta_shift=st.one_of(st.integers(-3, 2), st.integers(-3, 2**20)),
+    picks=st.lists(st.integers(0, 2**16 - 1), max_size=16),
+)
+def test_ramp_entries_are_exact_ceilings(n, alpha, mode, theta_shift, picks):
+    cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, theta_shift=theta_shift)
+    ramp = cfg._ramp
+    assert ramp.shape == (cfg.window,) and np.all(ramp[1:] >= ramp[:-1])
+    # every entry up to 2^6 steps, wider ramps at both ends and picked entries
+    last = cfg.window - 1
+    ends = range(cfg.window) if n <= 6 else [0, 1, 2, last - 2, last - 1, last]
+    entries = sorted({*ends, *(i % cfg.window for i in picks)})
+    for i in entries:
+        threshold = Fraction(alpha) * cfg.threshold_code(last - i)
+        assert ramp[i] == _ceiling(threshold), (i, ramp[i].hex())
+    picked = ramp[entries]
     v = np.concatenate(
-        [
-            np.nextafter(ties, -np.inf),
-            ties,
-            np.nextafter(ties, np.inf),
-            [np.inf, -np.inf, 1e300, -1e300],
-        ]
+        [np.nextafter(picked, -np.inf), picked, np.nextafter(picked, np.inf)]
+        + [[np.inf, -np.inf, 0.0, 5e-324, -5e-324]]
     )
     want = np.array([candidate_fire_time(a, cfg) for a in v.tolist()])
-    for shift in (-3, -1, 1, 3):
-        hint = np.clip(want + shift, 0, cfg.window - 1)
-        times, certified = spike._certify_times(v, cfg, hint)
-        # a certified time is the search's; a hint the moves cannot reach stays uncertified
-        assert times[certified].tolist() == want[certified].tolist()
-        reachable = np.abs(hint - want) < spike._CERTIFY_ROUNDS
-        assert certified.tolist() == reachable.tolist()
-        assert certified.all() if abs(shift) < spike._CERTIFY_ROUNDS else not certified.all()
-    # the float quotient's own hint is at most one step off: no potential
-    # needs the scalar search
-    monkeypatch.setattr(spike, "candidate_fire_time", None)
-    assert fire_simulated_array(v, cfg).tolist() == want.tolist()
+    # the table alone decides: no potential needs the scalar search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spike, "candidate_fire_time", None)
+        assert fire_simulated_array(v, cfg).tolist() == want.tolist()
+
+
+def test_ramp_table_is_bounded():
+    # the array path refuses a table past 2^20 steps or a threshold code
+    # that is no exact float; the scalar search needs no table
+    for cfg, match in (
+        (SnnLayerConfig(n=21), r"2\^21 steps"),
+        (SnnLayerConfig(n=4, theta_shift=2**53), "theta_shift 9007199254740992"),
+        (SnnLayerConfig(n=4, theta_shift=-(2**53)), "theta_shift -9007199254740992"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            fire_simulated_array([0.0], cfg)
+        assert fire_simulated(0.0, cfg).time is not None
+    edge = SnnLayerConfig(n=4, alpha=0.37, theta_shift=2**53 - 7)  # top code 2^53
+    v = np.array([edge._ramp[0], edge._ramp[-1], 0.0, np.inf])
+    assert fire_simulated_array(v, edge).tolist() == [_time(fire_simulated(a, edge)) for a in v.tolist()]
 
 
 def test_array_kernels_reject_bad_inputs():
