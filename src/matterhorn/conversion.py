@@ -9,8 +9,8 @@ whenever the input-side dead zone is centered on code zero, i.e. silent
 inputs genuinely stand for a zero contribution; off-center configurations
 surface as honest mismatches in the report.  Every sum and threshold
 compare is exact: integer codes, scales and weights sum in one float
-matmul, and thresholds at dyadic scales compare in plain float (see
-``numerics``).
+matmul, and thresholds and code boundaries compare in one vector pass
+that is exact at every scale (see ``numerics``).
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -69,8 +70,9 @@ class EnergyParams:
     Fields left as None are derived: per-access threshold/KV costs price
     the datum's bit width at the per-bit SRAM read cost; the input-sum,
     mapping, encoding and decay costs reuse the accumulate/MAC constants.
-    Every report stamps the resolved set.  A unit energy must be a finite,
-    non-negative real and ``weight_bits`` a positive integer.
+    Every report stamps the resolved set.  A unit energy must be a
+    non-negative real no larger than the largest float, and ``weight_bits``
+    a positive integer.
     """
 
     mac_int4_pj: float = 0.0848
@@ -99,8 +101,8 @@ class EnergyParams:
             if f.name == "weight_bits":
                 what, ok = "a positive integer", isinstance(value, numbers.Integral) and value >= 1
             else:
-                what = "a finite non-negative real"
-                ok = isinstance(value, numbers.Real) and 0 <= value < math.inf
+                what = "a finite non-negative real within float range"
+                ok = isinstance(value, numbers.Real) and 0 <= value <= sys.float_info.max
             if isinstance(value, bool) or not ok:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
 

@@ -9,13 +9,13 @@ and near-ties exactly, so every comparison is decided as if computed over
 the reals.
 
 ``ge_scaled`` and ``floor_ratio`` work on one scalar and fall back to
-rational arithmetic (floats are rationals); they are the oracles.  The
-``*_array`` forms decide a whole array the same way.  When every product
-``scale * factor`` is an exact normal float, ``ge_scaled_array`` compares
-in plain float; otherwise it decides clear cases by float, near-ties by the
-exact error term of Dekker's two-product (Dekker 1971; Shewchuk 1997,
-"Adaptive precision floating-point arithmetic"), and sends the few elements
-outside the range where that term is exact to the scalar functions.
+rational arithmetic (floats are rationals); they are the oracles.
+``ge_scaled_array`` decides a whole array in one vector pass at every
+scale: it moves the scale's exponent onto the values, so the products are
+normal floats, compares in plain float where they are all exact, and
+otherwise decides clear cases by float and near-ties by the exact error
+term of Dekker's two-product (Dekker 1971; Shewchuk 1997, "Adaptive
+precision floating-point arithmetic").
 ``exact_matmul`` is the exactly rounded matrix product: one float matmul
 where integer operands make every sum exact, else ``math.fsum`` of each
 entry's products (``fsum_rows``).
@@ -24,7 +24,6 @@ entry's products (``fsum_rows``).
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -32,10 +31,6 @@ import numpy as np
 # Veltkamp's splitting constant 2^27 + 1: splits a double into two halves
 # of at most 26 significant bits whose pairwise products are exact.
 _SPLIT = 134217729.0
-# The two-product error is exact while no split overflows and no partial
-# product underflows; outside [_TINY, _HUGE) the scalar function decides.
-_HUGE = 2.0**995
-_TINY = 2.0**-900
 # Integer factors beyond 2^53 do not convert to float exactly.
 _EXACT_INT = 2**53
 
@@ -93,69 +88,48 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
     """Element-wise ``ge_scaled``: ``values >= scale * factors`` exactly.
 
     ``values`` (floats) and ``factors`` (integers) broadcast together;
-    ``scale`` is one finite positive float or int.  When the significant
-    bits of ``scale`` and of the largest ``|factor|`` add up to at most 53,
-    and the products lie in [2^-900, 2^995), every product is an exact
-    normal float and plain ``>=`` decides the call (for inf and NaN values
-    too).  Otherwise a gap wider than one ulp is decided by float (the
-    product is within half an ulp of the real one).  In a near-tie ``v - p`` is exact (Sterbenz), so
-    ``v >= scale * f`` holds iff ``v - p >= err``, where ``p + err`` is the
-    exact product.  Non-finite values, factors beyond 2^53, nonzero
-    products outside [2^-900, 2^995) and zero factors at scales of 2^995 or
-    more go to ``ge_scaled``.
+    ``scale`` is one finite positive float, or an int that converts to
+    float exactly.  Write ``scale = m * 2^e`` with 1/2 <= m < 1: then
+    ``v >= scale * f`` iff ``u >= m * f`` for ``u = v * 2^-e``, which is
+    exact unless it underflows, and a zero factor compares ``v >= 0``.  For
+    0 < |f| <= 2^53 the rounded product ``p`` of ``m * f`` is a normal
+    float of magnitude at least 1/2, so a ``u`` that underflowed or
+    overflowed lies clearly apart from it.  When the significant bits of m
+    and of the largest ``|f|`` add up to at most 53, every product is exact
+    and ``u >= p`` decides.  Otherwise a gap wider than 2^-51 of ``|p|`` is
+    decided by float, as in ``ge_scaled`` (infinities are clear; NaN never
+    is, and compares False).  In a near-tie ``u - p`` is exact (Sterbenz),
+    so ``u >= m * f`` iff ``u - p >= err``, where ``p + err`` is the exact
+    product (Dekker's two-product: no split overflows and no partial
+    product underflows).  Only near-ties of factors past 2^53, which are
+    not exact floats, go to ``ge_scaled``.
     """
     v, f = np.broadcast_arrays(
         np.asarray(values, dtype=np.float64), np.asarray(factors, dtype=np.int64)
     )
-    exact = int(scale) if isinstance(scale, numbers.Integral) else float(scale)
-    num, top = exact.as_integer_ratio()[0], max(-int(f.min()), int(f.max())) if f.size else 0
-    if (num // (num & -num)).bit_length() + top.bit_length() <= 53 and _TINY <= exact:
-        if exact * top < _HUGE:  # every product is an exact normal float
-            return v >= scale * f.astype(np.float64)
-    f_exact = np.abs(f) <= _EXACT_INT
+    m, e = math.frexp(scale)
+    top = max(-int(f.min()), int(f.max())) if f.size else 0
     ff = f.astype(np.float64)
     with np.errstate(all="ignore"):
-        p = scale * ff
-        # spacing(inf) and inf - inf are NaN, so non-finite operands are never clear
-        clear = (v != p) & (np.abs(v - p) > np.spacing(np.maximum(np.abs(v), np.abs(p))))
-        out = clear & (v > p)
-        near = ~clear & f_exact & (np.abs(v) < _HUGE) & (np.abs(p) < _HUGE)
-        # a zero factor's error term is exact too, unless splitting the scale overflows
-        near &= (np.abs(p) >= _TINY) | ((f == 0) & (scale < _HUGE))
+        u = np.where(f == 0, v, np.ldexp(v, -e))
+        p = m * ff
+        if m.as_integer_ratio()[0].bit_length() + top.bit_length() <= 53:
+            return u >= p  # every product m * f is exact
+        clear = np.abs(u - p) > np.abs(p) * 2.0**-51
+        out = clear & (u > p)
+        near = ~clear & (np.abs(f) <= _EXACT_INT)
         if near.any():
-            vn, pn, fn = v[near], p[near], ff[near]
-            sh, sl = _split(np.float64(scale))
-            fh, fl = _split(fn)
-            err = ((sh * fh - pn) + sh * fl + sl * fh) + sl * fl
-            out[near] = (vn - pn) >= err
-    rest = np.flatnonzero(~(clear & f_exact) & ~near)
+            un, pn = u[near], p[near]
+            mh, ml = _split(np.float64(m))
+            fh, fl = _split(ff[near])
+            err = ((mh * fh - pn) + mh * fl + ml * fh) + ml * fl
+            out[near] = (un - pn) >= err
+    rest = np.flatnonzero(~clear & ~near)
     if rest.size:
         flat_v, flat_f, flat_out = v.ravel(), f.ravel(), out.reshape(-1)
         for i in rest.tolist():
             flat_out[i] = ge_scaled(float(flat_v[i]), scale, int(flat_f[i]))
     return out
-
-
-def floor_ratio_array(values, scale: float) -> np.ndarray:
-    """Element-wise ``floor_ratio`` as ``int64``.
-
-    The float quotient is rounded from the real one, so its floor is the
-    true floor or one above it; one exact comparison settles which.
-    Quotients of magnitude 2^52 or more, and non-finite ones, go to
-    ``floor_ratio`` (a result outside ``int64`` raises OverflowError).
-    """
-    v = np.asarray(values, dtype=np.float64)
-    with np.errstate(all="ignore"):
-        ratio = v / scale
-    ok = np.abs(ratio) < 2.0**52
-    q = np.floor(np.where(ok, ratio, 0.0)).astype(np.int64)
-    q -= ~ge_scaled_array(np.where(ok, v, 0.0), scale, q)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        flat_v, flat_q = v.ravel(), q.reshape(-1)
-        for i in rest.tolist():
-            flat_q[i] = floor_ratio(float(flat_v[i]), scale)
-    return q
 
 
 def fsum_rows(terms) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import exact_matmul, floor_ratio, floor_ratio_array
+from .numerics import exact_matmul, floor_ratio, ge_scaled_array
 from .spike import SYMMETRIC, QuantParams, require_integer
 
 __all__ = [
@@ -59,7 +59,11 @@ def quantize_array(a, p: QuantParams) -> np.ndarray:
         raise ValueError(f"array quantization supports codes of at most 52 bits, got {p.n}")
     finite = np.isfinite(a)
     lo, hi = p.alpha * (p.code_min - 1), p.alpha * (p.code_max + 1)  # inf when they overflow
-    codes = floor_ratio_array(np.clip(np.where(finite, a, 0.0), lo, hi), p.alpha)
+    v = np.clip(np.where(finite, a, 0.0), lo, hi)
+    # |v / alpha| <= 2^52 + 1 now, and integers to 2^53 are floats, so the rounded
+    # quotient's floor is the true floor or one above it: one exact compare settles it
+    codes = np.floor(v / p.alpha).astype(np.int64)
+    codes -= ~ge_scaled_array(v, p.alpha, codes)
     codes = np.where(finite, codes, np.where(a > 0, p.code_max, p.code_min))
     return np.clip(codes, p.code_min, p.code_max)
 

@@ -57,10 +57,14 @@ def require_integer(name: str, value) -> None:
 
 def require_real(name: str, value) -> None:
     """Refuse ``value`` for the field ``name`` unless it is a real number
-    (a Python or numpy integer or float, or a ``Fraction``); bool, str and
-    None are refused."""
+    (a Python or numpy integer or float, or a ``Fraction``) that converts to
+    float without overflow; bool, str and None are refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,9 @@ class QuantParams:
         require_real("alpha", self.alpha)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"scale must be a positive finite real, got {self.alpha}")
+        exact = int(self.alpha) if isinstance(self.alpha, numbers.Integral) else self.alpha
+        if float(exact) != exact:  # the array kernels compute with float(alpha)
+            raise ValueError(f"scale must be an exact float, got {self.alpha!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 

@@ -169,6 +169,23 @@ def test_verify_non_real_scale_is_config_error(tmp_path, capsys, field, value):
     assert f"alpha must be a real number, got {value!r}" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize(
+    "alpha, needle",
+    [
+        (2**60 + 1, "scale must be an exact float"),  # once passed on the rounded scale
+        (int("9" * 401), "alpha is too large for a float"),  # once an OverflowError, exit 1
+    ],
+)
+@pytest.mark.parametrize("domain", [["--exhaustive"], ["--samples", "10"]])
+def test_verify_scale_no_float_holds_is_config_error(tmp_path, capsys, alpha, needle, domain):
+    layer = {"n": 4, "alpha_in": 1.0, "alpha_out": alpha, "weights": [1.0, -1.0], "bias": [0.0, 0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, out, err = run(capsys, "verify", "--weights", str(path), *domain)
+    assert code == EXIT_CONFIG and not out
+    assert needle in json.loads(err)["detail"]
+
+
 def test_verify_overflowing_sample_span_is_config_error(capsys):
     # the draws span +/-2^4 x 1e308; this leaked numpy's OverflowError (exit 1)
     code, out, err = run(capsys, "verify", "--alpha", "1e308", "--samples", "10")
@@ -300,6 +317,19 @@ VERIFY_EXHAUSTIVE_JSON_SHA256 = {
         "a2f0af87fb68d0267deafbbb5b281c06774364b5fd4f7a593e1c77c609ed00b8",
         EXIT_OK,
     ),
+    # extreme scales: subnormal, the least float, and products that overflow
+    ("--bits", "16", "--k", "3", "--fan-in", "1", "--fan-out", "8", "--seed", "2", "--alpha", "1e-310"): (
+        "b0d082fa78e2067e273b38518b7b2d6ecc2c80ec0eec4a8172a3c4d85c376e58",
+        EXIT_OK,
+    ),
+    ("--bits", "12", "--k", "2", "--fan-in", "1", "--fan-out", "6", "--seed", "4", "--alpha", "5e-324"): (
+        "350559021be79da971fc634eab0d90f2d5ca7a368da39733ea049aee4acf5b97",
+        EXIT_OK,
+    ),
+    ("--bits", "4", "--k", "1", "--fan-in", "3", "--fan-out", "4", "--seed", "5", "--alpha", "1e300"): (
+        "7e75a8251b33672c741c6aa22b35a701fe61b9103ba5d189dfc8154dc1884858",
+        EXIT_OK,
+    ),
 }
 
 
@@ -402,10 +432,18 @@ def test_energy_bad_shape_is_config_error(tmp_path, capsys, shape, field):
         (["scenario"], "--params", '{"mac_int4_pj": "x"}', "mac_int4_pj"),
         (["energy", "--format", "csv"], "--params", '{"leak_pj": NaN}', "leak_pj"),
         (["energy"], "--params", '{"weight_bits": 0}', "weight_bits"),
+        (["energy"], "--params", '{"leak_pj": %s}' % ("9" * 401), "leak_pj"),
         (["energy"], "--rates", "true", "spike ratio"),
         (["energy"], "--rates", "1.5", "spike ratio"),
     ],
-    ids=["params-str", "params-nan", "params-weight-bits", "rates-bool", "rates-out-of-range"],
+    ids=[
+        "params-str",
+        "params-nan",
+        "params-weight-bits",
+        "params-past-float",
+        "rates-bool",
+        "rates-out-of-range",
+    ],
 )
 def test_malformed_energy_inputs_are_config_errors(tmp_path, capsys, argv, flag, text, field):
     path = tmp_path / "input.json"

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -200,6 +201,8 @@ def test_malformed_spike_ratio_is_refused(bad):
         ("mac_int4_pj", "x"),
         ("mac_int4_pj", None),  # only the derived costs may be left unset
         ("leak_pj", math.nan),
+        ("leak_pj", 10**400),  # once an OverflowError when the report summed it
+        ("map_pj", Fraction(10**400, 7)),
         ("cim_fj_per_bit", math.inf),
         ("cmp_pj", -0.01),
         ("acc_4b_pj", True),

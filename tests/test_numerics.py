@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matterhorn import numerics
+from matterhorn import numerics, qnn, spike
 from matterhorn.numerics import (
     exact_matmul,
     floor_ratio,
-    floor_ratio_array,
     fsum_rows,
     ge_scaled,
     ge_scaled_array,
@@ -21,6 +20,7 @@ from matterhorn.numerics import (
 from matterhorn.qnn import QuantParams, quantize, quantize_array
 from matterhorn.spike import (
     ASYMMETRIC,
+    SYMMETRIC,
     SnnLayerConfig,
     fire_analytic,
     fire_simulated,
@@ -28,6 +28,12 @@ from matterhorn.spike import (
 )
 
 scales = st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.3, 0.7, 2.5, 3.0, 1e-3, 1e3, math.pi])
+# plain scales, then subnormal to huge ones
+EXTREME_SCALES = st.one_of(
+    scales,
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.sampled_from([5e-324, 2.0**-1022, 1e-310, 1e308, sys.float_info.max]),
+)
 
 
 @settings(max_examples=500, deadline=None)
@@ -76,11 +82,7 @@ def _ulps_away(x, steps):
 
 @settings(max_examples=1000, deadline=None)
 @given(
-    scale=st.one_of(
-        scales,
-        st.floats(min_value=5e-324, max_value=sys.float_info.max),  # subnormal to huge
-        st.sampled_from([5e-324, 2.0**-1022, 1e-310, 1e308, sys.float_info.max]),
-    ),
+    scale=EXTREME_SCALES,
     factor=st.one_of(st.integers(-40, 40), st.integers(-(2**70), 2**70)),
 )
 def test_ge_scaled_matches_fraction_at_the_fast_path_edge(scale, factor):
@@ -176,31 +178,30 @@ def test_ge_scaled_array_matches_scalar_on_planted_ties(monkeypatch, alpha):
         got = ge_scaled_array(values, alpha, factors + shift)
         for v, f, g in zip(values.tolist(), (factors + shift).tolist(), got.tolist()):
             assert g == ge_scaled(v, alpha, f), (alpha, v, f)
-    # only the infinities leave the array path; every planted tie stays on it
-    assert len(fallbacks) == 3 * 2
+    # every planted tie and every special value stays on the array path
+    assert not fallbacks
 
 
 def test_ge_scaled_array_fallback_outside_the_exact_range(monkeypatch):
-    # near-ties on subnormal products, on products past 2^995 and on factors
-    # past 2^53 all go to the scalar function, and still decide exactly
+    # near-ties on subnormal products and on products past 2^995 stay on the
+    # array path; only those of factors past 2^53 (no exact float) go to the
+    # scalar function, and all decide exactly
     cases = [(1e-310, [3, -7]), (2.0**990, [64, -64]), (1.0, [2**60 + 1, -(2**60) - 1])]
     fallbacks = _count_fallbacks(monkeypatch, "ge_scaled")
-    probes_made = 0
     for scale, factors in cases:
         ties = scale * np.array(factors, dtype=np.float64)
         probes = np.concatenate([np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf)])
         facs = np.tile(factors, 3)
         got = ge_scaled_array(probes, scale, facs)
-        probes_made += probes.size
         for v, f, g in zip(probes.tolist(), facs.tolist(), got.tolist()):
             assert g == (Fraction(v) >= Fraction(scale) * f), (scale, v, f)
-    assert len(fallbacks) == probes_made
+    assert len(fallbacks) == 6 and all(abs(f) > 2**53 for _, _, f in fallbacks)
 
 
 @pytest.mark.parametrize("scale", [2.0**995, 2.0**997, 1e305, sys.float_info.max])
 def test_zero_factor_at_a_huge_scale(scale):
-    # splitting such a scale overflows, so the error term of a zero factor's
-    # exact product 0 must not come from the split
+    # v * 2^-e underflows for the tiny values, so a zero factor must compare
+    # v itself with 0
     values = np.array([0.0, -0.0, 5e-324, -5e-324, 0.0, 1e300])
     factors = np.array([0, 0, 0, 0, 1, 0])
     got = ge_scaled_array(values, scale, factors)
@@ -213,9 +214,61 @@ def test_zero_factor_at_a_huge_scale(scale):
     assert fire_simulated_array(probes, cfg).tolist() == [fire_simulated(a, cfg).time for a in probes]
 
 
+def _count_scalar_calls(monkeypatch):
+    """Record every call of the scalar ``ge_scaled`` and ``floor_ratio``,
+    through numerics and through the names spike and qnn import."""
+    calls = []
+    for name in ("ge_scaled", "floor_ratio"):
+        scalar = getattr(numerics, name)
+        for module in (numerics, spike, qnn):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, _f=scalar: calls.append(a) or _f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("mode", [SYMMETRIC, ASYMMETRIC])
+def test_quantize_array_floors_exactly_at_every_scale_without_scalar_calls(monkeypatch, mode):
+    # 52-bit codes, the widest the array form takes: every code boundary
+    # near the clip edges and near zero, and its float neighbours
+    for alpha in (5e-324, 1e-310, 3 * 2.0**-1022, 1e-200, 0.37, 1.0, 3.0, 1e100, 1e290, 1e300):
+        p = QuantParams(52, alpha=alpha, mode=mode)
+        edges = [p.code_min - 1, p.code_min, p.code_min + 1, -2, -1, 0, 1, 2]
+        codes = np.array(edges + [p.code_max - 1, p.code_max, p.code_max + 1], dtype=np.int64)
+        with np.errstate(over="ignore"):
+            values = np.concatenate([_planted(alpha, codes), SPECIALS])
+        calls = _count_scalar_calls(monkeypatch)
+        got = quantize_array(values, p)
+        monkeypatch.undo()
+        assert not calls, alpha
+        assert got.tolist() == [quantize(v, p) for v in values.tolist()], alpha
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-310, 1e305])
+def test_ramp_and_array_firing_make_no_scalar_calls_at_extreme_scales(monkeypatch, alpha):
+    # the ramp's products are subnormal, or overflow at both ends
+    cfg = SnnLayerConfig(n=16, alpha=alpha, i_max=2**15 - 1, k=2)
+    origin = cfg.code_max + cfg.theta_shift
+    rng = np.random.default_rng(0)
+    picks = np.unique(np.concatenate([rng.integers(0, cfg.window, 200), [0, 1, cfg.window - 1]]))
+    with np.errstate(over="ignore"):
+        edges = alpha * (origin - cfg.window + 1 + picks).astype(np.float64)
+        probes = np.concatenate([_planted(1.0, edges), SPECIALS])
+    calls = _count_scalar_calls(monkeypatch)
+    ramp = cfg._ramp
+    got = fire_simulated_array(probes, cfg)
+    monkeypatch.undo()
+    assert not calls
+    for i in picks.tolist():  # the least float meeting each sampled threshold
+        code = origin - cfg.window + 1 + i
+        below = math.nextafter(float(ramp[i]), -math.inf)
+        assert _exact_ge(float(ramp[i]), alpha, code), i
+        assert math.isinf(below) or not _exact_ge(below, alpha, code), i
+    assert [None if t < 0 else t for t in got.tolist()] == [fire_simulated(a, cfg).time for a in probes.tolist()]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    alpha=st.sampled_from(ALPHAS),
+    alpha=st.one_of(st.sampled_from(ALPHAS), EXTREME_SCALES),
     values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20),
     factors=st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=20),
 )
@@ -225,9 +278,9 @@ def test_ge_scaled_array_matches_scalar_on_random_operands(alpha, values, factor
     assert got.tolist() == [ge_scaled(v, alpha, f) for v, f in zip(values, factors)]
 
 
-# scales 2^e, 3*2^e, a non-dyadic one, the int 1, the bottom of the exact
-# range and just below it, and one near the top of the float range
-EDGE_SCALES = (2.0**-20, 2.0**30, 3 * 2.0**-7, 3 * 2.0**40, 0.37, 1, numerics._TINY, 2.0**-901, 2.0**990)
+# scales 2^e, 3*2^e, a non-dyadic one, the int 1, tiny ones (a subnormal
+# among them), and one near the top of the float range
+EDGE_SCALES = (2.0**-20, 2.0**30, 3 * 2.0**-7, 3 * 2.0**40, 0.37, 1, 2.0**-900, 2.0**-901, 1e-310, 2.0**990)
 
 
 def _significant_bits(scale) -> int:
@@ -239,7 +292,7 @@ def _significant_bits(scale) -> int:
 @given(
     scale=st.sampled_from(EDGE_SCALES),
     # the factors' top magnitude: significant bits summing to 53 or 54 with
-    # the scale's, or scale * top just below and at 2^995 (for 2^990)
+    # the scale's, or a few bits (scale * top reaches 2^995 for 2^990)
     top=st.sampled_from(["53", "54", "31", "32"]),
     data=st.data(),
 )
@@ -252,9 +305,7 @@ def test_ge_scaled_array_matches_scalar_at_the_certificate_edges(scale, top, dat
         products = scale * np.array(factors, dtype=np.float64)  # rounded where inexact
     values = np.concatenate([_planted(1.0, products), [math.inf, -math.inf, math.nan]])
     facs = np.array(factors * 3 + [top] * 3, dtype=np.int64)
-    certified = (
-        bits + top.bit_length() <= 53 and scale >= numerics._TINY and Fraction(scale) * top < numerics._HUGE
-    )
+    certified = bits + top.bit_length() <= 53
     with pytest.MonkeyPatch.context() as mp:
         slow = []  # Dekker splits and scalar fallbacks
         for name in ("_split", "ge_scaled"):
@@ -264,28 +315,6 @@ def test_ge_scaled_array_matches_scalar_at_the_certificate_edges(scale, top, dat
     # a planted exact tie is never clear, so only the certificate skips both
     assert (not slow) == certified, (scale, top)
     assert ge_scaled_array(np.zeros(0), scale, np.zeros(0, dtype=np.int64)).shape == (0,)
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_floor_ratio_array_matches_scalar(monkeypatch, alpha):
-    huge = np.array([2.0**52, 2.0**60, -(2.0**61)]) * alpha
-    values = np.concatenate([_planted(alpha, np.arange(-300, 301)), SPECIALS[2:], huge])
-    values = values[np.abs(values / alpha) < 2.0**62]  # exact floors that fit int64
-    fallbacks = _count_fallbacks(monkeypatch, "floor_ratio")
-    got = floor_ratio_array(values, alpha)
-    assert got.dtype == np.int64
-    assert got.tolist() == [floor_ratio(v, alpha) for v in values.tolist()]
-    assert len(fallbacks) == np.count_nonzero(np.abs(values / alpha) >= 2.0**52) > 0
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    alpha=st.sampled_from(ALPHAS),
-    values=st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=20),
-)
-def test_floor_ratio_array_matches_scalar_on_random_values(alpha, values):
-    got = floor_ratio_array(np.array(values), alpha)
-    assert got.tolist() == [floor_ratio(v, alpha) for v in values]
 
 
 def _assert_fsum_rows(rows):

@@ -14,6 +14,7 @@ from matterhorn.qnn import (
     dead_zone_filter,
     layer_forward,
     quantize,
+    quantize_array,
     ste_backward,
 )
 from matterhorn.spike import ASYMMETRIC, SYMMETRIC
@@ -68,6 +69,7 @@ def test_quantize_matches_exact_rational_floor(a, alpha):
     p = QuantParams(n=8, alpha=alpha)
     expected = min(max(math.floor(Fraction(a) / Fraction(alpha)), p.code_min), p.code_max)
     assert quantize(a, p) == expected
+    assert quantize_array([a], p).tolist() == [expected]
 
 
 # --- dead-zone filter ---------------------------------------------------

@@ -28,6 +28,7 @@ from matterhorn.spike import (
     fire_simulated_array,
     integrate,
     integrate_array,
+    require_real,
     silence_rate,
     train_times,
 )
@@ -91,6 +92,26 @@ def test_config_refuses_a_non_real_scale(cls, bad):
     # alpha=True once built a layer of scale 1; "1" leaked a bare TypeError
     with pytest.raises(ValueError, match="^alpha must be a real number"):
         cls(n=4, alpha=bad)
+
+
+@pytest.mark.parametrize("cls", [QuantParams, SnnLayerConfig])
+def test_config_refuses_a_scale_that_is_no_exact_float(cls):
+    # the array kernels compute with float(alpha) and the scalar ones with
+    # alpha itself: 2^60 + 1 once quantized 2^60 to 1 on one side, 0 on the other
+    for bad in (2**60 + 1, Fraction(1, 3)):
+        with pytest.raises(ValueError, match="^scale must be an exact float"):
+            cls(n=4, alpha=bad)
+    with pytest.raises(ValueError, match="^alpha is too large for a float"):
+        cls(n=4, alpha=10**400)  # once an OverflowError from math.isfinite
+    for exact in (2**60, np.int64(2**60), Fraction(3, 8), 0.1):
+        assert cls(n=4, alpha=exact).alpha == exact
+
+
+def test_require_real_refuses_what_overflows_a_float():
+    for huge in (10**400, Fraction(10**400, 3), -(10**400)):
+        with pytest.raises(ValueError, match="^gamma is too large for a float"):
+            require_real("gamma", huge)
+    require_real("gamma", 2**1000)  # large, but a float holds it
 
 
 def test_config_accepts_python_and_numpy_integer_fields():
