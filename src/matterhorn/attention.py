@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .qnn import dead_zone_filter_array
 from .spike import (
     ASYMMETRIC,
     SnnLayerConfig,
@@ -140,5 +141,5 @@ def attention_reference(q_codes, k_codes, v_codes, cfg: SnnLayerConfig) -> np.nd
     k_codes = np.asarray(k_codes, dtype=np.int64)
     v_codes = np.asarray(v_codes, dtype=np.int64)
     if cfg.masked:
-        q_codes = np.where(np.abs(q_codes - cfg.mu) <= cfg.k, cfg.mu, q_codes)
+        q_codes = dead_zone_filter_array(q_codes, cfg.mu, cfg.k)
     return normalize_scores(q_codes @ k_codes.T, 2**cfg.n) @ v_codes

@@ -120,11 +120,8 @@ def _load_json_file(path: str) -> dict:
 
 
 def _spike_config(args) -> SnnLayerConfig:
-    if getattr(args, "baseline", False):
-        # unmasked reference encoding; the floor-code spike maps to silence
-        return SnnLayerConfig(
-            n=args.bits, alpha=args.alpha, mode=args.mode, baseline_silent_min=True
-        )
+    if getattr(args, "baseline", False):  # unmasked reference encoding
+        return SnnLayerConfig(n=args.bits, alpha=args.alpha, mode=args.mode)
     p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
     i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
     return SnnLayerConfig(n=args.bits, alpha=args.alpha, mode=args.mode, i_max=i_max, k=args.k)
@@ -408,7 +405,10 @@ def _sampling_header(
 def _cmd_stats(args) -> int:
     cfg = _spike_config(args)
     sampler = _sampler(args, cfg)
-    hist = spike_time_histogram(encode_samples(sampler.sample(args.count), cfg), cfg)
+    times = encode_samples(sampler.sample(args.count), cfg)
+    if args.baseline:  # the reference counts the last-step spike (the floor code) as silence
+        times[times == cfg.window - 1] = -1
+    hist = spike_time_histogram(times, cfg)
     header = _sampling_header("spike-time histogram", args, sampler, cfg, k=cfg.k)
     header.append(f"silence_fraction={hist.silence_fraction:.6f}")
     rows = [[label, count] for label, count in hist.to_rows()]

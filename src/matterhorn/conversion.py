@@ -117,8 +117,6 @@ def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
             f"config dead zone (mu={cfg.mu}, k={cfg.k}) does not match "
             f"layer dead zone (mu={layer.mu}, k={layer.k})"
         )
-    if cfg.baseline_silent_min:
-        raise ValueError("baseline_silent_min silences a code the quantizer keeps; not verifiable")
 
 
 def _check_range(layer: QnnLayer) -> None:

@@ -205,6 +205,8 @@ class MsuConfig:
         require_real("gamma", self.gamma)
         if self.gamma <= 0 or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
+        # a plain float keeps read-outs float64 (a Fraction gives object arrays)
+        object.__setattr__(self, "gamma", float(self.gamma))
         require_integer("input_bits", self.input_bits)
         if self.input_bits < 1:
             raise ValueError("input_bits must be >= 1")

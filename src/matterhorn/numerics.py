@@ -70,12 +70,9 @@ def floor_ratio(value: float, scale: float) -> int:
         # past 2^52 a float quotient can be many units off the floor
         return math.floor(Fraction(value) / Fraction(scale))
     q = math.floor(ratio)
-    # Division rounding can land the candidate one code off; fix by exact checks.
-    while not ge_scaled(value, scale, q):
-        q -= 1
-    while ge_scaled(value, scale, q + 1):
-        q += 1
-    return q
+    # The integers around the quotient are floats and rounding is monotone,
+    # so floor(ratio) is the true floor or one above it: one check settles it.
+    return q if ge_scaled(value, scale, q) else q - 1
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

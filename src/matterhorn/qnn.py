@@ -151,11 +151,18 @@ class QnnLayer:
         bias = np.asarray(doc["bias"], dtype=np.float64)
         weights = np.asarray(doc["weights"], dtype=np.float64).reshape(-1, bias.size)
         mode = doc.get("mode", SYMMETRIC)
+        QuantParams(doc["n"], 1.0, mode)  # a bad bit width or mode is no scale's fault
+        params = {}
+        for key in ("alpha_in", "alpha_out"):
+            try:
+                params[key] = QuantParams(doc["n"], doc[key], mode)
+            except ValueError as exc:  # name the scale that is wrong
+                raise ValueError(f"{key}: {exc}") from exc
         return cls(
             weights=weights,
             bias=bias,
-            in_params=QuantParams(doc["n"], doc["alpha_in"], mode),
-            out_params=QuantParams(doc["n"], doc["alpha_out"], mode),
+            in_params=params["alpha_in"],
+            out_params=params["alpha_out"],
             mu=doc.get("mu", 0),
             k=doc.get("k", 0),
         )

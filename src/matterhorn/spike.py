@@ -92,6 +92,10 @@ class QuantParams:
             raise ValueError(f"scale must be an exact float, got {self.alpha!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        # store plain Python numbers: 2**n wraps on a numpy integer, and the
+        # scalar oracles' Fraction(alpha) refuses a numpy float32
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @cached_property
     def code_min(self) -> int:
@@ -108,16 +112,15 @@ class SnnLayerConfig(QuantParams):
     """Window, scale, kernel and threshold schedule for one M-TTFS layer.
 
     ``i_max`` is the masked firing time (dead-zone center); ``i_max=None``
-    disables the mask entirely (plain TTFS baseline).  ``baseline_silent_min``
-    maps the final-step spike, i.e. the minimum code, to silence; it exists
-    only to reproduce baseline-TTFS silence statistics and is off by default.
+    disables the mask entirely (plain TTFS baseline: every code fires, and
+    a silent train decodes to the minimum code).  The dead zone is the only
+    rule that silences a train.
     ``theta_shift`` offsets the threshold schedule by whole codes and is a
     fault-injection hook for negative-control verification runs.
     """
 
     i_max: int | None = None
     k: int = 0
-    baseline_silent_min: bool = False
     theta_shift: int = 0
 
     def __post_init__(self) -> None:
@@ -154,11 +157,12 @@ class SnnLayerConfig(QuantParams):
     @cached_property
     def _ramp(self) -> np.ndarray:
         """The firing ramp as one exact table, ascending: entry i is the least
-        float >= ``alpha * threshold_code(T-1-i)``, so a potential meets step
-        t exactly when it is >= entry T-1-t.  It holds 2^n floats, as many as
-        the codebook's trains at most (512 KiB at n = 16), built once per
-        config; a window over 2^20 steps, or a threshold code beyond 2^53 (no
-        exact float), is refused with ValueError.
+        float >= ``alpha * (code_max + theta_shift - t)`` for t = T-1-i, so a
+        potential meets step t exactly when it is >= entry T-1-t.  It holds
+        2^n floats, as many as the codebook's trains at most (512 KiB at
+        n = 16), built once per config; a window over 2^20 steps, or a
+        threshold code beyond 2^53 (no exact float), is refused with
+        ValueError.
         """
         origin = self.code_max + self.theta_shift
         if self.n > _RAMP_MAX_BITS:
@@ -183,68 +187,43 @@ class SnnLayerConfig(QuantParams):
             return self.mu
         return self.code_max - t
 
-    def threshold_code(self, t: int) -> int:
-        """Threshold at step t in units of alpha (a step-wise decreasing ramp)."""
-        return self.code_max - t + self.theta_shift
 
-
+@dataclass(frozen=True, slots=True)
 class SpikeTrain:
     """Binary train of ``window`` steps carrying at most one spike.
 
-    A train stores only its arrival step; ``silent`` and ``single`` are its
-    constructors.  A population of trains is an array of spike times (see
-    ``train_times``), not a list of these objects.
+    A train stores only its arrival step ``time``, None for the silent
+    train; ``silent`` and ``single`` are its constructors.  A population of
+    trains is an array of spike times (see ``train_times``), not a list of
+    these objects.
     """
 
-    __slots__ = ("_window", "_time")
+    window: int
+    time: int | None
+
+    def __post_init__(self) -> None:
+        if self.time is not None and not 0 <= self.time < self.window:
+            raise ValueError(f"spike time {self.time} outside window [0, {self.window - 1}]")
 
     @classmethod
     def silent(cls, window: int) -> "SpikeTrain":
-        train = cls.__new__(cls)
-        train._window = window
-        train._time = None
-        return train
+        return cls(window, None)
 
     @classmethod
     def single(cls, t: int, window: int) -> "SpikeTrain":
-        if not 0 <= t < window:
-            raise ValueError(f"spike time {t} outside window [0, {window - 1}]")
-        train = cls.__new__(cls)
-        train._window = window
-        train._time = t
-        return train
-
-    @property
-    def window(self) -> int:
-        return self._window
-
-    @property
-    def time(self) -> int | None:
-        """Arrival step of the spike, or None for the silent train."""
-        return self._time
+        return cls(window, t)
 
     @property
     def is_silent(self) -> bool:
-        return self._time is None
+        return self.time is None
 
     @property
     def bits(self) -> np.ndarray:
         """Dense 0/1 vector of length ``window``, built on demand."""
-        bits = np.zeros(self._window, dtype=np.uint8)
-        if self._time is not None:
-            bits[self._time] = 1
+        bits = np.zeros(self.window, dtype=np.uint8)
+        if self.time is not None:
+            bits[self.time] = 1
         return bits
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SpikeTrain):
-            return NotImplemented
-        return self.window == other.window and self._time == other._time
-
-    def __hash__(self) -> int:
-        return hash((self.window, self.time))
-
-    def __repr__(self) -> str:
-        return f"SpikeTrain(t={self.time}, T={self.window})"
 
 
 def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
@@ -330,7 +309,7 @@ def candidate_fire_time(potential: float, cfg: SnnLayerConfig) -> int:
 def _code_train(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
     """``cfg``'s shared train for an integer ``code``, built on first use by
     the scalar mask rule: silent where ``code_max - code`` is in the dead
-    zone, or is the last step under ``baseline_silent_min``."""
+    zone."""
     book = cfg._codebook
     train = book.get(code)
     if train is None:
@@ -340,10 +319,7 @@ def _code_train(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
                 f"code {code} outside representable range [{cfg.code_min}, {cfg.code_max}]"
             )
         t = cfg.code_max - code
-        if cfg.in_dead_zone(t) or (cfg.baseline_silent_min and t == cfg.window - 1):
-            train = SpikeTrain.silent(cfg.window)
-        else:
-            train = SpikeTrain.single(t, cfg.window)
+        train = SpikeTrain(cfg.window, None if cfg.in_dead_zone(t) else t)
         book[code] = train
     return train
 
@@ -390,13 +366,10 @@ def _check_times(times, cfg: SnnLayerConfig) -> np.ndarray:
 
 
 def _mask_times(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
-    """``_mask_fire_time`` of each time: -1 where the mask silences it."""
-    silent = np.zeros(times.shape, dtype=bool)
-    if cfg.masked:
-        silent |= np.abs(times - cfg.i_max) <= cfg.k
-    if cfg.baseline_silent_min:
-        silent |= times == cfg.window - 1
-    return np.where(silent, -1, times)
+    """``_mask_fire_time`` of each time: -1 where the dead zone silences it."""
+    if not cfg.masked:
+        return times
+    return np.where(np.abs(times - cfg.i_max) <= cfg.k, -1, times)
 
 
 def _kernel_array(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
@@ -469,9 +442,9 @@ def train_times(trains, window: int | None = None) -> np.ndarray:
     window = trains[0].window if window is None else window
     times = []
     for train in trains:
-        if train._window != window:
-            raise ValueError(f"train window {train._window} != {window}")
-        times.append(-1 if train._time is None else train._time)
+        if train.window != window:
+            raise ValueError(f"train window {train.window} != {window}")
+        times.append(-1 if train.time is None else train.time)
     return np.array(times, dtype=np.int64)
 
 

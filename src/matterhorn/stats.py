@@ -126,11 +126,11 @@ def sparsity_sweep(
     codes = quantize_array(sampler.sample(count), base_cfg)  # k only moves the mask
     rows = []
     for k in k_values:
-        cfg = replace(base_cfg, k=int(k))
+        cfg = replace(base_cfg, k=k)
         silent = silence_rate(encode_integer_array(codes, cfg))
         rows.append(
             SweepRow(
-                k=int(k),
+                k=cfg.k,
                 silence=silent,
                 mean_spike_rate=(1.0 - silent) / cfg.window,
             )

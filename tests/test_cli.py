@@ -143,7 +143,8 @@ def test_verify_non_integral_bit_width_is_config_error(tmp_path, capsys, domain)
     path.write_text(json.dumps(layer))
     code, _, err = run(capsys, "verify", "--weights", str(path), *domain)
     assert code == EXIT_CONFIG
-    assert "bit width must be an integer >= 1, got 3.5" in json.loads(err)["detail"]
+    detail = json.loads(err)["detail"]
+    assert "bit width must be an integer >= 1, got 3.5" in detail and "alpha_in" not in detail
 
 
 @pytest.mark.parametrize("field, value", [("mu", 0.9), ("k", 1.7)])
@@ -166,14 +167,15 @@ def test_verify_non_real_scale_is_config_error(tmp_path, capsys, field, value):
     path.write_text(json.dumps({**layer, field: value}))
     code, out, err = run(capsys, "verify", "--weights", str(path), "--samples", "10")
     assert code == EXIT_CONFIG and not out
-    assert f"alpha must be a real number, got {value!r}" in json.loads(err)["detail"]
+    detail = json.loads(err)["detail"]
+    assert f"{field}: alpha must be a real number, got {value!r}" in detail
 
 
 @pytest.mark.parametrize(
     "alpha, needle",
     [
-        (2**60 + 1, "scale must be an exact float"),  # once passed on the rounded scale
-        (int("9" * 401), "alpha is too large for a float"),  # once an OverflowError, exit 1
+        (2**60 + 1, "alpha_out: scale must be an exact float"),  # once passed on the rounded scale
+        (int("9" * 401), "alpha_out: alpha is too large for a float"),  # once an OverflowError, exit 1
     ],
 )
 @pytest.mark.parametrize("domain", [["--exhaustive"], ["--samples", "10"]])
@@ -477,6 +479,13 @@ STATS_CSV_SHA256 = {
     (): "70ff1f784e6a31ac7ea0b38ff82902bc89d54226a988731fc655a631082af52f",
     ("--calibrate", "0.6", "--k", "1"): (
         "ef79ade27c702daf105fe01cea38f9add484943436ff7521eaa8f8e20610f422"
+    ),
+    # the unmasked reference with last-step spikes counted as silent
+    ("--baseline", "--bits", "3", "--mode", "asymmetric"): (
+        "817c718aeeedcf61be09096ba583e8968a07524328a4ebc86cb912a9864cf57a"
+    ),
+    ("--baseline", "--dist", "laplace", "--scale", "3"): (
+        "2dad64abff608aee56077b7412c4ad6debfc1fc7d1cd99dcc8c7b2ef387bc122"
     ),
 }
 SWEEP_CSV_SHA256 = {

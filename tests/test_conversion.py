@@ -50,13 +50,13 @@ def test_derive_symmetric():
     cfg = derive_snn_config(QuantParams(n=4, alpha=2.0), i_max=7, k=0)
     assert cfg.window == 16 and cfg.mu == 0 and cfg.alpha == 2.0
     # threshold ramp: alpha * (7 - t)
-    assert [cfg.alpha * cfg.threshold_code(t) for t in (0, 1, 7)] == [14.0, 12.0, 0.0]
+    assert [cfg.alpha * (cfg.code_max + cfg.theta_shift - t) for t in (0, 1, 7)] == [14.0, 12.0, 0.0]
 
 
 def test_derive_asymmetric():
     cfg = derive_snn_config(QuantParams(n=4, mode=ASYMMETRIC), i_max=15, k=0)
     assert cfg.mu == 0
-    assert cfg.threshold_code(0) == 15
+    assert cfg.code_max + cfg.theta_shift == 15  # threshold code at t = 0
 
 
 def test_derive_small_window():
@@ -215,10 +215,6 @@ def test_config_mismatch_raises():
         verify_equivalence(layer, replace(cfg, k=2), domain="exhaustive")
     with pytest.raises(ValueError):
         verify_equivalence(layer, derive_snn_config(QuantParams(n=4), 7, 0), domain="exhaustive")
-    # a statistics-only encoding that silences the floor code has no
-    # quantized counterpart
-    with pytest.raises(ValueError, match="baseline_silent_min"):
-        verify_equivalence(layer, replace(cfg, baseline_silent_min=True), domain="exhaustive")
 
 
 def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):

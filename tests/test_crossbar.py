@@ -1,6 +1,7 @@
 """Crossbar mapping, analog read-out, bit-serial VMM and tiling."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,6 +352,15 @@ def test_chunked_read_of_an_empty_matrix(monkeypatch, budget, c_in, c_out):
     got = tiled_vmm(np.ones(c_in, dtype=np.int64), np.ones((c_in, c_out)), MsuConfig(gamma=0.5))
     want = 0.5 * np.zeros(c_out, dtype=np.int64)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gamma_is_stored_as_a_float():
+    # a Fraction gamma once scaled the codes into an object array
+    cfg = MsuConfig(gamma=Fraction(1, 3))
+    assert type(cfg.gamma) is float and cfg.gamma == 1 / 3
+    x, w = np.array([3, 1, 2]), np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    got = tiled_vmm(x, w, cfg)
+    assert got.dtype == np.float64 and got.tolist() == [4 / 3, 0.0]
 
 
 def test_chunked_read_peak_memory_is_a_few_chunks():

@@ -146,6 +146,37 @@ def test_extreme_ratio_falls_back_to_rational_path():
     assert floor_ratio(-1e308, 1e-308) < 0
 
 
+FLOOR_SCALES = (5e-324, 1e-310, 2.0**-1022, 1e-200, 0.1, 0.37, 1.0, 3.0, 1e100, 1e300)
+
+
+def test_floor_ratio_makes_one_exact_check_below_2_52(monkeypatch):
+    calls = []
+    monkeypatch.setattr(numerics, "ge_scaled", lambda *a, _f=ge_scaled: calls.append(a) or _f(*a))
+    cases = [(0.5, 0.1), (math.nextafter(0.5, 1.0), 0.1), (-3.0, 0.37), (1e300, 1e290)]
+    cases += [(5e-324, 5e-324), (-1e-310, 5e-324), (2.0**52 - 1.0, 1.0), (0.0, 3.0)]
+    for value, scale in cases:
+        calls.clear()
+        assert floor_ratio(value, scale) == math.floor(Fraction(value) / Fraction(scale))
+        assert len(calls) == 1, (value, scale)
+
+
+@pytest.mark.parametrize("scale", FLOOR_SCALES)
+def test_floor_ratio_matches_fraction_next_to_code_boundaries(scale):
+    # 0-2 float steps either side of scale * k, for small k, random k and
+    # k up to 2^52; a product that overflows is no float and is skipped
+    rng = np.random.default_rng(7)
+    ks = [0, 1, -1, 2, -2, 7, -8, 1000, -1001, 2**30 + 1, 2**51 + 3, 2**52 - 1, -(2**52) + 1]
+    ks += rng.integers(-(2**52), 2**52, 20).tolist()
+    for k in ks:
+        edge = scale * k
+        if math.isinf(edge):
+            continue
+        for steps in range(-2, 3):
+            value = _ulps_away(edge, steps)
+            want = math.floor(Fraction(value) / Fraction(scale))
+            assert floor_ratio(value, scale) == want, (k, steps)
+
+
 # --- array forms against the scalar oracles ------------------------------
 
 ALPHAS = (1.0, 0.5, 0.1, 0.37)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ def test_layer_refuses_non_integral_dead_zone(field, bad):
 def test_quant_params_accept_python_and_numpy_integers():
     for n in (4, np.int64(4), np.int32(4), np.uint8(4)):
         assert QuantParams(n=n).code_max == 7
+
+
+def test_quant_params_store_plain_python_numbers():
+    p = QuantParams(n=np.int64(8), alpha=np.float32(0.37))
+    assert type(p.n) is int and type(p.alpha) is float
+    assert p.alpha == float(np.float32(0.37))
+    for alpha in (1, np.int64(3), Fraction(1, 2), np.float64(0.1)):
+        assert type(QuantParams(4, alpha=alpha).alpha) is float
+    assert QuantParams(4, alpha=1) == QuantParams(4, alpha=1.0)
+
+
+def test_float32_scale_scalar_quantize_agrees_with_array():
+    # a numpy float32 scale once made the scalar quantize raise TypeError
+    # (Fraction refuses float32) where quantize_array returned codes
+    p = QuantParams(4, alpha=np.float32(0.1))
+    assert quantize(0.5, p) == quantize_array([0.5], p)[0] == 4
+    p = QuantParams(8, alpha=np.float32(0.37))
+    edges = p.alpha * np.arange(p.code_min - 1, p.code_max + 2, dtype=np.float64)
+    v = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    want = [min(max(math.floor(Fraction(a) / Fraction(p.alpha)), p.code_min), p.code_max) for a in v.tolist()]
+    assert [quantize(a, p) for a in v.tolist()] == quantize_array(v, p).tolist() == want
 
 
 # --- straight-through estimator ----------------------------------------

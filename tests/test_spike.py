@@ -47,6 +47,21 @@ def test_train_time_and_silence():
     assert SpikeTrain.silent(8).is_silent
 
 
+def test_train_is_a_frozen_record_of_window_and_time():
+    train = SpikeTrain.single(5, 8)
+    assert train == SpikeTrain(8, 5) and hash(train) == hash((8, 5))
+    assert SpikeTrain.silent(8) == SpikeTrain(8, None) != SpikeTrain(16, None)
+    assert train != SpikeTrain.single(4, 8) and train != (8, 5)
+    assert not hasattr(train, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        train.time = 4
+    for t in (-1, 8):
+        with pytest.raises(ValueError, match="outside window"):
+            SpikeTrain.single(t, 8)
+        with pytest.raises(ValueError, match="outside window"):
+            SpikeTrain(8, t)
+
+
 # --- configuration ------------------------------------------------------
 
 
@@ -261,8 +276,6 @@ def test_fire_analytic_examples():
     assert fire_analytic(math.inf, cfg).time == 0
     # deeply negative saturates at the window end by default
     assert fire_analytic(-1e6, cfg).time == 15
-    # ... and maps to silence under the baseline-silent-min policy
-    assert fire_analytic(-1e6, cfg_sym16(baseline_silent_min=True)).is_silent
 
 
 def test_fire_rejects_nan():
@@ -287,7 +300,6 @@ config_strategy = st.builds(
     mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
     i_max=st.integers(0, 3),  # always inside the smallest window
     k=st.integers(0, 2),
-    baseline_silent_min=st.booleans(),
     theta_shift=st.integers(-1, 1),
 )
 
@@ -497,7 +509,7 @@ def test_ramp_entries_are_exact_ceilings(n, alpha, mode, theta_shift, picks):
     ends = range(cfg.window) if n <= 6 else [0, 1, 2, last - 2, last - 1, last]
     entries = sorted({*ends, *(i % cfg.window for i in picks)})
     for i in entries:
-        threshold = Fraction(alpha) * cfg.threshold_code(last - i)
+        threshold = Fraction(alpha) * (cfg.code_max + theta_shift - (last - i))
         assert ramp[i] == _ceiling(threshold), (i, ramp[i].hex())
     picked = ramp[entries]
     v = np.concatenate(
@@ -539,6 +551,18 @@ def test_array_kernels_reject_bad_inputs():
         fire_simulated_array([0.0, math.nan], cfg)
 
 
+def test_config_stores_plain_python_numbers():
+    # a numpy bit width once wrapped 2**n: window 0 at n = 64, code_max -1 at 70
+    assert SnnLayerConfig(n=np.int64(64)).window == 2**64
+    assert SnnLayerConfig(n=np.int64(70)).code_max == 2**69 - 1
+    # a numpy float32 scale once made the scalar search raise TypeError
+    cfg = SnnLayerConfig(n=8, alpha=np.float32(0.37), i_max=127, k=1)
+    edges = cfg.alpha * np.arange(-2, cfg.window + 2, dtype=np.float64)
+    v = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    assert [_time(fire_simulated(a, cfg)) for a in v.tolist()] == fire_simulated_array(v, cfg).tolist()
+    assert [_time(fire_analytic(a, cfg)) for a in v.tolist()] == fire_simulated_array(v, cfg).tolist()
+
+
 def test_unmasked_baseline_always_fires():
     cfg = SnnLayerConfig(n=4)  # no mask at all
     assert not cfg.masked and cfg.mu is None
@@ -548,20 +572,6 @@ def test_unmasked_baseline_always_fires():
         assert decode_spike(train, cfg) == q
 
 
-def test_baseline_silent_min_maps_floor_code_to_silence():
-    cfg = SnnLayerConfig(n=4, baseline_silent_min=True)
-    assert encode_integer(cfg.code_min, cfg).is_silent  # t = T-1 becomes silence
-    assert encode_integer(cfg.code_min + 1, cfg).time == 14
-    # the silent train stands for the minimum code on the way back
-    assert decode_spike(SpikeTrain.silent(16), cfg) == cfg.code_min
-
-
-def test_baseline_silent_min_round_trip():
-    cfg = SnnLayerConfig(n=3, mode=ASYMMETRIC, baseline_silent_min=True)
-    for q in range(cfg.code_min, cfg.code_max + 1):
-        assert decode_spike(encode_integer(q, cfg), cfg) == q
-
-
 # --- codebook -----------------------------------------------------------
 
 
@@ -569,8 +579,6 @@ def _defined_train(q, cfg):
     """The M-TTFS train of code q, written out from the definition."""
     t = cfg.code_max - q
     if cfg.i_max is not None and abs(t - cfg.i_max) <= cfg.k:
-        return SpikeTrain.silent(cfg.window)
-    if cfg.baseline_silent_min and t == cfg.window - 1:
         return SpikeTrain.silent(cfg.window)
     return SpikeTrain.single(t, cfg.window)
 

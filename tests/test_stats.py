@@ -135,16 +135,26 @@ def test_sweep_needs_radii():
         sparsity_sweep(ActivationSampler(seed=0), cfg16(), [], count=10)
 
 
+def test_sweep_refuses_a_radius_that_is_no_integer():
+    # k = 1.5 once ran and reported as k = 1
+    for k in (1.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            sparsity_sweep(ActivationSampler(seed=0), cfg16(), [0, k], count=10)
+    assert [r.k for r in sparsity_sweep(ActivationSampler(seed=0), cfg16(), [np.int64(2)], count=10)] == [2]
+
+
 def test_baseline_silence_is_rare_next_to_masked():
-    # the unmasked reference encoding only goes silent on the floor code,
-    # a far-tail event; the mask flips the bulk of the distribution silent
+    # the unmasked reference encoding fires every code, and its last step
+    # (the floor code, which the reference counts as silence) is a far-tail
+    # event; the mask flips the bulk of the distribution silent
     sigma = calibrate_gaussian_sigma(0.34, cfg16(k=0))
     sampler = ActivationSampler(kind="gaussian", scale=sigma, seed=13)
     samples = sampler.sample(50_000)
-    baseline_cfg = SnnLayerConfig(n=4, baseline_silent_min=True)
+    baseline_cfg = SnnLayerConfig(n=4)
     baseline = spike_time_histogram(encode_samples(samples, baseline_cfg), baseline_cfg)
     masked = spike_time_histogram(encode_samples(samples, cfg16(k=0)), cfg16(k=0))
-    assert baseline.silence_fraction < 0.01
+    assert baseline.silent == 0
+    assert baseline.counts[-1] / baseline.total < 0.01
     assert masked.silence_fraction > 0.30
 
 
