@@ -539,6 +539,10 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run the chosen subcommand; returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "baseline", False):  # the unmasked encoding has no dead zone to place
+        for flag, given in (("--imax", args.imax is not None), ("--k", args.k != 0)):
+            if given:
+                parser.error(f"argument {flag}: not allowed with argument --baseline")
     try:
         env_seed = os.environ.get("MATTERHORN_SEED")
         if env_seed is not None and hasattr(args, "seed"):

@@ -10,7 +10,11 @@ inputs genuinely stand for a zero contribution; off-center configurations
 surface as honest mismatches in the report.  Every sum and threshold
 compare is exact: integer codes, scales and weights sum in one float
 matmul, and thresholds and code boundaries compare in one vector pass
-that is exact at every scale (see ``numerics``).
+that is exact at every scale (see ``numerics``).  The exhaustive sweep runs
+each stage whose input takes few values (the input filter and encoding over
+the 2^n input codes, the output filter and dead-zone test over the 2^n
+output codes, the decoding over the T + 1 spike times) once per call, as
+a table that each block of vectors indexes.
 """
 
 from __future__ import annotations
@@ -134,15 +138,13 @@ def _check_range(layer: QnnLayer) -> None:
         )
 
 
-def _code_block(start: int, stop: int, p: QuantParams, fan_in: int) -> np.ndarray:
-    """Rows ``start:stop`` of ``itertools.product(codes, repeat=fan_in)``
-    over the codes of ``p``, built from the row indices alone."""
-    rest = np.arange(start, stop, dtype=np.int64)
-    block = np.empty((rest.size, fan_in), dtype=np.int64)
-    for i in range(fan_in - 1, -1, -1):
-        rest, digit = np.divmod(rest, 2**p.n)
-        block[:, i] = digit + p.code_min
-    return block
+def _code_block(start: int, stop: int, n: int, fan_in: int) -> np.ndarray:
+    """Rows ``start:stop`` of ``itertools.product(range(2**n), repeat=fan_in)``,
+    built from the row indices alone: entry i of row r is the n-bit digit
+    of r that starts at bit ``n * (fan_in - 1 - i)``."""
+    rows = np.arange(start, stop, dtype=np.int64)
+    shifts = np.arange(n * (fan_in - 1), -1, -n, dtype=np.int64)
+    return (rows[:, None] >> shifts) & (2**n - 1)
 
 
 def verify_equivalence(
@@ -156,24 +158,32 @@ def verify_equivalence(
     """Run the quantized and spiking paths side by side and diff the codes.
 
     domain="exhaustive": every input code vector over the layer's fan-in
-    is checked, in blocks of about ``BLOCK_TERMS`` summed products built
-    from vector indices, with the array forms of the scalar functions.  The
-    quantized side filters the codes, sums each pre-activation exactly
-    rounded (``numerics.exact_matmul``: one float matmul for integer codes,
-    scales and weights, ``fsum_rows`` of the products otherwise), floors
-    exactly, clips and filters the output.  The spiking side,
-    independently, encodes the codes to spike times, sums each potential
-    the same exact way over the spiking inputs, fires by
-    ``fire_simulated_array`` (one ``searchsorted`` of each potential in the
-    config's ramp table, whose entries are the least floats meeting each
-    step's threshold, so the float compare is exact; the quantized side's
-    floor is never used), masks and decodes.  The two integer outputs must
-    agree per output neuron.  Additionally asserts the dead-zone agreement: the
-    mask silences the output exactly when the unfiltered quantized code
-    lies within k of mu.  The report is the one the scalar loop in the
-    tests produces, mismatches in vector order, then output, then code
-    check before dead-zone check.  Raises ValueError for weights and bias
-    whose pre-activations could overflow.
+    is checked, in blocks of about ``BLOCK_TERMS`` summed products whose
+    code indices are built from vector indices, with the array forms of the
+    scalar functions.  A stage whose input takes few values runs once per
+    call over its whole domain: the input dead-zone filter and
+    ``encode_integer_array`` over the 2^n input codes, the output filter
+    and the dead-zone test over the 2^n output codes, and
+    ``decode_spike_array`` over the spike times -1..T-1; each block gathers
+    from these tables.  The quantized side sums each pre-activation of the
+    filtered codes exactly rounded (``numerics.exact_matmul``: one float
+    matmul for integer codes, scales and weights, ``fsum_rows`` of the
+    products otherwise), floors exactly, clips and filters the output.
+    The spiking side, independently, sums each potential the same exact way
+    over the encoded spike times, fires by ``fire_simulated_array`` (one
+    ``searchsorted`` of each potential in the config's ramp table, whose
+    entries are the least floats meeting each step's threshold, so the
+    float compare is exact; the quantized side's floor is never used),
+    masks and decodes.  The two integer outputs must agree per output
+    neuron.  Additionally asserts the dead-zone agreement: the mask
+    silences the output exactly when the unfiltered quantized code lies
+    within k of mu.  A block with no mismatch costs two boolean tests; the
+    codes of a mismatching vector are rebuilt for its report entry only.
+    The report is the one the scalar loop in the tests produces, mismatches
+    in vector order, then output, then code check before dead-zone check.
+    Raises ValueError for weights and bias whose pre-activations could
+    overflow, and for an output window too wide for the ramp table, before
+    any table is built.
 
     domain="sampled": draws real pre-activations spanning twice the code
     range, ``_SAMPLE_CHUNK`` at a time from one generator stream, and
@@ -223,37 +233,49 @@ def verify_equivalence(
         i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
         input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
     _check_range(layer)
-    vectors = 2 ** (layer.in_params.n * layer.fan_in)
+    p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
+    cfg._ramp  # refuses a window too wide for a table before the tables below
+    # Each stage whose input takes few values runs once, over its whole
+    # domain, and the blocks gather from its table: input codes by index,
+    # output codes by index (code - code_min), spike times by time + 1.
+    codes_in = np.arange(p_in.code_min, p_in.code_max + 1)
+    filtered_in = dead_zone_filter_array(codes_in, input_cfg.mu, input_cfg.k)
+    times_in = encode_integer_array(codes_in, input_cfg)
+    codes_out = np.arange(p_out.code_min, p_out.code_max + 1)
+    filtered_out = dead_zone_filter_array(codes_out, mu, k)
+    in_dead_zone = np.abs(codes_out - mu) <= k
+    decoded = decode_spike_array(np.arange(-1, cfg.window), cfg)
+    vectors = 2 ** (p_in.n * layer.fan_in)
     # A block holds whole vectors, or one vector's outputs in chunks, so the
     # mismatches still come out in vector, then output, order.
     step = max(1, BLOCK_TERMS // max(1, layer.fan_in * layer.fan_out))
     width = max(1, min(layer.fan_out, BLOCK_TERMS // max(1, layer.fan_in)))
     for start in range(0, vectors, step):
-        raw = _code_block(start, min(start + step, vectors), layer.in_params, layer.fan_in)
-        filtered = dead_zone_filter_array(raw, input_cfg.mu, input_cfg.k)
-        trains = encode_integer_array(raw, input_cfg)
-        report.cases_checked += len(raw)
+        rows = _code_block(start, min(start + step, vectors), p_in.n, layer.fan_in)
+        filtered, times = filtered_in[rows], times_in[rows]
+        report.cases_checked += len(rows)
         for lo in range(0, layer.fan_out, width):
             outputs = slice(lo, lo + width)
-            # Quantized side: exact pre-activation, floor, clip, filter.
-            q_unmasked = quantize_array(
-                layer.pre_activation_array(filtered, outputs), layer.out_params
-            )
-            qnn_out = dead_zone_filter_array(q_unmasked, layer.mu, layer.k)
+            # Quantized side: exact pre-activation, floor, clip, filter; q
+            # holds the unfiltered codes as indices (code - code_min).
+            pre = layer.pre_activation_array(filtered, outputs)
+            q = quantize_array(pre, p_out) - p_out.code_min
+            qnn_out = filtered_out[q]
             # Spiking side: integrate the trains, fire, mask, decode.
             potentials = integrate_array(
-                trains, layer.weights[:, outputs], input_cfg, layer.bias[outputs]
+                times, layer.weights[:, outputs], input_cfg, layer.bias[outputs]
             )
             fired = fire_simulated_array(potentials, cfg)
-            snn_out = decode_spike_array(fired, cfg)
+            snn_out = decoded[fired + 1]
             # Per (vector, output): the code check, then the dead-zone
             # agreement (mask suppression <=> unmasked code within k of mu).
             # Only the mask silences here, so the one firing settles both.
-            bad = np.stack(
-                [qnn_out != snn_out, (fired < 0) != (np.abs(q_unmasked - layer.mu) <= layer.k)],
-                axis=-1,
-            )
+            code_bad = qnn_out != snn_out
+            zone_bad = (fired < 0) != in_dead_zone[q]
+            if not (code_bad.any() or zone_bad.any()):
+                continue
+            bad = np.stack([code_bad, zone_bad], axis=-1)
             for b, j, dead_zone in zip(*np.nonzero(bad)):
-                qnn_code = (q_unmasked if dead_zone else qnn_out)[b, j]
-                report.record(raw[b].tolist(), qnn_code, snn_out[b, j])
+                qnn_code = q[b, j] + p_out.code_min if dead_zone else qnn_out[b, j]
+                report.record((rows[b] + p_in.code_min).tolist(), qnn_code, snn_out[b, j])
     return report

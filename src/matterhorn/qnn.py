@@ -53,18 +53,20 @@ def quantize_array(a, p: QuantParams) -> np.ndarray:
     either way, so huge values never reach the exact floor.
     """
     a = np.asarray(a, dtype=np.float64)
-    if np.isnan(a).any():
+    finite = np.isfinite(a)
+    all_finite = finite.all()
+    if not all_finite and np.isnan(a).any():
         raise ValueError("cannot quantize NaN")
     if p.n > 52:
         raise ValueError(f"array quantization supports codes of at most 52 bits, got {p.n}")
-    finite = np.isfinite(a)
     lo, hi = p.alpha * (p.code_min - 1), p.alpha * (p.code_max + 1)  # inf when they overflow
-    v = np.clip(np.where(finite, a, 0.0), lo, hi)
+    v = np.clip(a if all_finite else np.where(finite, a, 0.0), lo, hi)
     # |v / alpha| <= 2^52 + 1 now, and integers to 2^53 are floats, so the rounded
     # quotient's floor is the true floor or one above it: one exact compare settles it
     codes = np.floor(v / p.alpha).astype(np.int64)
     codes -= ~ge_scaled_array(v, p.alpha, codes)
-    codes = np.where(finite, codes, np.where(a > 0, p.code_max, p.code_min))
+    if not all_finite:  # +/-inf saturate
+        codes = np.where(finite, codes, np.where(a > 0, p.code_max, p.code_min))
     return np.clip(codes, p.code_min, p.code_max)
 
 

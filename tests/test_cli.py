@@ -68,6 +68,11 @@ def test_unknown_flag_is_usage_error():
         (["xbar", "--fuzz", "1000000000"], "--fuzz"),
         # n threshold comparisons a sample: about 10 s at this cap and --bits 16
         (["verify", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
+        # the unmasked baseline encoding has no dead zone to place or widen
+        (["stats", "--baseline", "--k", "3", "--count", "10"], "--k"),
+        (["stats", "--baseline", "--imax", "2", "--count", "10"], "--imax"),
+        (["stats", "--baseline", "--imax", "7", "--k", "0", "--count", "10"], "--imax"),
+        (["stats", "--baseline", "--k", "3", "--imax", "2", "--count", "10"], "--imax"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -540,9 +545,12 @@ def test_stats_csv_and_svg(tmp_path, capsys):
 
 
 def test_stats_baseline_flag(capsys):
-    code, out, _ = run(capsys, "stats", "--count", "2000", "--baseline", "--seed", "8")
+    argv = ("stats", "--count", "2000", "--baseline", "--seed", "8")
+    code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert "silent decodes to minimum code" in out
+    # --k 0 is the default radius, so naming it is no error and changes nothing
+    assert run(capsys, *argv, "--k", "0")[:2] == (EXIT_OK, out)
     masked_code, masked_out, _ = run(capsys, "stats", "--count", "2000", "--seed", "8")
     assert masked_code == EXIT_OK
     assert "silent decodes to mu=0" in masked_out

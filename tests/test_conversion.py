@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matterhorn.conversion import (
@@ -19,7 +19,7 @@ from matterhorn.conversion import (
     zero_centered_i_max,
 )
 from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
-from matterhorn import conversion, numerics, spike
+from matterhorn import conversion, numerics, qnn, spike
 from matterhorn.spike import (
     ASYMMETRIC,
     decode_spike,
@@ -307,6 +307,112 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
         assert verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict() == want
         failing += not want["passed"]
     assert failing > 0
+
+
+@settings(max_examples=100, deadline=None)
+@example(  # a dead-zone mismatch whose unmasked code differs from the filtered one
+    n_in=3, n_out=3, mode="symmetric", k=1, theta_shift=1, real=False, fan=(2, 2), block_terms=3,
+    seed=1, i_max_in=None,
+)
+@given(
+    n_in=st.integers(1, 3),
+    n_out=st.integers(1, 3),
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    k=st.integers(0, 2),
+    theta_shift=st.integers(0, 1),
+    real=st.booleans(),
+    fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    block_terms=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    i_max_in=st.none() | st.integers(0, 7),
+)
+def test_exhaustive_report_matches_scalar_reference_for_random_layers(
+    n_in, n_out, mode, k, theta_shift, real, fan, block_terms, seed, i_max_in
+):
+    # small blocks split the vectors across blocks and a vector's outputs
+    # across chunks; an off-centre input dead zone and a shifted threshold
+    # schedule make mismatches the report must list in the same order
+    fan_in, fan_out = fan
+    alpha = 0.37 if real else 1.0
+    p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
+    cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
+    rng = np.random.default_rng(seed)
+    shape = (fan_in, fan_out)
+    layer = QnnLayer(
+        weights=rng.normal(size=shape) if real else rng.choice([-1.0, 1.0], shape),
+        bias=rng.normal(size=fan_out) if real else np.zeros(fan_out),
+        in_params=p_in,
+        out_params=p_out,
+        mu=cfg.mu,
+        k=k,
+    )
+    input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conversion, "BLOCK_TERMS", block_terms)
+        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
+    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_code_block_rows_match_itertools_product(n):
+    # 2^16 vectors at most: fan-in 4 up to n = 4, one input from n = 9
+    fan_in = max(1, min(4, 16 // n))
+    want = np.array(list(itertools.product(range(2**n), repeat=fan_in)), dtype=np.int64)
+    vectors = len(want)
+    # an odd step, so blocks start off the multiples of 2^n and the last is partial
+    step = 2 ** (n * fan_in // 2) + 3
+    blocks = [
+        conversion._code_block(start, min(start + step, vectors), n, fan_in)
+        for start in range(0, vectors, step)
+    ]
+    assert len(blocks) > 1 and len(blocks[-1]) < step
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
+    # encoding, filtering and decoding run over their finite domains once a
+    # call, however many vectors and blocks the sweep holds
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
+    names = ("encode_integer_array", "dead_zone_filter_array", "decode_spike_array")
+
+    def calls(fan_in):
+        counts = dict.fromkeys(names, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in names:
+                kernel = getattr(conversion, name)
+
+                def counting(*args, _name=name, _kernel=kernel):
+                    counts[_name] += 1
+                    return _kernel(*args)
+
+                for module in (conversion, spike, qnn):
+                    mp.setattr(module, name, counting, raising=False)
+            layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=fan_in, fan_out=2)
+            report = verify_equivalence(layer, cfg, domain="exhaustive")
+        assert report.passed and report.cases_checked == 8**fan_in
+        return counts
+
+    assert calls(3) == calls(4) == {
+        "encode_integer_array": 1,
+        "dead_zone_filter_array": 2,
+        "decode_spike_array": 1,
+    }
+
+
+def test_exhaustive_refuses_a_window_too_wide_before_building_tables():
+    # a 2^21-step output window has no ramp table; its 2^21-entry code tables
+    # (16 MiB each) are never built
+    p_in, p_out = QuantParams(n=2), QuantParams(n=21)
+    cfg = derive_snn_config(p_out, zero_centered_i_max(p_out), 0)
+    layer = QnnLayer(weights=np.ones((1, 1)), bias=np.zeros(1), in_params=p_in, out_params=p_out)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2\^21 steps"):
+            verify_equivalence(layer, cfg, domain="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("alpha, real", [(1.0, False), (0.37, True)])
