@@ -61,9 +61,11 @@ EXHAUSTIVE_BUDGET_LOG2 = 20
 # 2-core Xeon and peaked at about 46 MiB resident.
 MAX_SAMPLES = 2**20
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
-# each side, exactly rounded per output, at about 0.4 us a real-valued term
-# on the same host (integer terms add in plain float, far faster), so
-# 2^TERMS_BUDGET_LOG2 terms keep a run within about 14 s there.
+# each side.  Real-valued terms are summed exactly rounded per output and
+# every (vector, output) is quantized and fired, at about 0.15-0.2 us a term
+# on the same host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 7 s
+# there.  Integer-lattice layers add in plain float matmuls and quantize and
+# fire each reachable sum once per run, far faster.
 TERMS_BUDGET_LOG2 = 25
 # ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
 # width, as two integer matrix products; at this cap (``--bits 16``) one
@@ -72,7 +74,8 @@ TERMS_BUDGET_LOG2 = 25
 MAX_ATTN_DIM = 128
 # The fan_in x fan_out ``random:`` weights of ``verify`` take 8 MiB at this cap.
 MAX_FAN = 1024
-# ``stats`` and ``sweep`` peak at about 129 MiB resident at this sample count.
+# ``stats`` and ``sweep`` quantize and encode in chunks, and peak at about
+# 56 MiB resident at this sample count (n = 4, alpha 0.37, 2-core Xeon).
 MAX_COUNT = 2**20
 # ``xbar`` fuzzes one random VMM of up to 39 x 39 a case; this many cases
 # took 6.7 s at ``--bits 4`` and 8.3 s at ``--bits 57`` on a 2-core Xeon.
@@ -159,8 +162,11 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
 
 def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
     """Refuse a ``verify --exhaustive`` run over its vector or summed-term
-    budget, before the layer's weights are built; each output's firing
-    time is one lookup in the layer's threshold table."""
+    budget, before the layer's weights are built.  The term budget prices
+    real-valued layers, which quantize and fire every (vector, output) by
+    one lookup in the layer's threshold table; an integer-lattice layer
+    does so once per reachable sum and output, and spends its time on the
+    per-vector gathers and matmuls."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(

@@ -14,7 +14,10 @@ that is exact at every scale (see ``numerics``).  The exhaustive sweep runs
 each stage whose input takes few values (the input filter and encoding over
 the 2^n input codes, the output filter and dead-zone test over the 2^n
 output codes, the decoding over the T + 1 spike times) once per call, as
-a table that each block of vectors indexes.
+a table that each block of vectors indexes.  On an integer lattice (integral
+input terms and weights) it does the same for the output stages: every
+pre-activation and potential is one of few integer sums plus the bias, so
+each reachable sum is quantized and fired once per output.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .spike import (
     fire_simulated,
     fire_simulated_array,
     integrate_array,
+    require_integer,
 )
 
 __all__ = [
@@ -110,7 +114,9 @@ class EquivalenceReport:
         }
 
 
-def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
+def _check_configs(
+    layer: QnnLayer, cfg: SnnLayerConfig, input_cfg: SnnLayerConfig | None = None
+) -> None:
     p = layer.out_params
     if cfg.window != 2**p.n:
         raise ValueError(f"config window {cfg.window} != 2**{p.n}")
@@ -121,6 +127,15 @@ def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
             f"config dead zone (mu={cfg.mu}, k={cfg.k}) does not match "
             f"layer dead zone (mu={layer.mu}, k={layer.k})"
         )
+    if input_cfg is None:
+        return
+    p = layer.in_params
+    if input_cfg.window != 2**p.n:
+        raise ValueError(f"input config window {input_cfg.window} != 2**{p.n}")
+    if input_cfg.mode != p.mode or input_cfg.alpha != p.alpha:
+        raise ValueError("input config mode/scale do not match the layer's input params")
+    if not input_cfg.masked:
+        raise ValueError("input config has no dead zone (i_max=None)")
 
 
 def _check_range(layer: QnnLayer) -> None:
@@ -174,10 +189,26 @@ def verify_equivalence(
     ``searchsorted`` of each potential in the config's ramp table, whose
     entries are the least floats meeting each step's threshold, so the
     float compare is exact; the quantized side's floor is never used),
-    masks and decodes.  The two integer outputs must agree per output
-    neuron.  Additionally asserts the dead-zone agreement: the mask
-    silences the output exactly when the unfiltered quantized code lies
-    within k of mu.  A block with no mismatch costs two boolean tests; the
+    masks and decodes.
+
+    On an integer lattice the output stages run once per call as well.
+    Each side adds one term per input code and unit weight: the scaled
+    filtered code (quantized), the scale times the kernel value of the
+    spike, +0.0 when silent (spiking, the term ``integrate_array`` sums).
+    When both term tables and the weights are integral and R = max_j
+    sum_i |w_ij| x max |term| is below 2^53, every sum is an exact integer
+    in [-R, R] in any summation order, so it is one plain float matmul,
+    and each pre-activation or potential is ``fl(s + bias_j)`` for one such
+    s.  Both sides then quantize and filter, or fire and decode, the table
+    of ``fl(s + bias_j)`` over all s in [-R, R] and outputs j once, and
+    each block gathers its codes and firings from it by its sums.  Other
+    layers, and lattices whose table would hold more than ``BLOCK_TERMS``
+    entries, run the output stages per block.
+
+    The two integer outputs must agree per output neuron.  Additionally
+    asserts the dead-zone agreement: the mask silences the output exactly
+    when the unfiltered quantized code lies within k of mu.  Both routes
+    feed one check: a block with no mismatch costs two boolean tests; the
     codes of a mismatching vector are rebuilt for its report entry only.
     The report is the one the scalar loop in the tests produces, mismatches
     in vector order, then output, then code check before dead-zone check.
@@ -191,19 +222,22 @@ def verify_equivalence(
     each, one scalar call per function: ``quantize`` floors exactly, and
     ``fire_simulated`` finds the firing step by a bisection of n exact
     threshold comparisons.  Mismatches come out in draw order.  Raises
-    ValueError for a negative sample count, and for a scale at which the
-    span's width overflows a float.
+    ValueError for a sample count that is negative or not an integer, and
+    for a scale at which the span's width overflows a float.
 
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
-    position when the input window differs.  Comparison happens at the
-    integer-code level, which keeps the check exact.
+    position when the input window differs.  An explicit ``input_cfg``
+    must match the layer's input params (window, mode, scale) and be
+    masked, as ``cfg`` must match its output params and dead zone;
+    ValueError otherwise.  Comparison happens at the integer-code level,
+    which keeps the check exact.
     """
-    _check_configs(layer, cfg)
+    _check_configs(layer, cfg, input_cfg)
     report = EquivalenceReport()
 
     if domain == "sampled":
-        samples = int(samples)
+        require_integer("samples", samples)
         if samples < 0:
             raise ValueError(f"samples must be >= 0, got {samples}")
         span = 2.0 * cfg.alpha * (2 ** (cfg.n - 1))
@@ -234,6 +268,7 @@ def verify_equivalence(
         input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
     _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
+    weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
     cfg._ramp  # refuses a window too wide for a table before the tables below
     # Each stage whose input takes few values runs once, over its whole
     # domain, and the blocks gather from its table: input codes by index,
@@ -245,37 +280,73 @@ def verify_equivalence(
     filtered_out = dead_zone_filter_array(codes_out, mu, k)
     in_dead_zone = np.abs(codes_out - mu) <= k
     decoded = decode_spike_array(np.arange(-1, cfg.window), cfg)
+    # The term each input code adds per unit weight: its scaled filtered
+    # code on the quantized side, its spike's scaled kernel value (+0.0
+    # when silent) on the spiking side.
+    scaled_in = p_in.alpha * filtered_in.astype(np.float64)
+    kernel_in = integrate_array(times_in[:, None], np.ones((1, 1)), input_cfg)[:, 0]
+    # With integral terms and weights, every sum is an integer within
+    # +/-reach, exact in any order below 2^53 (the float magnitude sums
+    # reach 2^53 whenever the real ones do).
+    reach = np.abs(weights).sum(axis=0).max(initial=0.0) * max(
+        np.abs(scaled_in).max(), np.abs(kernel_in).max()
+    )
+    integral = all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
+    if integral and reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
+        # Lattice route: quantize and fire each reachable sum once per output,
+        # rounded as ``exact_matmul(...) + bias``.  The tables are flat: sum
+        # s of output j sits at (s + reach) * fan_out + j.
+        reach = int(reach)
+        sums = np.arange(-reach, reach + 1, dtype=np.float64)[:, None] + bias
+        q_table = quantize_array(sums, p_out) - p_out.code_min
+        fired_table = fire_simulated_array(sums, cfg)
+        tables = (filtered_out[q_table], q_table, fired_table, decoded[fired_table + 1])
+        qnn_flat, q_flat, fired_flat, snn_flat = (t.ravel() for t in tables)
+        offsets = reach * fan_out + np.arange(fan_out)
+
+        def block_outputs(rows, outputs):
+            # integer sums below 2^53, so the matmul and the index are exact
+            w, offset = weights[:, outputs], offsets[outputs]
+            at_q = ((scaled_in[rows] @ w) * fan_out + offset).astype(np.int64)
+            at_s = ((kernel_in[rows] @ w) * fan_out + offset).astype(np.int64)
+            return qnn_flat[at_q], q_flat[at_q], fired_flat[at_s], snn_flat[at_s]
+
+    else:
+
+        def block_outputs(rows, outputs):
+            # Quantized side: exact pre-activation, floor, clip, filter; q
+            # holds the unfiltered codes as indices (code - code_min).
+            pre = layer.pre_activation_array(filtered_in[rows], outputs)
+            q = quantize_array(pre, p_out) - p_out.code_min
+            # Spiking side: integrate the trains, fire, mask, decode.
+            potentials = integrate_array(
+                times_in[rows], weights[:, outputs], input_cfg, bias[outputs]
+            )
+            fired = fire_simulated_array(potentials, cfg)
+            return filtered_out[q], q, fired, decoded[fired + 1]
+
+    def check(rows, qnn_out, q, fired, snn_out):
+        # Per (vector, output): the code check, then the dead-zone agreement
+        # (mask suppression <=> unmasked code within k of mu).  Only the mask
+        # silences here, so the one firing settles both.
+        code_bad = qnn_out != snn_out
+        zone_bad = (fired < 0) != in_dead_zone[q]
+        if not (code_bad.any() or zone_bad.any()):
+            return
+        bad = np.stack([code_bad, zone_bad], axis=-1)
+        for b, j, dead_zone in zip(*np.nonzero(bad)):
+            qnn_code = q[b, j] + p_out.code_min if dead_zone else qnn_out[b, j]
+            report.record((rows[b] + p_in.code_min).tolist(), qnn_code, snn_out[b, j])
+
     vectors = 2 ** (p_in.n * layer.fan_in)
     # A block holds whole vectors, or one vector's outputs in chunks, so the
     # mismatches still come out in vector, then output, order.
-    step = max(1, BLOCK_TERMS // max(1, layer.fan_in * layer.fan_out))
-    width = max(1, min(layer.fan_out, BLOCK_TERMS // max(1, layer.fan_in)))
+    step = max(1, BLOCK_TERMS // max(1, layer.fan_in * fan_out))
+    width = max(1, min(fan_out, BLOCK_TERMS // max(1, layer.fan_in)))
     for start in range(0, vectors, step):
         rows = _code_block(start, min(start + step, vectors), p_in.n, layer.fan_in)
-        filtered, times = filtered_in[rows], times_in[rows]
         report.cases_checked += len(rows)
-        for lo in range(0, layer.fan_out, width):
-            outputs = slice(lo, lo + width)
-            # Quantized side: exact pre-activation, floor, clip, filter; q
-            # holds the unfiltered codes as indices (code - code_min).
-            pre = layer.pre_activation_array(filtered, outputs)
-            q = quantize_array(pre, p_out) - p_out.code_min
-            qnn_out = filtered_out[q]
-            # Spiking side: integrate the trains, fire, mask, decode.
-            potentials = integrate_array(
-                times, layer.weights[:, outputs], input_cfg, layer.bias[outputs]
-            )
-            fired = fire_simulated_array(potentials, cfg)
-            snn_out = decoded[fired + 1]
-            # Per (vector, output): the code check, then the dead-zone
-            # agreement (mask suppression <=> unmasked code within k of mu).
-            # Only the mask silences here, so the one firing settles both.
-            code_bad = qnn_out != snn_out
-            zone_bad = (fired < 0) != in_dead_zone[q]
-            if not (code_bad.any() or zone_bad.any()):
-                continue
-            bad = np.stack([code_bad, zone_bad], axis=-1)
-            for b, j, dead_zone in zip(*np.nonzero(bad)):
-                qnn_code = q[b, j] + p_out.code_min if dead_zone else qnn_out[b, j]
-                report.record((rows[b] + p_in.code_min).tolist(), qnn_code, snn_out[b, j])
+        for lo in range(0, fan_out, width):
+            # one call, so no block's outputs outlive its check
+            check(rows, *block_outputs(rows, slice(lo, lo + width)))
     return report

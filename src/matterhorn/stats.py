@@ -33,6 +33,10 @@ __all__ = [
 # Dead-zone silence percentages used as qualitative calibration anchors
 # for the sweep report (k -> percent silent).
 REFERENCE_SILENCE_PCT = {0: 34.0, 1: 61.2, 2: 76.4}
+# Samples quantized and encoded at a time: ``quantize_array`` and
+# ``encode_integer_array`` hold several temporaries of their input's size
+# (84 MiB at 2^20 samples for the first), a chunk's worth here.
+_CHUNK = 2**16
 
 
 @dataclass
@@ -96,10 +100,22 @@ class ActivationSampler:
         return rng.laplace(self.loc, self.scale, count)
 
 
+def _chunked(kernel, values) -> np.ndarray:
+    """``kernel`` (array -> int64 array of its shape) of ``values``, run on
+    chunks of ``_CHUNK``: the same result, one chunk's temporaries."""
+    values = np.asarray(values)
+    out = np.empty(values.shape, dtype=np.int64)
+    flat_in, flat_out = values.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_in.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        flat_out[chunk] = kernel(flat_in[chunk])
+    return out
+
+
 def encode_samples(samples, cfg: SnnLayerConfig) -> np.ndarray:
     """Quantize real activations under the config's params and encode them
     as spike times, -1 where silent."""
-    return encode_integer_array(quantize_array(samples, cfg), cfg)
+    return _chunked(lambda a: encode_integer_array(quantize_array(a, cfg), cfg), samples)
 
 
 @dataclass
@@ -123,11 +139,12 @@ def sparsity_sweep(
     k_values = list(k_range)
     if not k_values:
         raise ValueError("need at least one dead-zone radius")
-    codes = quantize_array(sampler.sample(count), base_cfg)  # k only moves the mask
+    # one quantization for every radius: k only moves the mask
+    codes = _chunked(lambda a: quantize_array(a, base_cfg), sampler.sample(count))
     rows = []
     for k in k_values:
         cfg = replace(base_cfg, k=k)
-        silent = silence_rate(encode_integer_array(codes, cfg))
+        silent = silence_rate(_chunked(lambda c: encode_integer_array(c, cfg), codes))
         rows.append(
             SweepRow(
                 k=cfg.k,

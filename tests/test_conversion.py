@@ -185,6 +185,15 @@ def test_sampled_refuses_a_negative_count():
         verify_equivalence(layer, cfg, domain="sampled", samples=-1)
 
 
+@pytest.mark.parametrize("samples", [2.7, 2.0, True, "5", None])
+def test_sampled_refuses_a_non_integer_count(samples):
+    layer, cfg = _sampled_control(1.0)
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        verify_equivalence(layer, cfg, domain="sampled", samples=samples)
+    report = verify_equivalence(layer, cfg, domain="sampled", samples=np.int64(3))
+    assert report.cases_checked == 3
+
+
 @pytest.mark.parametrize("n", [3, 4, 30])
 def test_sampled_refuses_an_overflowing_span(n):
     # the draws span +/-2^n x alpha, a width of 2^(n+1) x alpha; numpy
@@ -217,37 +226,98 @@ def test_config_mismatch_raises():
         verify_equivalence(layer, derive_snn_config(QuantParams(n=4), 7, 0), domain="exhaustive")
 
 
-def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):
-    # the fired code and the dead-zone verdict come from one walk: every
-    # (vector, output) potential reaches the array walk exactly once
-    seen = []
+@pytest.mark.parametrize("domain", ["exhaustive", "sampled"])
+@pytest.mark.parametrize(
+    "input_cfg, needle",
+    [
+        (spike.SnnLayerConfig(n=3), "input config has no dead zone (i_max=None)"),
+        (spike.SnnLayerConfig(n=2, i_max=1), "input config window 4 != 2**3"),
+        (spike.SnnLayerConfig(n=4, i_max=7), "input config window 16 != 2**3"),
+        (spike.SnnLayerConfig(n=3, alpha=0.5, i_max=3), "input config mode/scale"),
+        (spike.SnnLayerConfig(n=3, mode=ASYMMETRIC, i_max=3), "input config mode/scale"),
+    ],
+    ids=["unmasked", "narrower", "wider", "scale", "mode"],
+)
+def test_input_config_mismatch_raises(input_cfg, needle, domain):
+    # an explicit input encoding is checked against the layer's input
+    # params as the output config is against its output params
+    layer, cfg = pm_layer(QuantParams(n=3), k=0)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        verify_equivalence(layer, cfg, domain=domain, samples=10, input_cfg=input_cfg)
+
+
+def _counting_walks(monkeypatch):
+    """Patch every binding of the threshold walk; the returned list gets a
+    copy of each array the walk is called on."""
+    walks = []
     walk = spike.fire_simulated_array
 
     def counting_walk(potentials, cfg):
-        seen.extend(np.ravel(potentials).tolist())
+        walks.append(np.array(potentials, dtype=np.float64))
         return walk(potentials, cfg)
 
     for module in (spike, conversion):  # every binding a walk could go through
         monkeypatch.setattr(module, "fire_simulated_array", counting_walk, raising=False)
-    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
+    return walks
+
+
+def _scalar_potentials(layer, input_cfg):
+    """The scalar reference's potential of every (vector, output)."""
+    codes = range(input_cfg.code_min, input_cfg.code_max + 1)
+    return [
+        integrate(
+            [(encode_integer(q, input_cfg), layer.weights[i, j]) for i, q in enumerate(raw)],
+            input_cfg,
+            bias=layer.bias[j],
+        )
+        for raw in itertools.product(codes, repeat=layer.fan_in)
+        for j in range(layer.fan_out)
+    ]
+
+
+def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):
+    # a +/-1 layer is an integer lattice: the walk runs once a call, over
+    # the (span, fan_out) table of reachable sums plus each output's bias,
+    # so each sum is walked exactly once per output, and every potential
+    # of the scalar reference is among that output's walked values
+    walks = _counting_walks(monkeypatch)
+    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
     report = verify_equivalence(layer, cfg, domain="exhaustive")
     assert report.passed and report.cases_checked == 4**3
-    expected = [
-        integrate([(encode_integer(q, cfg), layer.weights[i, j]) for i, q in enumerate(raw)], cfg)
-        for raw in itertools.product(range(cfg.code_min, cfg.code_max + 1), repeat=3)
-        for j in range(2)
-    ]
+    [walked] = walks
+    reach = 3 * 2  # fan-in x the largest input term, |-2|
+    assert np.array_equal(walked, np.arange(-reach, reach + 1)[:, None] + layer.bias)
+    expected = np.reshape(_scalar_potentials(layer, cfg), (4**3, 2))
+    for j in range(2):
+        assert set(expected[:, j].tolist()) <= set(walked[:, j].tolist())
+
+
+def test_exhaustive_walks_each_potential_once_for_real_weights(monkeypatch):
+    # real weights take the per-block route: every (vector, output)
+    # potential reaches the walk exactly once
+    walks = _counting_walks(monkeypatch)
+    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
+    layer = replace(layer, weights=np.random.default_rng(2).normal(size=(3, 2)))
+    report = verify_equivalence(layer, cfg, domain="exhaustive")
+    assert report.cases_checked == 4**3
+    seen = [v for walked in walks for v in walked.ravel().tolist()]
+    expected = _scalar_potentials(layer, cfg)
     assert len(expected) == 4**3 * 2
     assert sorted(seen) == sorted(expected)
+
+
+def default_input_cfg(layer, cfg):
+    """The input encoding ``verify_equivalence`` derives when given none."""
+    p_in = layer.in_params
+    i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
+    return derive_snn_config(p_in, i_max_in, layer.k)
 
 
 def reference_exhaustive(layer, cfg, input_cfg=None):
     """The scalar exhaustive sweep, one code vector at a time."""
     report = EquivalenceReport()
     if input_cfg is None:
-        p_in = layer.in_params
-        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
-        input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
+        input_cfg = default_input_cfg(layer, cfg)
     codes = range(layer.in_params.code_min, layer.in_params.code_max + 1)
     for raw in itertools.product(codes, repeat=layer.fan_in):
         filtered = [dead_zone_filter(q, input_cfg.mu, input_cfg.k) for q in raw]
@@ -351,6 +421,86 @@ def test_exhaustive_report_matches_scalar_reference_for_random_layers(
         mp.setattr(conversion, "BLOCK_TERMS", block_terms)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
     assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+
+
+def _lattice_reach(layer, input_cfg):
+    """R = max_j sum_i |w_ij| x max |term| of the lattice certificate, from
+    the scalar oracles, or None when a term or a weight is not integral."""
+    terms = []
+    for q in range(input_cfg.code_min, input_cfg.code_max + 1):
+        terms.append(layer.in_params.alpha * dead_zone_filter(q, input_cfg.mu, input_cfg.k))
+        terms.append(integrate([(encode_integer(q, input_cfg), 1.0)], input_cfg))
+    if not all(float(v).is_integer() for v in terms + layer.weights.ravel().tolist()):
+        return None
+    top = max(abs(t) for t in terms)
+    return int(max(sum(abs(w) for w in column) for column in layer.weights.T.tolist()) * top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_in=st.integers(1, 3),
+    n_out=st.integers(1, 3),
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    k=st.integers(0, 2),
+    theta_shift=st.integers(0, 1),
+    integer_weights=st.booleans(),
+    alpha=st.sampled_from([1.0, 2.0, 0.5]),
+    fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    over=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    i_max_in=st.none() | st.integers(0, 7),
+)
+def test_exhaustive_lattice_route_matches_scalar_reference(
+    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, over, seed, i_max_in
+):
+    # integer weights in [-3, 3] (zero included) with no bias, or +/-1
+    # weights with a real bias; a shifted threshold schedule and an
+    # off-centre input dead zone make mismatches.  BLOCK_TERMS is set to the
+    # lattice table's size, or one below it ("over"), where the per-block
+    # route must run; a scale of 0.5 mostly leaves the lattice.
+    fan_in, fan_out = fan
+    p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
+    cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
+    rng = np.random.default_rng(seed)
+    shape = (fan_in, fan_out)
+    layer = QnnLayer(
+        weights=rng.integers(-3, 4, shape) if integer_weights else rng.choice([-1.0, 1.0], shape),
+        bias=np.zeros(fan_out) if integer_weights else rng.normal(size=fan_out),
+        in_params=p_in,
+        out_params=p_out,
+        mu=cfg.mu,
+        k=k,
+    )
+    input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
+    reach = _lattice_reach(layer, input_cfg or default_input_cfg(layer, cfg))
+    entries = None if reach is None else (2 * reach + 1) * fan_out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conversion, "BLOCK_TERMS", 40 if entries is None else entries - over)
+        walks = _counting_walks(mp)
+        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
+    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+    if entries is not None and not over:
+        [walked] = walks
+        assert np.array_equal(walked, np.arange(-reach, reach + 1)[:, None] + layer.bias)
+    else:
+        assert sum(walked.size for walked in walks) == 2 ** (n_in * fan_in) * fan_out
+
+
+def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):
+    # R = (2^51 + 2^51) x |-2| = 2^53: float sums of the lattice terms are
+    # no longer certified exact, so the per-block route runs however large
+    # a table BLOCK_TERMS would allow
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", 2**60)
+    walks = _counting_walks(monkeypatch)
+    p = QuantParams(n=2)
+    layer = QnnLayer(
+        weights=np.full((2, 1), 2.0**51), bias=np.zeros(1), in_params=p, out_params=p
+    )
+    cfg = derive_snn_config(p, zero_centered_i_max(p), 0)
+    assert _lattice_reach(layer, cfg) == 2**53
+    got = verify_equivalence(layer, cfg, domain="exhaustive").to_dict()
+    assert got == reference_exhaustive(layer, cfg).to_dict()
+    assert [walked.shape for walked in walks] == [(16, 1)]
 
 
 @pytest.mark.parametrize("n", range(1, 17))

@@ -1,9 +1,14 @@
 """Histograms, synthetic samplers and dead-zone sparsity sweeps."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from matterhorn.spike import SnnLayerConfig
+from matterhorn import stats
+from matterhorn.qnn import quantize_array
+from matterhorn.spike import SnnLayerConfig, encode_integer_array, silence_rate
 from matterhorn.stats import (
     ActivationSampler,
     REFERENCE_SILENCE_PCT,
@@ -156,6 +161,43 @@ def test_baseline_silence_is_rare_next_to_masked():
     assert baseline.silent == 0
     assert baseline.counts[-1] / baseline.total < 0.01
     assert masked.silence_fraction > 0.30
+
+
+def test_chunked_encoding_and_sweep_match_one_pass(monkeypatch):
+    # chunks of 7 over 100 samples, the last one partial, give what one
+    # pass over the whole array gives; a 2-D input keeps its shape
+    monkeypatch.setattr(stats, "_CHUNK", 7)
+    cfg = SnnLayerConfig(n=4, alpha=0.37, i_max=7, k=1)
+    sampler = ActivationSampler(scale=2.0, seed=3)
+    samples = sampler.sample(100)
+    codes = quantize_array(samples, cfg)
+    want = encode_integer_array(codes, cfg)
+    assert np.array_equal(encode_samples(samples, cfg), want)
+    assert np.array_equal(encode_samples(samples.reshape(10, 10), cfg), want.reshape(10, 10))
+    rows = sparsity_sweep(sampler, cfg, range(3), count=100)
+    assert [r.silence for r in rows] == [
+        silence_rate(encode_integer_array(codes, replace(cfg, k=k))) for k in range(3)
+    ]
+
+
+def test_encoding_and_sweep_memory_is_a_chunk_above_their_arrays():
+    # 2^20 samples at a non-dyadic scale: one whole-array pass peaked at
+    # 65 MiB (encode) and 73 MiB (sweep); in chunks, 12 and 20 MiB, of which
+    # the 8 MiB output (and the sweep's 8 MiB draw) is the floor
+    cfg = SnnLayerConfig(n=4, alpha=0.37, i_max=7, k=1)
+    sampler = ActivationSampler(scale=4.0, seed=0)
+    samples = sampler.sample(2**20)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: encode_samples(samples, cfg)) < 2 * samples.nbytes
+    assert peak(lambda: sparsity_sweep(sampler, cfg, range(3), count=2**20)) < 3 * samples.nbytes
 
 
 # --- calibration --------------------------------------------------------------
