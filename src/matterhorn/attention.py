@@ -27,6 +27,7 @@ from .spike import (
     SpikeTrain,
     encode_integer_array,
     integrate_array,
+    require_integer_array,
     train_times,
 )
 
@@ -73,7 +74,7 @@ def time_based_accumulate(times, weights, cfg: SnnLayerConfig) -> TimeAccState:
     This is the one-row call of the kernel ``attention_pipeline`` runs over
     all query rows at once.
     """
-    times = np.asarray(times, dtype=np.int64)
+    times = require_integer_array("spike times", times).astype(np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if times.ndim != 1 or weights.ndim not in (1, 2) or weights.shape[0] != times.size:
         raise ValueError(f"weights shape {weights.shape} does not match spike times {times.shape}")
@@ -89,7 +90,7 @@ def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
     maximum lands on ``window - 1``; scores falling below zero after the
     shift clip to code 0, the silent state.  Integer in, integer out.
     """
-    scores = np.asarray(scores, dtype=np.int64)
+    scores = require_integer_array("scores", scores).astype(np.int64)
     shift = np.maximum(scores.max(axis=1, keepdims=True) - (window - 1), 0)
     return np.clip(scores - shift, 0, window - 1)
 
@@ -107,8 +108,8 @@ def attention_pipeline(
     every row against the bank of V columns in one pass.  Returns the raw
     integer output matrix, which matches ``attention_reference`` exactly.
     """
-    k_codes = np.asarray(k_codes, dtype=np.int64)
-    v_codes = np.asarray(v_codes, dtype=np.int64)
+    k_codes = require_integer_array("K codes", k_codes).astype(np.int64)
+    v_codes = require_integer_array("V codes", v_codes).astype(np.int64)
     if not q_trains or not q_trains[0]:
         raise ValueError("need at least one query train")
     d_k = len(q_trains[0])
@@ -137,9 +138,9 @@ def attention_reference(q_codes, k_codes, v_codes, cfg: SnnLayerConfig) -> np.nd
     dead zone is code zero alone, which decodes to zero, so it changes no
     score.
     """
-    q_codes = np.asarray(q_codes, dtype=np.int64)
-    k_codes = np.asarray(k_codes, dtype=np.int64)
-    v_codes = np.asarray(v_codes, dtype=np.int64)
+    q_codes = require_integer_array("Q codes", q_codes).astype(np.int64)
+    k_codes = require_integer_array("K codes", k_codes).astype(np.int64)
+    v_codes = require_integer_array("V codes", v_codes).astype(np.int64)
     if cfg.masked:
         q_codes = dead_zone_filter_array(q_codes, cfg.mu, cfg.k)
     return normalize_scores(q_codes @ k_codes.T, 2**cfg.n) @ v_codes

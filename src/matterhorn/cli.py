@@ -187,7 +187,6 @@ def _cmd_verify(args) -> int:
         if args.exhaustive:
             _check_exhaustive_work(p.n, args.fan_in, args.fan_out)
         i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
-        cfg = derive_snn_config(p, i_max, args.k)
         seed = int(args.weights.split(":", 1)[1])
         rng = np.random.default_rng(seed)
         layer = QnnLayer(
@@ -195,7 +194,7 @@ def _cmd_verify(args) -> int:
             bias=np.zeros(args.fan_out),
             in_params=p,
             out_params=p,
-            mu=cfg.mu,
+            mu=p.code_max - i_max,
             k=args.k,
         )
     else:
@@ -209,8 +208,8 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
         if args.exhaustive:
             _check_exhaustive_work(layer.in_params.n, layer.fan_in, layer.fan_out)
-        i_max = p.code_max - layer.mu
-        cfg = derive_snn_config(p, i_max, layer.k)
+    i_max = p.code_max - layer.mu
+    cfg = derive_snn_config(p, i_max, layer.k)
 
     if args.exhaustive:
         report = verify_equivalence(layer, cfg, domain="exhaustive")
@@ -559,10 +558,7 @@ def dispatch(argv: list[str] | None = None) -> int:
                     f"MATTERHORN_SEED must be an integer, got {env_seed!r}"
                 ) from exc
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(json.dumps({"error": "config", "detail": str(exc)}) + "\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": "config", "detail": str(exc)}) + "\n")
         return EXIT_CONFIG
 

@@ -7,17 +7,15 @@ quantized ground truth: exhaustively over all input code vectors, or over
 sampled real pre-activations.  Zero mismatches is the predicted outcome
 whenever the input-side dead zone is centered on code zero, i.e. silent
 inputs genuinely stand for a zero contribution; off-center configurations
-surface as honest mismatches in the report.  Every sum and threshold
-compare is exact: integer codes, scales and weights sum in one float
-matmul, and thresholds and code boundaries compare in one vector pass
-that is exact at every scale (see ``numerics``).  The exhaustive sweep runs
-each stage whose input takes few values (the input filter and encoding over
-the 2^n input codes, the output filter and dead-zone test over the 2^n
-output codes, the decoding over the T + 1 spike times) once per call, as
-a table that each block of vectors indexes.  On an integer lattice (integral
-input terms and weights) it does the same for the output stages: every
-pre-activation and potential is one of few integer sums plus the bias, so
-each reachable sum is quantized and fired once per output.
+surface as honest mismatches in the report.
+
+The exhaustive sweep has one design: term tables, then sums, then stages.
+Each side tabulates the term every input code adds per unit weight once
+per call, each block sums its rows of the tables exactly rounded, and one
+output stage (floor, clip, filter; fire, mask, decode) runs on the sums
+with exact threshold and code-boundary compares.  On an integer lattice
+every sum is one of few integers, so the stage runs once per call on all
+reachable sums, as a table each block gathers from.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import exact_matmul
 from .qnn import (
     QnnLayer,
     QuantParams,
@@ -174,36 +173,32 @@ def verify_equivalence(
 
     domain="exhaustive": every input code vector over the layer's fan-in
     is checked, in blocks of about ``BLOCK_TERMS`` summed products whose
-    code indices are built from vector indices, with the array forms of the
-    scalar functions.  A stage whose input takes few values runs once per
-    call over its whole domain: the input dead-zone filter and
-    ``encode_integer_array`` over the 2^n input codes, the output filter
-    and the dead-zone test over the 2^n output codes, and
-    ``decode_spike_array`` over the spike times -1..T-1; each block gathers
-    from these tables.  The quantized side sums each pre-activation of the
-    filtered codes exactly rounded (``numerics.exact_matmul``: one float
-    matmul for integer codes, scales and weights, ``fsum_rows`` of the
-    products otherwise), floors exactly, clips and filters the output.
-    The spiking side, independently, sums each potential the same exact way
-    over the encoded spike times, fires by ``fire_simulated_array`` (one
-    ``searchsorted`` of each potential in the config's ramp table, whose
-    entries are the least floats meeting each step's threshold, so the
-    float compare is exact; the quantized side's floor is never used),
-    masks and decodes.
+    code indices are built from vector indices.  A stage whose input takes
+    few values runs once per call over its whole domain, as a table the
+    blocks gather from: the input filter and ``encode_integer_array`` over
+    the 2^n input codes, the output filter and dead-zone test over the 2^n
+    output codes, ``decode_spike_array`` over the times -1..T-1.
 
-    On an integer lattice the output stages run once per call as well.
-    Each side adds one term per input code and unit weight: the scaled
-    filtered code (quantized), the scale times the kernel value of the
-    spike, +0.0 when silent (spiking, the term ``integrate_array`` sums).
-    When both term tables and the weights are integral and R = max_j
-    sum_i |w_ij| x max |term| is below 2^53, every sum is an exact integer
-    in [-R, R] in any summation order, so it is one plain float matmul,
-    and each pre-activation or potential is ``fl(s + bias_j)`` for one such
-    s.  Both sides then quantize and filter, or fire and decode, the table
-    of ``fl(s + bias_j)`` over all s in [-R, R] and outputs j once, and
-    each block gathers its codes and firings from it by its sums.  Other
-    layers, and lattices whose table would hold more than ``BLOCK_TERMS``
-    entries, run the output stages per block.
+    Term tables, sums, stages: each side's table holds the term an input
+    code adds per unit weight, the scaled filtered code (quantized) or the
+    scaled kernel value of its spike, +0.0 when silent (spiking, one
+    ``integrate_array`` call).  A block sums its rows of each table with
+    ``numerics.exact_matmul`` (one float matmul for integer terms and
+    weights, ``fsum_rows`` of the products otherwise) plus the bias, as
+    ``integrate`` and ``QnnLayer.pre_activation`` round.  One local stage
+    floors exactly, clips and filters the quantized sums, and fires the
+    spiking ones by ``fire_simulated_array`` (one ``searchsorted`` in the
+    config's ramp table of the least floats meeting each threshold, so the
+    compare is exact and the quantized floor is never used), masks and
+    decodes them.
+
+    On an integer lattice the stage is tabulated: with integral term tables
+    and weights and R = max_j sum_i |w_ij| x max |term| below 2^53, every
+    sum is an exact integer in [-R, R] in any order (a plain float
+    matmul), so the stage runs once per call on ``fl(s + bias_j)`` for all
+    s in [-R, R] and outputs j, and each block gathers from that table by
+    its sums.  Other layers, and tables over ``BLOCK_TERMS`` entries, run
+    the stage on each block's sums.
 
     The two integer outputs must agree per output neuron.  Additionally
     asserts the dead-zone agreement: the mask silences the output exactly
@@ -292,16 +287,21 @@ def verify_equivalence(
         np.abs(scaled_in).max(), np.abs(kernel_in).max()
     )
     integral = all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
+
+    def output_stage(pre, potentials):
+        # Quantized side: floor, clip, filter; q holds the unfiltered codes
+        # as indices (code - code_min).  Spiking side: fire, mask, decode.
+        q = quantize_array(pre, p_out) - p_out.code_min
+        fired = fire_simulated_array(potentials, cfg)
+        return filtered_out[q], q, fired, decoded[fired + 1]
+
     if integral and reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
         # Lattice route: quantize and fire each reachable sum once per output,
         # rounded as ``exact_matmul(...) + bias``.  The tables are flat: sum
         # s of output j sits at (s + reach) * fan_out + j.
         reach = int(reach)
         sums = np.arange(-reach, reach + 1, dtype=np.float64)[:, None] + bias
-        q_table = quantize_array(sums, p_out) - p_out.code_min
-        fired_table = fire_simulated_array(sums, cfg)
-        tables = (filtered_out[q_table], q_table, fired_table, decoded[fired_table + 1])
-        qnn_flat, q_flat, fired_flat, snn_flat = (t.ravel() for t in tables)
+        qnn_flat, q_flat, fired_flat, snn_flat = (t.ravel() for t in output_stage(sums, sums))
         offsets = reach * fan_out + np.arange(fan_out)
 
         def block_outputs(rows, outputs):
@@ -314,16 +314,10 @@ def verify_equivalence(
     else:
 
         def block_outputs(rows, outputs):
-            # Quantized side: exact pre-activation, floor, clip, filter; q
-            # holds the unfiltered codes as indices (code - code_min).
-            pre = layer.pre_activation_array(filtered_in[rows], outputs)
-            q = quantize_array(pre, p_out) - p_out.code_min
-            # Spiking side: integrate the trains, fire, mask, decode.
-            potentials = integrate_array(
-                times_in[rows], weights[:, outputs], input_cfg, bias[outputs]
-            )
-            fired = fire_simulated_array(potentials, cfg)
-            return filtered_out[q], q, fired, decoded[fired + 1]
+            # each side's sums of its gathered terms, exactly rounded
+            w, b = weights[:, outputs], bias[outputs]
+            pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
+            return output_stage(pre, potentials)
 
     def check(rows, qnn_out, q, fired, snn_out):
         # Per (vector, output): the code check, then the dead-zone agreement

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import exact_matmul, floor_ratio, ge_scaled_array
-from .spike import SYMMETRIC, QuantParams, require_integer
+from .numerics import floor_ratio, ge_scaled_array
+from .spike import SYMMETRIC, QuantParams, require_integer, require_integer_array
 
 __all__ = [
     "QuantParams",
@@ -77,7 +77,7 @@ def dead_zone_filter(q: int, mu: int, k: int) -> int:
 
 def dead_zone_filter_array(q, mu: int, k: int) -> np.ndarray:
     """Element-wise ``dead_zone_filter`` of an integer code array."""
-    q = np.asarray(q, dtype=np.int64)
+    q = require_integer_array("codes", q).astype(np.int64)
     return np.where(np.abs(q - mu) <= k, mu, q)
 
 
@@ -136,16 +136,6 @@ class QnnLayer:
             terms = self.weights[:, j] * scaled
             out[j] = math.fsum(terms) + self.bias[j]
         return out
-
-    def pre_activation_array(self, x_codes, outputs: slice = slice(None)) -> np.ndarray:
-        """``pre_activation`` of each row of a (vectors, fan_in) code block
-        for the selected outputs, as a (vectors, outputs) array: the same
-        terms, each output summed exactly rounded."""
-        x = np.asarray(x_codes)
-        if x.ndim != 2 or x.shape[1] != self.fan_in:
-            raise ValueError(f"expected rows of {self.fan_in} input codes, got shape {x.shape}")
-        scaled = self.in_params.alpha * x.astype(np.float64)
-        return exact_matmul(scaled, self.weights[:, outputs]) + self.bias[outputs]
 
     @classmethod
     def from_json(cls, text: str) -> "QnnLayer":

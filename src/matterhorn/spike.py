@@ -55,6 +55,16 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_integer_array(name: str, values) -> np.ndarray:
+    """``values`` as an array, refused for the field ``name`` unless it is
+    empty or has an integer dtype: float, bool and object arrays are
+    refused, not truncated."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+    return values
+
+
 def require_real(name: str, value) -> None:
     """Refuse ``value`` for the field ``name`` unless it is a real number
     (a Python or numpy integer or float, or a ``Fraction``) that converts to
@@ -359,10 +369,10 @@ def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
 
 
 def _check_times(times, cfg: SnnLayerConfig) -> np.ndarray:
-    times = np.asarray(times, dtype=np.int64)
+    times = require_integer_array("spike times", times)
     if times.size and (times.min() < -1 or times.max() >= cfg.window):
         raise ValueError(f"spike times outside [-1, {cfg.window - 1}] (-1 is silent)")
-    return times
+    return times.astype(np.int64)
 
 
 def _mask_times(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
@@ -385,12 +395,9 @@ def encode_integer_array(codes, cfg: SnnLayerConfig) -> np.ndarray:
 
     A code inside the dead zone is exactly a time inside the mask, so the
     mask that silences fired times also silences encoded codes.  A
-    non-empty input must have an integer dtype: float, bool and object
-    arrays are refused, not truncated.
+    non-empty input must have an integer dtype (``require_integer_array``).
     """
-    codes = np.asarray(codes)
-    if codes.size and codes.dtype.kind not in "iu":
-        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
+    codes = require_integer_array("codes", codes)
     if codes.size and (codes.min() < cfg.code_min or codes.max() > cfg.code_max):
         raise ValueError(
             f"codes outside representable range [{cfg.code_min}, {cfg.code_max}]"

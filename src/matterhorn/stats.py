@@ -17,6 +17,7 @@ import numpy as np
 
 from .qnn import quantize_array
 from .spike import SnnLayerConfig, _check_times, encode_integer_array, silence_rate
+from .spike import require_integer, require_real
 
 __all__ = [
     "SpikeHistogram",
@@ -77,8 +78,9 @@ def spike_time_histogram(times, cfg: SnnLayerConfig) -> SpikeHistogram:
 @dataclass(frozen=True)
 class ActivationSampler:
     """Seeded Gaussian or Laplace activation source with a finite ``loc``
-    and ``scale``; identical seeds reproduce identical samples bit for
-    bit."""
+    and a positive finite ``scale``; identical seeds reproduce identical
+    samples bit for bit.  A field or sample count of the wrong type, and a
+    negative count, raise ValueError naming it."""
 
     kind: str = "gaussian"
     loc: float = 0.0
@@ -88,12 +90,18 @@ class ActivationSampler:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "laplace"):
             raise ValueError(f"unknown sampler kind {self.kind!r}")
+        require_real("loc", self.loc)
         if not math.isfinite(self.loc):
             raise ValueError(f"loc must be a finite real, got {self.loc}")
+        require_real("scale", self.scale)
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive finite real, got {self.scale}")
+        require_integer("seed", self.seed)
 
     def sample(self, count: int) -> np.ndarray:
+        require_integer("count", count)
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         rng = np.random.default_rng(self.seed)
         if self.kind == "gaussian":
             return rng.normal(self.loc, self.scale, count)

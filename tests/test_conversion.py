@@ -549,6 +549,34 @@ def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
     }
 
 
+def test_exhaustive_integrates_the_input_trains_once_per_call(monkeypatch):
+    # real weights take the per-block route, which sums rows of the
+    # per-input-code term tables: the trains are integrated once a call,
+    # one per input code, to build the spiking side's table, however many
+    # blocks the sweep holds
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", 16)
+    integrated = []
+    kernel = spike.integrate_array
+
+    def counting(times, *args, **kwargs):
+        integrated.append(np.array(times))
+        return kernel(times, *args, **kwargs)
+
+    for module in (spike, conversion):
+        monkeypatch.setattr(module, "integrate_array", counting, raising=False)
+    walks = _counting_walks(monkeypatch)
+    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
+    layer = replace(layer, weights=np.random.default_rng(2).normal(size=(3, 2)))
+    for _ in range(2):
+        integrated.clear()
+        walks.clear()
+        report = verify_equivalence(layer, cfg, domain="exhaustive")
+        assert report.passed and report.cases_checked == 4**3
+        assert len(walks) == 4**3 // 2  # two vectors a block
+        [times] = integrated
+        assert times.shape == (4, 1)
+
+
 def test_exhaustive_refuses_a_window_too_wide_before_building_tables():
     # a 2^21-step output window has no ramp table; its 2^21-entry code tables
     # (16 MiB each) are never built

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matterhorn import spike
+from matterhorn import attention, qnn, spike, stats
 from matterhorn.spike import (
     ASYMMETRIC,
     SYMMETRIC,
@@ -512,10 +512,11 @@ def test_ramp_entries_are_exact_ceilings(n, alpha, mode, theta_shift, picks):
         threshold = Fraction(alpha) * (cfg.code_max + theta_shift - (last - i))
         assert ramp[i] == _ceiling(threshold), (i, ramp[i].hex())
     picked = ramp[entries]
-    v = np.concatenate(
-        [np.nextafter(picked, -np.inf), picked, np.nextafter(picked, np.inf)]
-        + [[np.inf, -np.inf, 0.0, 5e-324, -5e-324]]
-    )
+    with np.errstate(over="ignore"):  # the float after the largest is +inf
+        v = np.concatenate(
+            [np.nextafter(picked, -np.inf), picked, np.nextafter(picked, np.inf)]
+            + [[np.inf, -np.inf, 0.0, 5e-324, -5e-324]]
+        )
     want = np.array([candidate_fire_time(a, cfg) for a in v.tolist()])
     # the table alone decides: no potential needs the scalar search
     with pytest.MonkeyPatch.context() as mp:
@@ -685,6 +686,32 @@ def test_encode_refuses_non_integer_codes(bad):
 def test_encode_array_refuses_non_integer_codes(bad):
     with pytest.raises(ValueError, match="^codes must be integers"):
         encode_integer_array(bad, cfg_sym16())
+
+
+_INTEGER_ARRAY_ENTRY_POINTS = {
+    "decode_spike_array": lambda a: decode_spike_array(a, cfg_sym16()),
+    "integrate_array": lambda a: integrate_array(a[None, :], np.ones((1, 1)), cfg_sym16()),
+    "spike_time_histogram": lambda a: stats.spike_time_histogram(a, cfg_sym16()),
+    "dead_zone_filter_array": lambda a: qnn.dead_zone_filter_array(a, 0, 0),
+    "time_based_accumulate": lambda a: attention.time_based_accumulate(a, [1.0], cfg_sym16()),
+    "normalize_scores": lambda a: attention.normalize_scores(a[None, :], 16),
+    "attention_pipeline": lambda a: attention.attention_pipeline(
+        [[encode_integer(0, cfg_sym16())]], [[1]], a[None, :], cfg_sym16()
+    ),
+    "attention_reference": lambda a: attention.attention_reference(
+        a[None, :], [[1]], [[1]], cfg_sym16()
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [[2.7], [1.0], [True]], ids=["float", "integral-float", "bool"])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ARRAY_ENTRY_POINTS))
+def test_array_entry_points_refuse_non_integer_codes_and_times(entry, bad):
+    # the rule of encode_integer_array: refused, not truncated or cast
+    call = _INTEGER_ARRAY_ENTRY_POINTS[entry]
+    call(np.array([1]))
+    with pytest.raises(ValueError, match="must be integers, got dtype"):
+        call(np.array(bad))
 
 
 def test_encode_array_accepts_integer_dtypes_and_empty_input():

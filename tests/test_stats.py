@@ -98,6 +98,24 @@ def test_sampler_rejects_non_finite_loc_and_scale(field, bad):
         ActivationSampler(**{field: bad})
 
 
+@pytest.mark.parametrize(
+    "field, bad", [("loc", "x"), ("loc", None), ("scale", True), ("seed", 1.5), ("seed", "1")]
+)
+def test_sampler_names_a_field_of_the_wrong_type(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ActivationSampler(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "count, needle",
+    [(2.5, "count must be an integer"), (True, "count must be an integer"), (-1, "count must be >= 0")],
+)
+def test_sampler_refuses_a_bad_count(count, needle):
+    with pytest.raises(ValueError, match=f"^{needle}"):
+        ActivationSampler().sample(count)
+    assert ActivationSampler().sample(0).shape == (0,)
+
+
 def test_histogram_determinism_bytes():
     def run():
         sampler = ActivationSampler(kind="gaussian", scale=2.0, seed=3)
