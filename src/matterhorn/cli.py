@@ -165,8 +165,10 @@ def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
     budget, before the layer's weights are built.  The term budget prices
     real-valued layers, which quantize and fire every (vector, output) by
     one lookup in the layer's threshold table; an integer-lattice layer
-    does so once per reachable sum and output, and spends its time on the
-    per-vector gathers and matmuls."""
+    does so once per reachable sum and output.  With equal term tables (a
+    zero-centered input dead zone) it then spends its time on one add and
+    one verdict lookup per (vector, output); otherwise on the per-vector
+    gathers and matmuls."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(
@@ -534,7 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     for p in (p_verify, p_encode, p_xbar, p_attn, p_energy, p_scen, p_area, p_stats, p_sweep):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (MATTERHORN_SEED overrides)")
+        p.add_argument(
+            "--seed", type=_int_in(0), default=0, help="RNG seed (MATTERHORN_SEED overrides)"
+        )
         p.add_argument("--out", help="write the artifact to this path instead of stdout")
 
     return parser
@@ -553,9 +557,11 @@ def dispatch(argv: list[str] | None = None) -> int:
         if env_seed is not None and hasattr(args, "seed"):
             try:
                 args.seed = int(env_seed)
+                if args.seed < 0:
+                    raise ValueError
             except ValueError as exc:
                 raise ConfigError(
-                    f"MATTERHORN_SEED must be an integer, got {env_seed!r}"
+                    f"MATTERHORN_SEED must be a non-negative integer, got {env_seed!r}"
                 ) from exc
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -183,33 +183,31 @@ def verify_equivalence(
     code adds per unit weight, the scaled filtered code (quantized) or the
     scaled kernel value of its spike, +0.0 when silent (spiking, one
     ``integrate_array`` call).  A block sums its rows of each table with
-    ``numerics.exact_matmul`` (one float matmul for integer terms and
-    weights, ``fsum_rows`` of the products otherwise) plus the bias, as
-    ``integrate`` and ``QnnLayer.pre_activation`` round.  One local stage
-    floors exactly, clips and filters the quantized sums, and fires the
-    spiking ones by ``fire_simulated_array`` (one ``searchsorted`` in the
-    config's ramp table of the least floats meeting each threshold, so the
-    compare is exact and the quantized floor is never used), masks and
-    decodes them.
+    ``numerics.exact_matmul`` plus the bias, as ``integrate`` and
+    ``QnnLayer.pre_activation`` round.  One local stage floors exactly,
+    clips and filters the quantized sums, and fires the spiking ones by
+    ``fire_simulated_array`` (an exact ``searchsorted`` in the config's ramp
+    table, never the quantized floor), masks and decodes them.
 
     On an integer lattice the stage is tabulated: with integral term tables
     and weights and R = max_j sum_i |w_ij| x max |term| below 2^53, every
     sum is an exact integer in [-R, R] in any order (a plain float
     matmul), so the stage runs once per call on ``fl(s + bias_j)`` for all
     s in [-R, R] and outputs j, and each block gathers from that table by
-    its sums.  Other layers, and tables over ``BLOCK_TERMS`` entries, run
-    the stage on each block's sums.
+    its sums.  Equal term tables (an input dead zone on code zero) make
+    equal sums, so the check is a table too, one verdict per sum and
+    output: a block adds its leading inputs' sums to a table of its
+    trailing inputs' sums built once per call, looks up the verdicts, and
+    gathers its outputs only where one is bad.  Other layers, and tables
+    over ``BLOCK_TERMS`` entries, run the stage on each block's sums.
 
-    The two integer outputs must agree per output neuron.  Additionally
-    asserts the dead-zone agreement: the mask silences the output exactly
-    when the unfiltered quantized code lies within k of mu.  Both routes
-    feed one check: a block with no mismatch costs two boolean tests; the
-    codes of a mismatching vector are rebuilt for its report entry only.
-    The report is the one the scalar loop in the tests produces, mismatches
-    in vector order, then output, then code check before dead-zone check.
-    Raises ValueError for weights and bias whose pre-activations could
-    overflow, and for an output window too wide for the ramp table, before
-    any table is built.
+    The two integer outputs must agree per output neuron, and the mask must
+    silence the output exactly when the unfiltered quantized code lies
+    within k of mu.  The report is the one the scalar loop in the tests
+    produces, mismatches in vector order, then output, then code check
+    before dead-zone check.  Raises ValueError for weights and bias whose
+    pre-activations could overflow, and for an output window too wide for
+    the ramp table, before any table is built.
 
     domain="sampled": draws real pre-activations spanning twice the code
     range, ``_SAMPLE_CHUNK`` at a time from one generator stream, and
@@ -217,8 +215,8 @@ def verify_equivalence(
     each, one scalar call per function: ``quantize`` floors exactly, and
     ``fire_simulated`` finds the firing step by a bisection of n exact
     threshold comparisons.  Mismatches come out in draw order.  Raises
-    ValueError for a sample count that is negative or not an integer, and
-    for a scale at which the span's width overflows a float.
+    ValueError for a sample count or seed that is negative or not an
+    integer, and for a scale at which the span's width overflows a float.
 
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
@@ -232,9 +230,10 @@ def verify_equivalence(
     report = EquivalenceReport()
 
     if domain == "sampled":
-        require_integer("samples", samples)
-        if samples < 0:
-            raise ValueError(f"samples must be >= 0, got {samples}")
+        for name, value in (("samples", samples), ("seed", seed)):
+            require_integer(name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         span = 2.0 * cfg.alpha * (2 ** (cfg.n - 1))
         if not np.isfinite(2.0 * span):  # the generator draws over high - low
             raise ValueError(
@@ -295,7 +294,7 @@ def verify_equivalence(
         fired = fire_simulated_array(potentials, cfg)
         return filtered_out[q], q, fired, decoded[fired + 1]
 
-    if integral and reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
+    if lattice := integral and reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
         # Lattice route: quantize and fire each reachable sum once per output,
         # rounded as ``exact_matmul(...) + bias``.  The tables are flat: sum
         # s of output j sits at (s + reach) * fan_out + j.
@@ -332,14 +331,30 @@ def verify_equivalence(
             qnn_code = q[b, j] + p_out.code_min if dead_zone else qnn_out[b, j]
             report.record((rows[b] + p_in.code_min).tolist(), qnn_code, snn_out[b, j])
 
-    vectors = 2 ** (p_in.n * layer.fan_in)
+    vectors, n, fan_in = 2 ** (p_in.n * layer.fan_in), p_in.n, layer.fan_in
+    report.cases_checked = vectors
     # A block holds whole vectors, or one vector's outputs in chunks, so the
     # mismatches still come out in vector, then output, order.
-    step = max(1, BLOCK_TERMS // max(1, layer.fan_in * fan_out))
-    width = max(1, min(fan_out, BLOCK_TERMS // max(1, layer.fan_in)))
+    step = max(1, BLOCK_TERMS // max(1, fan_in * fan_out))
+    width = max(1, min(fan_out, BLOCK_TERMS // max(1, fan_in)))
+    if lattice and np.array_equal(scaled_in, kernel_in):
+        # Equal tables give equal sums, so ``check``'s verdict is a table too.  A
+        # block adds its leading inputs' sums to a once-built table of the rest.
+        verdict = (qnn_flat != snn_flat) | ((fired_flat < 0) != in_dead_zone[q_flat])
+        tail = min(fan_in, (step.bit_length() - 1) // n)
+        size, head = 2 ** (n * tail), fan_in - tail
+        step -= step % size
+        tail_at = scaled_in[_code_block(0, size, n, tail)] @ weights[head:] * fan_out + offsets
+        for start in range(0, vectors, step):
+            stop = min(start + step, vectors)
+            lead = scaled_in[_code_block(start // size, stop // size, n, head)] @ weights[:head]
+            at = (lead[:, None] * fan_out + tail_at).reshape(stop - start, fan_out).astype(np.int64)
+            if verdict[at].any():  # only a bad block builds its rows and outputs
+                rows = _code_block(start, stop, n, fan_in)
+                check(rows, qnn_flat[at], q_flat[at], fired_flat[at], snn_flat[at])
+        return report
     for start in range(0, vectors, step):
-        rows = _code_block(start, min(start + step, vectors), p_in.n, layer.fan_in)
-        report.cases_checked += len(rows)
+        rows = _code_block(start, min(start + step, vectors), n, fan_in)
         for lo in range(0, fan_out, width):
             # one call, so no block's outputs outlive its check
             check(rows, *block_outputs(rows, slice(lo, lo + width)))

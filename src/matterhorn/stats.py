@@ -80,7 +80,7 @@ class ActivationSampler:
     """Seeded Gaussian or Laplace activation source with a finite ``loc``
     and a positive finite ``scale``; identical seeds reproduce identical
     samples bit for bit.  A field or sample count of the wrong type, and a
-    negative count, raise ValueError naming it."""
+    negative seed or count, raise ValueError naming it."""
 
     kind: str = "gaussian"
     loc: float = 0.0
@@ -97,6 +97,8 @@ class ActivationSampler:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be a positive finite real, got {self.scale}")
         require_integer("seed", self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def sample(self, count: int) -> np.ndarray:
         require_integer("count", count)

@@ -73,6 +73,11 @@ def test_unknown_flag_is_usage_error():
         (["stats", "--baseline", "--imax", "2", "--count", "10"], "--imax"),
         (["stats", "--baseline", "--imax", "7", "--k", "0", "--count", "10"], "--imax"),
         (["stats", "--baseline", "--k", "3", "--imax", "2", "--count", "10"], "--imax"),
+        # numpy refused a negative seed with exit 3 and a message naming no field
+        (["stats", "--seed", "-1", "--count", "10"], "--seed"),
+        (["sweep", "--seed", "-1", "--count", "10"], "--seed"),
+        (["verify", "--seed", "-1", "--samples", "10"], "--seed"),
+        (["attn", "--seed", "-1", "--samples", "1"], "--seed"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -618,10 +623,11 @@ def test_env_seed_override(monkeypatch, capsys):
 
 
 def test_env_seed_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("MATTERHORN_SEED", "not-a-number")
-    code, _, err = run(capsys, "stats", "--count", "10")
-    assert code == EXIT_CONFIG
-    assert "MATTERHORN_SEED" in json.loads(err)["detail"]
+    for value in ("not-a-number", "-1"):  # a negative seed is refused before numpy sees it
+        monkeypatch.setenv("MATTERHORN_SEED", value)
+        code, _, err = run(capsys, "stats", "--count", "10")
+        assert code == EXIT_CONFIG
+        assert "MATTERHORN_SEED" in json.loads(err)["detail"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -185,6 +185,14 @@ def test_sampled_refuses_a_negative_count():
         verify_equivalence(layer, cfg, domain="sampled", samples=-1)
 
 
+@pytest.mark.parametrize("seed, needle", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer")])
+def test_sampled_refuses_a_bad_seed(seed, needle):
+    # numpy refused a negative seed with a message that named no field
+    layer, cfg = _sampled_control(1.0)
+    with pytest.raises(ValueError, match=needle):
+        verify_equivalence(layer, cfg, domain="sampled", samples=10, seed=seed)
+
+
 @pytest.mark.parametrize("samples", [2.7, 2.0, True, "5", None])
 def test_sampled_refuses_a_non_integer_count(samples):
     layer, cfg = _sampled_control(1.0)
@@ -259,6 +267,45 @@ def _counting_walks(monkeypatch):
     for module in (spike, conversion):  # every binding a walk could go through
         monkeypatch.setattr(module, "fire_simulated_array", counting_walk, raising=False)
     return walks
+
+
+def _counting_sums(monkeypatch):
+    """Patch the kernels the two term tables come from, so that each matmul
+    a table (or a gather from it) takes part in is logged by its side, and
+    patch the code-block builder to log each block; returns both logs."""
+    matmuls, blocks = [], []
+
+    class Table(np.ndarray):
+        def __array_finalize__(self, obj):
+            self.side = getattr(obj, "side", None)
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [x.view(np.ndarray) if isinstance(x, Table) else x for x in inputs]
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            if ufunc is np.matmul:
+                matmuls.append(self.side)
+            elif isinstance(out, np.ndarray):
+                out = out.view(Table)
+                out.side = self.side
+            return out
+
+    def tabled(kernel, side):
+        def call(*args, **kwargs):
+            out = kernel(*args, **kwargs).view(Table)
+            out.side = side
+            return out
+
+        return call
+
+    def code_block(*args):
+        blocks.append(args)
+        return block(*args)
+
+    block = conversion._code_block
+    monkeypatch.setattr(conversion, "_code_block", code_block)
+    for name, side in (("dead_zone_filter_array", "quantized"), ("integrate_array", "spiking")):
+        monkeypatch.setattr(conversion, name, tabled(getattr(conversion, name), side))
+    return matmuls, blocks
 
 
 def _scalar_potentials(layer, input_cfg):
@@ -484,6 +531,68 @@ def test_exhaustive_lattice_route_matches_scalar_reference(
         assert np.array_equal(walked, np.arange(-reach, reach + 1)[:, None] + layer.bias)
     else:
         assert sum(walked.size for walked in walks) == 2 ** (n_in * fan_in) * fan_out
+
+
+def test_exhaustive_sums_one_table_once_a_block_when_the_term_tables_are_equal(monkeypatch):
+    # a centered input dead zone makes the two term tables equal, so only the
+    # quantized one is summed, one matmul per code block: the trailing
+    # inputs' table once a call, then each block's leading inputs
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
+    matmuls, blocks = _counting_sums(monkeypatch)
+    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
+    for _ in range(2):
+        matmuls.clear()
+        blocks.clear()
+        report = verify_equivalence(layer, cfg, domain="exhaustive")
+        assert report.to_dict() == reference_exhaustive(layer, cfg).to_dict()
+        assert report.passed and report.cases_checked == 4**3
+        assert len(blocks) > 2 and matmuls == ["quantized"] * len(blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@example(  # a control whose bad sums fall in 6 of its 16 blocks
+    n_in=2, n_out=2, mode="symmetric", k=0, theta_shift=1, integer_weights=True, alpha=1.0,
+    fan=(3, 1), seed=0,
+)
+@given(
+    n_in=st.integers(1, 3),
+    n_out=st.integers(1, 3),
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    k=st.integers(0, 2),
+    theta_shift=st.integers(0, 1),
+    integer_weights=st.booleans(),
+    alpha=st.sampled_from([1.0, 2.0]),
+    fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exhaustive_verdict_route_matches_scalar_reference(
+    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, seed
+):
+    # input codes encoded with the dead zone on zero give equal term tables;
+    # integer weights in [-3, 3] with no bias, or +/-1 weights with a real
+    # bias.  BLOCK_TERMS is the lattice table's size, so a run has many
+    # small blocks, and a shifted threshold schedule puts bad sums in some
+    fan_in, fan_out = fan
+    p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
+    cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
+    input_cfg = derive_snn_config(p_in, zero_centered_i_max(p_in), k)
+    rng = np.random.default_rng(seed)
+    shape = (fan_in, fan_out)
+    layer = QnnLayer(
+        weights=rng.integers(-3, 4, shape) if integer_weights else rng.choice([-1.0, 1.0], shape),
+        bias=np.zeros(fan_out) if integer_weights else rng.normal(size=fan_out),
+        in_params=p_in,
+        out_params=p_out,
+        mu=cfg.mu,
+        k=k,
+    )
+    reach = _lattice_reach(layer, input_cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conversion, "BLOCK_TERMS", (2 * reach + 1) * fan_out)
+        matmuls, _ = _counting_sums(mp)
+        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
+    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+    assert set(matmuls) == {"quantized"}  # the verdict route ran
 
 
 def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):

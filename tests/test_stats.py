@@ -106,6 +106,13 @@ def test_sampler_names_a_field_of_the_wrong_type(field, bad):
         ActivationSampler(**{field: bad})
 
 
+def test_sampler_refuses_a_negative_seed():
+    # numpy accepted it until sample() ran, then refused it naming no field
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        ActivationSampler(seed=-1)
+    assert ActivationSampler(seed=0).seed == 0
+
+
 @pytest.mark.parametrize(
     "count, needle",
     [(2.5, "count must be an integer"), (True, "count must be an integer"), (-1, "count must be >= 0")],
