@@ -49,16 +49,17 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_VERIFY_FAILED = 4
 
-# Widest code: the ``encode`` bit list is O(2^n).  The threshold search of
-# ``verify`` costs n comparisons a sample; an exhaustive run builds one
-# threshold table of 2^n floats (512 KiB at 16 bits) and looks each output up.
+# Widest code: the ``encode`` bit list is O(2^n).  ``verify`` builds one
+# threshold table of 2^n floats (512 KiB at 16 bits) and looks each sampled
+# potential or exhaustive output up in it.
 MAX_BITS = 16
 # ``verify --exhaustive`` walks (2^n)^fan_in input vectors; refuse beyond
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
-# Each sample of the sampled domain costs n exact threshold comparisons;
-# this many took 10-12 s at ``--bits 16`` (3.6-5.4 s at ``--bits 4``) on a
-# 2-core Xeon and peaked at about 46 MiB resident.
+# Each sample of the sampled domain costs one scalar exact floor (the ground
+# truth) and a share of one table lookup per chunk; this many took 1.4-2.0 s
+# at ``--bits 16`` (1.35-1.95 s at ``--bits 4``) in-process on a 2-core Xeon
+# and peaked at about 40 MiB resident.
 MAX_SAMPLES = 2**20
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
 # each side.  Real-valued terms are summed exactly rounded per output and

@@ -35,10 +35,8 @@ from .qnn import (
 )
 from .spike import (
     SnnLayerConfig,
-    decode_spike,
     decode_spike_array,
     encode_integer_array,
-    fire_simulated,
     fire_simulated_array,
     integrate_array,
     require_integer,
@@ -212,11 +210,15 @@ def verify_equivalence(
     domain="sampled": draws real pre-activations spanning twice the code
     range, ``_SAMPLE_CHUNK`` at a time from one generator stream, and
     compares filtered quantization against the fired-and-decoded code of
-    each, one scalar call per function: ``quantize`` floors exactly, and
-    ``fire_simulated`` finds the firing step by a bisection of n exact
-    threshold comparisons.  Mismatches come out in draw order.  Raises
+    each.  A chunk fires by one ``fire_simulated_array`` call (a lookup in
+    the ramp table, or the bisection where the config has none) and
+    decodes by one ``decode_spike_array`` call; the ground truth stays one
+    scalar ``quantize`` a draw, whose exact floor shares no code with the
+    ramp table, so the domain checks the firing kernel against an
+    independent oracle.  Mismatches come out in draw order.  Raises
     ValueError for a sample count or seed that is negative or not an
-    integer, and for a scale at which the span's width overflows a float.
+    integer, for a scale at which the span's width overflows a float, and
+    for an output window over 2^63 steps.
 
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
@@ -244,13 +246,13 @@ def verify_equivalence(
         p, mu, k = layer.out_params, layer.mu, layer.k
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call
-            draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start)).tolist()
-            for a in draws:
+            draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start))
+            snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg).tolist()
+            for a, snn_code in zip(draws.tolist(), snn_codes):
                 qnn_code = dead_zone_filter(quantize(a, p), mu, k)
-                snn_code = decode_spike(fire_simulated(a, cfg), cfg)
                 if qnn_code != snn_code:
                     report.record(a, qnn_code, snn_code)
-            report.cases_checked += len(draws)
+            report.cases_checked += len(snn_codes)
         return report
 
     if domain != "exhaustive":

@@ -22,7 +22,8 @@ silent.  The ``*_array`` forms of encode, integrate, fire and decode handle
 a whole population at once, and the scalar functions are their oracles;
 ``train_times`` turns a list of ``SpikeTrain`` objects into that form.
 ``fire_simulated_array`` looks each potential up in the config's ramp table,
-the least float meeting each threshold, so a float compare is exact.
+the least float meeting each threshold, so a float compare is exact; a
+config too wide or shifted too far for the table fires by the bisection.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -45,6 +46,7 @@ ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
 # Widest window whose ramp table ``fire_simulated_array`` builds: 2^20
 # floats are 8 MiB, and building them takes a few times that in temporaries.
+# Wider windows fire by the scalar bisection.
 _RAMP_MAX_BITS = 20
 
 
@@ -139,10 +141,14 @@ class SnnLayerConfig(QuantParams):
             require_integer("i_max", self.i_max)
             if not 0 <= self.i_max <= self.window - 1:
                 raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
+            object.__setattr__(self, "i_max", int(self.i_max))
         require_integer("k", self.k)
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
         require_integer("theta_shift", self.theta_shift)
+        # plain ints, as for n: a numpy integer wraps mu and the threshold codes
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "theta_shift", int(self.theta_shift))
 
     @cached_property
     def window(self) -> int:
@@ -172,7 +178,7 @@ class SnnLayerConfig(QuantParams):
         2^n floats, as many as the codebook's trains at most (512 KiB at
         n = 16), built once per config; a window over 2^20 steps, or a
         threshold code beyond 2^53 (no exact float), is refused with
-        ValueError.
+        ValueError, and ``fire_simulated_array`` then bisects.
         """
         origin = self.code_max + self.theta_shift
         if self.n > _RAMP_MAX_BITS:
@@ -431,13 +437,23 @@ def fire_simulated_array(potentials, cfg: SnnLayerConfig) -> np.ndarray:
     The thresholds fall as t grows, so the steps a potential misses are a
     prefix of the window; their count is the number of ``cfg._ramp``
     entries above it, one ``searchsorted``, and it fires at the first step
-    it meets, or at T-1 if it meets none.  Raises ValueError for NaN, and
-    for a config whose ramp table is refused (see ``SnnLayerConfig._ramp``).
+    it meets, or at T-1 if it meets none.  Where the config's ramp table is
+    refused (see ``SnnLayerConfig._ramp``), the scalar ``candidate_fire_time``
+    decides each potential instead, by n exact comparisons.  Raises
+    ValueError for NaN, and for a window over 2^63 steps, whose spike times
+    do not fit ``int64``.
     """
     v = np.asarray(potentials, dtype=np.float64)
     if np.isnan(v).any():
         raise ValueError("potential is NaN")
-    missed = cfg.window - np.searchsorted(cfg._ramp, v, side="right")
+    if cfg.n > 63:
+        raise ValueError(f"spike times of a 2^{cfg.n}-step window do not fit int64")
+    try:
+        ramp = cfg._ramp
+    except ValueError:  # no table: the bisection decides each potential
+        times = [candidate_fire_time(a, cfg) for a in v.ravel().tolist()]
+        return _mask_times(np.array(times, dtype=np.int64).reshape(v.shape), cfg)
+    missed = cfg.window - np.searchsorted(ramp, v, side="right")
     return _mask_times(np.minimum(missed, cfg.window - 1), cfg)
 
 

@@ -163,6 +163,47 @@ def test_sampled_chunks_keep_the_draw_order(monkeypatch):
     assert got.mismatches and got.to_dict() == want.to_dict()
 
 
+def _scalar_sampled_report(layer, cfg, samples, seed):
+    """The sampled report of a per-draw scalar loop: ``fire_simulated`` and
+    ``decode_spike`` one draw at a time."""
+    report = EquivalenceReport(cases_checked=samples)
+    span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
+    for a in np.random.default_rng(seed).uniform(-span, span, samples).tolist():
+        qnn_code = dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k)
+        snn_code = decode_spike(fire_simulated(a, cfg), cfg)
+        if qnn_code != snn_code:
+            report.record(a, qnn_code, snn_code)
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    alpha=st.sampled_from([1.0, 0.37, 2.0**-1000]),
+    i_max_offset=st.integers(-1, 1),
+    k=st.integers(0, 1),
+    theta_shift=st.integers(-1, 1),
+    samples=st.integers(0, 300),
+    chunk=st.sampled_from([7, 64, 2**10]),
+    seed=st.integers(0, 2**32),
+)
+@example(
+    n=21, mode="symmetric", alpha=0.37, i_max_offset=1, k=1, theta_shift=1, samples=40, chunk=16, seed=5
+)  # no ramp table: the array kernel bisects
+def test_sampled_report_matches_scalar_reference(
+    n, mode, alpha, i_max_offset, k, theta_shift, samples, chunk, seed
+):
+    p = QuantParams(n=n, alpha=alpha, mode=mode)
+    i_max = min(max(zero_centered_i_max(p) + i_max_offset, 0), 2**n - 1)
+    cfg = replace(derive_snn_config(p, i_max, k), theta_shift=theta_shift)
+    layer = QnnLayer(weights=[[1.0]], bias=[0.0], in_params=p, out_params=p, mu=cfg.mu, k=k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conversion, "_SAMPLE_CHUNK", chunk)
+        got = verify_equivalence(layer, cfg, domain="sampled", samples=samples, seed=seed)
+    assert got.to_dict() == _scalar_sampled_report(layer, cfg, samples, seed).to_dict()
+
+
 def test_sampled_memory_does_not_grow_with_the_sample_count():
     layer, cfg = pm_layer(QuantParams(n=4, alpha=0.37), k=1, fan_in=1, fan_out=1)
 

@@ -525,16 +525,24 @@ def test_ramp_entries_are_exact_ceilings(n, alpha, mode, theta_shift, picks):
 
 
 def test_ramp_table_is_bounded():
-    # the array path refuses a table past 2^20 steps or a threshold code
-    # that is no exact float; the scalar search needs no table
+    # no table past 2^20 steps or for a threshold code that is no exact
+    # float; the array path then bisects, as the scalar search does
     for cfg, match in (
         (SnnLayerConfig(n=21), r"2\^21 steps"),
         (SnnLayerConfig(n=4, theta_shift=2**53), "theta_shift 9007199254740992"),
         (SnnLayerConfig(n=4, theta_shift=-(2**53)), "theta_shift -9007199254740992"),
     ):
         with pytest.raises(ValueError, match=match):
-            fire_simulated_array([0.0], cfg)
-        assert fire_simulated(0.0, cfg).time is not None
+            cfg._ramp
+        origin = cfg.code_max + cfg.theta_shift
+        with np.errstate(over="ignore"):
+            ties = cfg.alpha * np.array([origin, origin - 1, origin - cfg.window + 1], dtype=np.float64)
+        v = np.concatenate(
+            [np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf), [0.0, np.inf, -np.inf]]
+        )
+        want = [_time(fire_simulated(a, cfg)) for a in v.tolist()]
+        assert fire_simulated_array(v, cfg).tolist() == want
+        assert fire_simulated_array(v.reshape(3, 4), cfg).tolist() == np.reshape(want, (3, 4)).tolist()
     edge = SnnLayerConfig(n=4, alpha=0.37, theta_shift=2**53 - 7)  # top code 2^53
     v = np.array([edge._ramp[0], edge._ramp[-1], 0.0, np.inf])
     assert fire_simulated_array(v, edge).tolist() == [_time(fire_simulated(a, edge)) for a in v.tolist()]
@@ -550,6 +558,8 @@ def test_array_kernels_reject_bad_inputs():
         integrate_array([[-2]], np.ones((1, 1)), cfg)
     with pytest.raises(ValueError, match="NaN"):
         fire_simulated_array([0.0, math.nan], cfg)
+    with pytest.raises(ValueError, match=r"2\^64-step window do not fit int64"):
+        fire_simulated_array([0.0], SnnLayerConfig(n=64))
 
 
 def test_config_stores_plain_python_numbers():
@@ -562,6 +572,29 @@ def test_config_stores_plain_python_numbers():
     v = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
     assert [_time(fire_simulated(a, cfg)) for a in v.tolist()] == fire_simulated_array(v, cfg).tolist()
     assert [_time(fire_analytic(a, cfg)) for a in v.tolist()] == fire_simulated_array(v, cfg).tolist()
+
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_numpy_integer_fields_act_as_their_python_twins(dtype):
+    # a numpy i_max once wrapped mu (n=4, uint64 i_max 10: mu 2^64 - 3), and
+    # a numpy theta_shift near the top of int64 wrapped the threshold codes
+    top = int(np.iinfo(dtype).max)
+    v = [0.0, 1.0, -1.0, 0.37, 7.5, -8.5, 1e30, -1e30, math.inf, -math.inf]
+    for i_max, k, theta_shift in ((10, 1, 0), (15, 0, 1), (0, 2, top - 5), (7, top, top)):
+        twin = SnnLayerConfig(n=4, i_max=i_max, k=k, theta_shift=theta_shift)
+        cfg = SnnLayerConfig(n=4, i_max=dtype(i_max), k=dtype(k), theta_shift=dtype(theta_shift))
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert all(type(x) is int for x in (cfg.i_max, cfg.k, cfg.theta_shift, cfg.mu))
+        assert decode_spike_array(np.arange(-1, 16), cfg).tolist() == decode_spike_array(
+            np.arange(-1, 16), twin
+        ).tolist()
+        for a in v:
+            assert fire_analytic(a, cfg) == fire_analytic(a, twin)
+            assert fire_simulated(a, cfg) == fire_simulated(a, twin)
+        assert fire_simulated_array(v, cfg).tolist() == fire_simulated_array(v, twin).tolist()
 
 
 def test_unmasked_baseline_always_fires():
