@@ -65,8 +65,8 @@ MAX_SAMPLES = 2**20
 # each side.  Real-valued terms are summed exactly rounded per output and
 # every (vector, output) is quantized and fired, at about 0.15-0.2 us a term
 # on the same host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 7 s
-# there.  Integer-lattice layers add in plain float matmuls and quantize and
-# fire each reachable sum once per run, far faster.
+# there.  Integer-lattice layers add in plain float matmuls, and one whose
+# table of reachable sums passes builds no vector block at all.
 TERMS_BUDGET_LOG2 = 25
 # ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
 # width, as two integer matrix products; at this cap (``--bits 16``) one
@@ -164,12 +164,11 @@ def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
 def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
     """Refuse a ``verify --exhaustive`` run over its vector or summed-term
     budget, before the layer's weights are built.  The term budget prices
-    real-valued layers, which quantize and fire every (vector, output) by
-    one lookup in the layer's threshold table; an integer-lattice layer
-    does so once per reachable sum and output.  With equal term tables (a
-    zero-centered input dead zone) it then spends its time on one add and
-    one verdict lookup per (vector, output); otherwise on the per-vector
-    gathers and matmuls."""
+    the block route, which sums every (vector, output) and quantizes and
+    fires it by one lookup in the layer's threshold table.  An
+    integer-lattice layer with equal term tables (a zero-centered input
+    dead zone) first checks each reachable sum once per output, and skips
+    the blocks when none fails."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         raise ConfigError(

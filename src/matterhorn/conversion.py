@@ -14,8 +14,8 @@ Each side tabulates the term every input code adds per unit weight once
 per call, each block sums its rows of the tables exactly rounded, and one
 output stage (floor, clip, filter; fire, mask, decode) runs on the sums
 with exact threshold and code-boundary compares.  On an integer lattice
-every sum is one of few integers, so the stage runs once per call on all
-reachable sums, as a table each block gathers from.
+with equal term tables every potential is one of few sums, so the stage
+runs once per call on all of them, and a layer none fails needs no block.
 """
 
 from __future__ import annotations
@@ -170,34 +170,33 @@ def verify_equivalence(
     """Run the quantized and spiking paths side by side and diff the codes.
 
     domain="exhaustive": every input code vector over the layer's fan-in
-    is checked, in blocks of about ``BLOCK_TERMS`` summed products whose
-    code indices are built from vector indices.  A stage whose input takes
-    few values runs once per call over its whole domain, as a table the
-    blocks gather from: the input filter and ``encode_integer_array`` over
-    the 2^n input codes, the output filter and dead-zone test over the 2^n
-    output codes, ``decode_spike_array`` over the times -1..T-1.
+    is checked.  Stages whose input takes few values run once per call, as
+    tables: the filters and ``encode_integer_array`` over the 2^n codes,
+    ``decode_spike_array`` over the times -1..T-1.  Each side's term table
+    holds what an input code adds per unit weight: its scaled filtered
+    code (quantized), or its spike's scaled kernel value, +0.0 when silent
+    (spiking, one ``integrate_array`` call).  One output stage floors
+    exactly, clips and filters the quantized sums, and fires the spiking
+    ones by ``fire_simulated_array`` (an exact ``searchsorted`` in the
+    config's ramp table, never the quantized floor), masks and decodes.
 
-    Term tables, sums, stages: each side's table holds the term an input
-    code adds per unit weight, the scaled filtered code (quantized) or the
-    scaled kernel value of its spike, +0.0 when silent (spiking, one
-    ``integrate_array`` call).  A block sums its rows of each table with
-    ``numerics.exact_matmul`` plus the bias, as ``integrate`` and
-    ``QnnLayer.pre_activation`` round.  One local stage floors exactly,
-    clips and filters the quantized sums, and fires the spiking ones by
-    ``fire_simulated_array`` (an exact ``searchsorted`` in the config's ramp
-    table, never the quantized floor), masks and decodes them.
+    A (vector, output) check depends on the vector only through its
+    potential.  With integral term tables and weights and R = max_j sum_i
+    |w_ij| x max |term| below 2^53, every sum is an exact integer in
+    [-R, R] in any order, and equal term tables (an input dead zone on code
+    zero) make both sides' sums one number.  Every potential of output j is
+    then ``fl(s + bias_j)`` for an integer s in [-R, R], so the stage runs
+    once on that superset of the reachable ones (while it holds at most
+    ``BLOCK_TERMS`` entries); if no entry fails, no vector can, and the
+    layer passes without a block.  Exact verification of quantized networks
+    is SMT-hard in general (Henzinger, Lechner & Zikelic, AAAI 2021); one
+    separable, exactly summed layer makes it a table here.
 
-    On an integer lattice the stage is tabulated: with integral term tables
-    and weights and R = max_j sum_i |w_ij| x max |term| below 2^53, every
-    sum is an exact integer in [-R, R] in any order (a plain float
-    matmul), so the stage runs once per call on ``fl(s + bias_j)`` for all
-    s in [-R, R] and outputs j, and each block gathers from that table by
-    its sums.  Equal term tables (an input dead zone on code zero) make
-    equal sums, so the check is a table too, one verdict per sum and
-    output: a block adds its leading inputs' sums to a table of its
-    trailing inputs' sums built once per call, looks up the verdicts, and
-    gathers its outputs only where one is bad.  Other layers, and tables
-    over ``BLOCK_TERMS`` entries, run the stage on each block's sums.
+    Every other layer (real weights, an off-centre input dead zone, a bad
+    entry) is checked in blocks of about ``BLOCK_TERMS`` summed products,
+    built from vector indices: a block sums its rows of each term table
+    with ``numerics.exact_matmul`` plus the bias, as ``integrate`` and
+    ``QnnLayer.pre_activation`` round, then runs the output stage.
 
     The two integer outputs must agree per output neuron, and the mask must
     silence the output exactly when the unfiltered quantized code lies
@@ -281,83 +280,53 @@ def verify_equivalence(
     # when silent) on the spiking side.
     scaled_in = p_in.alpha * filtered_in.astype(np.float64)
     kernel_in = integrate_array(times_in[:, None], np.ones((1, 1)), input_cfg)[:, 0]
-    # With integral terms and weights, every sum is an integer within
-    # +/-reach, exact in any order below 2^53 (the float magnitude sums
-    # reach 2^53 whenever the real ones do).
-    reach = np.abs(weights).sum(axis=0).max(initial=0.0) * max(
-        np.abs(scaled_in).max(), np.abs(kernel_in).max()
-    )
-    integral = all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
 
     def output_stage(pre, potentials):
         # Quantized side: floor, clip, filter; q holds the unfiltered codes
         # as indices (code - code_min).  Spiking side: fire, mask, decode.
+        # Per (vector, output), ``bad`` holds the code check, then the
+        # dead-zone agreement (mask suppression <=> unmasked code within k
+        # of mu); only the mask silences here, so one firing settles both.
         q = quantize_array(pre, p_out) - p_out.code_min
         fired = fire_simulated_array(potentials, cfg)
-        return filtered_out[q], q, fired, decoded[fired + 1]
-
-    if lattice := integral and reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
-        # Lattice route: quantize and fire each reachable sum once per output,
-        # rounded as ``exact_matmul(...) + bias``.  The tables are flat: sum
-        # s of output j sits at (s + reach) * fan_out + j.
-        reach = int(reach)
-        sums = np.arange(-reach, reach + 1, dtype=np.float64)[:, None] + bias
-        qnn_flat, q_flat, fired_flat, snn_flat = (t.ravel() for t in output_stage(sums, sums))
-        offsets = reach * fan_out + np.arange(fan_out)
-
-        def block_outputs(rows, outputs):
-            # integer sums below 2^53, so the matmul and the index are exact
-            w, offset = weights[:, outputs], offsets[outputs]
-            at_q = ((scaled_in[rows] @ w) * fan_out + offset).astype(np.int64)
-            at_s = ((kernel_in[rows] @ w) * fan_out + offset).astype(np.int64)
-            return qnn_flat[at_q], q_flat[at_q], fired_flat[at_s], snn_flat[at_s]
-
-    else:
-
-        def block_outputs(rows, outputs):
-            # each side's sums of its gathered terms, exactly rounded
-            w, b = weights[:, outputs], bias[outputs]
-            pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
-            return output_stage(pre, potentials)
-
-    def check(rows, qnn_out, q, fired, snn_out):
-        # Per (vector, output): the code check, then the dead-zone agreement
-        # (mask suppression <=> unmasked code within k of mu).  Only the mask
-        # silences here, so the one firing settles both.
-        code_bad = qnn_out != snn_out
-        zone_bad = (fired < 0) != in_dead_zone[q]
-        if not (code_bad.any() or zone_bad.any()):
-            return
-        bad = np.stack([code_bad, zone_bad], axis=-1)
-        for b, j, dead_zone in zip(*np.nonzero(bad)):
-            qnn_code = q[b, j] + p_out.code_min if dead_zone else qnn_out[b, j]
-            report.record((rows[b] + p_in.code_min).tolist(), qnn_code, snn_out[b, j])
+        qnn_out, snn_out = filtered_out[q], decoded[fired + 1]
+        bad = np.stack([qnn_out != snn_out, (fired < 0) != in_dead_zone[q]], axis=-1)
+        return bad, qnn_out, q, snn_out
 
     vectors, n, fan_in = 2 ** (p_in.n * layer.fan_in), p_in.n, layer.fan_in
     report.cases_checked = vectors
-    # A block holds whole vectors, or one vector's outputs in chunks, so the
-    # mismatches still come out in vector, then output, order.
+    # The lattice certificate of the docstring: integral terms and weights,
+    # reach below 2^53 (the float magnitude sums reach 2^53 whenever the
+    # real ones do), equal term tables, a sum table within one block.
+    reach = np.abs(weights).sum(axis=0).max(initial=0.0) * max(
+        np.abs(scaled_in).max(), np.abs(kernel_in).max()
+    )
+    if (
+        all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
+        and reach < 2**53
+        and (2 * reach + 1) * fan_out <= BLOCK_TERMS
+        and np.array_equal(scaled_in, kernel_in)
+    ):
+        sums = np.arange(-reach, reach + 1)[:, None] + bias
+        if not output_stage(sums, sums)[0].any():
+            return report
+    # Any other layer, or a bad sum, checks every vector.  A block holds
+    # whole vectors, or one vector's outputs in chunks, so the mismatches
+    # still come out in vector, then output, order.
     step = max(1, BLOCK_TERMS // max(1, fan_in * fan_out))
     width = max(1, min(fan_out, BLOCK_TERMS // max(1, fan_in)))
-    if lattice and np.array_equal(scaled_in, kernel_in):
-        # Equal tables give equal sums, so ``check``'s verdict is a table too.  A
-        # block adds its leading inputs' sums to a once-built table of the rest.
-        verdict = (qnn_flat != snn_flat) | ((fired_flat < 0) != in_dead_zone[q_flat])
-        tail = min(fan_in, (step.bit_length() - 1) // n)
-        size, head = 2 ** (n * tail), fan_in - tail
-        step -= step % size
-        tail_at = scaled_in[_code_block(0, size, n, tail)] @ weights[head:] * fan_out + offsets
-        for start in range(0, vectors, step):
-            stop = min(start + step, vectors)
-            lead = scaled_in[_code_block(start // size, stop // size, n, head)] @ weights[:head]
-            at = (lead[:, None] * fan_out + tail_at).reshape(stop - start, fan_out).astype(np.int64)
-            if verdict[at].any():  # only a bad block builds its rows and outputs
-                rows = _code_block(start, stop, n, fan_in)
-                check(rows, qnn_flat[at], q_flat[at], fired_flat[at], snn_flat[at])
-        return report
     for start in range(0, vectors, step):
         rows = _code_block(start, min(start + step, vectors), n, fan_in)
         for lo in range(0, fan_out, width):
-            # one call, so no block's outputs outlive its check
-            check(rows, *block_outputs(rows, slice(lo, lo + width)))
+            # each side's sums of its gathered terms, exactly rounded
+            w, b = weights[:, lo : lo + width], bias[lo : lo + width]
+            pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
+            bad, qnn_out, q, snn_out = output_stage(pre, potentials)
+            if not bad.any():
+                continue
+            at, j, dead_zone = np.nonzero(bad)
+            qnn_codes = np.where(dead_zone, q[at, j] + p_out.code_min, qnn_out[at, j])
+            cases = (rows[at] + p_in.code_min).tolist()
+            for case, qnn_code, snn_code in zip(cases, qnn_codes.tolist(), snn_out[at, j].tolist()):
+                report.record(case, qnn_code, snn_code)
     return report

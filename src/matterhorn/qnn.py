@@ -112,6 +112,8 @@ class QnnLayer:
         require_integer("k", self.k)
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
+        # plain ints, as in SnnLayerConfig: a numpy unsigned mu wraps the filters
+        self.mu, self.k = int(self.mu), int(self.k)
 
     @property
     def fan_in(self) -> int:

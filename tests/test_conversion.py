@@ -147,6 +147,26 @@ def test_sampled_control_report_is_pinned(alpha):
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_CONTROL_SHA256[alpha]
 
 
+@pytest.mark.parametrize("theta_shift", [0, 1])
+@pytest.mark.parametrize(
+    "dtype",
+    [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64],
+    ids=lambda t: t.__name__,
+)
+def test_numpy_integer_dead_zone_verifies_as_its_python_int_twin(dtype, theta_shift):
+    # a numpy mu and k are stored as plain ints: an unsigned mu once wrapped
+    # the scalar filter's code - mu (OverflowError in the sampled domain)
+    p = QuantParams(n=3)
+    cfg = replace(derive_snn_config(p, zero_centered_i_max(p), 1), theta_shift=theta_shift)
+    twin, _ = pm_layer(p, k=1, fan_in=2, fan_out=2, seed=4)
+    layer = replace(twin, mu=dtype(0), k=dtype(1))
+    assert type(layer.mu) is int and type(layer.k) is int
+    for kwargs in ({"domain": "exhaustive"}, {"domain": "sampled", "samples": 3000, "seed": 2}):
+        got = verify_equivalence(layer, cfg, **kwargs).to_dict()
+        assert got == verify_equivalence(twin, cfg, **kwargs).to_dict()
+        assert got["passed"] == (theta_shift == 0)
+
+
 def test_sampled_chunks_keep_the_draw_order(monkeypatch):
     # chunks of 7 over 100 draws, the last one partial, report what one pass
     # over one whole-size draw reports (fired by the closed form here)
@@ -310,43 +330,24 @@ def _counting_walks(monkeypatch):
     return walks
 
 
-def _counting_sums(monkeypatch):
-    """Patch the kernels the two term tables come from, so that each matmul
-    a table (or a gather from it) takes part in is logged by its side, and
-    patch the code-block builder to log each block; returns both logs."""
-    matmuls, blocks = [], []
-
-    class Table(np.ndarray):
-        def __array_finalize__(self, obj):
-            self.side = getattr(obj, "side", None)
-
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            plain = [x.view(np.ndarray) if isinstance(x, Table) else x for x in inputs]
-            out = getattr(ufunc, method)(*plain, **kwargs)
-            if ufunc is np.matmul:
-                matmuls.append(self.side)
-            elif isinstance(out, np.ndarray):
-                out = out.view(Table)
-                out.side = self.side
-            return out
-
-    def tabled(kernel, side):
-        def call(*args, **kwargs):
-            out = kernel(*args, **kwargs).view(Table)
-            out.side = side
-            return out
-
-        return call
-
-    def code_block(*args):
-        blocks.append(args)
-        return block(*args)
-
+def _counting_blocks(monkeypatch):
+    """Patch the code-block builder to log the (start, stop) rows of each
+    block it builds; returns the log."""
+    blocks = []
     block = conversion._code_block
+
+    def code_block(start, stop, *args):
+        blocks.append((start, stop))
+        return block(start, stop, *args)
+
     monkeypatch.setattr(conversion, "_code_block", code_block)
-    for name, side in (("dead_zone_filter_array", "quantized"), ("integrate_array", "spiking")):
-        monkeypatch.setattr(conversion, name, tabled(getattr(conversion, name), side))
-    return matmuls, blocks
+    return blocks
+
+
+def _assert_blocks_cover(blocks, vectors):
+    """The blocks' rows are every vector once, in order."""
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == vectors
 
 
 def _scalar_potentials(layer, input_cfg):
@@ -511,13 +512,35 @@ def test_exhaustive_report_matches_scalar_reference_for_random_layers(
     assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
 
 
+def _term_tables(layer, input_cfg):
+    """Each side's term per input code and unit weight, from the scalar
+    oracles: (quantized, spiking)."""
+    codes = range(input_cfg.code_min, input_cfg.code_max + 1)
+    alpha = layer.in_params.alpha
+    quantized = [alpha * dead_zone_filter(q, input_cfg.mu, input_cfg.k) for q in codes]
+    spiking = [integrate([(encode_integer(q, input_cfg), 1.0)], input_cfg) for q in codes]
+    return quantized, spiking
+
+
+def _sum_table_passes(layer, cfg, reach):
+    """Whether the scalar oracles pass every (sum, output) of the lattice
+    table, the potentials fl(s + bias_j) for the integers s in [-R, R]."""
+    p, mu, k = layer.out_params, layer.mu, layer.k
+    for s, b in itertools.product(range(-reach, reach + 1), layer.bias.tolist()):
+        q = quantize(s + b, p)
+        fired = fire_simulated(s + b, cfg)
+        if dead_zone_filter(q, mu, k) != decode_spike(fired, cfg):
+            return False
+        if fired.is_silent != (abs(q - mu) <= k):
+            return False
+    return True
+
+
 def _lattice_reach(layer, input_cfg):
     """R = max_j sum_i |w_ij| x max |term| of the lattice certificate, from
     the scalar oracles, or None when a term or a weight is not integral."""
-    terms = []
-    for q in range(input_cfg.code_min, input_cfg.code_max + 1):
-        terms.append(layer.in_params.alpha * dead_zone_filter(q, input_cfg.mu, input_cfg.k))
-        terms.append(integrate([(encode_integer(q, input_cfg), 1.0)], input_cfg))
+    quantized, spiking = _term_tables(layer, input_cfg)
+    terms = quantized + spiking
     if not all(float(v).is_integer() for v in terms + layer.weights.ravel().tolist()):
         return None
     top = max(abs(t) for t in terms)
@@ -560,34 +583,48 @@ def test_exhaustive_lattice_route_matches_scalar_reference(
         k=k,
     )
     input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
-    reach = _lattice_reach(layer, input_cfg or default_input_cfg(layer, cfg))
+    encoding = input_cfg or default_input_cfg(layer, cfg)
+    reach = _lattice_reach(layer, encoding)
     entries = None if reach is None else (2 * reach + 1) * fan_out
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", 40 if entries is None else entries - over)
         walks = _counting_walks(mp)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
     assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
-    if entries is not None and not over:
-        [walked] = walks
-        assert np.array_equal(walked, np.arange(-reach, reach + 1)[:, None] + layer.bias)
-    else:
-        assert sum(walked.size for walked in walks) == 2 ** (n_in * fan_in) * fan_out
+    quantized, spiking = _term_tables(layer, encoding)
+    if entries is not None and not over and quantized == spiking:
+        # the sum table is walked first; if it passes, nothing else is walked
+        table, *walks = walks
+        assert np.array_equal(table, np.arange(-reach, reach + 1)[:, None] + layer.bias)
+        if _sum_table_passes(layer, cfg, reach):
+            assert got["passed"] and walks == []
+            return
+    seen = [v for walked in walks for v in walked.ravel().tolist()]
+    assert sorted(seen) == sorted(_scalar_potentials(layer, encoding))
 
 
-def test_exhaustive_sums_one_table_once_a_block_when_the_term_tables_are_equal(monkeypatch):
-    # a centered input dead zone makes the two term tables equal, so only the
-    # quantized one is summed, one matmul per code block: the trailing
-    # inputs' table once a call, then each block's leading inputs
+def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monkeypatch):
+    # a centered input dead zone makes the two term tables equal, so a
+    # passing +/-1 layer is settled by its one sum table and builds no code
+    # block; its shifted-schedule twin fails there and checks every vector
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
-    matmuls, blocks = _counting_sums(monkeypatch)
-    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
-    for _ in range(2):
-        matmuls.clear()
+    blocks = _counting_blocks(monkeypatch)
+    walks = _counting_walks(monkeypatch)
+    layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
+    table = np.arange(-12, 13)[:, None] + layer.bias  # reach: 3 inputs x |-4|
+    for theta_shift in (0, 1):
         blocks.clear()
-        report = verify_equivalence(layer, cfg, domain="exhaustive")
-        assert report.to_dict() == reference_exhaustive(layer, cfg).to_dict()
-        assert report.passed and report.cases_checked == 4**3
-        assert len(blocks) > 2 and matmuls == ["quantized"] * len(blocks)
+        walks.clear()
+        control = replace(cfg, theta_shift=theta_shift)
+        report = verify_equivalence(layer, control, domain="exhaustive")
+        assert report.to_dict() == reference_exhaustive(layer, control).to_dict()
+        assert report.passed == (theta_shift == 0) and report.cases_checked == 8**3
+        assert np.array_equal(walks[0], table)
+        if report.passed:
+            assert blocks == [] and len(walks) == 1
+        else:
+            assert len(blocks) > 2
+            _assert_blocks_cover(blocks, 8**3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -630,10 +667,13 @@ def test_exhaustive_verdict_route_matches_scalar_reference(
     reach = _lattice_reach(layer, input_cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", (2 * reach + 1) * fan_out)
-        matmuls, _ = _counting_sums(mp)
+        blocks = _counting_blocks(mp)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
     assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
-    assert set(matmuls) == {"quantized"}  # the verdict route ran
+    if _sum_table_passes(layer, cfg, reach):
+        assert got["passed"] and blocks == []  # settled by the sum table
+    else:
+        _assert_blocks_cover(blocks, 2 ** (n_in * fan_in))
 
 
 def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):
@@ -773,9 +813,10 @@ def test_exhaustive_sweep_takes_the_slow_exact_kernels_only_for_real_values(monk
 
 def test_exhaustive_memory_is_bounded_by_the_block():
     # vectors are built block by block from their indices, so 16x the
-    # vectors does not mean 16x the memory
+    # vectors does not mean 16x the memory (real weights: no sum table)
     def peak(fan_in):
-        layer, cfg = pm_layer(QuantParams(n=4), k=0, fan_in=fan_in, fan_out=1)
+        layer, cfg = pm_layer(QuantParams(n=4, alpha=0.37), k=0, fan_in=fan_in, fan_out=1)
+        layer = replace(layer, weights=np.random.default_rng(1).normal(size=(fan_in, 1)))
         tracemalloc.start()
         try:
             report = verify_equivalence(layer, cfg, domain="exhaustive")
