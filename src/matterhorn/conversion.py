@@ -28,7 +28,6 @@ from .numerics import exact_matmul
 from .qnn import (
     QnnLayer,
     QuantParams,
-    dead_zone_filter,
     dead_zone_filter_array,
     quantize,
     quantize_array,
@@ -98,8 +97,10 @@ class EquivalenceReport:
         return not self.mismatches
 
     def record(self, case, qnn_code: int, snn_code: int) -> None:
-        self.mismatches.append({"input": case, "qnn": int(qnn_code), "snn": int(snn_code)})
-        self.max_abs_deviation = max(self.max_abs_deviation, abs(int(qnn_code) - int(snn_code)))
+        qnn_code, snn_code = int(qnn_code), int(snn_code)  # numpy scalars stay out of the JSON
+        self.mismatches.append({"input": case, "qnn": qnn_code, "snn": snn_code})
+        if abs(qnn_code - snn_code) > self.max_abs_deviation:
+            self.max_abs_deviation = abs(qnn_code - snn_code)
 
     def to_dict(self) -> dict:
         return {
@@ -211,10 +212,11 @@ def verify_equivalence(
     compares filtered quantization against the fired-and-decoded code of
     each.  A chunk fires by one ``fire_simulated_array`` call (a lookup in
     the ramp table, or the bisection where the config has none) and
-    decodes by one ``decode_spike_array`` call; the ground truth stays one
-    scalar ``quantize`` a draw, whose exact floor shares no code with the
-    ramp table, so the domain checks the firing kernel against an
-    independent oracle.  Mismatches come out in draw order.  Raises
+    decodes by one ``decode_spike_array`` call.  Its ground truth is one
+    scalar ``quantize`` a draw, an exact floor sharing no code with the
+    ramp table, so the firing kernel meets an independent oracle; one
+    ``dead_zone_filter_array`` and one vector compare follow, and
+    ``np.flatnonzero`` keeps the mismatches in draw order.  Raises
     ValueError for a sample count or seed that is negative or not an
     integer, for a scale at which the span's width overflows a float, and
     for an output window over 2^63 steps.
@@ -246,12 +248,12 @@ def verify_equivalence(
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call
             draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start))
-            snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg).tolist()
-            for a, snn_code in zip(draws.tolist(), snn_codes):
-                qnn_code = dead_zone_filter(quantize(a, p), mu, k)
-                if qnn_code != snn_code:
-                    report.record(a, qnn_code, snn_code)
-            report.cases_checked += len(snn_codes)
+            values = draws.tolist()
+            qnn_codes = dead_zone_filter_array([quantize(a, p) for a in values], mu, k)
+            snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg)
+            for i in np.flatnonzero(qnn_codes != snn_codes).tolist():
+                report.record(values[i], qnn_codes[i], snn_codes[i])
+            report.cases_checked += len(values)
         return report
 
     if domain != "exhaustive":

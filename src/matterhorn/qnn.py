@@ -42,7 +42,8 @@ def quantize(a: float, p: QuantParams) -> int:
     if math.isinf(a):
         return p.code_max if a > 0 else p.code_min
     code = floor_ratio(a, p.alpha)
-    return min(max(code, p.code_min), p.code_max)
+    # two compares: the min/max builtins cost about as much as the floor
+    return p.code_min if code < p.code_min else p.code_max if code > p.code_max else code
 
 
 def quantize_array(a, p: QuantParams) -> np.ndarray:

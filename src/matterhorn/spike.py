@@ -370,7 +370,7 @@ def fire_analytic(pre_activation: float, cfg: SnnLayerConfig) -> SpikeTrain:
         t = 0 if pre_activation > 0 else cfg.window - 1
     else:
         t_raw = cfg.code_max + cfg.theta_shift - floor_ratio(pre_activation, cfg.alpha)
-        t = min(max(t_raw, 0), cfg.window - 1)
+        t = 0 if t_raw < 0 else cfg.window - 1 if t_raw >= cfg.window else t_raw
     return _mask_fire_time(t, cfg)
 
 

@@ -34,3 +34,11 @@ def test_first_round_of_each_workload_matches_its_reference(workload):
     assert cases
     for case in cases:
         assert wl.check(case.key, case.run()), (workload, case.key)
+
+
+@pytest.mark.parametrize("workload", sorted(load("workloads").WORKLOADS))
+def test_first_round_of_each_negative_control_fails_a_check(workload):
+    # a control whose fault every check misses would let a broken library pass
+    wl = load("workloads").WORKLOADS[workload](seed=0, control=True)
+    wl.prepare_references()
+    assert not all(wl.check(case.key, case.run()) for case in wl.round(0)), workload

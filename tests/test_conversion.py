@@ -196,6 +196,27 @@ def _scalar_sampled_report(layer, cfg, samples, seed):
     return report
 
 
+def test_sampled_runs_the_scalar_exact_floor_once_per_draw(monkeypatch):
+    # the ground truth stays the independent scalar oracle: chunks of 7 over
+    # 100 draws, the last one partial, quantize each draw once, in draw order
+    calls = []
+
+    def counting_quantize(a, p):
+        calls.append(a)
+        return quantize(a, p)
+
+    monkeypatch.setattr(conversion, "_SAMPLE_CHUNK", 7)
+    monkeypatch.setattr(conversion, "quantize", counting_quantize)
+    layer, cfg = _sampled_control(0.37)
+    got = verify_equivalence(layer, cfg, domain="sampled", samples=100, seed=3)
+    span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
+    assert calls == np.random.default_rng(3).uniform(-span, span, 100).tolist()
+    assert got.mismatches and got.to_dict() == _scalar_sampled_report(layer, cfg, 100, 3).to_dict()
+    # numpy codes would compare equal above but not serialize as JSON ints
+    assert type(got.max_abs_deviation) is int
+    assert all(type(m[side]) is int for m in got.mismatches for side in ("qnn", "snn"))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 8),

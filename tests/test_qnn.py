@@ -19,7 +19,7 @@ from matterhorn.qnn import (
     quantize_array,
     ste_backward,
 )
-from matterhorn.spike import ASYMMETRIC, SYMMETRIC
+from matterhorn.spike import ASYMMETRIC, SYMMETRIC, SnnLayerConfig, fire_analytic
 
 
 # --- quantize -----------------------------------------------------------
@@ -72,6 +72,38 @@ def test_quantize_matches_exact_rational_floor(a, alpha):
     expected = min(max(math.floor(Fraction(a) / Fraction(alpha)), p.code_min), p.code_max)
     assert quantize(a, p) == expected
     assert quantize_array([a], p).tolist() == [expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 4, 16, 52]),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    alpha=st.sampled_from([1.0, 0.37, 2.0**-1000, 1e300]),
+    theta_shift=st.integers(-1, 1),
+    k=st.integers(0, 1),
+    data=st.data(),
+)
+def test_scalar_oracles_match_their_rational_definitions(n, mode, alpha, theta_shift, k, data):
+    # quantize and fire_analytic are the oracles of the array kernels: both
+    # must be the real floor of a / alpha, clipped, as plain ints, at every
+    # scale, including far outside the code range and at +/-inf
+    p = QuantParams(n=n, alpha=alpha, mode=mode)
+    i_max = data.draw(st.none() | st.integers(0, 2**n - 1), label="i_max")
+    cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, i_max=i_max, k=k, theta_shift=theta_shift)
+    code = data.draw(st.integers(p.code_min - 2**n, p.code_max + 2**n), label="code")
+    nudge = data.draw(st.sampled_from([-math.inf, 0.0, math.inf]), label="nudge")
+    boundary = code * alpha  # +/-inf where it overflows
+    near = math.nextafter(boundary, nudge) if nudge else boundary
+    anywhere = data.draw(st.floats(allow_nan=False), label="anywhere")
+    for a in (near, anywhere, math.inf, -math.inf):
+        floor = math.floor(Fraction(a) / Fraction(alpha)) if math.isfinite(a) else a
+        expected = min(max(floor, p.code_min), p.code_max)
+        got = quantize(a, p)
+        assert type(got) is int and got == expected, a
+        t = min(max(cfg.code_max + theta_shift - floor, 0), cfg.window - 1)
+        silent = i_max is not None and abs(t - i_max) <= k
+        time = fire_analytic(a, cfg).time
+        assert time is None if silent else type(time) is int and time == t, a
 
 
 @settings(max_examples=200, deadline=None)
