@@ -22,7 +22,7 @@ from .energy import (
     block_energy,
     scenario_compare,
 )
-from .qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize, ste_backward
+from .qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forward, quantize
 from .spike import (
     SnnLayerConfig,
     SpikeTrain,

@@ -141,6 +141,5 @@ def attention_reference(q_codes, k_codes, v_codes, cfg: SnnLayerConfig) -> np.nd
     q_codes = require_integer_array("Q codes", q_codes).astype(np.int64)
     k_codes = require_integer_array("K codes", k_codes).astype(np.int64)
     v_codes = require_integer_array("V codes", v_codes).astype(np.int64)
-    if cfg.masked:
-        q_codes = dead_zone_filter_array(q_codes, cfg.mu, cfg.k)
+    q_codes = dead_zone_filter_array(q_codes, cfg.mu, cfg.k)
     return normalize_scores(q_codes @ k_codes.T, 2**cfg.n) @ v_codes

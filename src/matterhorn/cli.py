@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .attention import attention_pipeline, attention_reference
-from .conversion import derive_snn_config, verify_equivalence, zero_centered_i_max
+from .conversion import verify_equivalence
 from .crossbar import MsuConfig, reference_readout, tiled_vmm
 from .energy import (
     MODES,
@@ -124,15 +124,10 @@ def _load_json_file(path: str) -> dict:
 
 
 def _spike_config(args) -> SnnLayerConfig:
-    if getattr(args, "baseline", False):  # unmasked reference encoding
-        return SnnLayerConfig(n=args.bits, alpha=args.alpha, mode=args.mode)
-    p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
-    i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
+    """The run's spiking config; ``--baseline`` is plain TTFS, the mask at
+    the last step, and no ``--imax`` the config's default, mu = 0."""
+    i_max = 2**args.bits - 1 if getattr(args, "baseline", False) else args.imax
     return SnnLayerConfig(n=args.bits, alpha=args.alpha, mode=args.mode, i_max=i_max, k=args.k)
-
-
-def _silence_convention(cfg: SnnLayerConfig) -> str:
-    return f"mu={cfg.mu}" if cfg.masked else "minimum code"
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -188,7 +183,7 @@ def _cmd_verify(args) -> int:
         p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
         if args.exhaustive:
             _check_exhaustive_work(p.n, args.fan_in, args.fan_out)
-        i_max = args.imax if args.imax is not None else zero_centered_i_max(p)
+        cfg = _spike_config(args)
         seed = int(args.weights.split(":", 1)[1])
         rng = np.random.default_rng(seed)
         layer = QnnLayer(
@@ -196,8 +191,8 @@ def _cmd_verify(args) -> int:
             bias=np.zeros(args.fan_out),
             in_params=p,
             out_params=p,
-            mu=p.code_max - i_max,
-            k=args.k,
+            mu=cfg.mu,
+            k=cfg.k,
         )
     else:
         doc = _load_json_file(args.weights)
@@ -210,8 +205,7 @@ def _cmd_verify(args) -> int:
             raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
         if args.exhaustive:
             _check_exhaustive_work(layer.in_params.n, layer.fan_in, layer.fan_out)
-    i_max = p.code_max - layer.mu
-    cfg = derive_snn_config(p, i_max, layer.k)
+        cfg = SnnLayerConfig(n=p.n, alpha=p.alpha, mode=p.mode, i_max=p.code_max - layer.mu, k=layer.k)
 
     if args.exhaustive:
         report = verify_equivalence(layer, cfg, domain="exhaustive")
@@ -225,7 +219,7 @@ def _cmd_verify(args) -> int:
         "bits": layer.out_params.n,
         "alpha": layer.out_params.alpha,
         "mode": layer.out_params.mode,
-        "i_max": i_max,
+        "i_max": cfg.i_max,
         "k": layer.k,
         "weights": args.weights,
         "domain": domain,
@@ -405,7 +399,7 @@ def _sampling_header(
         f"{title} over {args.count} samples",
         f"sampler={sampler.kind} loc={sampler.loc} scale={sampler.scale} seed={sampler.seed}",
         f"bits={args.bits} alpha={args.alpha} mode={args.mode} i_max={cfg.i_max}{radius}",
-        f"silent decodes to {_silence_convention(cfg)}",
+        f"silent decodes to mu={cfg.mu}",
     ]
 
 
@@ -413,8 +407,6 @@ def _cmd_stats(args) -> int:
     cfg = _spike_config(args)
     sampler = _sampler(args, cfg)
     times = encode_samples(sampler.sample(args.count), cfg)
-    if args.baseline:  # the reference counts the last-step spike (the floor code) as silence
-        times[times == cfg.window - 1] = -1
     hist = spike_time_histogram(times, cfg)
     header = _sampling_header("spike-time histogram", args, sampler, cfg, k=cfg.k)
     header.append(f"silence_fraction={hist.silence_fraction:.6f}")
@@ -520,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument(
         "--baseline",
         action="store_true",
-        help="unmasked reference encoding (floor-code spike counts as silence)",
+        help="plain TTFS: the mask at the last step (i_max = 2^n - 1, k = 0)",
     )
     p_stats.add_argument("--svg", help="also render an SVG bar chart to this path")
     p_stats.set_defaults(func=_cmd_stats)
@@ -535,10 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kmax", type=_int_in(0), default=3)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    for p in (p_verify, p_encode, p_xbar, p_attn, p_energy, p_scen, p_area, p_stats, p_sweep):
+    for p in (p_verify, p_xbar, p_attn, p_stats, p_sweep):  # the subcommands that draw
         p.add_argument(
             "--seed", type=_int_in(0), default=0, help="RNG seed (MATTERHORN_SEED overrides)"
         )
+    for p in (p_verify, p_encode, p_xbar, p_attn, p_energy, p_scen, p_area, p_stats, p_sweep):
         p.add_argument("--out", help="write the artifact to this path instead of stdout")
 
     return parser
@@ -548,7 +541,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run the chosen subcommand; returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "baseline", False):  # the unmasked encoding has no dead zone to place
+    if getattr(args, "baseline", False):  # plain TTFS fixes the dead zone: i_max = 2^n - 1, k = 0
         for flag, given in (("--imax", args.imax is not None), ("--k", args.k != 0)):
             if given:
                 parser.error(f"argument {flag}: not allowed with argument --baseline")

@@ -76,7 +76,8 @@ def derive_snn_config(p: QuantParams, i_max: int, k: int) -> SnnLayerConfig:
 
 
 def zero_centered_i_max(p: QuantParams) -> int:
-    """The i_max that puts the silent state on code zero (mu = 0)."""
+    """The i_max that puts the silent state on code zero (mu = 0), the
+    default of ``SnnLayerConfig``."""
     return p.code_max
 
 
@@ -120,7 +121,7 @@ def _check_configs(
         raise ValueError(f"config window {cfg.window} != 2**{p.n}")
     if cfg.mode != p.mode or cfg.alpha != p.alpha:
         raise ValueError("config mode/scale do not match the layer's output params")
-    if not cfg.masked or cfg.mu != layer.mu or cfg.k != layer.k:
+    if cfg.mu != layer.mu or cfg.k != layer.k:
         raise ValueError(
             f"config dead zone (mu={cfg.mu}, k={cfg.k}) does not match "
             f"layer dead zone (mu={layer.mu}, k={layer.k})"
@@ -132,8 +133,6 @@ def _check_configs(
         raise ValueError(f"input config window {input_cfg.window} != 2**{p.n}")
     if input_cfg.mode != p.mode or input_cfg.alpha != p.alpha:
         raise ValueError("input config mode/scale do not match the layer's input params")
-    if not input_cfg.masked:
-        raise ValueError("input config has no dead zone (i_max=None)")
 
 
 def _check_range(layer: QnnLayer) -> None:
@@ -224,10 +223,10 @@ def verify_equivalence(
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
     position when the input window differs.  An explicit ``input_cfg``
-    must match the layer's input params (window, mode, scale) and be
-    masked, as ``cfg`` must match its output params and dead zone;
-    ValueError otherwise.  Comparison happens at the integer-code level,
-    which keeps the check exact.
+    must match the layer's input params (window, mode, scale), as ``cfg``
+    must match its output params and dead zone; ValueError otherwise.
+    Comparison happens at the integer-code level, which keeps the check
+    exact.
     """
     _check_configs(layer, cfg, input_cfg)
     report = EquivalenceReport()
@@ -261,8 +260,10 @@ def verify_equivalence(
 
     if input_cfg is None:
         p_in = layer.in_params
-        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
-        input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
+        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
+        input_cfg = SnnLayerConfig(
+            n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=layer.k
+        )
     _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out

@@ -59,9 +59,7 @@ def map_signed_weights(
     return np.where(w > 0, g_on, g_off)
 
 
-def _check_device(
-    v_read: float, g_on: float, g_off: float, adc_lsb: float | None = None
-) -> None:
+def _check_device(v_read: float, g_on: float, g_off: float) -> None:
     """Refuse read-out constants the ADC step cannot divide by: a read
     voltage and an on/off contrast that are positive and finite reals."""
     for name, value in (("v_read", v_read), ("g_on", g_on), ("g_off", g_off)):
@@ -72,10 +70,6 @@ def _check_device(
         raise ValueError(f"g_off must be a non-negative finite real, got {g_off}")
     if not (g_on > g_off and math.isfinite(g_on)):
         raise ValueError(f"g_on must be a finite real above g_off={g_off}, got {g_on}")
-    if adc_lsb is not None:
-        require_real("adc_lsb", adc_lsb)
-        if not (adc_lsb > 0 and math.isfinite(adc_lsb)):
-            raise ValueError(f"adc_lsb must be a positive finite real, got {adc_lsb}")
 
 
 @dataclass
@@ -86,10 +80,9 @@ class CrossbarMacro:
     v_read: float = V_READ_DEFAULT
     g_on: float = G_ON_DEFAULT
     g_off: float = G_OFF_DEFAULT
-    adc_lsb: float | None = None
 
     def __post_init__(self) -> None:
-        _check_device(self.v_read, self.g_on, self.g_off, self.adc_lsb)
+        _check_device(self.v_read, self.g_on, self.g_off)
         self.conductance = np.asarray(self.conductance, dtype=np.float64)
         if self.conductance.ndim != 2:
             raise ValueError("conductance grid must be 2-D")
@@ -110,10 +103,6 @@ class CrossbarMacro:
     @property
     def cols(self) -> int:
         return int(self.conductance.shape[1])
-
-    @property
-    def lsb(self) -> float:
-        return self.adc_lsb if self.adc_lsb is not None else self.g_on * self.v_read
 
     def binary(self) -> np.ndarray:
         """The stored 0/1 grid (1 where the cell is on)."""
@@ -136,12 +125,12 @@ def analog_column_readout(
     """Column currents and ADC codes for one binary input vector.
 
     Current per column sums ``v_read * G`` over the active rows.  The plain
-    ADC model rounds ``I / adc_lsb`` and saturates at the row count, which
-    is exact only while the aggregate off-cell leakage stays below half an
-    LSB.  With ``compensate_leakage`` the digital periphery first subtracts
-    the known off-cell baseline for the active-row count (the same count
-    the signed correction needs anyway), making the returned codes exact
-    on-cell popcounts at any array size.
+    ADC model rounds ``I / (g_on * v_read)`` and saturates at the row count,
+    which is exact only while the aggregate off-cell leakage stays below
+    half an LSB.  With ``compensate_leakage`` the digital periphery first
+    subtracts the known off-cell baseline for the active-row count (the
+    same count the signed correction needs anyway), making the returned
+    codes exact on-cell popcounts at any array size.
     """
     active = np.asarray(active_rows)
     if active.shape != (macro.rows,):
@@ -154,7 +143,8 @@ def analog_column_readout(
         n_active = float(active.sum())
         codes = _compensated_adc(currents, n_active, macro.v_read, macro.g_on, macro.g_off)
     else:
-        codes = np.clip(np.rint(currents / macro.lsb), 0, macro.rows).astype(np.int64)
+        lsb = macro.g_on * macro.v_read  # the plain ADC step: one on-cell's current
+        codes = np.clip(np.rint(currents / lsb), 0, macro.rows).astype(np.int64)
     return currents, codes
 
 
@@ -191,8 +181,8 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
 @dataclass(frozen=True)
 class MsuConfig:
     """Scale, input precision, tiling geometry and device constants of the
-    synapse unit.  Its reads compensate the off-cell leakage, so it has no
-    plain ADC step (``CrossbarMacro.adc_lsb``)."""
+    synapse unit.  Its reads compensate the off-cell leakage, so it uses
+    no plain ADC step."""
 
     gamma: float = 1.0
     input_bits: int = 4

@@ -1,10 +1,9 @@
-"""Quantized-layer forward path with dead-zone filtering and masked STE.
+"""Quantized-layer forward path with dead-zone filtering.
 
 This is the ground-truth side of the spiking-network equivalence check:
 activations are symmetric or asymmetric integer codes produced by a
-floor-based quantizer, a dead-zone filter collapses codes near the most
-frequent value, and training uses a straight-through estimator that blocks
-gradients inside the dead zone and outside the clip range.
+floor-based quantizer, and a dead-zone filter collapses codes near the most
+frequent value.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "dead_zone_filter",
     "dead_zone_filter_array",
     "layer_forward",
-    "ste_backward",
 ]
 
 
@@ -174,21 +172,3 @@ def layer_forward(x_codes, layer: QnnLayer) -> np.ndarray:
     for j in range(layer.fan_out):
         out[j] = dead_zone_filter(quantize(pre[j], layer.out_params), layer.mu, layer.k)
     return out
-
-
-def ste_backward(upstream, a, p: QuantParams, mu: int, k: int) -> np.ndarray:
-    """Masked straight-through gradient w.r.t. the pre-activation.
-
-    The upstream gradient passes where a/alpha lies inside the code range
-    and the quantized code is outside the dead zone; it is zeroed at clip
-    saturation and inside the dead zone.
-    """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if upstream.shape != a.shape:
-        raise ValueError(f"gradient shape {upstream.shape} != activation shape {a.shape}")
-    in_range = (a >= p.alpha * p.code_min) & (a <= p.alpha * p.code_max)
-    # the forward codes, floored exactly: a float quotient can round onto
-    # the next code at a boundary and flip the dead-zone test
-    outside_dead_zone = np.abs(quantize_array(a, p) - mu) > k
-    return upstream * in_range * outside_dead_zone

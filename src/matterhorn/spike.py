@@ -3,7 +3,9 @@
 A value is carried by the arrival time of at most one spike inside a window
 of ``T = 2**n`` steps.  A temporal mask silences firing times inside the
 dead zone ``[i_max - k, i_max + k]``, remapping the most frequent code to
-the zero-energy all-silent train.  The module provides:
+the zero-energy all-silent train.  Plain TTFS is the same mask at the last
+step, ``i_max = 2**n - 1`` and ``k = 0``: the lowest code goes silent.  The
+module provides:
 
 - integer <-> spike-train encoding with dead-zone collapse,
 - membrane integration of weighted input trains,
@@ -84,7 +86,7 @@ class QuantParams:
     """Bit width, scale and mode of one quantized activation tensor.
 
     The derived constants (``code_min``, ``code_max`` and, on
-    ``SnnLayerConfig``, ``window``, ``masked``, ``mu``) are computed once
+    ``SnnLayerConfig``, ``window``, ``mu``) are computed once
     per instance; they are not fields, so equality, hashing, ``repr``,
     ``asdict`` and ``replace`` see only the fields.
     """
@@ -123,30 +125,35 @@ class QuantParams:
 class SnnLayerConfig(QuantParams):
     """Window, scale, kernel and threshold schedule for one M-TTFS layer.
 
-    ``i_max`` is the masked firing time (dead-zone center); ``i_max=None``
-    disables the mask entirely (plain TTFS baseline: every code fires, and
-    a silent train decodes to the minimum code).  The dead zone is the only
-    rule that silences a train.
+    ``i_max`` is the masked firing time (dead-zone center); omitted, it is
+    ``code_max``, which puts the silent train on code zero (``mu = 0``).
+    The dead zone is the only rule that silences a train.  Plain TTFS is
+    ``i_max = 2**n - 1, k = 0``: the lowest code, which would fire at T-1,
+    goes silent instead, so its silent train stands for ``code_min``.  In
+    symmetric mode that code is off centre: ``integrate`` adds nothing where
+    the lowest code should add ``alpha * code_min``, the limit of every
+    ``i_max`` with ``mu != 0``.
     ``theta_shift`` offsets the threshold schedule by whole codes and is a
     fault-injection hook for negative-control verification runs.
     """
 
-    i_max: int | None = None
+    i_max: int | None = None  # None stores code_max (mu = 0)
     k: int = 0
     theta_shift: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.i_max is not None:
-            require_integer("i_max", self.i_max)
-            if not 0 <= self.i_max <= self.window - 1:
-                raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
-            object.__setattr__(self, "i_max", int(self.i_max))
+        if self.i_max is None:
+            object.__setattr__(self, "i_max", self.code_max)
+        require_integer("i_max", self.i_max)
+        if not 0 <= self.i_max <= self.window - 1:
+            raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
         require_integer("k", self.k)
         if self.k < 0:
             raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
         require_integer("theta_shift", self.theta_shift)
         # plain ints, as for n: a numpy integer wraps mu and the threshold codes
+        object.__setattr__(self, "i_max", int(self.i_max))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "theta_shift", int(self.theta_shift))
 
@@ -155,14 +162,8 @@ class SnnLayerConfig(QuantParams):
         return 2**self.n
 
     @cached_property
-    def masked(self) -> bool:
-        return self.i_max is not None
-
-    @cached_property
-    def mu(self) -> int | None:
+    def mu(self) -> int:
         """Code represented by the silent train (dead-zone center)."""
-        if self.i_max is None:
-            return None
         return self.code_max - self.i_max
 
     @cached_property
@@ -195,7 +196,7 @@ class SnnLayerConfig(QuantParams):
             return np.where(ge_scaled_array(ramp, self.alpha, m), ramp, np.nextafter(ramp, np.inf))
 
     def in_dead_zone(self, t: int) -> bool:
-        return self.masked and abs(t - self.i_max) <= self.k
+        return abs(t - self.i_max) <= self.k
 
     def kernel(self, t: int) -> int:
         """Decode value f(t) of a spike at step t, flattened over the dead zone."""
@@ -257,17 +258,13 @@ def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
 
 
 def decode_spike(train: SpikeTrain, cfg: SnnLayerConfig) -> int:
-    """Decode a spike train back to its integer code via the kernel f(t).
-
-    The silent train decodes to the dead-zone center when the mask is
-    active; without a mask it decodes to the minimum code (the only value
-    a silent baseline train can stand for).
-    """
+    """Decode a spike train back to its integer code via the kernel f(t);
+    the silent train decodes to the dead-zone center ``mu``."""
     if train.window != cfg.window:
         raise ValueError(f"train window {train.window} != config window {cfg.window}")
     t = train.time
     if t is None:
-        return cfg.mu if cfg.masked else cfg.code_min
+        return cfg.mu
     return cfg.kernel(t)
 
 
@@ -383,17 +380,12 @@ def _check_times(times, cfg: SnnLayerConfig) -> np.ndarray:
 
 def _mask_times(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
     """``_mask_fire_time`` of each time: -1 where the dead zone silences it."""
-    if not cfg.masked:
-        return times
     return np.where(np.abs(times - cfg.i_max) <= cfg.k, -1, times)
 
 
 def _kernel_array(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
     """``cfg.kernel`` of each spike time (meaningless where silent)."""
-    f = cfg.code_max - times
-    if cfg.masked:
-        f = np.where(np.abs(times - cfg.i_max) <= cfg.k, cfg.mu, f)
-    return f
+    return np.where(np.abs(times - cfg.i_max) <= cfg.k, cfg.mu, cfg.code_max - times)
 
 
 def encode_integer_array(codes, cfg: SnnLayerConfig) -> np.ndarray:
@@ -414,8 +406,7 @@ def encode_integer_array(codes, cfg: SnnLayerConfig) -> np.ndarray:
 def decode_spike_array(times, cfg: SnnLayerConfig) -> np.ndarray:
     """Element-wise ``decode_spike`` of spike times (-1 silent)."""
     times = _check_times(times, cfg)
-    silent_code = cfg.mu if cfg.masked else cfg.code_min
-    return np.where(times < 0, silent_code, _kernel_array(times, cfg))
+    return np.where(times < 0, cfg.mu, _kernel_array(times, cfg))
 
 
 def integrate_array(times, weights, cfg_prev: SnnLayerConfig, bias=0.0) -> np.ndarray:

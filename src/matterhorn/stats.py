@@ -171,20 +171,22 @@ def calibrate_gaussian_sigma(
     """Gaussian scale whose quantized codes hit the target silence at cfg.k.
 
     Solves P(code in dead zone) = target by bisection on sigma using the
-    exact band probability P(alpha*(mu-k) <= a < alpha*(mu+k+1)).
+    exact band probability P(alpha*(mu-k) <= a < alpha*(mu+k+1)); where the
+    dead zone reaches code_min or code_max, that edge is infinite, as the
+    clipped tail quantizes into the zone.  The bisection takes the band's mass to
+    fall with sigma, as it does once the band straddles ``loc``; it raises
+    ValueError, naming the band and the target, when it ends more than
+    1e-9 from the target.
     """
-    if not cfg.masked:
-        raise ValueError("calibration needs a masked configuration")
     if not 0.0 < target_silence < 1.0:
         raise ValueError("target silence must lie strictly between 0 and 1")
-    lo_edge = cfg.alpha * (cfg.mu - cfg.k)
-    hi_edge = cfg.alpha * (cfg.mu + cfg.k + 1)
+    lo_edge = -math.inf if cfg.mu - cfg.k <= cfg.code_min else cfg.alpha * (cfg.mu - cfg.k)
+    hi_edge = math.inf if cfg.mu + cfg.k >= cfg.code_max else cfg.alpha * (cfg.mu + cfg.k + 1)
 
     def band(sigma: float) -> float:
         dist = NormalDist(loc, sigma)
         return dist.cdf(hi_edge) - dist.cdf(lo_edge)
 
-    # band(sigma) decreases in sigma once the band straddles the mean
     lo, hi = 1e-9 * cfg.alpha, 1e9 * cfg.alpha
     for _ in range(200):
         mid = (lo + hi) / 2
@@ -192,7 +194,15 @@ def calibrate_gaussian_sigma(
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    sigma = (lo + hi) / 2
+    reached = band(sigma)
+    if abs(reached - target_silence) > 1e-9:
+        raise ValueError(
+            f"cannot calibrate silence {target_silence} in the dead-zone band "
+            f"[{lo_edge}, {hi_edge}) (codes {cfg.mu - cfg.k}..{cfg.mu + cfg.k}): "
+            f"the bisection on sigma ends at {reached:.6f}"
+        )
+    return sigma
 
 
 def histogram_svg(hist: SpikeHistogram, width: int = 640, height: int = 320) -> str:

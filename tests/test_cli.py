@@ -68,7 +68,7 @@ def test_unknown_flag_is_usage_error():
         (["xbar", "--fuzz", "1000000000"], "--fuzz"),
         # n threshold comparisons a sample: about 10 s at this cap and --bits 16
         (["verify", "--samples", str(MAX_SAMPLES + 1)], "--samples"),
-        # the unmasked baseline encoding has no dead zone to place or widen
+        # the baseline fixes its dead zone at the last step, k = 0
         (["stats", "--baseline", "--k", "3", "--count", "10"], "--k"),
         (["stats", "--baseline", "--imax", "2", "--count", "10"], "--imax"),
         (["stats", "--baseline", "--imax", "7", "--k", "0", "--count", "10"], "--imax"),
@@ -490,12 +490,12 @@ STATS_CSV_SHA256 = {
     ("--calibrate", "0.6", "--k", "1"): (
         "ef79ade27c702daf105fe01cea38f9add484943436ff7521eaa8f8e20610f422"
     ),
-    # the unmasked reference with last-step spikes counted as silent
+    # plain TTFS: the mask at the last step silences the lowest code
     ("--baseline", "--bits", "3", "--mode", "asymmetric"): (
-        "817c718aeeedcf61be09096ba583e8968a07524328a4ebc86cb912a9864cf57a"
+        "9eaa2ca4242d4e94e4c4d57d6e881c92f63ceb918a163482b782a54eef8b0277"
     ),
     ("--baseline", "--dist", "laplace", "--scale", "3"): (
-        "2dad64abff608aee56077b7412c4ad6debfc1fc7d1cd99dcc8c7b2ef387bc122"
+        "6772616c08d5e4c432ee12aae8149303bc2119fe1ac63f08699b9256688a62cb"
     ),
 }
 SWEEP_CSV_SHA256 = {
@@ -553,7 +553,7 @@ def test_stats_baseline_flag(capsys):
     argv = ("stats", "--count", "2000", "--baseline", "--seed", "8")
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert "silent decodes to minimum code" in out
+    assert "i_max=15 k=0" in out and "silent decodes to mu=-8" in out
     # --k 0 is the default radius, so naming it is no error and changes nothing
     assert run(capsys, *argv, "--k", "0")[:2] == (EXIT_OK, out)
     masked_code, masked_out, _ = run(capsys, "stats", "--count", "2000", "--seed", "8")
@@ -565,6 +565,45 @@ def test_stats_baseline_flag(capsys):
         return float(line.split("=")[1])
 
     assert silence(out) < silence(masked_out)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [argv for argv in STATS_CSV_SHA256 if "--baseline" in argv],
+    ids=" ".join,
+)
+def test_stats_baseline_is_the_mask_at_the_last_step(capsys, extra):
+    bits = int(extra[extra.index("--bits") + 1]) if "--bits" in extra else 4
+    common = ("stats", "--count", "500", "--seed", "4")
+    baseline = run(capsys, *common, *extra)
+    rest = [arg for arg in extra if arg != "--baseline"]
+    assert baseline[0] == EXIT_OK
+    assert run(capsys, *common, *rest, "--imax", str(2**bits - 1)) == baseline
+
+
+@pytest.mark.parametrize(
+    "argv, band",
+    [
+        # the dead zone holds code_max, so the band is [7, inf): at most half the mass
+        (["--imax", "0", "--calibrate", "0.5"], "[7.0, inf)"),
+        # plain TTFS silences code_min, a band below the mean
+        (["--baseline", "--calibrate", "0.3"], "[-inf, -7.0)"),
+    ],
+)
+def test_stats_refuses_an_unreachable_calibration(capsys, argv, band):
+    code, out, err = run(capsys, "stats", "--count", "100", *argv)
+    assert code == EXIT_CONFIG and out == ""
+    detail = json.loads(err)["detail"]
+    assert band in detail and f"silence {argv[-1]}" in detail
+
+
+def test_stats_calibrates_a_band_that_reaches_the_range_edge(capsys):
+    # asymmetric mu = 0 is code_min: the clipped lower tail is silent too
+    argv = ("stats", "--mode", "asymmetric", "--calibrate", "0.6", "--count", "20000")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    line = [l for l in out.splitlines() if "silence_fraction=" in l][0]
+    assert abs(float(line.split("=")[1]) - 0.6) < 0.02
 
 
 def test_sweep_table_with_reference_column(capsys):
@@ -628,6 +667,17 @@ def test_env_seed_must_be_integer(monkeypatch, capsys):
         code, _, err = run(capsys, "stats", "--count", "10")
         assert code == EXIT_CONFIG
         assert "MATTERHORN_SEED" in json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("subcommand", ["encode", "energy", "scenario", "area"])
+def test_seed_only_where_something_is_drawn(monkeypatch, capsys, subcommand):
+    argv = [subcommand, "--codes", "0"] if subcommand == "encode" else [subcommand]
+    with pytest.raises(SystemExit) as exc:
+        dispatch([*argv, "--seed", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    monkeypatch.setenv("MATTERHORN_SEED", "-1")  # only the subcommands that draw read it
+    assert run(capsys, *argv)[0] == EXIT_OK
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -320,13 +320,12 @@ def test_config_mismatch_raises():
 @pytest.mark.parametrize(
     "input_cfg, needle",
     [
-        (spike.SnnLayerConfig(n=3), "input config has no dead zone (i_max=None)"),
         (spike.SnnLayerConfig(n=2, i_max=1), "input config window 4 != 2**3"),
         (spike.SnnLayerConfig(n=4, i_max=7), "input config window 16 != 2**3"),
         (spike.SnnLayerConfig(n=3, alpha=0.5, i_max=3), "input config mode/scale"),
         (spike.SnnLayerConfig(n=3, mode=ASYMMETRIC, i_max=3), "input config mode/scale"),
     ],
-    ids=["unmasked", "narrower", "wider", "scale", "mode"],
+    ids=["narrower", "wider", "scale", "mode"],
 )
 def test_input_config_mismatch_raises(input_cfg, needle, domain):
     # an explicit input encoding is checked against the layer's input

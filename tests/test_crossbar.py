@@ -409,24 +409,20 @@ def test_msu_config_validation():
     for field, bad in device_cases:
         with pytest.raises(ValueError, match=f"^{field} "):
             MsuConfig(**{field: bad})
-    # the plain ADC step exists only on a single macro
-    adc_cases = [("adc_lsb", bad) for bad in (0.0, -1e-5, float("nan"), float("inf"))]
-    for field, bad in device_cases + adc_cases:
         with pytest.raises(ValueError, match=f"^{field} "):
             CrossbarMacro.from_signed(np.ones((2, 2)), **{field: bad})
     MsuConfig(g_off=0.0)  # an ideal off cell is legal
-    CrossbarMacro.from_signed(-np.ones((2, 2)), g_off=0.0, adc_lsb=1e-5)
+    CrossbarMacro.from_signed(-np.ones((2, 2)), g_off=0.0)
 
 
-@pytest.mark.parametrize("field", ["gamma", "v_read", "g_on", "g_off", "adc_lsb"])
+@pytest.mark.parametrize("field", ["gamma", "v_read", "g_on", "g_off"])
 @pytest.mark.parametrize("bad", [True, "1", None])
 def test_device_constants_must_be_real(field, bad):
     # gamma=True once scaled every read by 1; "1" leaked a bare TypeError
     match = f"^{field} must be a real number"
-    if field != "adc_lsb":  # the plain ADC step exists only on a single macro
-        with pytest.raises(ValueError, match=match):
-            MsuConfig(**{field: bad})
-    if field != "gamma" and bad is not None:  # adc_lsb=None means no plain ADC step
+    with pytest.raises(ValueError, match=match):
+        MsuConfig(**{field: bad})
+    if field != "gamma":
         with pytest.raises(ValueError, match=match):
             CrossbarMacro.from_signed(np.ones((2, 2)), **{field: bad})
     MsuConfig(gamma=2, v_read=np.float32(0.25), g_off=0)  # ints and numpy floats are reals

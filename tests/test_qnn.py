@@ -1,4 +1,4 @@
-"""Quantizer, dead-zone filter, layer forward and masked STE."""
+"""Quantizer, dead-zone filter and layer forward."""
 
 import json
 import math
@@ -17,7 +17,6 @@ from matterhorn.qnn import (
     layer_forward,
     quantize,
     quantize_array,
-    ste_backward,
 )
 from matterhorn.spike import ASYMMETRIC, SYMMETRIC, SnnLayerConfig, fire_analytic
 
@@ -101,7 +100,7 @@ def test_scalar_oracles_match_their_rational_definitions(n, mode, alpha, theta_s
         got = quantize(a, p)
         assert type(got) is int and got == expected, a
         t = min(max(cfg.code_max + theta_shift - floor, 0), cfg.window - 1)
-        silent = i_max is not None and abs(t - i_max) <= k
+        silent = abs(t - cfg.i_max) <= k  # i_max None: code_max
         time = fire_analytic(a, cfg).time
         assert time is None if silent else type(time) is int and time == t, a
 
@@ -288,84 +287,3 @@ def test_float32_scale_scalar_quantize_agrees_with_array():
     v = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
     want = [min(max(math.floor(Fraction(a) / Fraction(p.alpha)), p.code_min), p.code_max) for a in v.tolist()]
     assert [quantize(a, p) for a in v.tolist()] == quantize_array(v, p).tolist() == want
-
-
-# --- straight-through estimator ----------------------------------------
-
-
-def test_ste_passes_inside_range_outside_dead_zone():
-    p = QuantParams(n=4, alpha=1.0)
-    up = np.ones(3)
-    a = np.array([3.5, -4.0, 5.2])
-    assert np.array_equal(ste_backward(up, a, p, mu=0, k=0), np.ones(3))
-
-
-def test_ste_blocks_dead_zone():
-    p = QuantParams(n=4, alpha=1.0)
-    grad = ste_backward(np.ones(1), np.array([0.4]), p, mu=0, k=0)  # code 0 == mu
-    assert grad.tolist() == [0.0]
-
-
-def test_ste_blocks_clip_saturation():
-    p = QuantParams(n=4, alpha=1.0)
-    grad = ste_backward(np.ones(2), np.array([12.0, -12.0]), p, mu=0, k=0)
-    assert grad.tolist() == [0.0, 0.0]
-
-
-def _boundary_probes(p):
-    # every code boundary alpha*m and both of its float neighbours
-    edges = p.alpha * np.arange(p.code_min, p.code_max + 1)
-    return np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
-
-
-def test_ste_support_matches_forward_set():
-    # support == {a : alpha*code_min <= a <= alpha*code_max and code outside zone}
-    tenth = QuantParams(n=4, alpha=0.1)
-    cases = [
-        # dyadic grid: float math is exact
-        (QuantParams(n=3, alpha=0.5), 0, 1, np.arange(-3.0, 3.0, 0.125)),
-        # float a/alpha rounds 0.5/0.1 up to code 5; the exact forward code is 4
-        (tenth, 5, 0, _boundary_probes(tenth)),
-        # and rounds -0.7000000000000001/0.1 up to -7; the exact code is -8
-        (tenth, -7, 0, _boundary_probes(tenth)),
-    ]
-    for p, mu, k, grid in cases:
-        grad = ste_backward(np.ones_like(grid), grid, p, mu, k)
-        for a, g in zip(grid, grad):
-            in_range = p.alpha * p.code_min <= a <= p.alpha * p.code_max
-            outside = abs(quantize(float(a), p) - mu) > k
-            assert (g != 0.0) == (in_range and outside), (p.alpha, mu, a)
-
-
-def test_toy_training_reduces_loss():
-    # two-layer regression with quantized hidden activations and masked STE
-    rng = np.random.default_rng(7)
-    p = QuantParams(n=4, alpha=0.5)
-    mu, k = 0, 1
-    x = rng.normal(size=(64, 6))
-    teacher = rng.normal(size=(6, 1))
-    y = x @ teacher
-    w1 = rng.normal(scale=0.5, size=(6, 8))
-    w2 = rng.normal(scale=0.5, size=(8, 1))
-    lr = 0.01
-
-    def forward(w1, w2):
-        pre = x @ w1
-        codes = np.clip(np.floor(pre / p.alpha), p.code_min, p.code_max)
-        codes = np.where(np.abs(codes - mu) <= k, mu, codes)
-        hidden = p.alpha * codes
-        out = hidden @ w2
-        return pre, hidden, out
-
-    losses = []
-    for _ in range(100):
-        pre, hidden, out = forward(w1, w2)
-        err = out - y
-        losses.append(float(np.mean(err**2)))
-        d_out = 2 * err / err.size
-        d_hidden = d_out @ w2.T
-        d_pre = ste_backward(d_hidden, pre, p, mu, k)
-        w2 -= lr * hidden.T @ d_out
-        w1 -= lr * x.T @ d_pre
-    assert losses[-1] < losses[0]
-    assert losses[-1] < 0.5 * losses[0]

@@ -85,8 +85,8 @@ def test_config_rejects_bad_values():
 def test_cached_constants_stay_out_of_the_fields():
     cfg = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
     fresh = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
-    derived = (cfg.code_min, cfg.code_max, cfg.window, cfg.mu, cfg.masked)
-    assert derived == (-8, 7, 16, 0, True)
+    derived = (cfg.code_min, cfg.code_max, cfg.window, cfg.mu)
+    assert derived == (-8, 7, 16, 0)
     assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
     assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
     wider = dataclasses.replace(cfg, n=5)
@@ -517,7 +517,7 @@ def test_ramp_entries_are_exact_ceilings(n, alpha, mode, theta_shift, picks):
             [np.nextafter(picked, -np.inf), picked, np.nextafter(picked, np.inf)]
             + [[np.inf, -np.inf, 0.0, 5e-324, -5e-324]]
         )
-    want = np.array([candidate_fire_time(a, cfg) for a in v.tolist()])
+    want = train_times([fire_simulated(a, cfg) for a in v.tolist()])
     # the table alone decides: no potential needs the scalar search
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spike, "candidate_fire_time", None)
@@ -597,13 +597,26 @@ def test_numpy_integer_fields_act_as_their_python_twins(dtype):
         assert fire_simulated_array(v, cfg).tolist() == fire_simulated_array(v, twin).tolist()
 
 
-def test_unmasked_baseline_always_fires():
-    cfg = SnnLayerConfig(n=4)  # no mask at all
-    assert not cfg.masked and cfg.mu is None
-    for q in range(cfg.code_min, cfg.code_max + 1):
-        train = encode_integer(q, cfg)
-        assert train.time == cfg.code_max - q
-        assert decode_spike(train, cfg) == q
+def test_default_silent_code_is_zero():
+    for mode in (SYMMETRIC, ASYMMETRIC):
+        cfg = SnnLayerConfig(n=4, mode=mode)
+        assert cfg == SnnLayerConfig(n=4, mode=mode, i_max=cfg.code_max) and cfg.mu == 0
+        assert type(cfg.i_max) is int and encode_integer(0, cfg).is_silent
+    assert SnnLayerConfig(n=4) == SnnLayerConfig(n=4, i_max=7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]))
+def test_plain_ttfs_is_the_mask_at_the_last_step(n, mode):
+    # plain TTFS: every code fires at code_max - code except the lowest,
+    # whose last-step spike the mask silences; the silent train decodes to it
+    cfg = SnnLayerConfig(n=n, mode=mode, i_max=2**n - 1, k=0)
+    codes = np.arange(cfg.code_min, cfg.code_max + 1)
+    times = encode_integer_array(codes, cfg)
+    last_step = cfg.code_max - codes == cfg.window - 1
+    assert times.tolist() == np.where(last_step, -1, cfg.code_max - codes).tolist()
+    assert np.count_nonzero(times == -1) == 1 and cfg.mu == cfg.code_min
+    assert decode_spike_array(times, cfg).tolist() == codes.tolist()
 
 
 # --- codebook -----------------------------------------------------------
@@ -612,7 +625,7 @@ def test_unmasked_baseline_always_fires():
 def _defined_train(q, cfg):
     """The M-TTFS train of code q, written out from the definition."""
     t = cfg.code_max - q
-    if cfg.i_max is not None and abs(t - cfg.i_max) <= cfg.k:
+    if abs(t - cfg.i_max) <= cfg.k:
         return SpikeTrain.silent(cfg.window)
     return SpikeTrain.single(t, cfg.window)
 

@@ -1,14 +1,16 @@
 """Histograms, synthetic samplers and dead-zone sparsity sweeps."""
 
+import re
 import tracemalloc
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from matterhorn import stats
 from matterhorn.qnn import quantize_array
-from matterhorn.spike import SnnLayerConfig, encode_integer_array, silence_rate
+from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, encode_integer_array, silence_rate
 from matterhorn.stats import (
     ActivationSampler,
     REFERENCE_SILENCE_PCT,
@@ -174,17 +176,16 @@ def test_sweep_refuses_a_radius_that_is_no_integer():
 
 
 def test_baseline_silence_is_rare_next_to_masked():
-    # the unmasked reference encoding fires every code, and its last step
-    # (the floor code, which the reference counts as silence) is a far-tail
-    # event; the mask flips the bulk of the distribution silent
+    # plain TTFS masks the last step, so only the floor code, a far-tail
+    # event, is silent; the mask at mu = 0 flips the bulk of the distribution
     sigma = calibrate_gaussian_sigma(0.34, cfg16(k=0))
     sampler = ActivationSampler(kind="gaussian", scale=sigma, seed=13)
     samples = sampler.sample(50_000)
-    baseline_cfg = SnnLayerConfig(n=4)
+    baseline_cfg = SnnLayerConfig(n=4, i_max=15)
     baseline = spike_time_histogram(encode_samples(samples, baseline_cfg), baseline_cfg)
     masked = spike_time_histogram(encode_samples(samples, cfg16(k=0)), cfg16(k=0))
-    assert baseline.silent == 0
-    assert baseline.counts[-1] / baseline.total < 0.01
+    assert baseline.counts[-1] == 0
+    assert baseline.silence_fraction < 0.01
     assert masked.silence_fraction > 0.30
 
 
@@ -240,10 +241,22 @@ def test_calibrated_sigma_hits_target_silence():
 
 
 def test_calibration_validation():
-    with pytest.raises(ValueError):
-        calibrate_gaussian_sigma(0.34, SnnLayerConfig(n=4))  # unmasked
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
         calibrate_gaussian_sigma(1.5, cfg16())
+    # plain TTFS silences code_min alone: a band below the mean, whose mass
+    # grows with sigma, which the bisection cannot follow
+    needle = re.escape("silence 0.34 in the dead-zone band [-inf, -7.0)")
+    with pytest.raises(ValueError, match=needle):
+        calibrate_gaussian_sigma(0.34, SnnLayerConfig(n=4, i_max=15))
+
+
+def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
+    # asymmetric mu = 0 is code_min, so every a < alpha is silent, not only [0, alpha)
+    cfg = SnnLayerConfig(n=4, alpha=0.5, mode=ASYMMETRIC)
+    sigma = calibrate_gaussian_sigma(0.6, cfg)
+    assert abs(NormalDist(0.0, sigma).cdf(0.5) - 0.6) < 1e-9
+    samples = ActivationSampler(scale=sigma, seed=2).sample(50_000)
+    assert abs(silence_rate(encode_samples(samples, cfg)) - 0.6) < 0.01
 
 
 # --- svg ------------------------------------------------------------------------
