@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -144,16 +145,21 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and note the flag, given at any value, in ``args.given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
+
+
 def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--bits", type=_int_in(1, MAX_BITS), default=4, help="code bit width n (window T = 2^n)"
-    )
-    sub.add_argument("--alpha", type=float, default=1.0, help="quantization scale")
-    sub.add_argument(
-        "--mode", choices=[SYMMETRIC, ASYMMETRIC], default=SYMMETRIC, help="quantization mode"
-    )
-    sub.add_argument("--imax", type=int, default=None, help="masked firing time (default: mu=0)")
-    sub.add_argument("--k", type=int, default=0, help="dead-zone radius")
+    add = partial(sub.add_argument, action=_Given)
+    add("--bits", type=_int_in(1, MAX_BITS), default=4, help="code bit width n (window T = 2^n)")
+    add("--alpha", type=float, default=1.0, help="quantization scale")
+    add("--mode", choices=[SYMMETRIC, ASYMMETRIC], default=SYMMETRIC, help="quantization mode")
+    add("--imax", type=int, default=None, help="masked firing time (default: mu=0)")
+    add("--k", type=int, default=0, help="dead-zone radius")
 
 
 def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
@@ -225,9 +231,7 @@ def _cmd_verify(args) -> int:
         "domain": domain,
         "seed": args.seed,
     }
-    doc = report.to_dict()
-    doc["mismatches"] = doc["mismatches"][:50]  # keep artifacts bounded
-    _emit(_json_doc(invocation, doc), args.out)
+    _emit(_json_doc(invocation, report.to_dict()), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -257,10 +261,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_xbar(args) -> int:
-    invocation = {"subcommand": "xbar", "seed": args.seed}
-    if args.replay:
-        invocation["replay"] = args.replay
-        _emit(_json_doc(invocation, reference_readout()), args.out)
+    if args.replay:  # a fixed read-out: it draws nothing, so records no seed
+        _emit(_json_doc({"subcommand": "xbar", "replay": args.replay}, reference_readout()), args.out)
         return EXIT_OK
     rng = np.random.default_rng(args.seed)
     cfg = MsuConfig(input_bits=args.bits)
@@ -276,7 +278,7 @@ def _cmd_xbar(args) -> int:
         if not np.array_equal(got, want):
             failures += 1
         max_dim = max(max_dim, c_i, c_o)
-    invocation.update({"fuzz": args.fuzz, "bits": args.bits})
+    invocation = {"subcommand": "xbar", "seed": args.seed, "fuzz": args.fuzz, "bits": args.bits}
     result = {"cases": args.fuzz, "failures": failures, "max_dim": max_dim}
     _emit(_json_doc(invocation, result), args.out)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
@@ -456,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check quantized/spiking layer equivalence")
     _add_quant_flags(p_verify)
     p_verify.add_argument("--weights", default="random:0", help="layer JSON file or random:SEED")
-    p_verify.add_argument("--fan-in", type=_int_in(1, MAX_FAN), default=4)
-    p_verify.add_argument("--fan-out", type=_int_in(1, MAX_FAN), default=4)
+    p_verify.add_argument("--fan-in", type=_int_in(1, MAX_FAN), default=4, action=_Given)
+    p_verify.add_argument("--fan-out", type=_int_in(1, MAX_FAN), default=4, action=_Given)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", help="all input code vectors")
     group.add_argument(
@@ -545,6 +547,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         for flag, given in (("--imax", args.imax is not None), ("--k", args.k != 0)):
             if given:
                 parser.error(f"argument {flag}: not allowed with argument --baseline")
+    if getattr(args, "given", ()) and not getattr(args, "weights", "random:").startswith("random:"):
+        parser.error(f"argument {args.given[0]}: not allowed with a --weights file, which sets it")
     try:
         env_seed = os.environ.get("MATTERHORN_SEED")
         if env_seed is not None and hasattr(args, "seed"):

@@ -53,6 +53,9 @@ __all__ = [
 # block holds them as one terms tensor, so its temporaries stay near a few
 # MiB whatever the layer.
 BLOCK_TERMS = 2**14
+# Mismatches a report holds as dicts; it counts every other one and takes
+# its deviation, so a failing report's memory does not grow with them.
+KEPT = 50
 # While the summed magnitudes of an output's terms and bias stay below this
 # bound (a float sum is within a hair of the exact one, far inside the 4x
 # headroom to the largest float), no partial sum of ``math.fsum`` and no
@@ -85,28 +88,40 @@ def zero_centered_i_max(p: QuantParams) -> int:
 class EquivalenceReport:
     """Outcome of one verification sweep.
 
-    A mismatch records the offending input, the quantized ground-truth
-    code and the decoded spiking code; the sweep passes iff none exist.
+    A mismatch is a case whose quantized ground-truth code differs from its
+    decoded spiking code; the sweep passes iff none exist.  Every mismatch
+    is counted and its deviation taken, and the first ``KEPT`` are held as
+    the offending input, the quantized code and the spiking code.
     """
 
     cases_checked: int = 0
+    mismatch_count: int = 0
     mismatches: list[dict] = field(default_factory=list)
     max_abs_deviation: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return self.mismatch_count == 0
 
-    def record(self, case, qnn_code: int, snn_code: int) -> None:
-        qnn_code, snn_code = int(qnn_code), int(snn_code)  # numpy scalars stay out of the JSON
-        self.mismatches.append({"input": case, "qnn": qnn_code, "snn": snn_code})
-        if abs(qnn_code - snn_code) > self.max_abs_deviation:
-            self.max_abs_deviation = abs(qnn_code - snn_code)
+    def record(self, cases, qnn_codes, snn_codes) -> None:
+        """Record where two code arrays of one shape differ, in row-major
+        order; row i of either belongs to ``cases[i]``."""
+        at = np.nonzero(np.not_equal(qnn_codes, snn_codes))
+        if not at[0].size:
+            return
+        qnn_codes, snn_codes = np.asarray(qnn_codes)[at], np.asarray(snn_codes)[at]
+        self.mismatch_count += len(qnn_codes)
+        deviation = np.abs(qnn_codes - snn_codes).max()
+        self.max_abs_deviation = max(self.max_abs_deviation, int(deviation))  # no numpy in JSON
+        kept = at[0][: KEPT - len(self.mismatches)]
+        codes = zip(qnn_codes[: len(kept)].tolist(), snn_codes[: len(kept)].tolist())
+        held = zip(np.asarray(cases)[kept].tolist(), codes)
+        self.mismatches += [{"input": i, "qnn": q, "snn": s} for i, (q, s) in held]
 
     def to_dict(self) -> dict:
         return {
             "cases_checked": self.cases_checked,
-            "mismatch_count": len(self.mismatches),
+            "mismatch_count": self.mismatch_count,
             "mismatches": self.mismatches,
             "max_abs_deviation": self.max_abs_deviation,
             "passed": self.passed,
@@ -198,11 +213,11 @@ def verify_equivalence(
     with ``numerics.exact_matmul`` plus the bias, as ``integrate`` and
     ``QnnLayer.pre_activation`` round, then runs the output stage.
 
-    The two integer outputs must agree per output neuron, and the mask must
-    silence the output exactly when the unfiltered quantized code lies
-    within k of mu.  The report is the one the scalar loop in the tests
-    produces, mismatches in vector order, then output, then code check
-    before dead-zone check.  Raises ValueError for weights and bias whose
+    The two integer outputs must agree per output neuron.  That one check
+    covers silence: ``cfg`` shares the layer's mu and k, a silent output
+    decodes to mu, and a fired one to a code outside [mu - k, mu + k].  The
+    report is the one the scalar loop in the tests produces, mismatches in
+    vector, then output, order.  Raises ValueError for weights and bias whose
     pre-activations could overflow, and for an output window too wide for
     the ramp table, before any table is built.
 
@@ -214,11 +229,11 @@ def verify_equivalence(
     decodes by one ``decode_spike_array`` call.  Its ground truth is one
     scalar ``quantize`` a draw, an exact floor sharing no code with the
     ramp table, so the firing kernel meets an independent oracle; one
-    ``dead_zone_filter_array`` and one vector compare follow, and
-    ``np.flatnonzero`` keeps the mismatches in draw order.  Raises
-    ValueError for a sample count or seed that is negative or not an
-    integer, for a scale at which the span's width overflows a float, and
-    for an output window over 2^63 steps.
+    ``dead_zone_filter_array`` follows, and the report records the chunk's
+    mismatches in draw order.  Raises ValueError for a sample count or
+    seed that is negative or not an integer, for a scale at which the
+    span's width overflows a float, and for an output window over 2^63
+    steps.
 
     The default input encoding reuses the layer's mask position (the mask
     center is global across layers), falling back to the zero-centered
@@ -247,12 +262,10 @@ def verify_equivalence(
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call
             draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start))
-            values = draws.tolist()
-            qnn_codes = dead_zone_filter_array([quantize(a, p) for a in values], mu, k)
+            qnn_codes = dead_zone_filter_array([quantize(a, p) for a in draws.tolist()], mu, k)
             snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg)
-            for i in np.flatnonzero(qnn_codes != snn_codes).tolist():
-                report.record(values[i], qnn_codes[i], snn_codes[i])
-            report.cases_checked += len(values)
+            report.record(draws, qnn_codes, snn_codes)
+            report.cases_checked += len(draws)
         return report
 
     if domain != "exhaustive":
@@ -260,10 +273,8 @@ def verify_equivalence(
 
     if input_cfg is None:
         p_in = layer.in_params
-        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
-        input_cfg = SnnLayerConfig(
-            n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=layer.k
-        )
+        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
+        input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
     _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
@@ -274,9 +285,7 @@ def verify_equivalence(
     codes_in = np.arange(p_in.code_min, p_in.code_max + 1)
     filtered_in = dead_zone_filter_array(codes_in, input_cfg.mu, input_cfg.k)
     times_in = encode_integer_array(codes_in, input_cfg)
-    codes_out = np.arange(p_out.code_min, p_out.code_max + 1)
-    filtered_out = dead_zone_filter_array(codes_out, mu, k)
-    in_dead_zone = np.abs(codes_out - mu) <= k
+    filtered_out = dead_zone_filter_array(np.arange(p_out.code_min, p_out.code_max + 1), mu, k)
     decoded = decode_spike_array(np.arange(-1, cfg.window), cfg)
     # The term each input code adds per unit weight: its scaled filtered
     # code on the quantized side, its spike's scaled kernel value (+0.0
@@ -285,16 +294,9 @@ def verify_equivalence(
     kernel_in = integrate_array(times_in[:, None], np.ones((1, 1)), input_cfg)[:, 0]
 
     def output_stage(pre, potentials):
-        # Quantized side: floor, clip, filter; q holds the unfiltered codes
-        # as indices (code - code_min).  Spiking side: fire, mask, decode.
-        # Per (vector, output), ``bad`` holds the code check, then the
-        # dead-zone agreement (mask suppression <=> unmasked code within k
-        # of mu); only the mask silences here, so one firing settles both.
+        # Quantized side: floor, clip, filter.  Spiking side: fire, mask, decode.
         q = quantize_array(pre, p_out) - p_out.code_min
-        fired = fire_simulated_array(potentials, cfg)
-        qnn_out, snn_out = filtered_out[q], decoded[fired + 1]
-        bad = np.stack([qnn_out != snn_out, (fired < 0) != in_dead_zone[q]], axis=-1)
-        return bad, qnn_out, q, snn_out
+        return filtered_out[q], decoded[fire_simulated_array(potentials, cfg) + 1]
 
     vectors, n, fan_in = 2 ** (p_in.n * layer.fan_in), p_in.n, layer.fan_in
     report.cases_checked = vectors
@@ -311,7 +313,7 @@ def verify_equivalence(
         and np.array_equal(scaled_in, kernel_in)
     ):
         sums = np.arange(-reach, reach + 1)[:, None] + bias
-        if not output_stage(sums, sums)[0].any():
+        if np.array_equal(*output_stage(sums, sums)):
             return report
     # Any other layer, or a bad sum, checks every vector.  A block holds
     # whole vectors, or one vector's outputs in chunks, so the mismatches
@@ -324,12 +326,5 @@ def verify_equivalence(
             # each side's sums of its gathered terms, exactly rounded
             w, b = weights[:, lo : lo + width], bias[lo : lo + width]
             pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
-            bad, qnn_out, q, snn_out = output_stage(pre, potentials)
-            if not bad.any():
-                continue
-            at, j, dead_zone = np.nonzero(bad)
-            qnn_codes = np.where(dead_zone, q[at, j] + p_out.code_min, qnn_out[at, j])
-            cases = (rows[at] + p_in.code_min).tolist()
-            for case, qnn_code, snn_code in zip(cases, qnn_codes.tolist(), snn_out[at, j].tolist()):
-                report.record(case, qnn_code, snn_code)
+            report.record(rows + p_in.code_min, *output_stage(pre, potentials))
     return report

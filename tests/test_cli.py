@@ -121,6 +121,34 @@ def test_verify_reports_failure_exit_code(tmp_path, capsys):
     assert json.loads(out)["result"]["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--bits", "3"),
+        ("--alpha", "1.0"),
+        ("--mode", "symmetric"),
+        ("--imax", "3"),
+        ("--k", "0"),
+        ("--fan-in", "2"),
+        ("--fan-out", "1"),
+    ],
+)
+def test_verify_weights_file_refuses_the_flags_it_sets(tmp_path, capsys, flag, value):
+    # the file sets the bit width, scale, mode, dead zone and shape; each
+    # value here equals the file's own, and the flag is refused all the same
+    # (a run at --k 2 --bits 9 once ran at the file's k 0 and n 3, exit 0)
+    layer = {"n": 3, "alpha_in": 1, "alpha_out": 1, "weights": [1.0, -1.0], "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    for given in ([flag, value], [f"{flag}={value}"]):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["verify", "--weights", str(path), "--samples", "10", *given])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not allowed with a --weights file" in err
+    assert run(capsys, "verify", "--weights", str(path), "--samples", "10")[0] == EXIT_OK
+
+
 def test_verify_malformed_json_is_config_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -281,6 +309,8 @@ def test_encode_round_trip_artifact(capsys):
 def test_xbar_replay(capsys):
     code, out, _ = run(capsys, "xbar", "--replay", "reference")
     assert code == EXIT_OK
+    # a fixed read-out draws nothing, so its artifact records no seed
+    assert json.loads(out)["invocation"] == {"subcommand": "xbar", "replay": "reference"}
     doc = json.loads(out)["result"]
     assert doc["currents_uA"] == pytest.approx([10.1, 0.2, 10.1, 20.0], rel=1e-12)
     assert doc["adc_codes"] == [1, 0, 1, 2]
@@ -289,7 +319,7 @@ def test_xbar_replay(capsys):
 def test_xbar_fuzz(capsys):
     for bits in ("4", "57"):  # 57: the widest budget whose sums stay exact in int64
         code, out, _ = run(capsys, "xbar", "--fuzz", "25", "--seed", "3", "--bits", bits)
-        assert code == EXIT_OK
+        assert code == EXIT_OK and json.loads(out)["invocation"]["seed"] == 3
         assert json.loads(out)["result"]["failures"] == 0
 
 
@@ -305,16 +335,16 @@ ATTN_JSON_SHA256 = {
 
 
 # Digests of the exact verify --exhaustive JSON bytes and their exit codes.
-# --imax 2 puts the dead zone off code zero: 4,558 mismatches, pinned in
-# order.  That digest changes on purpose when off-centre mu is mended
-# (ROADMAP item 3).
+# --imax 2 puts the dead zone off code zero: 3,538 mismatches, counted,
+# and the first 50 pinned in order.  That digest changes on purpose when
+# off-centre mu is mended (ROADMAP item 2).
 VERIFY_EXHAUSTIVE_JSON_SHA256 = {
     ("--bits", "3", "--k", "1"): (
         "f85e9dcf2c37550aac1eff3acffbceb3d334dfc1d37333774fdbeeeef03ce9f9",
         EXIT_OK,
     ),
     ("--bits", "3", "--imax", "2"): (
-        "fdabb3f44728b152e2c52920d029cc920bd944b315eb28700552d9640351be4c",
+        "407ebbc408b62fed3befae941328d694c880f171e3d42ddf99a3b19ec56cee5e",
         EXIT_VERIFY_FAILED,
     ),
     ("--bits", "4", "--k", "2", "--fan-in", "4", "--fan-out", "6", "--seed", "9"): (
@@ -586,8 +616,8 @@ def test_stats_baseline_is_the_mask_at_the_last_step(capsys, extra):
     [
         # the dead zone holds code_max, so the band is [7, inf): at most half the mass
         (["--imax", "0", "--calibrate", "0.5"], "[7.0, inf)"),
-        # plain TTFS silences code_min, a band below the mean
-        (["--baseline", "--calibrate", "0.3"], "[-inf, -7.0)"),
+        # plain TTFS silences code_min, a band below the mean: at most half the mass
+        (["--baseline", "--calibrate", "0.6"], "[-inf, -7.0)"),
     ],
 )
 def test_stats_refuses_an_unreachable_calibration(capsys, argv, band):
@@ -604,6 +634,14 @@ def test_stats_calibrates_a_band_that_reaches_the_range_edge(capsys):
     assert code == EXIT_OK
     line = [l for l in out.splitlines() if "silence_fraction=" in l][0]
     assert abs(float(line.split("=")[1]) - 0.6) < 0.02
+
+
+def test_stats_calibrates_a_band_whose_mass_rises_with_sigma(capsys):
+    # plain TTFS silences code_min: the band [-inf, -7) excludes the mean
+    code, out, _ = run(capsys, "stats", "--baseline", "--calibrate", "0.3", "--count", "20000")
+    assert code == EXIT_OK
+    line = [l for l in out.splitlines() if "silence_fraction=" in l][0]
+    assert abs(float(line.split("=")[1]) - 0.3) < 0.02
 
 
 def test_sweep_table_with_reference_column(capsys):

@@ -22,12 +22,17 @@ from matterhorn.qnn import QnnLayer, QuantParams, dead_zone_filter, layer_forwar
 from matterhorn import conversion, numerics, qnn, spike
 from matterhorn.spike import (
     ASYMMETRIC,
+    SnnLayerConfig,
     decode_spike,
     encode_integer,
     fire_analytic,
     fire_simulated,
     integrate,
 )
+
+# A KEPT no report reaches: comparisons against the scalar references hold
+# every mismatch, as strict as before reports were bounded.
+ALL = 10**9
 
 
 def pm_layer(p, k, fan_in=4, fan_out=4, seed=0, bias=None):
@@ -139,10 +144,11 @@ SAMPLED_CONTROL_SHA256 = {
 
 
 @pytest.mark.parametrize("alpha", sorted(SAMPLED_CONTROL_SHA256))
-def test_sampled_control_report_is_pinned(alpha):
+def test_sampled_control_report_is_pinned(monkeypatch, alpha):
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     layer, cfg = _sampled_control(alpha)
     report = verify_equivalence(layer, cfg, domain="sampled", samples=10_000, seed=5)
-    assert len(report.mismatches) == 4026
+    assert report.mismatch_count == len(report.mismatches) == 4026
     text = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_CONTROL_SHA256[alpha]
 
@@ -171,15 +177,14 @@ def test_sampled_chunks_keep_the_draw_order(monkeypatch):
     # chunks of 7 over 100 draws, the last one partial, report what one pass
     # over one whole-size draw reports (fired by the closed form here)
     monkeypatch.setattr(conversion, "_SAMPLE_CHUNK", 7)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     layer, cfg = _sampled_control(0.37)
     got = verify_equivalence(layer, cfg, domain="sampled", samples=100, seed=3)
     want = EquivalenceReport(cases_checked=100)
     span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
-    for a in np.random.default_rng(3).uniform(-span, span, 100).tolist():
-        qnn_code = dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k)
-        snn_code = decode_spike(fire_analytic(a, cfg), cfg)
-        if qnn_code != snn_code:
-            want.record(a, qnn_code, snn_code)
+    draws = np.random.default_rng(3).uniform(-span, span, 100).tolist()
+    qnn_codes = [dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k) for a in draws]
+    want.record(draws, qnn_codes, [decode_spike(fire_analytic(a, cfg), cfg) for a in draws])
     assert got.mismatches and got.to_dict() == want.to_dict()
 
 
@@ -188,11 +193,9 @@ def _scalar_sampled_report(layer, cfg, samples, seed):
     ``decode_spike`` one draw at a time."""
     report = EquivalenceReport(cases_checked=samples)
     span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
-    for a in np.random.default_rng(seed).uniform(-span, span, samples).tolist():
-        qnn_code = dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k)
-        snn_code = decode_spike(fire_simulated(a, cfg), cfg)
-        if qnn_code != snn_code:
-            report.record(a, qnn_code, snn_code)
+    draws = np.random.default_rng(seed).uniform(-span, span, samples).tolist()
+    qnn_codes = [dead_zone_filter(quantize(a, layer.out_params), layer.mu, layer.k) for a in draws]
+    report.record(draws, qnn_codes, [decode_spike(fire_simulated(a, cfg), cfg) for a in draws])
     return report
 
 
@@ -206,6 +209,7 @@ def test_sampled_runs_the_scalar_exact_floor_once_per_draw(monkeypatch):
         return quantize(a, p)
 
     monkeypatch.setattr(conversion, "_SAMPLE_CHUNK", 7)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     monkeypatch.setattr(conversion, "quantize", counting_quantize)
     layer, cfg = _sampled_control(0.37)
     got = verify_equivalence(layer, cfg, domain="sampled", samples=100, seed=3)
@@ -241,8 +245,10 @@ def test_sampled_report_matches_scalar_reference(
     layer = QnnLayer(weights=[[1.0]], bias=[0.0], in_params=p, out_params=p, mu=cfg.mu, k=k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "_SAMPLE_CHUNK", chunk)
+        mp.setattr(conversion, "KEPT", ALL)
         got = verify_equivalence(layer, cfg, domain="sampled", samples=samples, seed=seed)
-    assert got.to_dict() == _scalar_sampled_report(layer, cfg, samples, seed).to_dict()
+        want = _scalar_sampled_report(layer, cfg, samples, seed)
+    assert got.to_dict() == want.to_dict()
 
 
 def test_sampled_memory_does_not_grow_with_the_sample_count():
@@ -424,26 +430,22 @@ def default_input_cfg(layer, cfg):
 
 def reference_exhaustive(layer, cfg, input_cfg=None):
     """The scalar exhaustive sweep, one code vector at a time."""
-    report = EquivalenceReport()
     if input_cfg is None:
         input_cfg = default_input_cfg(layer, cfg)
     codes = range(layer.in_params.code_min, layer.in_params.code_max + 1)
-    for raw in itertools.product(codes, repeat=layer.fan_in):
+    vectors = list(itertools.product(codes, repeat=layer.fan_in))
+    qnn_codes, snn_codes = [], []
+    for raw in vectors:
         filtered = [dead_zone_filter(q, input_cfg.mu, input_cfg.k) for q in raw]
-        qnn_out = layer_forward(filtered, layer)
-        pre = layer.pre_activation(filtered)
+        qnn_codes.append(layer_forward(filtered, layer).tolist())
         trains = [encode_integer(q, input_cfg) for q in raw]
-        report.cases_checked += 1
+        snn_codes.append([])
         for j in range(layer.fan_out):
             inputs = [(trains[i], layer.weights[i, j]) for i in range(layer.fan_in)]
             potential = integrate(inputs, input_cfg, bias=layer.bias[j])
-            spike_out = fire_simulated(potential, cfg)
-            snn_code = decode_spike(spike_out, cfg)
-            if qnn_out[j] != snn_code:
-                report.record(list(raw), int(qnn_out[j]), snn_code)
-            q_unmasked = quantize(pre[j], layer.out_params)
-            if spike_out.is_silent != (abs(q_unmasked - layer.mu) <= layer.k):
-                report.record(list(raw), int(q_unmasked), snn_code)
+            snn_codes[-1].append(decode_spike(fire_simulated(potential, cfg), cfg))
+    report = EquivalenceReport(cases_checked=len(vectors))
+    report.record(vectors, qnn_codes, snn_codes)
     return report
 
 
@@ -462,6 +464,7 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
     # failing configs included: a shifted threshold schedule, an off-centre
     # input dead zone, real weights at non-dyadic scales, mixed widths
     monkeypatch.setattr(conversion, "BLOCK_TERMS", block_terms)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     n_in, n_out, fan_in, fan_out = shape
     rng = np.random.default_rng(11)
     failing = 0
@@ -489,7 +492,7 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
 
 
 @settings(max_examples=100, deadline=None)
-@example(  # a dead-zone mismatch whose unmasked code differs from the filtered one
+@example(  # a shifted schedule whose fired codes leave and enter the dead zone
     n_in=3, n_out=3, mode="symmetric", k=1, theta_shift=1, real=False, fan=(2, 2), block_terms=3,
     seed=1, i_max_in=None,
 )
@@ -528,8 +531,9 @@ def test_exhaustive_report_matches_scalar_reference_for_random_layers(
     input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", block_terms)
+        mp.setattr(conversion, "KEPT", ALL)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
 
 
 def _term_tables(layer, input_cfg):
@@ -546,14 +550,11 @@ def _sum_table_passes(layer, cfg, reach):
     """Whether the scalar oracles pass every (sum, output) of the lattice
     table, the potentials fl(s + bias_j) for the integers s in [-R, R]."""
     p, mu, k = layer.out_params, layer.mu, layer.k
-    for s, b in itertools.product(range(-reach, reach + 1), layer.bias.tolist()):
-        q = quantize(s + b, p)
-        fired = fire_simulated(s + b, cfg)
-        if dead_zone_filter(q, mu, k) != decode_spike(fired, cfg):
-            return False
-        if fired.is_silent != (abs(q - mu) <= k):
-            return False
-    return True
+    return all(
+        dead_zone_filter(quantize(a, p), mu, k) == decode_spike(fire_simulated(a, cfg), cfg)
+        for s, b in itertools.product(range(-reach, reach + 1), layer.bias.tolist())
+        for a in (s + b,)
+    )
 
 
 def _lattice_reach(layer, input_cfg):
@@ -608,9 +609,10 @@ def test_exhaustive_lattice_route_matches_scalar_reference(
     entries = None if reach is None else (2 * reach + 1) * fan_out
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", 40 if entries is None else entries - over)
+        mp.setattr(conversion, "KEPT", ALL)
         walks = _counting_walks(mp)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
     quantized, spiking = _term_tables(layer, encoding)
     if entries is not None and not over and quantized == spiking:
         # the sum table is walked first; if it passes, nothing else is walked
@@ -628,6 +630,7 @@ def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monke
     # passing +/-1 layer is settled by its one sum table and builds no code
     # block; its shifted-schedule twin fails there and checks every vector
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     blocks = _counting_blocks(monkeypatch)
     walks = _counting_walks(monkeypatch)
     layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
@@ -687,9 +690,10 @@ def test_exhaustive_verdict_route_matches_scalar_reference(
     reach = _lattice_reach(layer, input_cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", (2 * reach + 1) * fan_out)
+        mp.setattr(conversion, "KEPT", ALL)
         blocks = _counting_blocks(mp)
         got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-    assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
     if _sum_table_passes(layer, cfg, reach):
         assert got["passed"] and blocks == []  # settled by the sum table
     else:
@@ -701,6 +705,7 @@ def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):
     # no longer certified exact, so the per-block route runs however large
     # a table BLOCK_TERMS would allow
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 2**60)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     walks = _counting_walks(monkeypatch)
     p = QuantParams(n=2)
     layer = QnnLayer(
@@ -826,6 +831,7 @@ def test_exhaustive_sweep_takes_the_slow_exact_kernels_only_for_real_values(monk
 
     for name in ("fsum_rows", "_split"):
         monkeypatch.setattr(numerics, name, guard(name, getattr(numerics, name)))
+    monkeypatch.setattr(conversion, "KEPT", ALL)
     got = verify_equivalence(layer, cfg, domain="exhaustive").to_dict()
     assert sorted(set(calls)) == (["_split", "fsum_rows"] if real else [])
     assert got == reference_exhaustive(layer, cfg).to_dict()
@@ -846,6 +852,66 @@ def test_exhaustive_memory_is_bounded_by_the_block():
             assert report.cases_checked == 16**fan_in
 
     assert peak(4) < 2 * peak(3)  # 2^16 vectors against 2^12
+
+
+def test_failing_report_memory_does_not_grow_with_the_mismatches():
+    # a shifted schedule over 2^20 vectors (n=4, +/-1 5x4 weights, k=1)
+    # fails 1.87M of its 4.2M (vector, output) checks; the report holds KEPT
+    layer, cfg = pm_layer(QuantParams(n=4), k=1, fan_in=5, fan_out=4)
+    control = replace(cfg, theta_shift=1)
+    tracemalloc.start()
+    try:
+        report = verify_equivalence(layer, control, domain="exhaustive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.cases_checked == 2**20 and report.mismatch_count == 1_872_798
+    assert len(report.mismatches) == conversion.KEPT
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [{"domain": "exhaustive"}, {"domain": "sampled", "samples": 3000, "seed": 2}],
+    ids=["exhaustive", "sampled"],
+)
+def test_a_bounded_report_is_the_full_reports_prefix(monkeypatch, domain):
+    layer, cfg = pm_layer(QuantParams(n=3, alpha=0.37), k=1, fan_in=3, fan_out=2, seed=4)
+    control = replace(cfg, theta_shift=1)
+    reports = {}
+    for kept in (3, ALL):
+        monkeypatch.setattr(conversion, "KEPT", kept)
+        reports[kept] = verify_equivalence(layer, control, **domain).to_dict()
+    bounded, full = reports[3], reports[ALL]
+    assert len(full["mismatches"]) == full["mismatch_count"] > 3
+    assert bounded["mismatches"] == full["mismatches"][:3]
+    bounded["mismatches"] = full["mismatches"]
+    assert bounded == full
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from(["symmetric", "asymmetric"]),
+    i_max=st.integers(0, 2**8 - 1),
+    k=st.integers(0, 2),
+    theta_shift=st.integers(-1, 1),
+    potentials=st.lists(st.floats(allow_nan=False), min_size=1, max_size=20),
+)
+def test_a_decoded_code_lies_in_the_dead_zone_exactly_when_silent(
+    n, mode, i_max, k, theta_shift, potentials
+):
+    # why the exhaustive verifier checks codes alone: a silent train decodes
+    # to mu and a fired one outside [mu - k, mu + k], so codes that agree
+    # also agree on silence, whether the train was fired or encoded
+    cfg = SnnLayerConfig(n=n, mode=mode, i_max=i_max % 2**n, k=k, theta_shift=theta_shift)
+    codes = np.arange(cfg.code_min, cfg.code_max + 1)
+    for times in (
+        spike.fire_simulated_array(np.array(potentials), cfg),
+        spike.encode_integer_array(codes, cfg),
+    ):
+        decoded = spike.decode_spike_array(times, cfg)
+        assert np.array_equal(np.abs(decoded - cfg.mu) <= k, times < 0)
 
 
 @pytest.mark.parametrize("weights", [[1e308, 1e308], [1e308, -1e308]])
@@ -960,9 +1026,26 @@ def test_equivalence_mixed_in_out_widths(mode):
 
 def test_report_shape():
     report = EquivalenceReport()
-    assert report.passed
-    report.record([1, 2], 3, 5)
+    report.record(np.array([[1, 2], [3, 4]]), np.array([[0, 3], [7, 7]]), np.array([[0, 3], [7, 7]]))
+    assert report.passed and report.mismatches == []
+    # row-major order: case (vector) first, then output; every row is its case's
+    report.record(np.array([[1, 2], [3, 4]]), np.array([[0, 3], [7, 7]]), np.array([[1, 3], [4, 7]]))
     assert not report.passed
-    assert report.max_abs_deviation == 2
     doc = report.to_dict()
-    assert doc["mismatch_count"] == 1 and doc["passed"] is False
+    assert doc["mismatch_count"] == 2 and doc["passed"] is False
+    assert doc["max_abs_deviation"] == 3 and type(doc["max_abs_deviation"]) is int
+    assert doc["mismatches"] == [
+        {"input": [1, 2], "qnn": 0, "snn": 1},
+        {"input": [3, 4], "qnn": 7, "snn": 4},
+    ]
+    assert all(type(m[side]) is int for m in doc["mismatches"] for side in ("qnn", "snn"))
+
+
+def test_report_counts_every_mismatch_and_holds_the_first_kept(monkeypatch):
+    monkeypatch.setattr(conversion, "KEPT", 3)
+    report = EquivalenceReport()
+    for start in (0, 2, 4):  # the first record leaves room for one more
+        draws = np.arange(start, start + 2) + 0.5
+        report.record(draws, np.array([0, 0]), np.array([start + 1, -1]))
+    assert report.mismatch_count == 6 and report.max_abs_deviation == 5
+    assert [m["input"] for m in report.mismatches] == [0.5, 1.5, 2.5]

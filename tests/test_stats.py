@@ -244,10 +244,20 @@ def test_calibration_validation():
     with pytest.raises(ValueError, match="strictly between 0 and 1"):
         calibrate_gaussian_sigma(1.5, cfg16())
     # plain TTFS silences code_min alone: a band below the mean, whose mass
-    # grows with sigma, which the bisection cannot follow
-    needle = re.escape("silence 0.34 in the dead-zone band [-inf, -7.0)")
+    # grows with sigma toward one half and never reaches 0.6
+    needle = re.escape("silence 0.6 in the dead-zone band [-inf, -7.0)")
     with pytest.raises(ValueError, match=needle):
-        calibrate_gaussian_sigma(0.34, SnnLayerConfig(n=4, i_max=15))
+        calibrate_gaussian_sigma(0.6, SnnLayerConfig(n=4, i_max=15))
+
+
+def test_calibration_follows_a_band_whose_mass_rises_with_sigma():
+    # plain TTFS: the band [-inf, -7) excludes the mean, so a wider
+    # Gaussian silences more; the bisection runs the other way
+    cfg = SnnLayerConfig(n=4, i_max=15)
+    sigma = calibrate_gaussian_sigma(0.34, cfg)
+    assert abs(NormalDist(0.0, sigma).cdf(-7.0) - 0.34) < 1e-9
+    samples = ActivationSampler(scale=sigma, seed=2).sample(50_000)
+    assert abs(silence_rate(encode_samples(samples, cfg)) - 0.34) < 0.01
 
 
 def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
