@@ -213,12 +213,9 @@ def _cmd_verify(args) -> int:
             _check_exhaustive_work(layer.in_params.n, layer.fan_in, layer.fan_out)
         cfg = SnnLayerConfig(n=p.n, alpha=p.alpha, mode=p.mode, i_max=p.code_max - layer.mu, k=layer.k)
 
-    if args.exhaustive:
-        report = verify_equivalence(layer, cfg, domain="exhaustive")
-        domain = "exhaustive"
-    else:
-        report = verify_equivalence(layer, cfg, domain="sampled", samples=args.samples, seed=args.seed)
-        domain = f"sampled:{args.samples}"
+    kind = "exhaustive" if args.exhaustive else "sampled"  # exhaustive ignores samples and seed
+    report = verify_equivalence(layer, cfg, domain=kind, samples=args.samples, seed=args.seed)
+    domain = kind if args.exhaustive else f"sampled:{args.samples}"
 
     invocation = {
         "subcommand": "verify",
@@ -543,12 +540,13 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run the chosen subcommand; returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = getattr(args, "given", ())  # the quantization flags in argv, at any value
     if getattr(args, "baseline", False):  # plain TTFS fixes the dead zone: i_max = 2^n - 1, k = 0
-        for flag, given in (("--imax", args.imax is not None), ("--k", args.k != 0)):
-            if given:
+        for flag in ("--imax", "--k"):
+            if flag in given:
                 parser.error(f"argument {flag}: not allowed with argument --baseline")
-    if getattr(args, "given", ()) and not getattr(args, "weights", "random:").startswith("random:"):
-        parser.error(f"argument {args.given[0]}: not allowed with a --weights file, which sets it")
+    if given and not getattr(args, "weights", "random:").startswith("random:"):
+        parser.error(f"argument {given[0]}: not allowed with a --weights file, which sets it")
     try:
         env_seed = os.environ.get("MATTERHORN_SEED")
         if env_seed is not None and hasattr(args, "seed"):

@@ -273,8 +273,10 @@ def verify_equivalence(
 
     if input_cfg is None:
         p_in = layer.in_params
-        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else zero_centered_i_max(p_in)
-        input_cfg = derive_snn_config(p_in, i_max_in, layer.k)
+        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
+        input_cfg = SnnLayerConfig(
+            n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=layer.k
+        )
     _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out

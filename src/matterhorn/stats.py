@@ -173,10 +173,10 @@ def calibrate_gaussian_sigma(
     Solves P(code in dead zone) = target by bisection on sigma using the
     exact band probability P(alpha*(mu-k) <= a < alpha*(mu+k+1)); where the
     dead zone reaches code_min or code_max, that edge is infinite, as the
-    clipped tail quantizes into the zone.  The bisection follows the band's
-    mass, falling with sigma where the band straddles ``loc`` and rising
-    where it excludes it; it raises ValueError, naming the band and the
-    target, when it ends more than 1e-9 from the target.
+    clipped tail quantizes into the zone.  Sigma is bisected down from the
+    widest, or up where a one-sided band excludes ``loc`` and gains mass as
+    sigma grows; raises ValueError, naming the band and the target, when it
+    ends more than 1e-9 from the target.
     """
     if not 0.0 < target_silence < 1.0:
         raise ValueError("target silence must lie strictly between 0 and 1")
@@ -188,10 +188,10 @@ def calibrate_gaussian_sigma(
         return dist.cdf(hi_edge) - dist.cdf(lo_edge)
 
     lo, hi = 1e-9 * cfg.alpha, 1e9 * cfg.alpha
-    falling = band(lo) > band(hi)
+    rising = lo_edge == -math.inf and hi_edge <= loc or hi_edge == math.inf and lo_edge > loc
     for _ in range(200):
         mid = (lo + hi) / 2
-        if (band(mid) > target_silence) == falling:
+        if (band(mid) > target_silence) != rising:
             lo = mid
         else:
             hi = mid

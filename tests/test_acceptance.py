@@ -66,7 +66,7 @@ def test_criterion_1_layer_equivalence():
                 )
                 report = verify_equivalence(layer, cfg, domain="exhaustive")
                 total_cases += report.cases_checked
-                total_mismatches += len(report.mismatches)
+                total_mismatches += report.mismatch_count
 
     p4 = QuantParams(n=4, alpha=1.0)
     cfg4 = derive_snn_config(p4, zero_centered_i_max(p4), 1)
@@ -75,7 +75,7 @@ def test_criterion_1_layer_equivalence():
     )
     sampled = verify_equivalence(layer4, cfg4, domain="sampled", samples=100_000, seed=0)
     total_cases += sampled.cases_checked
-    total_mismatches += len(sampled.mismatches)
+    total_mismatches += sampled.mismatch_count
 
     elapsed = time.perf_counter() - start
     passed = total_mismatches == 0 and elapsed < 60.0

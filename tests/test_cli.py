@@ -78,6 +78,8 @@ def test_unknown_flag_is_usage_error():
         (["sweep", "--seed", "-1", "--count", "10"], "--seed"),
         (["verify", "--seed", "-1", "--samples", "10"], "--seed"),
         (["attn", "--seed", "-1", "--samples", "1"], "--seed"),
+        # the baseline refuses --k given at all, as a --weights file does: even the default
+        (["stats", "--baseline", "--k", "0", "--count", "10"], "--k"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -584,8 +586,6 @@ def test_stats_baseline_flag(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert "i_max=15 k=0" in out and "silent decodes to mu=-8" in out
-    # --k 0 is the default radius, so naming it is no error and changes nothing
-    assert run(capsys, *argv, "--k", "0")[:2] == (EXIT_OK, out)
     masked_code, masked_out, _ = run(capsys, "stats", "--count", "2000", "--seed", "8")
     assert masked_code == EXIT_OK
     assert "silent decodes to mu=0" in masked_out
@@ -642,6 +642,27 @@ def test_stats_calibrates_a_band_whose_mass_rises_with_sigma(capsys):
     assert code == EXIT_OK
     line = [l for l in out.splitlines() if "silence_fraction=" in l][0]
     assert abs(float(line.split("=")[1]) - 0.3) < 0.02
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        # the band [0, 1) beside loc = 3 peaks near 0.09 at some sigma
+        (["stats", "--loc", "3", "--calibrate", "0.05"], 0.05),
+        (["sweep", "--loc", "3", "--calibrate", "0.05"], 0.05),
+        # an off-centre dead zone, codes 2..4: the band [2, 5) peaks near 0.21
+        (["stats", "--imax", "4", "--k", "1", "--calibrate", "0.1"], 0.1),
+    ],
+)
+def test_calibration_meets_a_finite_band_beside_loc(capsys, argv, target):
+    code, out, _ = run(capsys, *argv, "--count", "20000")
+    assert code == EXIT_OK
+    if argv[0] == "stats":
+        line = [l for l in out.splitlines() if "silence_fraction=" in l][0]
+        silence = float(line.split("=")[1])
+    else:  # the sweep calibrates at k = 0, its row "0,silence,..."
+        silence = float(next(l for l in out.splitlines() if l.startswith("0,")).split(",")[1])
+    assert abs(silence - target) < 0.01
 
 
 def test_sweep_table_with_reference_column(capsys):

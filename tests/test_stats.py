@@ -260,6 +260,27 @@ def test_calibration_follows_a_band_whose_mass_rises_with_sigma():
     assert abs(silence_rate(encode_samples(samples, cfg)) - 0.34) < 0.01
 
 
+@pytest.mark.parametrize(
+    "target, cfg, loc, edges",
+    [
+        # the band [0, 1) lies beside loc = 3: its mass rises from 0 to a
+        # peak near 0.09 and falls back toward 0 as sigma grows
+        (0.05, SnnLayerConfig(n=4), 3.0, (0.0, 1.0)),
+        # an off-centre dead zone, codes 2..4: a band [2, 5) beside the mean
+        (0.1, SnnLayerConfig(n=4, i_max=4, k=1), 0.0, (2.0, 5.0)),
+    ],
+)
+def test_calibration_meets_a_finite_band_beside_loc_past_its_peak(target, cfg, loc, edges):
+    sigma = calibrate_gaussian_sigma(target, cfg, loc=loc)
+    dist = NormalDist(loc, sigma)
+    assert abs(dist.cdf(edges[1]) - dist.cdf(edges[0]) - target) < 1e-9
+    # down from the widest sigma, the bisection meets the root past the peak
+    wider = NormalDist(loc, 1.01 * sigma)
+    assert wider.cdf(edges[1]) - wider.cdf(edges[0]) < target
+    samples = ActivationSampler(loc=loc, scale=sigma, seed=2).sample(50_000)
+    assert abs(silence_rate(encode_samples(samples, cfg)) - target) < 0.01
+
+
 def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
     # asymmetric mu = 0 is code_min, so every a < alpha is silent, not only [0, alpha)
     cfg = SnnLayerConfig(n=4, alpha=0.5, mode=ASYMMETRIC)
