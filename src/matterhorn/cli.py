@@ -58,8 +58,8 @@ MAX_BITS = 16
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
 # Each sample of the sampled domain costs one scalar exact floor (the ground
-# truth) and a share of one table lookup per chunk; this many took 1.4-2.0 s
-# at ``--bits 16`` (1.35-1.95 s at ``--bits 4``) in-process on a 2-core Xeon
+# truth) and a share of one table lookup per chunk; this many took 0.5-1.0 s
+# at ``--bits 16`` (0.5-0.8 s at ``--bits 4``) in-process on a 2-core Xeon
 # and peaked at about 40 MiB resident.
 MAX_SAMPLES = 2**20
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on
@@ -86,6 +86,10 @@ MAX_FUZZ = 2**17
 # encodes (``--bits 16 --kmax 255 --count 2^20``) took 3.9-4.3 s on a 2-core
 # Xeon, so count x (kmax + 1) above 2^SWEEP_BUDGET_LOG2 is refused.
 SWEEP_BUDGET_LOG2 = 28
+# ``encode`` prints 2^n bits for each code; 2^20 printed bits (16 codes at
+# ``--bits 16``) took 0.9-1.1 s as a process on a 2-core Xeon and peaked at
+# about 122 MiB resident, so codes x 2^n above 2^ENCODE_BUDGET_LOG2 is refused.
+ENCODE_BUDGET_LOG2 = 20
 
 
 class ConfigError(Exception):
@@ -143,6 +147,16 @@ def _int_in(lo: int, hi: int | None = None):
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
     return parse
+
+
+def _code_list(text: str) -> list[int]:
+    """argparse type for a comma-separated list of integer codes."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 class _Given(argparse.Action):
@@ -226,16 +240,16 @@ def _cmd_verify(args) -> int:
         "k": layer.k,
         "weights": args.weights,
         "domain": domain,
-        "seed": args.seed,
     }
+    if not args.exhaustive:  # an exhaustive run draws nothing, so records no seed
+        invocation["seed"] = args.seed
     _emit(_json_doc(invocation, report.to_dict()), args.out)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_encode(args) -> int:
     cfg = _spike_config(args)
-    codes = [int(tok) for tok in args.codes.split(",") if tok.strip()]
-    trains = [encode_integer(q, cfg) for q in codes]
+    trains = [encode_integer(q, cfg) for q in args.codes]
     result = [
         {
             "code": q,
@@ -243,7 +257,7 @@ def _cmd_encode(args) -> int:
             "bits": tr.bits.tolist(),
             "decoded": decode_spike(tr, cfg),
         }
-        for q, tr in zip(codes, trains)
+        for q, tr in zip(args.codes, trains)
     ]
     invocation = {
         "subcommand": "encode",
@@ -466,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_encode = sub.add_parser("encode", help="encode integer codes as spike trains")
     _add_quant_flags(p_encode)
-    p_encode.add_argument("--codes", required=True, help="comma-separated integer codes")
+    p_encode.add_argument(
+        "--codes", type=_code_list, required=True, help="comma-separated integer codes"
+    )
     p_encode.set_defaults(func=_cmd_encode)
 
     p_xbar = sub.add_parser("xbar", help="crossbar read-out replay and VMM fuzzing")
@@ -547,6 +563,12 @@ def dispatch(argv: list[str] | None = None) -> int:
                 parser.error(f"argument {flag}: not allowed with argument --baseline")
     if given and not getattr(args, "weights", "random:").startswith("random:"):
         parser.error(f"argument {given[0]}: not allowed with a --weights file, which sets it")
+    codes = getattr(args, "codes", None)
+    if codes is not None and len(codes) << args.bits > 2**ENCODE_BUDGET_LOG2:
+        parser.error(
+            f"argument --codes: {len(codes)} codes x 2^{args.bits} bits = "
+            f"{len(codes) << args.bits} printed bits, over the budget of 2^{ENCODE_BUDGET_LOG2}"
+        )
     try:
         env_seed = os.environ.get("MATTERHORN_SEED")
         if env_seed is not None and hasattr(args, "seed"):

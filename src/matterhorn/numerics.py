@@ -9,7 +9,14 @@ and near-ties exactly, so every comparison is decided as if computed over
 the reals.
 
 ``ge_scaled`` and ``floor_ratio`` work on one scalar and fall back to
-rational arithmetic (floats are rationals); they are the oracles.
+rational arithmetic (floats are rationals); they are the oracles.  Both
+first make the value a Python float, so the float steps round in binary64
+(NumPy 2 divides a float32 by a Python float in float32).  ``floor_ratio``
+needs no compare at all when the rounded quotient is not an integer: the
+true one then lies strictly between the same two integers (Goldberg 1991,
+"What every computer scientist should know about floating-point
+arithmetic": division is correctly rounded, so monotone).  Only an
+integral quotient, a tie or a near-tie, takes the exact check.
 ``ge_scaled_array`` decides a whole array in one vector pass at every
 scale: it moves the scale's exponent onto the values, so the products are
 normal floats, compares in plain float where they are all exact, and
@@ -38,10 +45,13 @@ _EXACT_INT = 2**53
 def ge_scaled(value: float, scale: float, factor: int) -> bool:
     """Decide ``value >= scale * factor`` exactly.
 
-    ``value`` must be finite or +/-inf; ``scale`` must be finite and
-    positive.  +inf meets every threshold and -inf none, even one whose
-    float product overflows.
+    ``value`` must be finite or +/-inf, and is taken as ``float(value)``
+    (a numpy float32 too); ``scale`` must be finite and positive.  +inf
+    meets every threshold and -inf none, even one whose float product
+    overflows.
     """
+    if type(value) is not float:  # binary64 steps below; Fraction refuses a float32
+        value = float(value)
     approx = scale * factor
     # Let P be the real product.  ``factor`` becomes the nearest float F
     # (F = factor below 2^53), and approx is scale * F rounded to nearest;
@@ -64,14 +74,25 @@ def ge_scaled(value: float, scale: float, factor: int) -> bool:
 
 
 def floor_ratio(value: float, scale: float) -> int:
-    """Mathematical floor of ``value / scale`` for finite floats, scale > 0."""
+    """Mathematical floor of ``value / scale`` for finite floats, scale > 0.
+
+    Any real value (a numpy float32 or float16 too) is taken as
+    ``float(value)``.
+    """
+    if type(value) is not float:  # the proof below needs a binary64 quotient
+        value = float(value)
     ratio = value / scale
-    if not abs(ratio) < 2.0**52:
+    if not -(2.0**52) < ratio < 2.0**52:  # cheaper than abs(); NaN and inf fail too
         # past 2^52 a float quotient can be many units off the floor
         return math.floor(Fraction(value) / Fraction(scale))
     q = math.floor(ratio)
-    # The integers around the quotient are floats and rounding is monotone,
-    # so floor(ratio) is the true floor or one above it: one check settles it.
+    # ratio = fl(x) for the real x = value / scale, and fl is monotone and
+    # keeps every float, q and q + 1 included.  So x <= q would give
+    # ratio <= q, and x >= q + 1 would give ratio >= q + 1: when
+    # q < ratio < q + 1, floor(x) = q.  An integral ratio is the true floor
+    # or one above it (x can round up onto q): one exact check settles it.
+    if ratio != q:
+        return q
     return q if ge_scaled(value, scale, q) else q - 1
 
 

@@ -32,12 +32,13 @@ def quantize(a: float, p: QuantParams) -> int:
     """Clip(floor(a / alpha)) onto the code range.
 
     Floor is toward -inf, including negative inputs, and is computed
-    exactly: a float quotient one ulp off a code boundary cannot flip the
-    result.
+    exactly for ``float(a)`` by ``floor_ratio``: a float quotient one ulp
+    off a code boundary cannot flip the result, and only an integral
+    quotient costs an exact compare.  +/-inf saturate; NaN raises.
     """
-    if math.isnan(a):
-        raise ValueError("cannot quantize NaN")
-    if math.isinf(a):
+    if not math.isfinite(a):
+        if math.isnan(a):
+            raise ValueError("cannot quantize NaN")
         return p.code_max if a > 0 else p.code_min
     code = floor_ratio(a, p.alpha)
     # two compares: the min/max builtins cost about as much as the floor

@@ -80,6 +80,12 @@ def test_unknown_flag_is_usage_error():
         (["attn", "--seed", "-1", "--samples", "1"], "--seed"),
         # the baseline refuses --k given at all, as a --weights file does: even the default
         (["stats", "--baseline", "--k", "0", "--count", "10"], "--k"),
+        # int() refused these with exit 3, and an empty list passed with no codes
+        (["encode", "--codes", "1.5"], "--codes"),
+        (["encode", "--codes", "x"], "--codes"),
+        (["encode", "--codes", ","], "--codes"),
+        (["encode", "--codes", "0,,3"], "--codes"),
+        (["encode", "--codes", ""], "--codes"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
@@ -308,6 +314,32 @@ def test_encode_round_trip_artifact(capsys):
     assert rows[1] == {"code": 3, "spike_time": 4, "bits": rows[1]["bits"], "decoded": 3}
 
 
+def test_encode_over_its_printed_bit_budget_is_usage_error(capsys, monkeypatch):
+    # 400 codes at --bits 16 printed 288 MB and peaked at 2.3 GiB resident
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["encode", "--bits", "16", "--codes", ",".join(["0"] * 400)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --codes: 400 codes x 2^16 bits" in err
+    assert f"budget of 2^{cli.ENCODE_BUDGET_LOG2}" in err
+    monkeypatch.setattr(cli, "ENCODE_BUDGET_LOG2", 6)  # the bound itself is inclusive
+    assert run(capsys, "encode", "--codes", "0,1,2,3")[0] == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["encode", "--codes", "0,1,2,3,4"])
+    assert exc.value.code == EXIT_USAGE and "argument --codes: 5 codes" in capsys.readouterr().err
+    code, _, err = run(capsys, "encode", "--codes", "0,99")  # outside the code range
+    assert code == EXIT_CONFIG and "code 99" in json.loads(err)["detail"]
+
+
+def test_verify_records_the_seed_only_where_it_draws(capsys):
+    argv = ["verify", "--bits", "3", "--imax", "2", "--fan-in", "2", "--fan-out", "2"]
+    runs = [run(capsys, *argv, "--exhaustive", "--seed", seed) for seed in ("9", "1")]
+    assert runs[0] == runs[1] and runs[0][0] == EXIT_VERIFY_FAILED
+    assert "seed" not in json.loads(runs[0][1])["invocation"]
+    code, out, _ = run(capsys, *argv, "--samples", "10", "--seed", "9")
+    assert code == EXIT_OK and json.loads(out)["invocation"]["seed"] == 9
+
+
 def test_xbar_replay(capsys):
     code, out, _ = run(capsys, "xbar", "--replay", "reference")
     assert code == EXIT_OK
@@ -342,36 +374,36 @@ ATTN_JSON_SHA256 = {
 # off-centre mu is mended (ROADMAP item 2).
 VERIFY_EXHAUSTIVE_JSON_SHA256 = {
     ("--bits", "3", "--k", "1"): (
-        "f85e9dcf2c37550aac1eff3acffbceb3d334dfc1d37333774fdbeeeef03ce9f9",
+        "39b93547d29d6c7e58c3b7ae221805270b84991389ac97de8d22f41dda816cb8",
         EXIT_OK,
     ),
     ("--bits", "3", "--imax", "2"): (
-        "407ebbc408b62fed3befae941328d694c880f171e3d42ddf99a3b19ec56cee5e",
+        "bbe74e8c7c0cb783964ca2e8d08ff52d92ea984d2ae0d8247ce1a9354206d46e",
         EXIT_VERIFY_FAILED,
     ),
     ("--bits", "4", "--k", "2", "--fan-in", "4", "--fan-out", "6", "--seed", "9"): (
-        "4aa00f28326b523c3844a78679b70306594660513788bdac610d44bd4c98e266",
+        "a0f84fa2d190fcbdc738bac4408724f7d7642a23267b3002536cb4f7534cb6c0",
         EXIT_OK,
     ),
     ("--bits", "4", "--k", "1", "--alpha", "0.37", "--fan-in", "3", "--fan-out", "4", "--seed", "5"): (
-        "ea9b63f4e0d6e847af533c2ed08a7ba0eef8157729288866ac8752ce8821fd76",
+        "fdef4878307e7ec9685e17155a72c82b55da5c1992eb0ebbe1f94687d20992a9",
         EXIT_OK,
     ),
     ("--bits", "16", "--k", "3", "--fan-in", "1", "--fan-out", "8", "--seed", "2"): (
-        "a2f0af87fb68d0267deafbbb5b281c06774364b5fd4f7a593e1c77c609ed00b8",
+        "c273cd6c7723c376455cdd2ce5aace5b53aed33754999bb206fd8738567e4eeb",
         EXIT_OK,
     ),
     # extreme scales: subnormal, the least float, and products that overflow
     ("--bits", "16", "--k", "3", "--fan-in", "1", "--fan-out", "8", "--seed", "2", "--alpha", "1e-310"): (
-        "b0d082fa78e2067e273b38518b7b2d6ecc2c80ec0eec4a8172a3c4d85c376e58",
+        "bb1043f9d9c79a86953e0fb07a0dda46f988465e55bd64e57eb23fa59e96e1aa",
         EXIT_OK,
     ),
     ("--bits", "12", "--k", "2", "--fan-in", "1", "--fan-out", "6", "--seed", "4", "--alpha", "5e-324"): (
-        "350559021be79da971fc634eab0d90f2d5ca7a368da39733ea049aee4acf5b97",
+        "7cfc1136f8a750e6f30c9e667c6075a5e6ac10744cd2407e8813961afdac1e48",
         EXIT_OK,
     ),
     ("--bits", "4", "--k", "1", "--fan-in", "3", "--fan-out", "4", "--seed", "5", "--alpha", "1e300"): (
-        "7e75a8251b33672c741c6aa22b35a701fe61b9103ba5d189dfc8154dc1884858",
+        "8f7b06e4d2ec154e7b5e9d689d3dd7ec6fb390abb829fd221dc86c92fd1fa1bb",
         EXIT_OK,
     ),
 }

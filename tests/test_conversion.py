@@ -221,6 +221,18 @@ def test_sampled_runs_the_scalar_exact_floor_once_per_draw(monkeypatch):
     assert all(type(m[side]) is int for m in got.mismatches for side in ("qnn", "snn"))
 
 
+def test_sampled_draws_take_the_exact_check_only_on_an_integral_quotient(monkeypatch):
+    # the scalar floor decides a fractional float quotient by itself: the
+    # exact compare runs once per draw whose a / alpha is an integer
+    calls, exact = [], numerics.ge_scaled
+    monkeypatch.setattr(numerics, "ge_scaled", lambda *a: calls.append(a) or exact(*a))
+    layer, cfg = _sampled_control(0.37)
+    verify_equivalence(layer, cfg, domain="sampled", samples=10_000, seed=5)
+    span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
+    ratios = np.random.default_rng(5).uniform(-span, span, 10_000) / cfg.alpha
+    assert len(calls) == np.count_nonzero(ratios == np.floor(ratios))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 8),

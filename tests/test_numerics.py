@@ -150,15 +150,81 @@ def test_extreme_ratio_falls_back_to_rational_path():
 FLOOR_SCALES = (5e-324, 1e-310, 2.0**-1022, 1e-200, 0.1, 0.37, 1.0, 3.0, 1e100, 1e300)
 
 
-def test_floor_ratio_makes_one_exact_check_below_2_52(monkeypatch):
+def _count_ge_scaled(monkeypatch):
     calls = []
     monkeypatch.setattr(numerics, "ge_scaled", lambda *a, _f=ge_scaled: calls.append(a) or _f(*a))
-    cases = [(0.5, 0.1), (math.nextafter(0.5, 1.0), 0.1), (-3.0, 0.37), (1e300, 1e290)]
-    cases += [(5e-324, 5e-324), (-1e-310, 5e-324), (2.0**52 - 1.0, 1.0), (0.0, 3.0)]
-    for value, scale in cases:
-        calls.clear()
-        assert floor_ratio(value, scale) == math.floor(Fraction(value) / Fraction(scale))
-        assert len(calls) == 1, (value, scale)
+    return calls
+
+
+def test_floor_ratio_checks_exactly_only_an_integral_quotient(monkeypatch):
+    calls = _count_ge_scaled(monkeypatch)
+    # a quotient strictly between two integers lies between the same two
+    # before rounding: no exact check
+    fractional = [(math.nextafter(0.5, 1.0), 0.1), (-3.0, 0.37)]
+    fractional += [(2.0**52 - 0.5, 1.0), (-5e-324, 1.0), (1e-310, 0.37)]
+    # an integral one is a tie or rounded onto it: 0.5 / 0.1 and 1e300 / 1e290
+    # round up onto 5 and 1e10, the other four are exact
+    integral = [(0.5, 0.1), (1e300, 1e290), (5e-324, 5e-324), (-1e-310, 5e-324)]
+    integral += [(2.0**52 - 1.0, 1.0), (0.0, 3.0)]
+    for cases, checks in ((fractional, 0), (integral, 1)):
+        for value, scale in cases:
+            calls.clear()
+            assert (value / scale == math.floor(value / scale)) == bool(checks)
+            assert floor_ratio(value, scale) == math.floor(Fraction(value) / Fraction(scale))
+            assert len(calls) == checks, (value, scale)
+
+
+def _near_tie(scale):
+    """(k, value) for the first k in +/-1..2^11 with a value whose real
+    quotient by ``scale`` is below k but rounds onto k, or None."""
+    for k in (k for m in range(1, 2**11) for k in (m, -m)):
+        edge = scale * k
+        for value in (edge, math.nextafter(edge, -math.inf)):
+            if value / scale == k and Fraction(value) < Fraction(scale) * k:
+                return k, value
+    return None
+
+
+# A power of two divides exactly.  A float below 3k lies at least 2 ulp(k)
+# under it, so its quotient by 3 lies 2/3 ulp(k) under k and rounds away.
+NO_NEAR_TIE = (5e-324, 2.0**-1022, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("scale", FLOOR_SCALES)
+def test_floor_ratio_checks_a_planted_near_tie(monkeypatch, scale):
+    tie = _near_tie(scale)
+    if scale in NO_NEAR_TIE:
+        assert tie is None
+        return
+    k, value = tie
+    calls = _count_ge_scaled(monkeypatch)
+    assert floor_ratio(value, scale) == k - 1 and len(calls) == 1, (k, value)
+
+
+def _planted_narrow(dtype, alpha, ks):
+    """Each ``dtype`` product alpha*k and its two ``dtype`` neighbours."""
+    edges = dtype(alpha) * np.asarray(ks).astype(dtype)
+    below, above = np.nextafter(edges, dtype(-np.inf)), np.nextafter(edges, dtype(np.inf))
+    return np.concatenate([below, edges, above])
+
+
+@pytest.mark.parametrize(
+    "dtype, ks", [(np.float32, range(-30000, 30000, 7)), (np.float16, range(-2048, 2048, 7))]
+)
+def test_narrow_floats_are_decided_as_their_float_values(dtype, ks):
+    # NumPy 2 divides a float32 by a Python float in float32, and Fraction
+    # refuses one: each value must give the floor of float(value)
+    p = QuantParams(n=16, alpha=0.37)
+    cfg = SnnLayerConfig(n=16, alpha=0.37, k=1)
+    values = _planted_narrow(dtype, p.alpha, ks)
+    factors = np.tile(np.asarray(ks), 3).tolist()
+    for v, k in zip(values, factors):
+        floor = math.floor(Fraction(float(v)) / Fraction(p.alpha))
+        assert floor_ratio(v, p.alpha) == floor, v
+        assert ge_scaled(v, p.alpha, k) == (floor >= k), v
+        assert quantize(v, p) == min(max(floor, p.code_min), p.code_max), v
+        t = min(max(cfg.code_max - floor, 0), cfg.window - 1)
+        assert fire_analytic(v, cfg).time == (None if abs(t - cfg.i_max) <= cfg.k else t), v
 
 
 @pytest.mark.parametrize("scale", FLOOR_SCALES)
