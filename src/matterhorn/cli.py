@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -130,9 +129,11 @@ def _load_json_file(path: str) -> dict:
 
 def _spike_config(args) -> SnnLayerConfig:
     """The run's spiking config; ``--baseline`` is plain TTFS, the mask at
-    the last step, and no ``--imax`` the config's default, mu = 0."""
+    the last step, no ``--imax`` the config's default, mu = 0, and a flag
+    the subcommand lacks (``--alpha``, ``--k``) the config's default."""
     i_max = 2**args.bits - 1 if getattr(args, "baseline", False) else args.imax
-    return SnnLayerConfig(n=args.bits, alpha=args.alpha, mode=args.mode, i_max=i_max, k=args.k)
+    read = {name: getattr(args, name) for name in ("alpha", "k") if hasattr(args, name)}
+    return SnnLayerConfig(n=args.bits, mode=args.mode, i_max=i_max, **read)
 
 
 def _int_in(lo: int, hi: int | None = None):
@@ -167,42 +168,85 @@ class _Given(argparse.Action):
         namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
 
 
-def _add_quant_flags(sub: argparse.ArgumentParser) -> None:
+def _add_quant_flags(sub: argparse.ArgumentParser, *unread: str) -> None:
+    """Register the code-space flags, less the ``unread`` ones the subcommand never reads."""
     add = partial(sub.add_argument, action=_Given)
     add("--bits", type=_int_in(1, MAX_BITS), default=4, help="code bit width n (window T = 2^n)")
-    add("--alpha", type=float, default=1.0, help="quantization scale")
+    if "--alpha" not in unread:
+        add("--alpha", type=float, default=1.0, help="quantization scale")
     add("--mode", choices=[SYMMETRIC, ASYMMETRIC], default=SYMMETRIC, help="quantization mode")
     add("--imax", type=int, default=None, help="masked firing time (default: mu=0)")
-    add("--k", type=int, default=0, help="dead-zone radius")
+    if "--k" not in unread:
+        add("--k", type=int, default=0, help="dead-zone radius")
 
 
-def _check_exhaustive_work(in_n: int, fan_in: int, fan_out: int) -> None:
-    """Refuse a ``verify --exhaustive`` run over its vector or summed-term
-    budget, before the layer's weights are built.  The term budget prices
-    the block route, which sums every (vector, output) and quantizes and
-    fires it by one lookup in the layer's threshold table.  An
-    integer-lattice layer with equal term tables (a zero-centered input
-    dead zone) first checks each reachable sum once per output, and skips
-    the blocks when none fails."""
+def _exhaustive_overrun(in_n: int, fan_in: int, fan_out: int) -> str | None:
+    """Why a ``verify --exhaustive`` run is over its vector or summed-term
+    budget, or None; checked before the layer's weights are built.  The
+    term budget prices the block route, which sums every (vector, output)
+    and quantizes and fires it by one lookup in the layer's threshold
+    table.  An integer-lattice layer with equal term tables (a
+    zero-centered input dead zone) first checks each reachable sum once
+    per output, and skips the blocks when none fails."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
-        raise ConfigError(
-            f"--exhaustive would walk (2^{in_n})^{fan_in} = 2^{exponent} "
+        return (
+            f"--exhaustive: would walk (2^{in_n})^{fan_in} = 2^{exponent} "
             f"input vectors, over the budget of 2^{EXHAUSTIVE_BUDGET_LOG2}"
         )
     terms = 2**exponent * fan_out * fan_in
     if terms > 2**TERMS_BUDGET_LOG2:
-        raise ConfigError(
-            f"--exhaustive would sum 2^{exponent} vectors x {fan_in} inputs x {fan_out} "
+        return (
+            f"--exhaustive: would sum 2^{exponent} vectors x {fan_in} inputs x {fan_out} "
             f"outputs = {terms} terms, over the budget of 2^{TERMS_BUDGET_LOG2}"
         )
+    return None
+
+
+def _argv_overrun(args) -> str | None:
+    """Why a budget that argv alone decides is exceeded, naming the flag, or None."""
+    if args.subcommand == "encode" and len(args.codes) << args.bits > 2**ENCODE_BUDGET_LOG2:
+        return (
+            f"argument --codes: {len(args.codes)} codes x 2^{args.bits} bits = "
+            f"{len(args.codes) << args.bits} printed bits, over the budget of 2^{ENCODE_BUDGET_LOG2}"
+        )
+    if args.subcommand == "sweep":
+        if args.kmax > 2**args.bits - 1:  # every wider radius repeats the all-silent row
+            return f"argument --kmax: {args.kmax} exceeds 2^{args.bits} - 1 = {2**args.bits - 1}"
+        encodes = args.count * (args.kmax + 1)
+        if encodes > 2**SWEEP_BUDGET_LOG2:
+            return (
+                f"argument --kmax: sweep would encode {args.count} samples x {args.kmax + 1} "
+                f"radii = {encodes} codes, over the budget of 2^{SWEEP_BUDGET_LOG2}"
+            )
+    if args.subcommand == "verify" and args.exhaustive and args.weights.startswith("random:"):
+        overrun = _exhaustive_overrun(args.bits, args.fan_in, args.fan_out)
+        return overrun and f"argument {overrun}"
+    return None
+
+
+def _modes(args) -> tuple:
+    """One row per mode: whether the run is in it, its name in a refusal,
+    and the flags it never reads, which it refuses at any value."""
+    value = vars(args).get
+    return (
+        # plain TTFS fixes its dead zone: i_max = 2^n - 1, k = 0
+        (value("baseline"), "argument --baseline", ("--imax", "--k")),
+        # calibration samples a Gaussian of the width that meets its target
+        (value("calibrate") is not None, "argument --calibrate", ("--dist", "--scale")),
+        # a fixed read-out: no random VMMs, input widths or draws
+        (value("replay") is not None, "argument --replay", ("--fuzz", "--bits", "--seed")),
+        (
+            not value("weights", "random:").startswith("random:"),
+            "a --weights file, which sets it",
+            ("--bits", "--alpha", "--mode", "--imax", "--k", "--fan-in", "--fan-out"),
+        ),
+    )
 
 
 def _cmd_verify(args) -> int:
     if args.weights.startswith("random:"):
         p = QuantParams(n=args.bits, alpha=args.alpha, mode=args.mode)
-        if args.exhaustive:
-            _check_exhaustive_work(p.n, args.fan_in, args.fan_out)
         cfg = _spike_config(args)
         seed = int(args.weights.split(":", 1)[1])
         rng = np.random.default_rng(seed)
@@ -223,8 +267,9 @@ def _cmd_verify(args) -> int:
         p = layer.out_params
         if p.n > MAX_BITS:
             raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
-        if args.exhaustive:
-            _check_exhaustive_work(layer.in_params.n, layer.fan_in, layer.fan_out)
+        overrun = _exhaustive_overrun(layer.in_params.n, layer.fan_in, layer.fan_out)
+        if args.exhaustive and overrun:
+            raise ConfigError(overrun)
         cfg = SnnLayerConfig(n=p.n, alpha=p.alpha, mode=p.mode, i_max=p.code_max - layer.mu, k=layer.k)
 
     kind = "exhaustive" if args.exhaustive else "sampled"  # exhaustive ignores samples and seed
@@ -262,7 +307,6 @@ def _cmd_encode(args) -> int:
     invocation = {
         "subcommand": "encode",
         "bits": args.bits,
-        "alpha": args.alpha,
         "mode": args.mode,
         "i_max": cfg.i_max,
         "k": args.k,
@@ -433,15 +477,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _spike_config(args)
-    if args.kmax > cfg.window - 1:  # every wider radius repeats the all-silent row
-        raise ConfigError(f"--kmax {args.kmax} exceeds 2^{args.bits} - 1 = {cfg.window - 1}")
-    encodes = args.count * (args.kmax + 1)
-    if encodes > 2**SWEEP_BUDGET_LOG2:
-        raise ConfigError(
-            f"sweep would encode {args.count} samples x {args.kmax + 1} radii = {encodes} "
-            f"codes, over the budget of 2^{SWEEP_BUDGET_LOG2}"
-        )
-    sampler = _sampler(args, replace(cfg, k=0))  # the sweep's target is silence at k=0
+    sampler = _sampler(args, cfg)  # the sweep's target is silence at cfg's radius, k=0
     rows = sparsity_sweep(sampler, cfg, range(args.kmax + 1), count=args.count)
     header = _sampling_header("dead-zone sparsity sweep", args, sampler, cfg)
     header.append(f"reference_silence_pct={json.dumps(REFERENCE_SILENCE_PCT, sort_keys=True)}")
@@ -465,8 +501,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # a flag answers to its whole name only, so sweep --k is no --kmax
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p_verify = sub.add_parser("verify", help="check quantized/spiking layer equivalence")
+    p_verify = add_parser("verify", help="check quantized/spiking layer equivalence")
     _add_quant_flags(p_verify)
     p_verify.add_argument("--weights", default="random:0", help="layer JSON file or random:SEED")
     p_verify.add_argument("--fan-in", type=_int_in(1, MAX_FAN), default=4, action=_Given)
@@ -478,30 +516,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_encode = sub.add_parser("encode", help="encode integer codes as spike trains")
-    _add_quant_flags(p_encode)
+    p_encode = add_parser("encode", help="encode integer codes as spike trains")
+    _add_quant_flags(p_encode, "--alpha")  # encoding and decoding read no scale
     p_encode.add_argument(
         "--codes", type=_code_list, required=True, help="comma-separated integer codes"
     )
     p_encode.set_defaults(func=_cmd_encode)
 
-    p_xbar = sub.add_parser("xbar", help="crossbar read-out replay and VMM fuzzing")
+    p_xbar = add_parser("xbar", help="crossbar read-out replay and VMM fuzzing")
     p_xbar.add_argument("--replay", choices=["reference"], help="replay the documented read-out")
-    p_xbar.add_argument(
-        "--fuzz", type=_int_in(1, MAX_FUZZ), default=100, help="random VMM instances"
-    )
+    add = partial(p_xbar.add_argument, action=_Given)
+    add("--fuzz", type=_int_in(1, MAX_FUZZ), default=100, help="random VMM instances")
     # sums of up to 39 fuzzed rows stay inside int64 only up to 57-bit inputs
-    p_xbar.add_argument("--bits", type=_int_in(1, 57), default=4, help="input bit budget")
+    add("--bits", type=_int_in(1, 57), default=4, help="input bit budget")
     p_xbar.set_defaults(func=_cmd_xbar)
 
-    p_attn = sub.add_parser("attn", help="time-based attention vs integer reference")
-    _add_quant_flags(p_attn)
+    p_attn = add_parser("attn", help="time-based attention vs integer reference")
+    _add_quant_flags(p_attn, "--alpha")  # the pipeline scores in code space
     p_attn.add_argument("--tokens", type=_int_in(1, MAX_ATTN_DIM), default=4)
     p_attn.add_argument("--dk", type=_int_in(1, MAX_ATTN_DIM), default=4)
     p_attn.add_argument("--samples", type=_int_in(1), default=20)
     p_attn.set_defaults(func=_cmd_attn)
 
-    p_energy = sub.add_parser("energy", help="block energy for one operating mode")
+    p_energy = add_parser("energy", help="block energy for one operating mode")
     p_energy.add_argument("--mode", choices=list(MODES), default="baseline")
     p_energy.add_argument("--shape", help="JSON file overriding the block shape")
     p_energy.add_argument("--params", help="JSON file overriding unit energies")
@@ -509,21 +546,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--format", choices=["json", "csv"], default="json")
     p_energy.set_defaults(func=_cmd_energy)
 
-    p_scen = sub.add_parser("scenario", help="published spiking-transformer comparison points")
+    p_scen = add_parser("scenario", help="published spiking-transformer comparison points")
     p_scen.add_argument("--params", help="JSON file overriding unit energies")
     p_scen.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scen.set_defaults(func=_cmd_scenario)
 
-    p_area = sub.add_parser("area", help="macro count and silicon area per block/model")
+    p_area = add_parser("area", help="macro count and silicon area per block/model")
     p_area.set_defaults(func=_cmd_area)
 
-    p_stats = sub.add_parser("stats", help="spike-time histogram of synthetic activations")
+    p_stats = add_parser("stats", help="spike-time histogram of synthetic activations")
     _add_quant_flags(p_stats)
-    p_stats.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
-    p_stats.add_argument("--loc", type=float, default=0.0)
-    p_stats.add_argument("--scale", type=float, default=1.0)
-    p_stats.add_argument("--count", type=_int_in(1, MAX_COUNT), default=20_000)
-    p_stats.add_argument("--calibrate", type=float, default=None, help="target silence at this k")
     p_stats.add_argument(
         "--baseline",
         action="store_true",
@@ -532,20 +564,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--svg", help="also render an SVG bar chart to this path")
     p_stats.set_defaults(func=_cmd_stats)
 
-    p_sweep = sub.add_parser("sweep", help="silence vs dead-zone radius table")
-    _add_quant_flags(p_sweep)
-    p_sweep.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian")
-    p_sweep.add_argument("--loc", type=float, default=0.0)
-    p_sweep.add_argument("--scale", type=float, default=1.0)
-    p_sweep.add_argument("--count", type=_int_in(1, MAX_COUNT), default=20_000)
-    p_sweep.add_argument("--calibrate", type=float, default=None, help="target silence at k=0")
+    p_sweep = add_parser("sweep", help="silence vs dead-zone radius table")
+    _add_quant_flags(p_sweep, "--k")  # the sweep sets every radius from 0 to --kmax
     p_sweep.add_argument("--kmax", type=_int_in(0), default=3)
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    for p, radius in ((p_stats, "this k"), (p_sweep, "k=0")):  # the sampled-activation reports
+        p.add_argument("--dist", choices=["gaussian", "laplace"], default="gaussian", action=_Given)
+        p.add_argument("--loc", type=float, default=0.0)
+        p.add_argument("--scale", type=float, default=1.0, action=_Given)
+        p.add_argument("--count", type=_int_in(1, MAX_COUNT), default=20_000)
+        p.add_argument("--calibrate", type=float, default=None, help=f"target silence at {radius}")
+
     for p in (p_verify, p_xbar, p_attn, p_stats, p_sweep):  # the subcommands that draw
-        p.add_argument(
-            "--seed", type=_int_in(0), default=0, help="RNG seed (MATTERHORN_SEED overrides)"
-        )
+        add = partial(p.add_argument, action=_Given)
+        add("--seed", type=_int_in(0), default=0, help="RNG seed (MATTERHORN_SEED overrides)")
     for p in (p_verify, p_encode, p_xbar, p_attn, p_energy, p_scen, p_area, p_stats, p_sweep):
         p.add_argument("--out", help="write the artifact to this path instead of stdout")
 
@@ -556,19 +589,14 @@ def dispatch(argv: list[str] | None = None) -> int:
     """Parse argv and run the chosen subcommand; returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = getattr(args, "given", ())  # the quantization flags in argv, at any value
-    if getattr(args, "baseline", False):  # plain TTFS fixes the dead zone: i_max = 2^n - 1, k = 0
-        for flag in ("--imax", "--k"):
-            if flag in given:
-                parser.error(f"argument {flag}: not allowed with argument --baseline")
-    if given and not getattr(args, "weights", "random:").startswith("random:"):
-        parser.error(f"argument {given[0]}: not allowed with a --weights file, which sets it")
-    codes = getattr(args, "codes", None)
-    if codes is not None and len(codes) << args.bits > 2**ENCODE_BUDGET_LOG2:
-        parser.error(
-            f"argument --codes: {len(codes)} codes x 2^{args.bits} bits = "
-            f"{len(codes) << args.bits} printed bits, over the budget of 2^{ENCODE_BUDGET_LOG2}"
-        )
+    given = getattr(args, "given", ())  # the flags a mode may refuse, in argv at any value
+    for on, mode, flags in _modes(args):
+        for flag in flags:
+            if on and flag in given:
+                parser.error(f"argument {flag}: not allowed with {mode}")
+    overrun = _argv_overrun(args)
+    if overrun:
+        parser.error(overrun)
     try:
         env_seed = os.environ.get("MATTERHORN_SEED")
         if env_seed is not None and hasattr(args, "seed"):

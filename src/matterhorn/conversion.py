@@ -20,7 +20,7 @@ runs once per call on all of them, and a layer none fails needs no block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,18 +119,10 @@ class EquivalenceReport:
         self.mismatches += [{"input": i, "qnn": q, "snn": s} for i, (q, s) in held]
 
     def to_dict(self) -> dict:
-        return {
-            "cases_checked": self.cases_checked,
-            "mismatch_count": self.mismatch_count,
-            "mismatches": self.mismatches,
-            "max_abs_deviation": self.max_abs_deviation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
-def _check_configs(
-    layer: QnnLayer, cfg: SnnLayerConfig, input_cfg: SnnLayerConfig | None = None
-) -> None:
+def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
     p = layer.out_params
     if cfg.window != 2**p.n:
         raise ValueError(f"config window {cfg.window} != 2**{p.n}")
@@ -141,13 +133,6 @@ def _check_configs(
             f"config dead zone (mu={cfg.mu}, k={cfg.k}) does not match "
             f"layer dead zone (mu={layer.mu}, k={layer.k})"
         )
-    if input_cfg is None:
-        return
-    p = layer.in_params
-    if input_cfg.window != 2**p.n:
-        raise ValueError(f"input config window {input_cfg.window} != 2**{p.n}")
-    if input_cfg.mode != p.mode or input_cfg.alpha != p.alpha:
-        raise ValueError("input config mode/scale do not match the layer's input params")
 
 
 def _check_range(layer: QnnLayer) -> None:
@@ -180,7 +165,6 @@ def verify_equivalence(
     domain: str = "exhaustive",
     samples: int = 100_000,
     seed: int = 0,
-    input_cfg: SnnLayerConfig | None = None,
 ) -> EquivalenceReport:
     """Run the quantized and spiking paths side by side and diff the codes.
 
@@ -235,15 +219,14 @@ def verify_equivalence(
     span's width overflows a float, and for an output window over 2^63
     steps.
 
-    The default input encoding reuses the layer's mask position (the mask
-    center is global across layers), falling back to the zero-centered
-    position when the input window differs.  An explicit ``input_cfg``
-    must match the layer's input params (window, mode, scale), as ``cfg``
-    must match its output params and dead zone; ValueError otherwise.
-    Comparison happens at the integer-code level, which keeps the check
-    exact.
+    The input encoding follows one rule: the layer's input params, with
+    ``cfg``'s mask position where it fits the input window (the mask
+    center is global across layers) and the zero-centered one otherwise,
+    and radius ``layer.k``.  ``cfg`` must match the layer's output params
+    and dead zone; ValueError otherwise.  Comparison happens at the
+    integer-code level, which keeps the check exact.
     """
-    _check_configs(layer, cfg, input_cfg)
+    _check_configs(layer, cfg)
     report = EquivalenceReport()
 
     if domain == "sampled":
@@ -271,14 +254,10 @@ def verify_equivalence(
     if domain != "exhaustive":
         raise ValueError(f"unknown verification domain {domain!r}")
 
-    if input_cfg is None:
-        p_in = layer.in_params
-        i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
-        input_cfg = SnnLayerConfig(
-            n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=layer.k
-        )
     _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
+    i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
+    input_cfg = SnnLayerConfig(n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=k)
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
     cfg._ramp  # refuses a window too wide for a table before the tables below
     # Each stage whose input takes few values runs once, over its whole

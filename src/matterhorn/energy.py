@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 __all__ = [
     "EnergyParams",
@@ -432,6 +432,14 @@ def scenario_compare(
     return rows
 
 
+# The MSU macro behind ``area_estimate``: a 256 x 256 array of 0.59 um^2
+# cells in a 0.072 mm^2 footprint, and 12 blocks to a model.
+CELL_UM2 = 0.59
+MACRO_ROWS = MACRO_COLS = 256
+MACRO_AREA_MM2 = 0.072
+BLOCKS_PER_MODEL = 12
+
+
 @dataclass
 class AreaEstimate:
     macros_per_block: int
@@ -441,23 +449,11 @@ class AreaEstimate:
     assumptions: dict
 
     def to_dict(self) -> dict:
-        return {
-            "macros_per_block": self.macros_per_block,
-            "block_mm2": self.block_mm2,
-            "model_mm2": self.model_mm2,
-            "array_mm2_per_macro": self.array_mm2_per_macro,
-            "assumptions": self.assumptions,
-        }
+        return asdict(self)
 
 
 def area_estimate(
-    block: TransformerBlockShape = TransformerBlockShape(),
-    cell_um2: float = 0.59,
-    macro_rows: int = 256,
-    macro_cols: int = 256,
-    macro_area_mm2: float = 0.072,
-    routing_factor: float = 1.2,
-    blocks_per_model: int = 12,
+    block: TransformerBlockShape = TransformerBlockShape(), routing_factor: float = 1.2
 ) -> AreaEstimate:
     """Macro count and silicon area for the block's +/-1 weight matrices.
 
@@ -466,25 +462,23 @@ def area_estimate(
     exceeds the raw cell area.  The routing factor covers interconnect
     overhead outside the macros.
     """
-    if macro_rows < 1 or macro_cols < 1 or macro_area_mm2 <= 0:
-        raise ValueError("macro dimensions and area must be positive")
     matrices = [(c_i, c_o) for _, kind, c_i, c_o in block.components() if kind == "fc"]
     macros = sum(
-        math.ceil(rows / macro_rows) * math.ceil(cols / macro_cols) for rows, cols in matrices
+        math.ceil(rows / MACRO_ROWS) * math.ceil(cols / MACRO_COLS) for rows, cols in matrices
     )
-    block_mm2 = macros * macro_area_mm2 * routing_factor
+    block_mm2 = macros * MACRO_AREA_MM2 * routing_factor
     return AreaEstimate(
         macros_per_block=macros,
         block_mm2=block_mm2,
-        model_mm2=block_mm2 * blocks_per_model,
-        array_mm2_per_macro=macro_rows * macro_cols * cell_um2 * 1e-6,
+        model_mm2=block_mm2 * BLOCKS_PER_MODEL,
+        array_mm2_per_macro=MACRO_ROWS * MACRO_COLS * CELL_UM2 * 1e-6,
         assumptions={
-            "cell_um2": cell_um2,
-            "macro_rows": macro_rows,
-            "macro_cols": macro_cols,
-            "macro_area_mm2": macro_area_mm2,
+            "cell_um2": CELL_UM2,
+            "macro_rows": MACRO_ROWS,
+            "macro_cols": MACRO_COLS,
+            "macro_area_mm2": MACRO_AREA_MM2,
             "routing_factor": routing_factor,
-            "blocks_per_model": blocks_per_model,
+            "blocks_per_model": BLOCKS_PER_MODEL,
             "weight_matrices": matrices,
         },
     )

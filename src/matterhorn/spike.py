@@ -210,9 +210,8 @@ class SpikeTrain:
     """Binary train of ``window`` steps carrying at most one spike.
 
     A train stores only its arrival step ``time``, None for the silent
-    train; ``silent`` and ``single`` are its constructors.  A population of
-    trains is an array of spike times (see ``train_times``), not a list of
-    these objects.
+    train.  A population of trains is an array of spike times (see
+    ``train_times``), not a list of these objects.
     """
 
     window: int
@@ -221,14 +220,6 @@ class SpikeTrain:
     def __post_init__(self) -> None:
         if self.time is not None and not 0 <= self.time < self.window:
             raise ValueError(f"spike time {self.time} outside window [0, {self.window - 1}]")
-
-    @classmethod
-    def silent(cls, window: int) -> "SpikeTrain":
-        return cls(window, None)
-
-    @classmethod
-    def single(cls, t: int, window: int) -> "SpikeTrain":
-        return cls(window, t)
 
     @property
     def is_silent(self) -> bool:

@@ -38,6 +38,8 @@ REFERENCE_SILENCE_PCT = {0: 34.0, 1: 61.2, 2: 76.4}
 # ``encode_integer_array`` hold several temporaries of their input's size
 # (84 MiB at 2^20 samples for the first), a chunk's worth here.
 _CHUNK = 2**16
+# Pixel size of the ``histogram_svg`` plot area; its labels take 24 more rows.
+_SVG_WIDTH, _SVG_HEIGHT = 640, 320
 
 
 @dataclass
@@ -206,25 +208,25 @@ def calibrate_gaussian_sigma(
     return sigma
 
 
-def histogram_svg(hist: SpikeHistogram, width: int = 640, height: int = 320) -> str:
+def histogram_svg(hist: SpikeHistogram) -> str:
     """Minimal deterministic SVG bar chart of a spike-time histogram."""
     rows = hist.to_rows()
     peak = max(count for _, count in rows) or 1
-    bar_w = width / len(rows)
+    bar_w = _SVG_WIDTH / len(rows)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height + 24}">',
-        f'<rect width="{width}" height="{height + 24}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT + 24}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT + 24}" fill="white"/>',
     ]
     for i, (label, count) in enumerate(rows):
-        bar_h = height * count / peak
+        bar_h = _SVG_HEIGHT * count / peak
         x = i * bar_w
         fill = "#888888" if label == "silent" else "#336699"
         parts.append(
-            f'<rect x="{x + 1:.1f}" y="{height - bar_h:.1f}" width="{bar_w - 2:.1f}" '
+            f'<rect x="{x + 1:.1f}" y="{_SVG_HEIGHT - bar_h:.1f}" width="{bar_w - 2:.1f}" '
             f'height="{bar_h:.1f}" fill="{fill}"/>'
         )
         parts.append(
-            f'<text x="{x + bar_w / 2:.1f}" y="{height + 14}" font-size="9" '
+            f'<text x="{x + bar_w / 2:.1f}" y="{_SVG_HEIGHT + 14}" font-size="9" '
             f'text-anchor="middle">{label}</text>'
         )
     parts.append("</svg>")

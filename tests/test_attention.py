@@ -1,6 +1,7 @@
 """Time-based accumulation kernel and the spiking attention pipeline."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def random_trains(rng, cfg, count):
 
 def test_single_spike_kernel_lookup():
     cfg = cfg16()
-    times = train_times([SpikeTrain.single(4, 16)])
+    times = train_times([SpikeTrain(16, 4)])
     state = time_based_accumulate(times, np.array([1.0]), cfg)
     assert state.v == 3.0  # f(4) = 7 - 4
     assert state.events == 1
@@ -50,7 +51,7 @@ def test_single_spike_kernel_lookup():
 
 def test_no_spikes_accumulates_nothing():
     cfg = cfg16()
-    times = train_times([SpikeTrain.silent(16)] * 3)
+    times = train_times([SpikeTrain(16, None)] * 3)
     state = time_based_accumulate(times, np.ones(3), cfg)
     assert state.v == 0.0 and state.events == 0
     assert state.t == 15  # consumed the full window regardless
@@ -71,13 +72,13 @@ def test_shape_mismatch_raises():
 
 
 def test_train_times_and_dense_view():
-    trains = [SpikeTrain.single(4, 16), SpikeTrain.silent(16), SpikeTrain.single(0, 16)]
+    trains = [SpikeTrain(16, 4), SpikeTrain(16, None), SpikeTrain(16, 0)]
     assert train_times(trains).tolist() == [4, -1, 0]
     assert np.array_equal(spike_matrix(trains), np.stack([t.bits for t in trains], axis=1))
     with pytest.raises(ValueError):
-        train_times([SpikeTrain.silent(16), SpikeTrain.silent(8)])
+        train_times([SpikeTrain(16, None), SpikeTrain(8, None)])
     with pytest.raises(ValueError):
-        train_times([SpikeTrain.silent(16)], window=8)
+        train_times([SpikeTrain(16, None)], window=8)
     with pytest.raises(ValueError):
         train_times([])
 
@@ -142,7 +143,7 @@ def test_row_kernel_matches_one_row_calls(seed, n, k, alpha, rows, inputs, outpu
     rng = np.random.default_rng(seed)
     cfg = cfg_zero_mu(n, k, alpha=alpha)
     trains = [random_trains(rng, cfg, inputs)[0] for _ in range(rows)]
-    trains[rng.integers(rows)] = [SpikeTrain.silent(cfg.window)] * inputs
+    trains[rng.integers(rows)] = [SpikeTrain(cfg.window, None)] * inputs
     if weight_bits is None:
         bank = rng.normal(size=(inputs, outputs))
     else:
@@ -171,7 +172,7 @@ def test_silent_inputs_never_touch_their_weights():
 
 def test_events_counts_active_steps_only():
     cfg = cfg16()
-    trains = [SpikeTrain.single(2, 16), SpikeTrain.single(2, 16), SpikeTrain.single(9, 16)]
+    trains = [SpikeTrain(16, 2), SpikeTrain(16, 2), SpikeTrain(16, 9)]
     state = time_based_accumulate(train_times(trains), np.ones(3), cfg)
     assert state.events == 2  # two distinct active steps, never T
 
@@ -216,7 +217,7 @@ def test_pipeline_unit_case():
 
 def test_pipeline_silent_queries():
     cfg = cfg16()
-    q_trains = [[SpikeTrain.silent(16) for _ in range(3)] for _ in range(2)]
+    q_trains = [[SpikeTrain(16, None) for _ in range(3)] for _ in range(2)]
     k = np.array([[1, 2, 3], [4, 5, 6]])
     v = np.array([[1, 0], [0, 1]])
     out = attention_pipeline(q_trains, k, v, cfg)
@@ -248,6 +249,25 @@ def test_pipeline_matches_integer_reference(seed, n, mode, k, tokens, d_k, d_v):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    i_max=st.integers(0, 2**8 - 1),
+    k=st.integers(0, 2),
+    alpha=st.floats(1e-300, 1e300),
+)
+def test_pipeline_reads_no_scale(seed, n, mode, i_max, k, alpha):
+    # why attn takes no --alpha: the pipeline scores in code space
+    rng = np.random.default_rng(seed)
+    unit = SnnLayerConfig(n=n, mode=mode, i_max=i_max % 2**n, k=k)
+    q, kk, v = (rng.integers(unit.code_min, unit.code_max + 1, (4, 3)) for _ in range(3))
+    q_trains = [[encode_integer(int(c), unit) for c in row] for row in q]
+    scaled = attention_pipeline(q_trains, kk, v, replace(unit, alpha=alpha))
+    assert np.array_equal(scaled, attention_pipeline(q_trains, kk, v, unit))
+
+
 def test_pipeline_asymmetric_queries():
     cfg = SnnLayerConfig(n=3, mode=ASYMMETRIC, i_max=7, k=0)
     rng = np.random.default_rng(12)
@@ -268,7 +288,7 @@ def test_pipeline_reads_trains_by_value():
     q, kk, v = rng.integers(cfg.code_min, cfg.code_max + 1, (3, 6, 5))
     shared = [[encode_integer(int(c), cfg) for c in row] for row in q]
     fresh = [
-        [SpikeTrain.silent(16) if tr.is_silent else SpikeTrain.single(tr.time, 16) for tr in row]
+        [SpikeTrain(16, None) if tr.is_silent else SpikeTrain(16, tr.time) for tr in row]
         for row in shared
     ]
     assert any(tr.is_silent for row in shared for tr in row)
@@ -309,12 +329,12 @@ def test_pipeline_shape_errors():
 def test_pipeline_input_errors():
     cfg = cfg16()
     kk, v = np.ones((2, 2), int), np.ones((2, 1), int)
-    one, silent = encode_integer(1, cfg), SpikeTrain.silent(16)
+    one, silent = encode_integer(1, cfg), SpikeTrain(16, None)
     with pytest.raises(ValueError, match="differ in length"):  # ragged query rows
         attention_pipeline([[one, silent], [one]], kk, v, cfg)
     with pytest.raises(ValueError, match="differ in length"):
         attention_pipeline([[one, silent], [one, silent, one]], kk, v, cfg)
     with pytest.raises(ValueError, match="window"):  # a train of another window
-        attention_pipeline([[one, silent], [one, SpikeTrain.silent(8)]], kk, v, cfg)
+        attention_pipeline([[one, silent], [one, SpikeTrain(8, None)]], kk, v, cfg)
     with pytest.raises(ValueError, match="window"):  # every train of another window
-        attention_pipeline([[SpikeTrain.single(1, 8)] * 2], kk, v, cfg)
+        attention_pipeline([[SpikeTrain(8, 1)] * 2], kk, v, cfg)

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,14 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(capsys, *argv):
+    """The stderr of a run argparse refuses, with exit 2 before any work."""
+    with pytest.raises(SystemExit) as exc:
+        dispatch(list(argv))
+    assert exc.value.code == EXIT_USAGE
+    return capsys.readouterr().err
 
 
 def test_no_arguments_prints_usage_and_fails():
@@ -93,6 +103,51 @@ def test_out_of_range_flag_is_usage_error(capsys, argv, flag):
         dispatch(argv)
     assert exc.value.code == EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, mode",
+    [
+        # stats --calibrate 0.3 --dist laplace --scale 9 once sampled a calibrated Gaussian, exit 0
+        (["stats", "--calibrate", "0.3", "--dist", "laplace"], "--dist", "--calibrate"),
+        (["stats", "--calibrate", "0.3", "--scale", "1.0"], "--scale", "--calibrate"),  # the default
+        (["sweep", "--calibrate", "0.3", "--dist", "gaussian"], "--dist", "--calibrate"),
+        (["sweep", "--calibrate", "0.3", "--scale", "9"], "--scale", "--calibrate"),
+        # xbar --replay reference --fuzz 5 --bits 9 --seed 4 once printed the replay, exit 0
+        (["xbar", "--replay", "reference", "--fuzz", "5"], "--fuzz", "--replay"),
+        (["xbar", "--replay", "reference", "--bits", "4"], "--bits", "--replay"),
+        (["xbar", "--replay", "reference", "--seed", "0"], "--seed", "--replay"),
+    ],
+)
+def test_a_mode_refuses_the_flags_it_never_reads(capsys, argv, flag, mode):
+    assert f"argument {flag}: not allowed with argument {mode}" in usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the pipeline scores in code space, at alpha 1.0 whatever the flag said
+        ["attn", "--alpha", "0.37"],
+        ["encode", "--codes", "0", "--alpha", "0.37"],  # encoding and decoding read no scale
+        ["sweep", "--k", "1"],  # the sweep sets every radius itself, and calibrates at k=0
+    ],
+)
+def test_flags_no_run_reads_are_not_registered(capsys, argv):
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in usage_error(capsys, *argv)
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # a flag removed from the CLI cannot linger in the README's examples
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    subcommands = {"verify", "encode", "xbar", "attn", "energy", "scenario", "area", "stats", "sweep"}
+    assert {argv[0] for argv in commands} == subcommands
+    for i, argv in enumerate(commands):
+        if "--svg" in argv:
+            argv[argv.index("--svg") + 1] = str(tmp_path / "hist.svg")
+        assert dispatch([*argv, "--out", str(tmp_path / f"{i}.out")]) == EXIT_OK, argv
+        assert (tmp_path / f"{i}.out").stat().st_size > 0
 
 
 def test_verify_exhaustive_passes(capsys):
@@ -286,13 +341,15 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
 )
 def test_verify_refuses_unbounded_work(tmp_path, capsys, n, fan_in, extra, needle):
     argv = ["verify", *extra]
-    if n is not None:
-        layer = {"n": n, "alpha_in": 1, "alpha_out": 1, "weights": [1] * fan_in, "bias": [0]}
-        path = tmp_path / "layer.json"
-        path.write_text(json.dumps(layer))
-        argv += ["--weights", str(path)]
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_CONFIG
+    if n is None:  # a random: layer's budgets follow from argv alone
+        err = usage_error(capsys, *argv)
+        assert "argument --exhaustive: would " in err and needle in err
+        return
+    layer = {"n": n, "alpha_in": 1, "alpha_out": 1, "weights": [1] * fan_in, "bias": [0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, _, err = run(capsys, *argv, "--weights", str(path))
+    assert code == EXIT_CONFIG  # a layer file's budgets need the file
     assert needle in json.loads(err)["detail"]
 
 
@@ -301,9 +358,8 @@ def test_verify_checks_budgets_before_building_the_layer(monkeypatch, capsys):
         raise AssertionError("layer built before the budget check")
 
     monkeypatch.setattr(cli, "QnnLayer", unbuildable)
-    code, _, err = run(capsys, "verify", "--fan-in", "1024", "--fan-out", "1024", "--exhaustive")
-    assert code == EXIT_CONFIG
-    assert "2^4096 input vectors" in json.loads(err)["detail"]
+    err = usage_error(capsys, "verify", "--fan-in", "1024", "--fan-out", "1024", "--exhaustive")
+    assert "argument --exhaustive: would walk (2^4)^1024" in err
 
 
 def test_encode_round_trip_artifact(capsys):
@@ -564,8 +620,7 @@ STATS_CSV_SHA256 = {
 }
 SWEEP_CSV_SHA256 = {
     (): "1877b9cc8235c9eedad362c7a0f087c6c1e6e9ab3c0b91a4c7858395951225c7",
-    # calibrated at k=0 even though --k is set
-    ("--calibrate", "0.34", "--k", "1"): (
+    ("--calibrate", "0.34"): (
         "db7cbf8f349061c53cd45715d3e96f5218e990ad86de94112aa1e2bfc391bafa"
     ),
 }
@@ -718,24 +773,22 @@ def test_non_finite_sampler_flags_are_config_errors(capsys, command, flag, value
 
 
 def test_sweep_kmax_past_all_silent_is_config_error(capsys):
-    # at 2 bits, radius 3 already silences every time of the 4-step window
+    # at 2 bits, radius 3 already silences every time of the 4-step window;
+    # exit 2 names the flag, as encode's and every range check's refusal does
     code, out, _ = run(capsys, "sweep", "--bits", "2", "--kmax", "3", "--count", "50")
     assert code == EXIT_OK
     assert out.strip().splitlines()[-1].startswith("3,1.000000,")
-    code, _, err = run(capsys, "sweep", "--bits", "2", "--kmax", "4", "--count", "50")
-    assert code == EXIT_CONFIG
-    assert "--kmax 4" in json.loads(err)["detail"]
+    err = usage_error(capsys, "sweep", "--bits", "2", "--kmax", "4", "--count", "50")
+    assert "argument --kmax: 4 exceeds 2^2 - 1 = 3" in err
 
 
 def test_sweep_over_encode_budget_is_config_error(capsys, monkeypatch):
-    code, _, err = run(capsys, "sweep", "--bits", "16", "--kmax", "256", "--count", str(MAX_COUNT))
-    assert code == EXIT_CONFIG
-    detail = json.loads(err)["detail"]
-    assert f"{MAX_COUNT} samples x 257 radii" in detail
-    assert f"budget of 2^{cli.SWEEP_BUDGET_LOG2}" in detail
+    err = usage_error(capsys, "sweep", "--bits", "16", "--kmax", "256", "--count", str(MAX_COUNT))
+    assert f"argument --kmax: sweep would encode {MAX_COUNT} samples x 257 radii" in err
+    assert f"budget of 2^{cli.SWEEP_BUDGET_LOG2}" in err
     monkeypatch.setattr(cli, "SWEEP_BUDGET_LOG2", 10)  # the bound itself is inclusive
     assert run(capsys, "sweep", "--kmax", "3", "--count", "256")[0] == EXIT_OK
-    assert run(capsys, "sweep", "--kmax", "3", "--count", "257")[0] == EXIT_CONFIG
+    assert "257 samples x 4 radii" in usage_error(capsys, "sweep", "--kmax", "3", "--count", "257")
 
 
 def test_outputs_are_deterministic(capsys):

@@ -334,25 +334,6 @@ def test_config_mismatch_raises():
         verify_equivalence(layer, derive_snn_config(QuantParams(n=4), 7, 0), domain="exhaustive")
 
 
-@pytest.mark.parametrize("domain", ["exhaustive", "sampled"])
-@pytest.mark.parametrize(
-    "input_cfg, needle",
-    [
-        (spike.SnnLayerConfig(n=2, i_max=1), "input config window 4 != 2**3"),
-        (spike.SnnLayerConfig(n=4, i_max=7), "input config window 16 != 2**3"),
-        (spike.SnnLayerConfig(n=3, alpha=0.5, i_max=3), "input config mode/scale"),
-        (spike.SnnLayerConfig(n=3, mode=ASYMMETRIC, i_max=3), "input config mode/scale"),
-    ],
-    ids=["narrower", "wider", "scale", "mode"],
-)
-def test_input_config_mismatch_raises(input_cfg, needle, domain):
-    # an explicit input encoding is checked against the layer's input
-    # params as the output config is against its output params
-    layer, cfg = pm_layer(QuantParams(n=3), k=0)
-    with pytest.raises(ValueError, match=re.escape(needle)):
-        verify_equivalence(layer, cfg, domain=domain, samples=10, input_cfg=input_cfg)
-
-
 def _counting_walks(monkeypatch):
     """Patch every binding of the threshold walk; the returned list gets a
     copy of each array the walk is called on."""
@@ -440,10 +421,9 @@ def default_input_cfg(layer, cfg):
     return derive_snn_config(p_in, i_max_in, layer.k)
 
 
-def reference_exhaustive(layer, cfg, input_cfg=None):
+def reference_exhaustive(layer, cfg):
     """The scalar exhaustive sweep, one code vector at a time."""
-    if input_cfg is None:
-        input_cfg = default_input_cfg(layer, cfg)
+    input_cfg = default_input_cfg(layer, cfg)
     codes = range(layer.in_params.code_min, layer.in_params.code_max + 1)
     vectors = list(itertools.product(codes, repeat=layer.fan_in))
     qnn_codes, snn_codes = [], []
@@ -474,7 +454,8 @@ def reference_exhaustive(layer, cfg, input_cfg=None):
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
 def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_terms, mode):
     # failing configs included: a shifted threshold schedule, an off-centre
-    # input dead zone, real weights at non-dyadic scales, mixed widths
+    # dead zone (the input's too where the mask fits its window), real
+    # weights at non-dyadic scales, mixed widths
     monkeypatch.setattr(conversion, "BLOCK_TERMS", block_terms)
     monkeypatch.setattr(conversion, "KEPT", ALL)
     n_in, n_out, fan_in, fan_out = shape
@@ -484,7 +465,8 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
         (0, 1, 2), [(1.0, False), (0.37, True), (0.1, True)], (0, 1), (False, True)
     ):
         p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
-        cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=shift)
+        i_max = zero_centered_i_max(p_out) - off_centre
+        cfg = replace(derive_snn_config(p_out, i_max, k), theta_shift=shift)
         weights = rng.normal(size=(fan_in, fan_out)) if real else rng.choice([-1.0, 1.0], (fan_in, fan_out))
         layer = QnnLayer(
             weights=weights,
@@ -494,11 +476,8 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
             mu=cfg.mu,
             k=k,
         )
-        input_cfg = (
-            derive_snn_config(p_in, zero_centered_i_max(p_in) - 1, k) if off_centre else None
-        )
-        want = reference_exhaustive(layer, cfg, input_cfg).to_dict()
-        assert verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict() == want
+        want = reference_exhaustive(layer, cfg).to_dict()
+        assert verify_equivalence(layer, cfg).to_dict() == want
         failing += not want["passed"]
     assert failing > 0
 
@@ -506,7 +485,7 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
 @settings(max_examples=100, deadline=None)
 @example(  # a shifted schedule whose fired codes leave and enter the dead zone
     n_in=3, n_out=3, mode="symmetric", k=1, theta_shift=1, real=False, fan=(2, 2), block_terms=3,
-    seed=1, i_max_in=None,
+    seed=1, i_max=None,
 )
 @given(
     n_in=st.integers(1, 3),
@@ -518,18 +497,20 @@ def test_exhaustive_report_matches_scalar_reference(monkeypatch, shape, block_te
     fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
     block_terms=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
-    i_max_in=st.none() | st.integers(0, 7),
+    i_max=st.none() | st.integers(0, 7),
 )
 def test_exhaustive_report_matches_scalar_reference_for_random_layers(
-    n_in, n_out, mode, k, theta_shift, real, fan, block_terms, seed, i_max_in
+    n_in, n_out, mode, k, theta_shift, real, fan, block_terms, seed, i_max
 ):
     # small blocks split the vectors across blocks and a vector's outputs
-    # across chunks; an off-centre input dead zone and a shifted threshold
-    # schedule make mismatches the report must list in the same order
+    # across chunks; an off-centre dead zone (the input's too where the
+    # mask fits its window) and a shifted threshold schedule make
+    # mismatches the report must list in the same order
     fan_in, fan_out = fan
     alpha = 0.37 if real else 1.0
     p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
-    cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
+    i_max = zero_centered_i_max(p_out) if i_max is None else i_max % 2**n_out
+    cfg = replace(derive_snn_config(p_out, i_max, k), theta_shift=theta_shift)
     rng = np.random.default_rng(seed)
     shape = (fan_in, fan_out)
     layer = QnnLayer(
@@ -540,12 +521,11 @@ def test_exhaustive_report_matches_scalar_reference_for_random_layers(
         mu=cfg.mu,
         k=k,
     )
-    input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", block_terms)
         mp.setattr(conversion, "KEPT", ALL)
-        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        got = verify_equivalence(layer, cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg).to_dict()
 
 
 def _term_tables(layer, input_cfg):
@@ -592,19 +572,21 @@ def _lattice_reach(layer, input_cfg):
     fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
     over=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
-    i_max_in=st.none() | st.integers(0, 7),
+    i_max=st.none() | st.integers(0, 7),
 )
 def test_exhaustive_lattice_route_matches_scalar_reference(
-    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, over, seed, i_max_in
+    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, over, seed, i_max
 ):
     # integer weights in [-3, 3] (zero included) with no bias, or +/-1
     # weights with a real bias; a shifted threshold schedule and an
-    # off-centre input dead zone make mismatches.  BLOCK_TERMS is set to the
-    # lattice table's size, or one below it ("over"), where the per-block
-    # route must run; a scale of 0.5 mostly leaves the lattice.
+    # off-centre dead zone (the input's too where the mask fits its window)
+    # make mismatches.  BLOCK_TERMS is set to the lattice table's size, or
+    # one below it ("over"), where the per-block route must run; a scale of
+    # 0.5 mostly leaves the lattice.
     fan_in, fan_out = fan
     p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
-    cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
+    i_max = zero_centered_i_max(p_out) if i_max is None else i_max % 2**n_out
+    cfg = replace(derive_snn_config(p_out, i_max, k), theta_shift=theta_shift)
     rng = np.random.default_rng(seed)
     shape = (fan_in, fan_out)
     layer = QnnLayer(
@@ -615,16 +597,15 @@ def test_exhaustive_lattice_route_matches_scalar_reference(
         mu=cfg.mu,
         k=k,
     )
-    input_cfg = None if i_max_in is None else derive_snn_config(p_in, i_max_in % 2**n_in, k)
-    encoding = input_cfg or default_input_cfg(layer, cfg)
+    encoding = default_input_cfg(layer, cfg)
     reach = _lattice_reach(layer, encoding)
     entries = None if reach is None else (2 * reach + 1) * fan_out
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", 40 if entries is None else entries - over)
         mp.setattr(conversion, "KEPT", ALL)
         walks = _counting_walks(mp)
-        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        got = verify_equivalence(layer, cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg).to_dict()
     quantized, spiking = _term_tables(layer, encoding)
     if entries is not None and not over and quantized == spiking:
         # the sum table is walked first; if it passes, nothing else is walked
@@ -664,12 +645,10 @@ def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monke
 
 @settings(max_examples=100, deadline=None)
 @example(  # a control whose bad sums fall in 6 of its 16 blocks
-    n_in=2, n_out=2, mode="symmetric", k=0, theta_shift=1, integer_weights=True, alpha=1.0,
-    fan=(3, 1), seed=0,
+    n=2, mode="symmetric", k=0, theta_shift=1, integer_weights=True, alpha=1.0, fan=(3, 1), seed=0
 )
 @given(
-    n_in=st.integers(1, 3),
-    n_out=st.integers(1, 3),
+    n=st.integers(1, 3),
     mode=st.sampled_from(["symmetric", "asymmetric"]),
     k=st.integers(0, 2),
     theta_shift=st.integers(0, 1),
@@ -679,16 +658,16 @@ def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monke
     seed=st.integers(0, 2**32 - 1),
 )
 def test_exhaustive_verdict_route_matches_scalar_reference(
-    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, seed
+    n, mode, k, theta_shift, integer_weights, alpha, fan, seed
 ):
-    # input codes encoded with the dead zone on zero give equal term tables;
-    # integer weights in [-3, 3] with no bias, or +/-1 weights with a real
-    # bias.  BLOCK_TERMS is the lattice table's size, so a run has many
-    # small blocks, and a shifted threshold schedule puts bad sums in some
+    # input codes encoded with the dead zone on zero give equal term tables,
+    # which the derived input encoding does only at one width for both
+    # sides; integer weights in [-3, 3] with no bias, or +/-1 weights with
+    # a real bias.  BLOCK_TERMS is the lattice table's size, so a run has
+    # many small blocks, and a shifted threshold schedule puts bad sums in some
     fan_in, fan_out = fan
-    p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
+    p_in = p_out = QuantParams(n, alpha, mode)
     cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
-    input_cfg = derive_snn_config(p_in, zero_centered_i_max(p_in), k)
     rng = np.random.default_rng(seed)
     shape = (fan_in, fan_out)
     layer = QnnLayer(
@@ -699,17 +678,17 @@ def test_exhaustive_verdict_route_matches_scalar_reference(
         mu=cfg.mu,
         k=k,
     )
-    reach = _lattice_reach(layer, input_cfg)
+    reach = _lattice_reach(layer, default_input_cfg(layer, cfg))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conversion, "BLOCK_TERMS", (2 * reach + 1) * fan_out)
         mp.setattr(conversion, "KEPT", ALL)
         blocks = _counting_blocks(mp)
-        got = verify_equivalence(layer, cfg, input_cfg=input_cfg).to_dict()
-        assert got == reference_exhaustive(layer, cfg, input_cfg).to_dict()
+        got = verify_equivalence(layer, cfg).to_dict()
+        assert got == reference_exhaustive(layer, cfg).to_dict()
     if _sum_table_passes(layer, cfg, reach):
         assert got["passed"] and blocks == []  # settled by the sum table
     else:
-        _assert_blocks_cover(blocks, 2 ** (n_in * fan_in))
+        _assert_blocks_cover(blocks, 2 ** (n * fan_in))
 
 
 def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):

@@ -42,22 +42,20 @@ def cfg_sym16(k=0, i_max=7, **kw):
 
 
 def test_train_time_and_silence():
-    assert SpikeTrain.silent(8).time is None
-    assert SpikeTrain.single(5, 8).time == 5
-    assert SpikeTrain.silent(8).is_silent
+    assert SpikeTrain(8, None).time is None
+    assert SpikeTrain(8, 5).time == 5
+    assert SpikeTrain(8, None).is_silent
 
 
 def test_train_is_a_frozen_record_of_window_and_time():
-    train = SpikeTrain.single(5, 8)
+    train = SpikeTrain(8, 5)
     assert train == SpikeTrain(8, 5) and hash(train) == hash((8, 5))
-    assert SpikeTrain.silent(8) == SpikeTrain(8, None) != SpikeTrain(16, None)
-    assert train != SpikeTrain.single(4, 8) and train != (8, 5)
+    assert SpikeTrain(8, None) != SpikeTrain(16, None)
+    assert train != SpikeTrain(8, 4) and train != (8, 5)
     assert not hasattr(train, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         train.time = 4
     for t in (-1, 8):
-        with pytest.raises(ValueError, match="outside window"):
-            SpikeTrain.single(t, 8)
         with pytest.raises(ValueError, match="outside window"):
             SpikeTrain(8, t)
 
@@ -167,10 +165,10 @@ def test_encode_out_of_range_raises():
 
 
 def test_decode_examples():
-    assert decode_spike(SpikeTrain.single(4, 16), cfg_sym16()) == 3
-    assert decode_spike(SpikeTrain.silent(16), cfg_sym16()) == 0
+    assert decode_spike(SpikeTrain(16, 4), cfg_sym16()) == 3
+    assert decode_spike(SpikeTrain(16, None), cfg_sym16()) == 0
     # the flattened region decodes to mu regardless of exact position
-    assert decode_spike(SpikeTrain.single(7, 16), cfg_sym16(k=2)) == 0
+    assert decode_spike(SpikeTrain(16, 7), cfg_sym16(k=2)) == 0
 
 
 def test_round_trip_equals_dead_zone_filter():
@@ -204,7 +202,7 @@ def test_integrate_single_input():
 
 def test_integrate_all_silent_keeps_bias():
     cfg = cfg_sym16()
-    potential = integrate([(SpikeTrain.silent(16), 3.0)], cfg, bias=5.0)
+    potential = integrate([(SpikeTrain(16, None), 3.0)], cfg, bias=5.0)
     assert potential == 5.0
 
 
@@ -217,7 +215,7 @@ def test_integrate_mixed_signs():
 def test_integrate_window_mismatch_raises():
     cfg = cfg_sym16()
     with pytest.raises(ValueError):
-        integrate([(SpikeTrain.silent(8), 1.0)], cfg)
+        integrate([(SpikeTrain(8, None), 1.0)], cfg)
 
 
 def test_integrate_matches_dot_product_oracle():
@@ -289,7 +287,7 @@ def test_infinite_potential_against_an_overflowing_threshold():
     # -inf meets none; the float compare inf > inf used to say it missed
     cfg = SnnLayerConfig(n=4, alpha=1e308, i_max=7)
     for potential, t in ((math.inf, 0), (-math.inf, 15)):
-        want = SpikeTrain.single(t, 16)
+        want = SpikeTrain(16, t)
         assert fire_simulated(potential, cfg) == fire_analytic(potential, cfg) == want
 
 
@@ -406,8 +404,26 @@ def test_encode_and_decode_arrays_match_scalar(cfg):
     times = encode_integer_array(codes, cfg)
     assert times.tolist() == [_time(encode_integer(int(q), cfg)) for q in codes]
     every_time = np.arange(-1, cfg.window)
-    trains = [SpikeTrain.silent(cfg.window)] + [SpikeTrain.single(t, cfg.window) for t in range(cfg.window)]
+    trains = [SpikeTrain(cfg.window, None)] + [SpikeTrain(cfg.window, t) for t in range(cfg.window)]
     assert decode_spike_array(every_time, cfg).tolist() == [decode_spike(tr, cfg) for tr in trains]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    i_max=st.integers(0, 2**8 - 1),
+    k=st.integers(0, 2),
+    alpha=st.floats(1e-300, 1e300),
+)
+def test_encode_and_decode_arrays_read_no_scale(n, mode, i_max, k, alpha):
+    # why encode takes no --alpha: times and codes are the same at any scale
+    unit = SnnLayerConfig(n=n, mode=mode, i_max=i_max % 2**n, k=k)
+    scaled = dataclasses.replace(unit, alpha=alpha)
+    codes = np.arange(unit.code_min, unit.code_max + 1)
+    assert np.array_equal(encode_integer_array(codes, scaled), encode_integer_array(codes, unit))
+    every_time = np.arange(-1, unit.window)
+    assert np.array_equal(decode_spike_array(every_time, scaled), decode_spike_array(every_time, unit))
 
 
 @settings(max_examples=200, deadline=None)
@@ -423,7 +439,7 @@ def test_integrate_array_matches_scalar(cfg, seed, fan_in):
     bias = rng.normal(size=3)
     got = integrate_array(times, weights, cfg, bias)
     for row, potentials in zip(times.tolist(), got.tolist()):
-        trains = [SpikeTrain.silent(cfg.window) if t < 0 else SpikeTrain.single(t, cfg.window) for t in row]
+        trains = [SpikeTrain(cfg.window, None) if t < 0 else SpikeTrain(cfg.window, t) for t in row]
         for j, potential in enumerate(potentials):
             want = integrate(list(zip(trains, weights[:, j])), cfg, bias=bias[j])
             assert potential.hex() == want.hex()
@@ -626,8 +642,8 @@ def _defined_train(q, cfg):
     """The M-TTFS train of code q, written out from the definition."""
     t = cfg.code_max - q
     if abs(t - cfg.i_max) <= cfg.k:
-        return SpikeTrain.silent(cfg.window)
-    return SpikeTrain.single(t, cfg.window)
+        return SpikeTrain(cfg.window, None)
+    return SpikeTrain(cfg.window, t)
 
 
 @settings(max_examples=200, deadline=None)
