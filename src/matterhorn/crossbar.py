@@ -1,21 +1,22 @@
 """Memristive synapse unit: binary crossbar readout and bit-serial VMM.
 
-Signed +/-1 weights map onto two conductance states of an nT1R array;
-Ohm's law and current summation perform the binary vector-matrix product
-in one readout, multi-bit inputs are fed bit-serially and reconstructed by
-shift-and-add, and a digital correction recovers the signed result from
-the non-negative conductance domain.  The device model is ideal: no noise,
-drift or IR drop, binary cells only.
+The unit is one device: signed +/-1 weights map onto the two conductance
+states ``G_ON`` and ``G_OFF`` of an nT1R array read at ``V_READ``, in
+``MACRO_ROWS`` x ``MACRO_COLS`` macros.  Ohm's law and current summation
+perform the binary vector-matrix product in one readout, multi-bit inputs
+are fed bit-serially and reconstructed by shift-and-add, and a digital
+correction recovers the signed integer result from the non-negative
+conductance domain.  The device model is ideal: no noise, drift or IR
+drop, binary cells only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spike import require_integer, require_real
+from .spike import require_integer
 
 __all__ = [
     "CrossbarMacro",
@@ -29,9 +30,12 @@ __all__ = [
 
 # The signed result and 2 * r_cim of every row band stay at or below this.
 _INT64_MAX = 2**63 - 1
-G_ON_DEFAULT = 100e-6  # Siemens, logic 1
-G_OFF_DEFAULT = 1e-6  # Siemens, logic 0
-V_READ_DEFAULT = 0.1  # Volts
+G_ON = 100e-6  # Siemens, logic 1
+G_OFF = 1e-6  # Siemens, logic 0
+V_READ = 0.1  # Volts
+# One compute-in-memory macro: ``tiled_vmm`` reads row bands this high, and
+# ``energy.area_estimate`` counts macros of this size.
+MACRO_ROWS = MACRO_COLS = 256
 # ``tiled_vmm`` checks and reads its float64 weights in row chunks of at
 # most this many bytes, so a chunk is still in the per-core L2 (2-4 MiB)
 # when the bit-plane matmul reads it; its ADC passes take at most this much
@@ -42,59 +46,34 @@ V_READ_DEFAULT = 0.1  # Volts
 _CHUNK_BYTES = 2**19
 
 
-def map_signed_weights(
-    w, g_on: float = G_ON_DEFAULT, g_off: float = G_OFF_DEFAULT
-) -> np.ndarray:
+def map_signed_weights(w) -> np.ndarray:
     """Map a +/-1 weight matrix onto the two-state conductance grid.
 
-    -1 -> g_off, +1 -> g_on; the signed matrix is recoverable as
-    ``2 * binary - 1``.  Any other entry, or a conductance that is not a
-    real number, raises ValueError.
+    -1 -> G_OFF, +1 -> G_ON; the signed matrix is recoverable as
+    ``2 * binary - 1``.  Any other entry raises ValueError.
     """
-    require_real("g_on", g_on)
-    require_real("g_off", g_off)
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.abs(w) == 1.0):
         raise ValueError("weights must be exactly +1 or -1")
-    return np.where(w > 0, g_on, g_off)
-
-
-def _check_device(v_read: float, g_on: float, g_off: float) -> None:
-    """Refuse read-out constants the ADC step cannot divide by: a read
-    voltage and an on/off contrast that are positive and finite reals."""
-    for name, value in (("v_read", v_read), ("g_on", g_on), ("g_off", g_off)):
-        require_real(name, value)
-    if not (v_read > 0 and math.isfinite(v_read)):
-        raise ValueError(f"v_read must be a positive finite real, got {v_read}")
-    if not (g_off >= 0 and math.isfinite(g_off)):
-        raise ValueError(f"g_off must be a non-negative finite real, got {g_off}")
-    if not (g_on > g_off and math.isfinite(g_on)):
-        raise ValueError(f"g_on must be a finite real above g_off={g_off}, got {g_on}")
+    return np.where(w > 0, G_ON, G_OFF)
 
 
 @dataclass
 class CrossbarMacro:
-    """One programmed crossbar array plus its read-out constants."""
+    """One programmed crossbar array of ``G_ON`` and ``G_OFF`` cells."""
 
     conductance: np.ndarray
-    v_read: float = V_READ_DEFAULT
-    g_on: float = G_ON_DEFAULT
-    g_off: float = G_OFF_DEFAULT
 
     def __post_init__(self) -> None:
-        _check_device(self.v_read, self.g_on, self.g_off)
         self.conductance = np.asarray(self.conductance, dtype=np.float64)
         if self.conductance.ndim != 2:
             raise ValueError("conductance grid must be 2-D")
-        legal = (self.conductance == self.g_on) | (self.conductance == self.g_off)
-        if not np.all(legal):
-            raise ValueError("conductance entries must be exactly g_on or g_off")
+        if not np.all((self.conductance == G_ON) | (self.conductance == G_OFF)):
+            raise ValueError("conductance entries must be exactly G_ON or G_OFF")
 
     @classmethod
-    def from_signed(cls, w, **kwargs) -> "CrossbarMacro":
-        g_on = kwargs.get("g_on", G_ON_DEFAULT)
-        g_off = kwargs.get("g_off", G_OFF_DEFAULT)
-        return cls(conductance=map_signed_weights(w, g_on, g_off), **kwargs)
+    def from_signed(cls, w) -> "CrossbarMacro":
+        return cls(conductance=map_signed_weights(w))
 
     @property
     def rows(self) -> int:
@@ -106,14 +85,14 @@ class CrossbarMacro:
 
     def binary(self) -> np.ndarray:
         """The stored 0/1 grid (1 where the cell is on)."""
-        return (self.conductance == self.g_on).astype(np.int64)
+        return (self.conductance == G_ON).astype(np.int64)
 
 
-def _compensated_adc(currents, n_active, v_read: float, g_on: float, g_off: float) -> np.ndarray:
+def _compensated_adc(currents, n_active) -> np.ndarray:
     """ADC codes after subtracting the off-cell baseline of ``n_active``
     driven rows: exact on-cell counts, clipped to ``[0, n_active]``."""
-    counts = currents - n_active * v_read * g_off
-    counts /= v_read * (g_on - g_off)
+    counts = currents - n_active * V_READ * G_OFF
+    counts /= V_READ * (G_ON - G_OFF)
     np.rint(counts, out=counts)
     np.maximum(counts, 0, out=counts)
     return np.minimum(counts, n_active, out=counts).astype(np.int64)
@@ -124,8 +103,8 @@ def analog_column_readout(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column currents and ADC codes for one binary input vector.
 
-    Current per column sums ``v_read * G`` over the active rows.  The plain
-    ADC model rounds ``I / (g_on * v_read)`` and saturates at the row count,
+    Current per column sums ``V_READ * G`` over the active rows.  The plain
+    ADC model rounds ``I / (G_ON * V_READ)`` and saturates at the row count,
     which is exact only while the aggregate off-cell leakage stays below
     half an LSB.  With ``compensate_leakage`` the digital periphery first
     subtracts the known off-cell baseline for the active-row count (the
@@ -138,25 +117,28 @@ def analog_column_readout(
     if not np.all((active == 0) | (active == 1)):
         raise ValueError("word-line inputs must be 0 or 1")
     active = active.astype(np.float64)
-    currents = macro.v_read * (active @ macro.conductance)
+    currents = V_READ * (active @ macro.conductance)
     if compensate_leakage:
-        n_active = float(active.sum())
-        codes = _compensated_adc(currents, n_active, macro.v_read, macro.g_on, macro.g_off)
+        codes = _compensated_adc(currents, float(active.sum()))
     else:
-        lsb = macro.g_on * macro.v_read  # the plain ADC step: one on-cell's current
+        lsb = G_ON * V_READ  # the plain ADC step: one on-cell's current
         codes = np.clip(np.rint(currents / lsb), 0, macro.rows).astype(np.int64)
     return currents, codes
 
 
-def _check_bit_serial_inputs(inputs: np.ndarray, input_bits: int | None) -> None:
+def _check_bit_serial_inputs(inputs: np.ndarray, input_bits: int | None) -> int:
+    """Refuse inputs that are not non-negative integers within
+    ``input_bits``; return the bit length of the largest (0 for none)."""
     if inputs.dtype.kind not in "iu":
         raise ValueError("bit-serial inputs must be integers")
     if inputs.size == 0:
-        return
+        return 0
     if inputs.min() < 0:
         raise ValueError("bit-serial inputs must be non-negative")
-    if input_bits is not None and inputs.max() >= 2 ** int(input_bits):
+    width = int(inputs.max()).bit_length()
+    if input_bits is not None and width > input_bits:
         raise ValueError(f"inputs exceed the {input_bits}-bit budget")
+    return width
 
 
 def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) -> np.ndarray:
@@ -168,8 +150,8 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
     inputs = np.asarray(inputs)
     if inputs.shape != (macro.rows,):
         raise ValueError(f"expected {macro.rows} inputs, got shape {inputs.shape}")
-    _check_bit_serial_inputs(inputs, input_bits)
-    planes = input_bits if input_bits is not None else max(1, int(inputs.max()).bit_length())
+    width = _check_bit_serial_inputs(inputs, input_bits)
+    planes = input_bits if input_bits is not None else max(1, width)
     acc = np.zeros(macro.cols, dtype=np.int64)
     for p in range(planes):
         plane = (inputs >> p) & 1
@@ -180,36 +162,23 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
 
 @dataclass(frozen=True)
 class MsuConfig:
-    """Scale, input precision, tiling geometry and device constants of the
-    synapse unit.  Its reads compensate the off-cell leakage, so it uses
-    no plain ADC step."""
+    """Input precision of the synapse unit: the bit planes each input is fed
+    as.  Its reads compensate the off-cell leakage, so it uses no plain ADC
+    step."""
 
-    gamma: float = 1.0
     input_bits: int = 4
-    tile_rows: int = 256
-    v_read: float = V_READ_DEFAULT
-    g_on: float = G_ON_DEFAULT
-    g_off: float = G_OFF_DEFAULT
 
     def __post_init__(self) -> None:
-        require_real("gamma", self.gamma)
-        if self.gamma <= 0 or not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
-        # a plain float keeps read-outs float64 (a Fraction gives object arrays)
-        object.__setattr__(self, "gamma", float(self.gamma))
         require_integer("input_bits", self.input_bits)
         if self.input_bits < 1:
             raise ValueError("input_bits must be >= 1")
-        require_integer("tile_rows", self.tile_rows)
-        if self.tile_rows < 1:
-            raise ValueError("tile_rows must be >= 1")
-        _check_device(self.v_read, self.g_on, self.g_off)
 
 
 def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
-    """Signed VMM of arbitrary dimensions over a grid of macro tiles.
+    """Exact signed integer VMM of arbitrary dimensions over a grid of macro
+    tiles, returned as int64.
 
-    Each row band (``tile_rows`` rows) is walked in row chunks of at most
+    Each row band (``MACRO_ROWS`` rows) is walked in row chunks of at most
     ``_CHUNK_BYTES`` of float64 weights: each chunk is checked to be exactly
     +/-1 and then read by one matmul of every input bit plane against every
     column while it is still in cache, adding into the band's bit-plane
@@ -219,11 +188,11 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     of them.  Column tiles change no number: a column's on-cell count
     depends only on its own cells and the band's rows.  Codes are
     shift-added over planes and bands and corrected with the bands' input
-    sum in integers, so the result equals the monolithic product exactly
-    (before gamma) in any traversal order.  Inputs whose signed result or
-    doubled band sum could leave int64 raise ValueError.  ``CrossbarMacro``
-    with ``bit_serial_vmm``, one per tile, is the device oracle of this
-    function.
+    sum in integers, so the result ``2 * r_cim - sum(inputs)`` equals the
+    monolithic product exactly in any traversal order; scaling it is the
+    consuming layer's job.  Inputs whose signed result or doubled band sum
+    could leave int64 raise ValueError.  ``CrossbarMacro`` with
+    ``bit_serial_vmm``, one per tile, is the device oracle of this function.
     """
     inputs = np.asarray(inputs)
     w_signed = np.asarray(w_signed)
@@ -233,12 +202,11 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
         )
     _check_bit_serial_inputs(inputs, cfg.input_bits)
     c_in, c_out = w_signed.shape
-    tile = cfg.tile_rows
     # A band adds 2 * r - s with 0 <= r <= s, its input sum: a doubled band
     # sum and the total within int64 bound every value an accumulator of
     # 2 * r_cim takes, and so every int64 value taken below.
     values = inputs.tolist()
-    band_sums = [sum(values[r0 : r0 + tile]) for r0 in range(0, c_in, tile)]
+    band_sums = [sum(values[r0 : r0 + MACRO_ROWS]) for r0 in range(0, c_in, MACRO_ROWS)]
     if 2 * max(band_sums, default=0) > _INT64_MAX or sum(band_sums) > _INT64_MAX:
         raise ValueError(
             f"inputs sum to {sum(band_sums)}, up to {max(band_sums)} in one row band: "
@@ -247,19 +215,19 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
     # integer inputs hold at most 64 bits; higher planes are all zero
     shifts = np.arange(min(cfg.input_bits, 64))[:, None]
     planes = ((inputs.astype(np.uint64) >> shifts.astype(np.uint64)) & 1).astype(np.float64)
-    starts = range(0, c_in, tile)
+    starts = range(0, c_in, MACRO_ROWS)
     # active rows of every (band, plane): integers, as are the on-cell
     # counts (n_active + bits @ band) / 2, all below 2^53
     n_active = np.add.reduceat(planes, starts, axis=1).T[:, :, None]
     # weight rows per chunk and bands per ADC pass within _CHUNK_BYTES
-    chunk_rows = min(tile, max(1, _CHUNK_BYTES // (8 * max(c_out, 1))))
+    chunk_rows = min(MACRO_ROWS, max(1, _CHUNK_BYTES // (8 * max(c_out, 1))))
     group = max(1, _CHUNK_BYTES // (8 * len(shifts) * max(c_out, 1)))
     signed = np.zeros(c_out, dtype=np.int64)
     for g0 in range(0, len(starts), group):
         n = n_active[g0 : g0 + group]
         products = np.empty((len(n), len(shifts), c_out))
         for product, r0 in zip(products, starts[g0 : g0 + group]):
-            r1 = min(r0 + tile, c_in)
+            r1 = min(r0 + MACRO_ROWS, c_in)
             for c0 in range(r0, r1, chunk_rows):
                 chunk = np.asarray(w_signed[c0 : min(c0 + chunk_rows, r1)], dtype=np.float64)
                 if not ((chunk == 1.0) | (chunk == -1.0)).all():
@@ -272,14 +240,14 @@ def tiled_vmm(inputs, w_signed, cfg: MsuConfig) -> np.ndarray:
         # in place: on-cell counts (n + bits @ band) / 2, then column currents
         products += n
         products /= 2
-        products *= cfg.g_on - cfg.g_off
-        products += n * cfg.g_off
-        products *= cfg.v_read
-        codes = _compensated_adc(products, n, cfg.v_read, cfg.g_on, cfg.g_off)
+        products *= G_ON - G_OFF
+        products += n * G_OFF
+        products *= V_READ
+        codes = _compensated_adc(products, n)
         # r_cim <= s, the group's input sum, so r - (s - r) stays in int64
         r_cim = (codes << shifts).sum(axis=(0, 1))
         signed += r_cim - (sum(band_sums[g0 : g0 + group]) - r_cim)
-    return cfg.gamma * signed
+    return signed
 
 
 # Reconstructed word-line pattern consistent with the documented three-row
@@ -299,15 +267,14 @@ REFERENCE_CODES = (1, 0, 1, 2)
 
 def reference_readout() -> dict:
     """Replay the documented three-row read-out on the reconstructed grid."""
-    conductance = np.where(REFERENCE_GRID == 1, G_ON_DEFAULT, G_OFF_DEFAULT)
-    macro = CrossbarMacro(conductance=conductance)
+    macro = CrossbarMacro.from_signed(2 * REFERENCE_GRID - 1)
     currents, codes = analog_column_readout(REFERENCE_ACTIVE_ROWS, macro)
     return {
         "grid": REFERENCE_GRID.tolist(),
         "active_rows": REFERENCE_ACTIVE_ROWS.tolist(),
-        "v_read_V": macro.v_read,
-        "g_on_uS": macro.g_on * 1e6,
-        "g_off_uS": macro.g_off * 1e6,
+        "v_read_V": V_READ,
+        "g_on_uS": G_ON * 1e6,
+        "g_off_uS": G_OFF * 1e6,
         "currents_uA": [float(c) * 1e6 for c in currents],
         "adc_codes": codes.tolist(),
     }

@@ -24,6 +24,8 @@ import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
+from .crossbar import MACRO_COLS, MACRO_ROWS
+
 __all__ = [
     "EnergyParams",
     "EnergyReport",
@@ -251,11 +253,14 @@ def component_energy(
     else:
         n_out = block.batch * block.heads * block.seq**2
     per_in = c_i * t
-    spikes = n_out * per_in * s_r  # arriving spikes over all (input, step) slots
+    slots = n_out * per_in  # (output, input, step) slots; every count below is at most this
+    if slots > sys.float_info.max:
+        raise ValueError(f"{kind} component of {block} has more slots than a float holds")
+    spikes = slots * s_r  # arriving spikes over all slots
     digital = spikes * sum(r[name] for name in _SPIKE_COMPUTE[kind, pricing])
     cats = {
         "spike_movement": spikes * r["spike_move_pj"] * PJ,
-        "leakage": n_out * per_in * r["leak_pj"] * PJ,
+        "leakage": slots * r["leak_pj"] * PJ,
         "thresholding": n_out * t * (r["cmp_pj"] + r["threshold_read_pj"]) * PJ,
     }
     if kind == "qkv":
@@ -432,10 +437,10 @@ def scenario_compare(
     return rows
 
 
-# The MSU macro behind ``area_estimate``: a 256 x 256 array of 0.59 um^2
-# cells in a 0.072 mm^2 footprint, and 12 blocks to a model.
+# The MSU macro behind ``area_estimate``: a ``MACRO_ROWS`` x ``MACRO_COLS``
+# (256 x 256) array of 0.59 um^2 cells in a 0.072 mm^2 footprint, and 12
+# blocks to a model.
 CELL_UM2 = 0.59
-MACRO_ROWS = MACRO_COLS = 256
 MACRO_AREA_MM2 = 0.072
 BLOCKS_PER_MODEL = 12
 

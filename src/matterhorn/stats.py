@@ -10,6 +10,7 @@ and are reported alongside, never asserted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -189,7 +190,7 @@ def calibrate_gaussian_sigma(
         dist = NormalDist(loc, sigma)
         return dist.cdf(hi_edge) - dist.cdf(lo_edge)
 
-    lo, hi = 1e-9 * cfg.alpha, 1e9 * cfg.alpha
+    lo, hi = 1e-9 * cfg.alpha, min(1e9 * cfg.alpha, sys.float_info.max)
     rising = lo_edge == -math.inf and hi_edge <= loc or hi_edge == math.inf and lo_edge > loc
     for _ in range(200):
         mid = (lo + hi) / 2

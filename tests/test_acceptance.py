@@ -128,7 +128,7 @@ def test_criterion_3_crossbar_replay():
 
 def test_criterion_4_bit_serial_exactness():
     """Tiled bit-serial VMM plus signed correction equals the direct
-    signed integer product, bit-exact before the gamma scale."""
+    signed integer product, bit-exact as an int64 result."""
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     cfg = MsuConfig(input_bits=4)

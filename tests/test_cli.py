@@ -558,6 +558,16 @@ def test_energy_bad_shape_is_config_error(tmp_path, capsys, shape, field):
     assert f"{field} must be a positive integer" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("batch", [10**300, 10**400], ids=["1e300", "1e400"])
+def test_energy_shape_past_the_float_range_is_config_error(tmp_path, capsys, batch):
+    # its slot counts once leaked an OverflowError traceback with exit 1
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps({"batch": batch}))
+    code, out, err = run(capsys, "energy", "--shape", str(path))
+    assert code == EXIT_CONFIG and out == ""
+    assert "more slots than a float holds" in json.loads(err)["detail"]
+
+
 @pytest.mark.parametrize(
     "argv, flag, text, field",
     [

@@ -290,6 +290,13 @@ def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
     assert abs(silence_rate(encode_samples(samples, cfg)) - 0.6) < 0.01
 
 
+@pytest.mark.parametrize("alpha", [1e299, 1e300])
+def test_calibration_at_a_huge_scale(alpha):
+    # 1e9 * 1e300 is inf: that bracket once ended at sigma 0 (exit 3)
+    sigma = calibrate_gaussian_sigma(0.4, SnnLayerConfig(n=4, alpha=alpha))
+    assert abs(NormalDist(0.0, sigma).cdf(alpha) - 0.5 - 0.4) < 1e-9
+
+
 # --- svg ------------------------------------------------------------------------
 
 
