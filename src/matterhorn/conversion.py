@@ -11,7 +11,7 @@ surface as honest mismatches in the report.
 
 The exhaustive sweep has one design: term tables, then sums, then stages.
 Each side tabulates the term every input code adds per unit weight once
-per call, each block sums its rows of the tables exactly rounded, and one
+per config, each block sums its rows of the tables exactly rounded, and one
 output stage (floor, clip, filter; fire, mask, decode) runs on the sums
 with exact threshold and code-boundary compares.  On an integer lattice
 with equal term tables every potential is one of few sums, so the stage
@@ -35,9 +35,7 @@ from .qnn import (
 from .spike import (
     SnnLayerConfig,
     decode_spike_array,
-    encode_integer_array,
     fire_simulated_array,
-    integrate_array,
     require_integer,
 )
 
@@ -135,19 +133,20 @@ def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
         )
 
 
-def _check_range(layer: QnnLayer) -> None:
+def _check_range(layer: QnnLayer) -> np.ndarray:
     """Refuse weights and bias whose pre-activations can leave the float
-    range, where the exact sums overflow."""
+    range, where the exact sums overflow; return the sums of ``|weights|``."""
     p = layer.in_params
     top = p.alpha * max(-p.code_min, p.code_max)
     with np.errstate(over="ignore"):
-        sums = np.abs(layer.weights).sum(axis=0) * top + np.abs(layer.bias)
-    bound = float(np.max(sums, initial=0.0))
+        magnitudes = np.abs(layer.weights).sum(axis=0)
+        bound = float(np.max(magnitudes * top + np.abs(layer.bias), initial=0.0))
     if not bound <= _RANGE_LIMIT:
         raise ValueError(
             f"weights and bias drive pre-activations up to {bound:.3g} in magnitude, "
             f"over the {_RANGE_LIMIT:.3g} below which their exact sums cannot overflow"
         )
+    return magnitudes
 
 
 def _code_block(start: int, stop: int, n: int, fan_in: int) -> np.ndarray:
@@ -169,15 +168,16 @@ def verify_equivalence(
     """Run the quantized and spiking paths side by side and diff the codes.
 
     domain="exhaustive": every input code vector over the layer's fan-in
-    is checked.  Stages whose input takes few values run once per call, as
-    tables: the filters and ``encode_integer_array`` over the 2^n codes,
-    ``decode_spike_array`` over the times -1..T-1.  Each side's term table
-    holds what an input code adds per unit weight: its scaled filtered
-    code (quantized), or its spike's scaled kernel value, +0.0 when silent
-    (spiking, one ``integrate_array`` call).  One output stage floors
-    exactly, clips and filters the quantized sums, and fires the spiking
-    ones by ``fire_simulated_array`` (an exact ``searchsorted`` in the
-    config's ramp table, never the quantized floor), masks and decodes.
+    is checked.  Stages whose input takes few values run once, as tables:
+    the filters over the 2^n codes once per call, ``decode_spike_array``
+    over the times -1..T-1 once per config.  Each side's term table holds
+    what an input code adds per unit weight: its scaled filtered code
+    (quantized, once per call), or its spike's scaled kernel value, +0.0
+    when silent (spiking, ``SnnLayerConfig._term_table``, once per config).
+    One output stage floors exactly, clips and filters the quantized sums,
+    and fires the spiking ones by ``fire_simulated_array`` (an exact
+    ``searchsorted`` in the config's ramp table, never the quantized
+    floor), masks and decodes.
 
     A (vector, output) check depends on the vector only through its
     potential.  With integral term tables and weights and R = max_j sum_i
@@ -254,25 +254,21 @@ def verify_equivalence(
     if domain != "exhaustive":
         raise ValueError(f"unknown verification domain {domain!r}")
 
-    _check_range(layer)
+    magnitudes = _check_range(layer)
     p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
     i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
-    input_cfg = SnnLayerConfig(n=p_in.n, alpha=p_in.alpha, mode=p_in.mode, i_max=i_max_in, k=k)
+    same = (p_in.n, p_in.alpha, p_in.mode, cfg.theta_shift) == (cfg.n, cfg.alpha, cfg.mode, 0)
+    # where the rule yields a config equal to cfg, cfg's tables serve both sides
+    input_cfg = cfg if same else SnnLayerConfig(p_in.n, p_in.alpha, p_in.mode, i_max_in, k)
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
     cfg._ramp  # refuses a window too wide for a table before the tables below
     # Each stage whose input takes few values runs once, over its whole
     # domain, and the blocks gather from its table: input codes by index,
     # output codes by index (code - code_min), spike times by time + 1.
     codes_in = np.arange(p_in.code_min, p_in.code_max + 1)
-    filtered_in = dead_zone_filter_array(codes_in, input_cfg.mu, input_cfg.k)
-    times_in = encode_integer_array(codes_in, input_cfg)
+    scaled_in = p_in.alpha * dead_zone_filter_array(codes_in, input_cfg.mu, k).astype(np.float64)
+    kernel_in, decoded = input_cfg._term_table, cfg._decode_table
     filtered_out = dead_zone_filter_array(np.arange(p_out.code_min, p_out.code_max + 1), mu, k)
-    decoded = decode_spike_array(np.arange(-1, cfg.window), cfg)
-    # The term each input code adds per unit weight: its scaled filtered
-    # code on the quantized side, its spike's scaled kernel value (+0.0
-    # when silent) on the spiking side.
-    scaled_in = p_in.alpha * filtered_in.astype(np.float64)
-    kernel_in = integrate_array(times_in[:, None], np.ones((1, 1)), input_cfg)[:, 0]
 
     def output_stage(pre, potentials):
         # Quantized side: floor, clip, filter.  Spiking side: fire, mask, decode.
@@ -284,9 +280,7 @@ def verify_equivalence(
     # The lattice certificate of the docstring: integral terms and weights,
     # reach below 2^53 (the float magnitude sums reach 2^53 whenever the
     # real ones do), equal term tables, a sum table within one block.
-    reach = np.abs(weights).sum(axis=0).max(initial=0.0) * max(
-        np.abs(scaled_in).max(), np.abs(kernel_in).max()
-    )
+    reach = magnitudes.max(initial=0.0) * max(np.abs(scaled_in).max(), np.abs(kernel_in).max())
     if (
         all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
         and reach < 2**53

@@ -146,12 +146,13 @@ def bit_serial_vmm(inputs, macro: CrossbarMacro, input_bits: int | None = None) 
 
     Inputs are fed LSB-first as bit planes; each plane is one analog
     readout, and the digital accumulator shift-adds the per-plane codes.
+    Planes above the largest input's bit length read zeros and are skipped.
     """
     inputs = np.asarray(inputs)
     if inputs.shape != (macro.rows,):
         raise ValueError(f"expected {macro.rows} inputs, got shape {inputs.shape}")
     width = _check_bit_serial_inputs(inputs, input_bits)
-    planes = input_bits if input_bits is not None else max(1, width)
+    planes = max(1, width) if input_bits is None else min(input_bits, max(1, width))
     acc = np.zeros(macro.cols, dtype=np.int64)
     for p in range(planes):
         plane = (inputs >> p) & 1

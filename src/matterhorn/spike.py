@@ -26,6 +26,9 @@ a whole population at once, and the scalar functions are their oracles;
 ``fire_simulated_array`` looks each potential up in the config's ramp table,
 the least float meeting each threshold, so a float compare is exact; a
 config too wide or shifted too far for the table fires by the bisection.
+The exhaustive verifier reads two more: ``_decode_table`` (the code of each
+time -1..T-1) and ``_term_table`` (what each code adds per unit weight once
+encoded and integrated).  All three are built on first use and read-only.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -193,7 +196,24 @@ class SnnLayerConfig(QuantParams):
         # -inf becomes -max (every finite value meets it), as in ge_scaled.
         with np.errstate(over="ignore"):
             ramp = self.alpha * m.astype(np.float64)
-            return np.where(ge_scaled_array(ramp, self.alpha, m), ramp, np.nextafter(ramp, np.inf))
+            ramp = np.where(ge_scaled_array(ramp, self.alpha, m), ramp, np.nextafter(ramp, np.inf))
+        ramp.setflags(write=False)
+        return ramp
+
+    @cached_property
+    def _decode_table(self) -> np.ndarray:
+        """``decode_spike_array`` of the times -1..T-1: entry t + 1 decodes t."""
+        table = decode_spike_array(np.arange(-1, self.window), self)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _term_table(self) -> np.ndarray:
+        """Term each code adds per unit weight, encoded and integrated; entry 0 is code_min's."""
+        times = encode_integer_array(np.arange(self.code_min, self.code_max + 1), self)
+        terms = integrate_array(times[:, None], np.ones((1, 1)), self)[:, 0]
+        terms.setflags(write=False)
+        return terms
 
     def in_dead_zone(self, t: int) -> bool:
         return abs(t - self.i_max) <= self.k

@@ -193,14 +193,14 @@ def calibrate_gaussian_sigma(
     lo, hi = 1e-9 * cfg.alpha, min(1e9 * cfg.alpha, sys.float_info.max)
     rising = lo_edge == -math.inf and hi_edge <= loc or hi_edge == math.inf and lo_edge > loc
     for _ in range(200):
-        mid = (lo + hi) / 2
+        mid = lo + (hi - lo) / 2
         if (band(mid) > target_silence) != rising:
             lo = mid
         else:
             hi = mid
-    sigma = (lo + hi) / 2
+    sigma = lo + (hi - lo) / 2
     reached = band(sigma)
-    if abs(reached - target_silence) > 1e-9:
+    if not abs(reached - target_silence) <= 1e-9:  # a NaN band is refused too
         raise ValueError(
             f"cannot calibrate silence {target_silence} in the dead-zone band "
             f"[{lo_edge}, {hi_edge}) (codes {cfg.mu - cfg.k}..{cfg.mu + cfg.k}): "

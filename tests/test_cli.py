@@ -715,6 +715,8 @@ def test_stats_baseline_is_the_mask_at_the_last_step(capsys, extra):
         (["--imax", "0", "--calibrate", "0.5"], "[7.0, inf)"),
         # plain TTFS silences code_min, a band below the mean: at most half the mass
         (["--baseline", "--calibrate", "0.6"], "[-inf, -7.0)"),
+        # the same band at a huge scale, once calibrated to sigma inf
+        (["--alpha", "1e299", "--imax", "0", "--calibrate", "0.9"], "[7e+299, inf)"),
     ],
 )
 def test_stats_refuses_an_unreachable_calibration(capsys, argv, band):

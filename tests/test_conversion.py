@@ -727,7 +727,8 @@ def test_code_block_rows_match_itertools_product(n):
 
 def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
     # encoding, filtering and decoding run over their finite domains once a
-    # call, however many vectors and blocks the sweep holds
+    # call, however many vectors and blocks the sweep holds (encoding and
+    # decoding once per config, and each call here has a fresh one)
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
     names = ("encode_integer_array", "dead_zone_filter_array", "decode_spike_array")
 
@@ -735,7 +736,7 @@ def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
         counts = dict.fromkeys(names, 0)
         with pytest.MonkeyPatch.context() as mp:
             for name in names:
-                kernel = getattr(conversion, name)
+                kernel = getattr(spike if hasattr(spike, name) else qnn, name)
 
                 def counting(*args, _name=name, _kernel=kernel):
                     counts[_name] += 1
@@ -755,11 +756,11 @@ def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
     }
 
 
-def test_exhaustive_integrates_the_input_trains_once_per_call(monkeypatch):
-    # real weights take the per-block route, which sums rows of the
-    # per-input-code term tables: the trains are integrated once a call,
-    # one per input code, to build the spiking side's table, however many
-    # blocks the sweep holds
+def test_exhaustive_integrates_the_input_trains_once_per_config(monkeypatch):
+    # real weights take the per-block route, which sums rows of the per-input-
+    # code term tables: the trains are integrated once per config, one per
+    # input code, to build the spiking side's table, however many blocks or
+    # calls the sweep holds
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 16)
     integrated = []
     kernel = spike.integrate_array
@@ -773,14 +774,36 @@ def test_exhaustive_integrates_the_input_trains_once_per_call(monkeypatch):
     walks = _counting_walks(monkeypatch)
     layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
     layer = replace(layer, weights=np.random.default_rng(2).normal(size=(3, 2)))
-    for _ in range(2):
+    reports = []
+    for shapes in ([(4, 1)], []):  # the config cold, then warm
         integrated.clear()
         walks.clear()
         report = verify_equivalence(layer, cfg, domain="exhaustive")
         assert report.passed and report.cases_checked == 4**3
         assert len(walks) == 4**3 // 2  # two vectors a block
-        [times] = integrated
-        assert times.shape == (4, 1)
+        assert [times.shape for times in integrated] == shapes
+        reports.append(report.to_dict())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("mode", [spike.SYMMETRIC, ASYMMETRIC])
+def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
+    # the tables a config caches change no report: a fresh config and one an
+    # earlier call warmed report alike, on the sum-table and per-block routes,
+    # passing and failing, with the input config shared or built per call
+    p = QuantParams(n=3, mode=mode)
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for k, theta_shift, i_max in itertools.product(range(3), (0, 1), (p.code_max, 1)):
+        cfg = SnnLayerConfig(n=3, mode=mode, i_max=i_max, k=k, theta_shift=theta_shift)
+        for weights in (rng.choice([-1.0, 2.0], (3, 2)), rng.normal(size=(3, 2))):
+            bias = np.array([0.0, 1.0])
+            layer = QnnLayer(weights, bias, in_params=p, out_params=p, mu=cfg.mu, k=k)
+            cold = verify_equivalence(layer, replace(cfg), domain="exhaustive").to_dict()
+            verify_equivalence(layer, cfg, domain="exhaustive")
+            assert verify_equivalence(layer, cfg, domain="exhaustive").to_dict() == cold
+            verdicts.add(cold["passed"])
+    assert verdicts == {True, False}
 
 
 def test_exhaustive_refuses_a_window_too_wide_before_building_tables():

@@ -813,3 +813,14 @@ def test_silence_rate_monotone_in_k():
         rates.append(silence_rate(train_times(trains)))
     assert all(lo <= hi for lo, hi in zip(rates, rates[1:]))
     assert rates[1] > rates[0]  # k=1 strictly wider than k=0 on this sample
+
+
+def test_cached_tables_are_read_only():
+    # a config's tables are shared by every later call on it, so a write to
+    # one would silently corrupt them all
+    cfg = SnnLayerConfig(n=3, k=1)
+    for name in ("_ramp", "_decode_table", "_term_table"):
+        table = getattr(cfg, name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = 0
+    assert fire_simulated_array(np.array([3.0, -9.0]), cfg).tolist() == [0, 7]

@@ -297,6 +297,25 @@ def test_calibration_at_a_huge_scale(alpha):
     assert abs(NormalDist(0.0, sigma).cdf(alpha) - 0.5 - 0.4) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "alpha, kw, target, ends",
+    [
+        # the band [7 alpha, inf) holds at most half the mass: the midpoint
+        # (lo + hi) / 2 once overflowed to inf, whose NaN band passed as inf
+        (1e299, {"i_max": 0}, 0.9, "0.500000"),
+        # [-alpha, inf) holds at least half the mass; near the top of the
+        # bracket sigma * sqrt(2) overflows to a NaN band, once returned as inf
+        (1.7e308, {"k": 1}, 0.4, "nan"),
+        # sigma near 1.3e308 meets it, but NormalDist's sigma * sqrt(2) overflows
+        (1.7e308, {}, 0.4, "0.000000"),
+    ],
+)
+def test_calibration_at_a_huge_scale_refuses_a_band_it_cannot_meet(alpha, kw, target, ends):
+    cfg = SnnLayerConfig(n=4, alpha=alpha, **kw)
+    with pytest.raises(ValueError, match=rf"cannot calibrate silence {target} .* ends at {ends}$"):
+        calibrate_gaussian_sigma(target, cfg)
+
+
 # --- svg ------------------------------------------------------------------------
 
 
