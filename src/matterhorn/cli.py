@@ -57,8 +57,8 @@ MAX_BITS = 16
 # 2^EXHAUSTIVE_BUDGET_LOG2 of them.
 EXHAUSTIVE_BUDGET_LOG2 = 20
 # Each sample of the sampled domain costs one scalar exact floor (the ground
-# truth) and a share of one table lookup per chunk; this many took 0.5-1.0 s
-# at ``--bits 16`` (0.5-0.8 s at ``--bits 4``) in-process on a 2-core Xeon
+# truth) and a share of one table lookup per chunk; this many took 0.5-0.9 s
+# at ``--bits 16`` (0.4-0.8 s at ``--bits 4``) in-process on a 2-core Xeon
 # and peaked at about 40 MiB resident.
 MAX_SAMPLES = 2**20
 # ``verify --exhaustive`` sums vectors x fan_in x fan_out weighted terms on

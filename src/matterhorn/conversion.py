@@ -21,6 +21,7 @@ runs once per call on all of them, and a layer none fails needs no block.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -202,8 +203,8 @@ def verify_equivalence(
     decodes to mu, and a fired one to a code outside [mu - k, mu + k].  The
     report is the one the scalar loop in the tests produces, mismatches in
     vector, then output, order.  Raises ValueError for weights and bias whose
-    pre-activations could overflow, and for an output window too wide for
-    the ramp table, before any table is built.
+    pre-activations could overflow, and for an input or output window over
+    2^20 steps (too wide for the config tables), before any table is built.
 
     domain="sampled": draws real pre-activations spanning twice the code
     range, ``_SAMPLE_CHUNK`` at a time from one generator stream, and
@@ -211,13 +212,15 @@ def verify_equivalence(
     each.  A chunk fires by one ``fire_simulated_array`` call (a lookup in
     the ramp table, or the bisection where the config has none) and
     decodes by one ``decode_spike_array`` call.  Its ground truth is one
-    scalar ``quantize`` a draw, an exact floor sharing no code with the
-    ramp table, so the firing kernel meets an independent oracle; one
-    ``dead_zone_filter_array`` follows, and the report records the chunk's
-    mismatches in draw order.  Raises ValueError for a sample count or
-    seed that is negative or not an integer, for a scale at which the
-    span's width overflows a float, and for an output window over 2^63
-    steps.
+    scalar ``quantize`` a draw, in draw order, an exact floor sharing no
+    code with the ramp table, so the firing kernel meets an independent
+    oracle.  A real draw's quotient is almost never an integer, so
+    ``quantize`` settles nearly every draw inline and the chunk's codes
+    fill one ``int64`` array; one ``dead_zone_filter_array`` follows, and
+    the report records the chunk's mismatches in draw order.  Raises
+    ValueError for a sample count or seed that is negative or not an
+    integer, for a scale at which the span's width overflows a float, and
+    for an output window over 2^63 steps.
 
     The input encoding follows one rule: the layer's input params, with
     ``cfg``'s mask position where it fits the input window (the mask
@@ -245,8 +248,10 @@ def verify_equivalence(
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call
             draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start))
-            qnn_codes = dead_zone_filter_array([quantize(a, p) for a in draws.tolist()], mu, k)
+            # firing first: it refuses a window over 2^63 steps, whose codes overflow int64
             snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg)
+            truth = np.fromiter(map(quantize, draws.tolist(), repeat(p)), np.int64, len(draws))
+            qnn_codes = dead_zone_filter_array(truth, mu, k)
             report.record(draws, qnn_codes, snn_codes)
             report.cases_checked += len(draws)
         return report
@@ -261,13 +266,13 @@ def verify_equivalence(
     # where the rule yields a config equal to cfg, cfg's tables serve both sides
     input_cfg = cfg if same else SnnLayerConfig(p_in.n, p_in.alpha, p_in.mode, i_max_in, k)
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
-    cfg._ramp  # refuses a window too wide for a table before the tables below
     # Each stage whose input takes few values runs once, over its whole
     # domain, and the blocks gather from its table: input codes by index,
-    # output codes by index (code - code_min), spike times by time + 1.
+    # output codes by index (code - code_min), spike times by time + 1.  The
+    # config tables come first: they refuse a window over 2^20 unallocated.
+    kernel_in, decoded = input_cfg._term_table, cfg._decode_table
     codes_in = np.arange(p_in.code_min, p_in.code_max + 1)
     scaled_in = p_in.alpha * dead_zone_filter_array(codes_in, input_cfg.mu, k).astype(np.float64)
-    kernel_in, decoded = input_cfg._term_table, cfg._decode_table
     filtered_out = dead_zone_filter_array(np.arange(p_out.code_min, p_out.code_max + 1), mu, k)
 
     def output_stage(pre, potentials):

@@ -32,10 +32,20 @@ def quantize(a: float, p: QuantParams) -> int:
     """Clip(floor(a / alpha)) onto the code range.
 
     Floor is toward -inf, including negative inputs, and is computed
-    exactly for ``float(a)`` by ``floor_ratio``: a float quotient one ulp
-    off a code boundary cannot flip the result, and only an integral
-    quotient costs an exact compare.  +/-inf saturate; NaN raises.
+    exactly for ``float(a)``: a float quotient one ulp off a code boundary
+    cannot flip the result.  A Python float whose quotient ``a / alpha``
+    lies strictly inside +/-2^52 and is not an integer settles inline, by
+    ``floor_ratio``'s own argument (a correctly rounded quotient strictly
+    between two integers has the true floor).  Every other finite input
+    reaches ``floor_ratio``: an integral quotient (a tie or near-tie) for
+    its one exact compare, a quotient past 2^52, and any numpy float or
+    int.  +/-inf saturate; NaN raises.
     """
+    # NaN and +/-inf fail the range test, as in floor_ratio
+    if type(a) is float and -(2.0**52) < (ratio := a / p.alpha) < 2.0**52:
+        code = math.floor(ratio)
+        if ratio != code:
+            return p.code_min if code < p.code_min else p.code_max if code > p.code_max else code
     if not math.isfinite(a):
         if math.isnan(a):
             raise ValueError("cannot quantize NaN")

@@ -28,7 +28,8 @@ the least float meeting each threshold, so a float compare is exact; a
 config too wide or shifted too far for the table fires by the bisection.
 The exhaustive verifier reads two more: ``_decode_table`` (the code of each
 time -1..T-1) and ``_term_table`` (what each code adds per unit weight once
-encoded and integrated).  All three are built on first use and read-only.
+encoded and integrated).  All three are built on first use, read-only, and
+refused with ValueError for a window over 2^20 steps.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -49,7 +50,7 @@ from .numerics import exact_matmul, floor_ratio, ge_scaled, ge_scaled_array
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
-# Widest window whose ramp table ``fire_simulated_array`` builds: 2^20
+# Widest window a config tabulates (its ramp, decode and term tables): 2^20
 # floats are 8 MiB, and building them takes a few times that in temporaries.
 # Wider windows fire by the scalar bisection.
 _RAMP_MAX_BITS = 20
@@ -174,6 +175,11 @@ class SnnLayerConfig(QuantParams):
         """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
         return {}
 
+    def _check_table_width(self, name: str) -> None:
+        # before any allocation: a 2^30-step window would ask for 8 GiB
+        if self.n > _RAMP_MAX_BITS:
+            raise ValueError(f"{name} table of 2^{self.n} steps exceeds 2^{_RAMP_MAX_BITS}")
+
     @cached_property
     def _ramp(self) -> np.ndarray:
         """The firing ramp as one exact table, ascending: entry i is the least
@@ -184,9 +190,8 @@ class SnnLayerConfig(QuantParams):
         threshold code beyond 2^53 (no exact float), is refused with
         ValueError, and ``fire_simulated_array`` then bisects.
         """
+        self._check_table_width("ramp")
         origin = self.code_max + self.theta_shift
-        if self.n > _RAMP_MAX_BITS:
-            raise ValueError(f"ramp table of 2^{self.n} steps exceeds 2^{_RAMP_MAX_BITS}")
         if max(abs(origin), abs(origin - self.window + 1)) > 2**53:
             raise ValueError(f"threshold codes beyond 2^53 (theta_shift {self.theta_shift})")
         m = np.arange(origin - self.window + 1, origin + 1, dtype=np.int64)
@@ -203,6 +208,7 @@ class SnnLayerConfig(QuantParams):
     @cached_property
     def _decode_table(self) -> np.ndarray:
         """``decode_spike_array`` of the times -1..T-1: entry t + 1 decodes t."""
+        self._check_table_width("decode")
         table = decode_spike_array(np.arange(-1, self.window), self)
         table.setflags(write=False)
         return table
@@ -210,6 +216,7 @@ class SnnLayerConfig(QuantParams):
     @cached_property
     def _term_table(self) -> np.ndarray:
         """Term each code adds per unit weight, encoded and integrated; entry 0 is code_min's."""
+        self._check_table_width("term")
         times = encode_integer_array(np.arange(self.code_min, self.code_max + 1), self)
         terms = integrate_array(times[:, None], np.ones((1, 1)), self)[:, 0]
         terms.setflags(write=False)

@@ -187,8 +187,13 @@ def calibrate_gaussian_sigma(
     hi_edge = math.inf if cfg.mu + cfg.k >= cfg.code_max else cfg.alpha * (cfg.mu + cfg.k + 1)
 
     def band(sigma: float) -> float:
-        dist = NormalDist(loc, sigma)
-        return dist.cdf(hi_edge) - dist.cdf(lo_edge)
+        # The band is scale-free.  NormalDist.cdf divides by sigma * sqrt(2),
+        # which overflows past about float_max / sqrt(2), so a sigma past
+        # float_max / 2 is evaluated with every operand halved (exact for a
+        # normal float); any other sigma is evaluated as it is.
+        s = 0.5 if sigma > sys.float_info.max / 2 else 1.0
+        dist = NormalDist(loc * s, sigma * s)
+        return dist.cdf(hi_edge * s) - dist.cdf(lo_edge * s)
 
     lo, hi = 1e-9 * cfg.alpha, min(1e9 * cfg.alpha, sys.float_info.max)
     rising = lo_edge == -math.inf and hi_edge <= loc or hi_edge == math.inf and lo_edge > loc

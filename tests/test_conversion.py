@@ -222,15 +222,19 @@ def test_sampled_runs_the_scalar_exact_floor_once_per_draw(monkeypatch):
 
 
 def test_sampled_draws_take_the_exact_check_only_on_an_integral_quotient(monkeypatch):
-    # the scalar floor decides a fractional float quotient by itself: the
-    # exact compare runs once per draw whose a / alpha is an integer
-    calls, exact = [], numerics.ge_scaled
+    # quantize settles a fractional float quotient inline: floor_ratio, and
+    # its exact compare, run once per draw whose a / alpha is an integer
+    calls, floors = [], []
+    exact, floor = numerics.ge_scaled, qnn.floor_ratio
     monkeypatch.setattr(numerics, "ge_scaled", lambda *a: calls.append(a) or exact(*a))
+    monkeypatch.setattr(qnn, "floor_ratio", lambda *a: floors.append(a) or floor(*a))
     layer, cfg = _sampled_control(0.37)
     verify_equivalence(layer, cfg, domain="sampled", samples=10_000, seed=5)
     span = 2.0 * cfg.alpha * 2 ** (cfg.n - 1)
     ratios = np.random.default_rng(5).uniform(-span, span, 10_000) / cfg.alpha
-    assert len(calls) == np.count_nonzero(ratios == np.floor(ratios))
+    # real draws almost never tie: here floor_ratio runs on none of 10,000
+    integral = np.count_nonzero(ratios == np.floor(ratios))
+    assert len(calls) == len(floors) == integral
 
 
 @settings(max_examples=80, deadline=None)
@@ -313,6 +317,17 @@ def test_sampled_refuses_an_overflowing_span(n):
     # one binade lower the width is finite, and the draws run
     layer, cfg = pm_layer(QuantParams(n=n, alpha=2.0 ** (1022 - n)), k=0, fan_in=1, fan_out=1)
     assert verify_equivalence(layer, cfg, domain="sampled", samples=10).cases_checked == 10
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_sampled_refuses_a_window_over_2_63(mode):
+    # asymmetric 64-bit codes reach 2^64 - 1: the int64 ground truth would
+    # overflow, so the spiking side refuses the window first
+    p = QuantParams(n=64, alpha=1e-300, mode=mode)
+    cfg = derive_snn_config(p, zero_centered_i_max(p), 0)
+    layer = QnnLayer(np.ones((1, 1)), np.zeros(1), in_params=p, out_params=p, mu=cfg.mu)
+    with pytest.raises(ValueError, match=r"2\^64-step window do not fit int64"):
+        verify_equivalence(layer, cfg, domain="sampled", samples=10)
 
 
 def test_saturating_inputs_agree():
@@ -808,18 +823,19 @@ def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
 
 def test_exhaustive_refuses_a_window_too_wide_before_building_tables():
     # a 2^21-step output window has no ramp table; its 2^21-entry code tables
-    # (16 MiB each) are never built
-    p_in, p_out = QuantParams(n=2), QuantParams(n=21)
-    cfg = derive_snn_config(p_out, zero_centered_i_max(p_out), 0)
-    layer = QnnLayer(weights=np.ones((1, 1)), bias=np.zeros(1), in_params=p_in, out_params=p_out)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"2\^21 steps"):
-            verify_equivalence(layer, cfg, domain="exhaustive")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # (16 MiB each) are never built, nor the 8 GiB input codes of a 2^30 window
+    for n_in, n_out in ((2, 21), (30, 2)):
+        p_in, p_out = QuantParams(n=n_in), QuantParams(n=n_out)
+        cfg = derive_snn_config(p_out, zero_centered_i_max(p_out), 0)
+        layer = QnnLayer(np.ones((1, 1)), np.zeros(1), in_params=p_in, out_params=p_out)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"2\^{max(n_in, n_out)} steps"):
+                verify_equivalence(layer, cfg, domain="exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 @pytest.mark.parametrize("alpha, real", [(1.0, False), (0.37, True)])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matterhorn import qnn
 from matterhorn.qnn import (
     QnnLayer,
     QuantParams,
@@ -71,6 +72,45 @@ def test_quantize_matches_exact_rational_floor(a, alpha):
     expected = min(max(math.floor(Fraction(a) / Fraction(alpha)), p.code_min), p.code_max)
     assert quantize(a, p) == expected
     assert quantize_array([a], p).tolist() == [expected]
+
+
+def _rational_code(x, p: QuantParams) -> int:
+    v = float(x)  # quantize decides every input as its Python float
+    if math.isinf(v):
+        return p.code_max if v > 0 else p.code_min
+    return min(max(math.floor(Fraction(v) / Fraction(p.alpha)), p.code_min), p.code_max)
+
+
+@pytest.mark.parametrize("alpha", [0.37, 1 / 3, 0.1, 2.0**-1000, 1e300, 5e-324])
+@pytest.mark.parametrize("n, mode", [(4, SYMMETRIC), (52, ASYMMETRIC)])
+def test_quantize_settles_inline_only_a_fractional_float_quotient(monkeypatch, alpha, n, mode):
+    # A Python float whose quotient lies inside +/-2^52 and is not an integer
+    # settles inline; planted ties and their neighbours, quotients past 2^52,
+    # numpy floats and ints reach floor_ratio once, and +/-inf neither.
+    # Every code must be the real floor of float(x) / alpha, clipped.
+    p = QuantParams(n=n, alpha=alpha, mode=mode)
+    exact, calls = qnn.floor_ratio, []
+    monkeypatch.setattr(qnn, "floor_ratio", lambda *a: calls.append(a) or exact(*a))
+    ms = [*range(-20, 21), p.code_min - 1, p.code_max + 1, 2**52 - 1, 2**52, 2**53 + 2, -(2**52), 3**40]
+    floats = []
+    for m in ms:
+        tie = alpha * m  # inf where it overflows
+        floats += [tie, math.nextafter(tie, -math.inf), math.nextafter(tie, math.inf)]
+    floats += (alpha * np.random.default_rng(7).uniform(-40.0, 40.0, 200)).tolist()
+    with np.errstate(over="ignore"):
+        inputs = [*floats, *map(np.float64, floats), *map(np.float32, floats), *map(np.float16, floats)]
+    inputs += ms + [math.inf, -math.inf]
+    for x in inputs:
+        calls.clear()
+        code = quantize(x, p)
+        assert type(code) is int and code == _rational_code(x, p), (x, alpha)
+        ratio = float(x) / alpha
+        fractional = -(2.0**52) < ratio < 2.0**52 and ratio != math.floor(ratio)
+        inline = type(x) is float and fractional
+        assert len(calls) == (not inline and math.isfinite(x)), (x, alpha)
+    for nan in (math.nan, np.float32(math.nan), np.float16(math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(nan, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -815,6 +815,19 @@ def test_silence_rate_monotone_in_k():
     assert rates[1] > rates[0]  # k=1 strictly wider than k=0 on this sample
 
 
+def test_cached_tables_refuse_a_window_over_2_20_before_allocating():
+    cfg = SnnLayerConfig(n=30)  # its tables would hold 2^30 entries, 8 GiB each
+    tracemalloc.start()
+    try:
+        for attr, name in (("_ramp", "ramp"), ("_decode_table", "decode"), ("_term_table", "term")):
+            with pytest.raises(ValueError, match=rf"^{name} table of 2\^30 steps exceeds 2\^20$"):
+                getattr(cfg, attr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_cached_tables_are_read_only():
     # a config's tables are shared by every later call on it, so a write to
     # one would silently corrupt them all

@@ -1,6 +1,7 @@
 """Histograms, synthetic samplers and dead-zone sparsity sweeps."""
 
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
@@ -297,17 +298,25 @@ def test_calibration_at_a_huge_scale(alpha):
     assert abs(NormalDist(0.0, sigma).cdf(alpha) - 0.5 - 0.4) < 1e-9
 
 
+def test_calibration_meets_a_band_whose_sigma_passes_half_the_float_range():
+    # sigma near 1.33e308 meets it; NormalDist's sigma * sqrt(2) overflows
+    # there, so the band is taken at half scale (it was refused, ending at 0)
+    alpha = 1.7e308
+    sigma = calibrate_gaussian_sigma(0.4, SnnLayerConfig(n=4, alpha=alpha))
+    assert sigma > sys.float_info.max / 2
+    assert abs(NormalDist(0.0, sigma / 2).cdf(alpha / 2) - 0.5 - 0.4) < 1e-9
+
+
 @pytest.mark.parametrize(
     "alpha, kw, target, ends",
     [
         # the band [7 alpha, inf) holds at most half the mass: the midpoint
         # (lo + hi) / 2 once overflowed to inf, whose NaN band passed as inf
         (1e299, {"i_max": 0}, 0.9, "0.500000"),
-        # [-alpha, inf) holds at least half the mass; near the top of the
-        # bracket sigma * sqrt(2) overflows to a NaN band, once returned as inf
-        (1.7e308, {"k": 1}, 0.4, "nan"),
-        # sigma near 1.3e308 meets it, but NormalDist's sigma * sqrt(2) overflows
-        (1.7e308, {}, 0.4, "0.000000"),
+        # [-alpha, inf) holds at least Phi(alpha / float_max) = 0.83 of the
+        # mass in the bracket; its overflowed sigma * sqrt(2) once gave a NaN
+        # band, returned as inf, then a refusal ending at nan
+        (1.7e308, {"k": 1}, 0.4, "0.827838"),
     ],
 )
 def test_calibration_at_a_huge_scale_refuses_a_band_it_cannot_meet(alpha, kw, target, ends):
