@@ -31,6 +31,5 @@ from .spike import (
     fire_analytic,
     fire_simulated,
     integrate,
-    silence_rate,
 )
 from .stats import ActivationSampler, SpikeHistogram, sparsity_sweep, spike_time_histogram

@@ -81,10 +81,6 @@ MAX_COUNT = 2**20
 # ``xbar`` fuzzes one random VMM of up to 39 x 39 a case; this many cases
 # took 6.7 s at ``--bits 4`` and 8.3 s at ``--bits 57`` on a 2-core Xeon.
 MAX_FUZZ = 2**17
-# ``sweep`` re-encodes every sample at each of the kmax + 1 radii; 2^28
-# encodes (``--bits 16 --kmax 255 --count 2^20``) took 3.9-4.3 s on a 2-core
-# Xeon, so count x (kmax + 1) above 2^SWEEP_BUDGET_LOG2 is refused.
-SWEEP_BUDGET_LOG2 = 28
 # ``encode`` prints 2^n bits for each code; 2^20 printed bits (16 codes at
 # ``--bits 16``) took 0.9-1.1 s as a process on a 2-core Xeon and peaked at
 # about 122 MiB resident, so codes x 2^n above 2^ENCODE_BUDGET_LOG2 is refused.
@@ -210,15 +206,10 @@ def _argv_overrun(args) -> str | None:
             f"argument --codes: {len(args.codes)} codes x 2^{args.bits} bits = "
             f"{len(args.codes) << args.bits} printed bits, over the budget of 2^{ENCODE_BUDGET_LOG2}"
         )
-    if args.subcommand == "sweep":
-        if args.kmax > 2**args.bits - 1:  # every wider radius repeats the all-silent row
-            return f"argument --kmax: {args.kmax} exceeds 2^{args.bits} - 1 = {2**args.bits - 1}"
-        encodes = args.count * (args.kmax + 1)
-        if encodes > 2**SWEEP_BUDGET_LOG2:
-            return (
-                f"argument --kmax: sweep would encode {args.count} samples x {args.kmax + 1} "
-                f"radii = {encodes} codes, over the budget of 2^{SWEEP_BUDGET_LOG2}"
-            )
+    # sweep encodes once whatever --kmax is, but every radius past 2^n - 1
+    # repeats the all-silent row, so --kmax also caps its output at 2^16 rows
+    if args.subcommand == "sweep" and args.kmax > 2**args.bits - 1:
+        return f"argument --kmax: {args.kmax} exceeds 2^{args.bits} - 1 = {2**args.bits - 1}"
     if args.subcommand == "verify" and args.exhaustive and args.weights.startswith("random:"):
         overrun = _exhaustive_overrun(args.bits, args.fan_in, args.fan_out)
         return overrun and f"argument {overrun}"

@@ -243,12 +243,13 @@ def verify_equivalence(
                 f"scale {cfg.alpha!r} at n={cfg.n}: the sampled pre-activations, within "
                 f"+/-2^{cfg.n} x scale, span a range wider than the largest float"
             )
+        if cfg.n > 63:  # before any draw: a zero-sample run refuses it too
+            raise ValueError(f"spike times of a 2^{cfg.n}-step window do not fit int64")
         rng = np.random.default_rng(seed)
         p, mu, k = layer.out_params, layer.mu, layer.k
         for start in range(0, samples, _SAMPLE_CHUNK):
             # one generator stream, so the draws match one whole-size call
             draws = rng.uniform(-span, span, min(_SAMPLE_CHUNK, samples - start))
-            # firing first: it refuses a window over 2^63 steps, whose codes overflow int64
             snn_codes = decode_spike_array(fire_simulated_array(draws, cfg), cfg)
             truth = np.fromiter(map(quantize, draws.tolist(), repeat(p)), np.int64, len(draws))
             qnn_codes = dead_zone_filter_array(truth, mu, k)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import floor_ratio, ge_scaled_array
-from .spike import SYMMETRIC, QuantParams, require_integer, require_integer_array
+from .spike import SYMMETRIC, QuantParams, require_integer, require_integer_array, require_radius
 
 __all__ = [
     "QuantParams",
@@ -119,11 +119,8 @@ class QnnLayer:
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("weights and bias must be finite")
         require_integer("mu", self.mu)
-        require_integer("k", self.k)
-        if self.k < 0:
-            raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
         # plain ints, as in SnnLayerConfig: a numpy unsigned mu wraps the filters
-        self.mu, self.k = int(self.mu), int(self.k)
+        self.mu, self.k = int(self.mu), require_radius(self.k)
 
     @property
     def fan_in(self) -> int:
@@ -153,7 +150,14 @@ class QnnLayer:
     def from_json(cls, text: str) -> "QnnLayer":
         doc = json.loads(text)
         bias = np.asarray(doc["bias"], dtype=np.float64)
-        weights = np.asarray(doc["weights"], dtype=np.float64).reshape(-1, bias.size)
+        weights, outputs = np.asarray(doc["weights"], dtype=np.float64), bias.size
+        if weights.ndim == 1 and outputs and weights.size % outputs == 0:
+            weights = weights.reshape(-1, outputs)  # the flat form is input-major
+        if not outputs or weights.ndim != 2 or weights.shape[1] != outputs:
+            raise ValueError(
+                f"weights of shape {weights.shape} are neither a flat input-major list "
+                f"of a multiple of {outputs} entries nor a nested (fan_in, {outputs}) matrix"
+            )
         mode = doc.get("mode", SYMMETRIC)
         QuantParams(doc["n"], 1.0, mode)  # a bad bit width or mode is no scale's fault
         params = {}

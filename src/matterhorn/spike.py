@@ -12,8 +12,7 @@ module provides:
 - the masked threshold search (``fire_simulated``): a bisection over the
   exact threshold comparisons of the ramp, n of them in a window of 2^n,
 - the closed-form firing time (``fire_analytic``), used as an executable
-  oracle against the search,
-- silence-rate accounting for sparsity studies.
+  oracle against the search.
 
 A layer's encoding is a codebook of at most ``2**n`` immutable trains:
 ``encode_integer``, ``fire_simulated`` and ``fire_analytic`` return the
@@ -61,6 +60,15 @@ def require_integer(name: str, value) -> None:
     numpy integer; bool, float and str are refused, integral or not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_radius(k) -> int:
+    """A dead-zone radius as a plain int, refused with ValueError unless it
+    is an integer >= 0."""
+    require_integer("k", k)
+    if k < 0:
+        raise ValueError(f"dead-zone radius must be >= 0, got {k}")
+    return int(k)
 
 
 def require_integer_array(name: str, values) -> np.ndarray:
@@ -152,13 +160,10 @@ class SnnLayerConfig(QuantParams):
         require_integer("i_max", self.i_max)
         if not 0 <= self.i_max <= self.window - 1:
             raise ValueError(f"i_max {self.i_max} outside window [0, {self.window - 1}]")
-        require_integer("k", self.k)
-        if self.k < 0:
-            raise ValueError(f"dead-zone radius must be >= 0, got {self.k}")
+        object.__setattr__(self, "k", require_radius(self.k))
         require_integer("theta_shift", self.theta_shift)
         # plain ints, as for n: a numpy integer wraps mu and the threshold codes
         object.__setattr__(self, "i_max", int(self.i_max))
-        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "theta_shift", int(self.theta_shift))
 
     @cached_property
@@ -393,7 +398,7 @@ def _check_times(times, cfg: SnnLayerConfig) -> np.ndarray:
     times = require_integer_array("spike times", times)
     if times.size and (times.min() < -1 or times.max() >= cfg.window):
         raise ValueError(f"spike times outside [-1, {cfg.window - 1}] (-1 is silent)")
-    return times.astype(np.int64)
+    return times.astype(np.int64, copy=False)
 
 
 def _mask_times(times: np.ndarray, cfg: SnnLayerConfig) -> np.ndarray:
@@ -479,10 +484,3 @@ def train_times(trains, window: int | None = None) -> np.ndarray:
         times.append(-1 if train.time is None else train.time)
     return np.array(times, dtype=np.int64)
 
-
-def silence_rate(times) -> float:
-    """Fraction of silent entries (-1) in a non-empty array of spike times."""
-    times = np.asarray(times)
-    if not times.size:
-        raise ValueError("silence_rate needs at least one spike time")
-    return np.count_nonzero(times == -1) / times.size

@@ -17,8 +17,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .qnn import quantize_array
-from .spike import SnnLayerConfig, _check_times, encode_integer_array, silence_rate
-from .spike import require_integer, require_real
+from .spike import SnnLayerConfig, _check_times, encode_integer_array
+from .spike import require_integer, require_radius, require_real
 
 __all__ = [
     "SpikeHistogram",
@@ -70,7 +70,9 @@ class SpikeHistogram:
 
 def spike_time_histogram(times, cfg: SnnLayerConfig) -> SpikeHistogram:
     """Exact bucket counts over a non-empty array of spike times (-1 silent)
-    in the window of ``cfg``."""
+    in the window of ``cfg``; a window over 2^20 steps is refused with
+    ValueError before its buckets are allocated."""
+    cfg._check_table_width("histogram")
     times = _check_times(times, cfg).ravel()
     if not times.size:
         raise ValueError("need at least one spike time")
@@ -113,22 +115,17 @@ class ActivationSampler:
         return rng.laplace(self.loc, self.scale, count)
 
 
-def _chunked(kernel, values) -> np.ndarray:
-    """``kernel`` (array -> int64 array of its shape) of ``values``, run on
-    chunks of ``_CHUNK``: the same result, one chunk's temporaries."""
-    values = np.asarray(values)
-    out = np.empty(values.shape, dtype=np.int64)
-    flat_in, flat_out = values.reshape(-1), out.reshape(-1)
-    for start in range(0, flat_in.size, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        flat_out[chunk] = kernel(flat_in[chunk])
-    return out
-
-
 def encode_samples(samples, cfg: SnnLayerConfig) -> np.ndarray:
     """Quantize real activations under the config's params and encode them
-    as spike times, -1 where silent."""
-    return _chunked(lambda a: encode_integer_array(quantize_array(a, cfg), cfg), samples)
+    as spike times, -1 where silent, ``_CHUNK`` samples at a time: the
+    result of one pass, with one chunk's temporaries."""
+    samples = np.asarray(samples)
+    times = np.empty(samples.shape, dtype=np.int64)
+    flat_in, flat_out = samples.reshape(-1), times.reshape(-1)
+    for start in range(0, flat_in.size, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        flat_out[chunk] = encode_integer_array(quantize_array(flat_in[chunk], cfg), cfg)
+    return times
 
 
 @dataclass
@@ -146,26 +143,24 @@ def sparsity_sweep(
 ) -> list[SweepRow]:
     """Silence and spike rate per dead-zone radius over one fixed sample set.
 
-    A single draw feeds every radius, so silence is exactly nondecreasing
-    in k.  The mean spike rate counts spikes per (train, step) slot.
+    The samples are encoded once, at radius 0.  A radius-k mask silences
+    exactly the times within k of ``i_max``, so radius k's silent trains are
+    that histogram's silent bucket plus its spikes at distance 1..k: exact
+    counts, as re-encoding at k gives, nondecreasing in k.  The mean spike
+    rate counts spikes per (train, step) slot.  A radius that is no integer
+    >= 0 raises ValueError.
     """
-    k_values = list(k_range)
-    if not k_values:
+    radii = [require_radius(k) for k in k_range]
+    if not radii:
         raise ValueError("need at least one dead-zone radius")
-    # one quantization for every radius: k only moves the mask
-    codes = _chunked(lambda a: quantize_array(a, base_cfg), sampler.sample(count))
-    rows = []
-    for k in k_values:
-        cfg = replace(base_cfg, k=k)
-        silent = silence_rate(_chunked(lambda c: encode_integer_array(c, cfg), codes))
-        rows.append(
-            SweepRow(
-                k=cfg.k,
-                silence=silent,
-                mean_spike_rate=(1.0 - silent) / cfg.window,
-            )
-        )
-    return rows
+    cfg = replace(base_cfg, k=0)
+    hist = spike_time_histogram(encode_samples(sampler.sample(count), cfg), cfg)
+    # silent[d]: trains silent at radius d, for d = 0..T-1 (a wider one silences all)
+    by_distance = np.zeros(cfg.window, dtype=np.int64)
+    np.add.at(by_distance, np.abs(np.arange(cfg.window) - cfg.i_max), hist.counts)
+    silent = hist.silent + np.cumsum(by_distance)
+    silences = [int(silent[min(k, cfg.window - 1)]) / hist.total for k in radii]
+    return [SweepRow(k, s, (1.0 - s) / cfg.window) for k, s in zip(radii, silences)]
 
 
 def calibrate_gaussian_sigma(

@@ -324,6 +324,39 @@ def test_verify_real_weights_pass_exhaustively(tmp_path, capsys):
     assert result["cases_checked"] == 8**3 and result["mismatch_count"] == 0
 
 
+def test_verify_weights_file_takes_a_nested_matrix(tmp_path, capsys):
+    # a nested (fan_in, outputs) matrix is the same layer as its flat, input-major list
+    layer = {"n": 3, "alpha_in": 0.1, "alpha_out": 0.1, "weights": [1.1, 0.1, 0.2, 0.2, 0.2, 1.1]}
+    results = []
+    for weights in (layer["weights"], [[1.1, 0.1], [0.2, 0.2], [0.2, 1.1]]):
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps({**layer, "weights": weights, "bias": [0.5, -0.5]}))
+        code, out, _ = run(capsys, "verify", "--weights", str(path), "--exhaustive")
+        assert code == EXIT_OK
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1] and results[0]["cases_checked"] == 8**3
+
+
+@pytest.mark.parametrize(
+    "weights, shape",
+    [
+        ([[1.0] * 6, [-1.0] * 6], "(2, 6)"),  # once loaded as a 3 x 4 layer, exit 0
+        ([[[1.0] * 4]] * 2, "(2, 1, 4)"),
+        ([1.0] * 6, "(6,)"),  # not a multiple of 4 entries
+    ],
+)
+def test_verify_weights_file_of_another_shape_is_config_error(tmp_path, capsys, weights, shape):
+    layer = {"n": 3, "alpha_in": 1.0, "alpha_out": 1.0, "weights": weights, "bias": [0.0] * 4}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, out, err = run(capsys, "verify", "--weights", str(path), "--exhaustive")
+    assert code == EXIT_CONFIG and not out
+    detail = json.loads(err)["detail"]
+    assert f"weights of shape {shape}" in detail
+    assert "flat input-major list of a multiple of 4 entries" in detail
+    assert "nested (fan_in, 4) matrix" in detail
+
+
 @pytest.mark.parametrize(
     "n, fan_in, extra, needle",
     [
@@ -794,13 +827,35 @@ def test_sweep_kmax_past_all_silent_is_config_error(capsys):
     assert "argument --kmax: 4 exceeds 2^2 - 1 = 3" in err
 
 
-def test_sweep_over_encode_budget_is_config_error(capsys, monkeypatch):
-    err = usage_error(capsys, "sweep", "--bits", "16", "--kmax", "256", "--count", str(MAX_COUNT))
-    assert f"argument --kmax: sweep would encode {MAX_COUNT} samples x 257 radii" in err
-    assert f"budget of 2^{cli.SWEEP_BUDGET_LOG2}" in err
-    monkeypatch.setattr(cli, "SWEEP_BUDGET_LOG2", 10)  # the bound itself is inclusive
-    assert run(capsys, "sweep", "--kmax", "3", "--count", "256")[0] == EXIT_OK
-    assert "257 samples x 4 radii" in usage_error(capsys, "sweep", "--kmax", "3", "--count", "257")
+def test_sweep_encodes_once_whatever_kmax(capsys):
+    # 2^17 samples x 4096 radii once exceeded a budget of 2^28 encodes (exit 2);
+    # one encode at radius 0 serves every radius
+    code, out, _ = run(capsys, "sweep", "--bits", "12", "--kmax", "4095", "--count", "131072")
+    assert code == EXIT_OK
+    rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    assert len(rows) == 4096 and rows[-1].startswith("4095,1.000000,")
+    err = usage_error(capsys, "sweep", "--bits", "12", "--kmax", "4096", "--count", "131072")
+    assert "argument --kmax: 4096 exceeds 2^12 - 1 = 4095" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        (),
+        ("--bits", "5", "--imax", "3", "--dist", "laplace", "--scale", "4"),
+        ("--bits", "3", "--mode", "asymmetric", "--imax", "7", "--alpha", "0.37"),
+    ],
+    ids=lambda extra: " ".join(extra) or "default",
+)
+def test_stats_silence_at_k_is_the_sweep_row_k(capsys, extra):
+    common = ("--count", "3000", "--seed", "11", *extra)
+    code, sweep, _ = run(capsys, "sweep", "--kmax", "3", *common)
+    assert code == EXIT_OK
+    rows = {line.split(",")[0]: line.split(",")[1] for line in sweep.splitlines()[-4:]}
+    for k in range(4):
+        code, stats, _ = run(capsys, "stats", "--k", str(k), *common)
+        assert code == EXIT_OK
+        assert f"# silence_fraction={rows[str(k)]}\n" in stats, k
 
 
 def test_outputs_are_deterministic(capsys):

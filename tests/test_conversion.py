@@ -322,12 +322,14 @@ def test_sampled_refuses_an_overflowing_span(n):
 @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
 def test_sampled_refuses_a_window_over_2_63(mode):
     # asymmetric 64-bit codes reach 2^64 - 1: the int64 ground truth would
-    # overflow, so the spiking side refuses the window first
+    # overflow, so the window is refused before any draw (zero samples once
+    # returned a passing, empty report)
     p = QuantParams(n=64, alpha=1e-300, mode=mode)
     cfg = derive_snn_config(p, zero_centered_i_max(p), 0)
     layer = QnnLayer(np.ones((1, 1)), np.zeros(1), in_params=p, out_params=p, mu=cfg.mu)
-    with pytest.raises(ValueError, match=r"2\^64-step window do not fit int64"):
-        verify_equivalence(layer, cfg, domain="sampled", samples=10)
+    for samples in (0, 1, 10):
+        with pytest.raises(ValueError, match=r"2\^64-step window do not fit int64"):
+            verify_equivalence(layer, cfg, domain="sampled", samples=samples)
 
 
 def test_saturating_inputs_agree():

@@ -29,7 +29,6 @@ from matterhorn.spike import (
     integrate,
     integrate_array,
     require_real,
-    silence_rate,
     train_times,
 )
 
@@ -791,16 +790,6 @@ def test_encode_array_accepts_integer_dtypes_and_empty_input():
 # --- silence rate -------------------------------------------------------
 
 
-def test_silence_rate_counting():
-    assert silence_rate([-1] * 3 + [2] * 7) == 0.3
-    assert silence_rate([-1]) == 1.0
-
-
-def test_silence_rate_empty_raises():
-    with pytest.raises(ValueError):
-        silence_rate([])
-
-
 def test_silence_rate_monotone_in_k():
     rng = np.random.default_rng(5)
     samples = rng.normal(0.0, 2.0, 2000)
@@ -810,7 +799,7 @@ def test_silence_rate_monotone_in_k():
         trains = [
             encode_integer(int(np.clip(math.floor(a), -8, 7)), cfg) for a in samples
         ]
-        rates.append(silence_rate(train_times(trains)))
+        rates.append(stats.spike_time_histogram(train_times(trains), cfg).silence_fraction)
     assert all(lo <= hi for lo, hi in zip(rates, rates[1:]))
     assert rates[1] > rates[0]  # k=1 strictly wider than k=0 on this sample
 

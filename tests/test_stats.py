@@ -8,10 +8,12 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matterhorn import stats
 from matterhorn.qnn import quantize_array
-from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, encode_integer_array, silence_rate
+from matterhorn.spike import ASYMMETRIC, SnnLayerConfig, encode_integer_array
 from matterhorn.stats import (
     ActivationSampler,
     REFERENCE_SILENCE_PCT,
@@ -29,6 +31,10 @@ def cfg16(k=0):
 
 
 CFG8 = SnnLayerConfig(n=3)
+
+
+def silence(times, cfg):
+    return spike_time_histogram(times, cfg).silence_fraction
 
 
 # --- histogram ------------------------------------------------------------
@@ -203,8 +209,48 @@ def test_chunked_encoding_and_sweep_match_one_pass(monkeypatch):
     assert np.array_equal(encode_samples(samples.reshape(10, 10), cfg), want.reshape(10, 10))
     rows = sparsity_sweep(sampler, cfg, range(3), count=100)
     assert [r.silence for r in rows] == [
-        silence_rate(encode_integer_array(codes, replace(cfg, k=k))) for k in range(3)
+        silence(encode_integer_array(codes, replace(cfg, k=k)), cfg) for k in range(3)
     ]
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["symmetric", ASYMMETRIC]))
+    code_max = 2 ** (n - 1) - 1 if mode == "symmetric" else 2**n - 1
+    i_max = draw(st.sampled_from([0, code_max, 2**n - 1]) | st.integers(0, 2**n - 1))
+    alpha = draw(st.sampled_from([1.0, 0.37]))
+    cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, i_max=i_max, k=draw(st.integers(0, 3)))
+    radii = draw(st.lists(st.integers(0, 2**n + 1), min_size=1, max_size=8))
+    sampler = ActivationSampler(
+        kind=draw(st.sampled_from(["gaussian", "laplace"])),
+        scale=draw(st.sampled_from([0.5, 2.0, 9.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cfg, radii, sampler, draw(st.integers(1, 400))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_are_the_silence_of_encoding_at_each_radius(case):
+    # each row, read off one radius-0 histogram, is bit for bit the silent
+    # share of the samples re-encoded at that radius, past the window too
+    cfg, radii, sampler, count = case
+    codes = quantize_array(sampler.sample(count), cfg)
+    rows = sparsity_sweep(sampler, cfg, radii, count=count)
+    assert [r.k for r in rows] == radii
+    for row, k in zip(rows, radii):
+        times = encode_integer_array(codes, replace(cfg, k=k))
+        assert row.silence == np.count_nonzero(times == -1) / count
+        assert row.mean_spike_rate == (1.0 - row.silence) / cfg.window
+
+
+def test_sweep_refuses_a_negative_radius_and_a_window_too_wide_to_histogram():
+    with pytest.raises(ValueError, match="dead-zone radius must be >= 0, got -1"):
+        sparsity_sweep(ActivationSampler(seed=0), cfg16(), [0, -1], count=10)
+    # 2^30 buckets would take 8 GiB: refused before they are allocated
+    with pytest.raises(ValueError, match=r"histogram table of 2\^30 steps exceeds 2\^20"):
+        sparsity_sweep(ActivationSampler(seed=0), SnnLayerConfig(n=30), [0], count=10)
 
 
 def test_encoding_and_sweep_memory_is_a_chunk_above_their_arrays():
@@ -258,7 +304,7 @@ def test_calibration_follows_a_band_whose_mass_rises_with_sigma():
     sigma = calibrate_gaussian_sigma(0.34, cfg)
     assert abs(NormalDist(0.0, sigma).cdf(-7.0) - 0.34) < 1e-9
     samples = ActivationSampler(scale=sigma, seed=2).sample(50_000)
-    assert abs(silence_rate(encode_samples(samples, cfg)) - 0.34) < 0.01
+    assert abs(silence(encode_samples(samples, cfg), cfg) - 0.34) < 0.01
 
 
 @pytest.mark.parametrize(
@@ -279,7 +325,7 @@ def test_calibration_meets_a_finite_band_beside_loc_past_its_peak(target, cfg, l
     wider = NormalDist(loc, 1.01 * sigma)
     assert wider.cdf(edges[1]) - wider.cdf(edges[0]) < target
     samples = ActivationSampler(loc=loc, scale=sigma, seed=2).sample(50_000)
-    assert abs(silence_rate(encode_samples(samples, cfg)) - target) < 0.01
+    assert abs(silence(encode_samples(samples, cfg), cfg) - target) < 0.01
 
 
 def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
@@ -288,7 +334,7 @@ def test_calibration_counts_the_clipped_tail_a_dead_zone_reaches():
     sigma = calibrate_gaussian_sigma(0.6, cfg)
     assert abs(NormalDist(0.0, sigma).cdf(0.5) - 0.6) < 1e-9
     samples = ActivationSampler(scale=sigma, seed=2).sample(50_000)
-    assert abs(silence_rate(encode_samples(samples, cfg)) - 0.6) < 0.01
+    assert abs(silence(encode_samples(samples, cfg), cfg) - 0.6) < 0.01
 
 
 @pytest.mark.parametrize("alpha", [1e299, 1e300])
