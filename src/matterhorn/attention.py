@@ -27,6 +27,7 @@ from .spike import (
     SpikeTrain,
     encode_integer_array,
     integrate_array,
+    require_integer,
     require_integer_array,
     train_times,
 )
@@ -89,8 +90,15 @@ def normalize_scores(scores: np.ndarray, window: int) -> np.ndarray:
     Rows whose maximum exceeds the top code are shifted down so the
     maximum lands on ``window - 1``; scores falling below zero after the
     shift clip to code 0, the silent state.  Integer in, integer out.
+    Raises ValueError for scores that are not a 2-D integer array and for a
+    window that is not an integer >= 1.
     """
     scores = require_integer_array("scores", scores).astype(np.int64)
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be a 2-D (rows, keys) array, got shape {scores.shape}")
+    require_integer("window", window)
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     shift = np.maximum(scores.max(axis=1, keepdims=True) - (window - 1), 0)
     return np.clip(scores - shift, 0, window - 1)
 

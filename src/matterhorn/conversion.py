@@ -13,9 +13,11 @@ The exhaustive sweep has one design: term tables, then sums, then stages.
 Each side tabulates the term every input code adds per unit weight once
 per config, each block sums its rows of the tables exactly rounded, and one
 output stage (floor, clip, filter; fire, mask, decode) runs on the sums
-with exact threshold and code-boundary compares.  On an integer lattice
-with equal term tables every potential is one of few sums, so the stage
+with exact threshold and code-boundary compares.  Whether both term tables
+are one integer table is a fact of the input config, kept with it; with
+integral weights every potential is then one of few sums, so the stage
 runs once per call on all of them, and a layer none fails needs no block.
+A call on warm configs does only the work its weights decide.
 """
 
 from __future__ import annotations
@@ -169,12 +171,13 @@ def verify_equivalence(
     """Run the quantized and spiking paths side by side and diff the codes.
 
     domain="exhaustive": every input code vector over the layer's fan-in
-    is checked.  Stages whose input takes few values run once, as tables:
-    the filters over the 2^n codes once per call, ``decode_spike_array``
-    over the times -1..T-1 once per config.  Each side's term table holds
-    what an input code adds per unit weight: its scaled filtered code
-    (quantized, once per call), or its spike's scaled kernel value, +0.0
-    when silent (spiking, ``SnnLayerConfig._term_table``, once per config).
+    is checked.  Stages whose input takes few values run once per config,
+    as read-only tables the config keeps: the filters over the 2^n codes
+    (``SnnLayerConfig._filter_table``), ``decode_spike_array`` over the
+    times -1..T-1.  Each side's term table holds what an input code adds
+    per unit weight: its scaled filtered code (quantized), or its spike's
+    scaled kernel value, +0.0 when silent (spiking,
+    ``SnnLayerConfig._term_table``).
     One output stage floors exactly, clips and filters the quantized sums,
     and fires the spiking ones by ``fire_simulated_array`` (an exact
     ``searchsorted`` in the config's ramp table, never the quantized
@@ -184,13 +187,16 @@ def verify_equivalence(
     potential.  With integral term tables and weights and R = max_j sum_i
     |w_ij| x max |term| below 2^53, every sum is an exact integer in
     [-R, R] in any order, and equal term tables (an input dead zone on code
-    zero) make both sides' sums one number.  Every potential of output j is
-    then ``fl(s + bias_j)`` for an integer s in [-R, R], so the stage runs
-    once on that superset of the reachable ones (while it holds at most
-    ``BLOCK_TERMS`` entries); if no entry fails, no vector can, and the
-    layer passes without a block.  Exact verification of quantized networks
-    is SMT-hard in general (Henzinger, Lechner & Zikelic, AAAI 2021); one
-    separable, exactly summed layer makes it a table here.
+    zero) make both sides' sums one number.  The input config keeps whether
+    its two tables are one integral table, and its max |term|
+    (``SnnLayerConfig._lattice_top``), so a call checks only the weights and
+    R.  Every potential of output j is then ``fl(s + bias_j)`` for an
+    integer s in [-R, R], so the stage runs once on that superset of the
+    reachable ones (while it holds at most ``BLOCK_TERMS`` entries); if no
+    entry fails, no vector can, and the layer passes without a block.
+    Exact verification of quantized networks is SMT-hard in general
+    (Henzinger, Lechner & Zikelic, AAAI 2021); one separable, exactly summed
+    layer makes it a table here.
 
     Every other layer (real weights, an off-centre input dead zone, a bad
     entry) is checked in blocks of about ``BLOCK_TERMS`` summed products,
@@ -261,20 +267,20 @@ def verify_equivalence(
         raise ValueError(f"unknown verification domain {domain!r}")
 
     magnitudes = _check_range(layer)
-    p_in, p_out, mu, k = layer.in_params, layer.out_params, layer.mu, layer.k
+    p_in, p_out, k = layer.in_params, layer.out_params, layer.k
     i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
     same = (p_in.n, p_in.alpha, p_in.mode, cfg.theta_shift) == (cfg.n, cfg.alpha, cfg.mode, 0)
     # where the rule yields a config equal to cfg, cfg's tables serve both sides
     input_cfg = cfg if same else SnnLayerConfig(p_in.n, p_in.alpha, p_in.mode, i_max_in, k)
     weights, bias, fan_out = layer.weights, layer.bias, layer.fan_out
-    # Each stage whose input takes few values runs once, over its whole
-    # domain, and the blocks gather from its table: input codes by index,
-    # output codes by index (code - code_min), spike times by time + 1.  The
-    # config tables come first: they refuse a window over 2^20 unallocated.
+    # Each stage whose input takes few values runs once per config, over its
+    # whole domain, and the blocks gather from its table: input codes by
+    # index, output codes by index (code - code_min), spike times by time +
+    # 1.  The spiking tables come first: they refuse a window over 2^20
+    # unallocated.  cfg shares the layer's mu and k, so its filter is the
+    # output's.
     kernel_in, decoded = input_cfg._term_table, cfg._decode_table
-    codes_in = np.arange(p_in.code_min, p_in.code_max + 1)
-    scaled_in = p_in.alpha * dead_zone_filter_array(codes_in, input_cfg.mu, k).astype(np.float64)
-    filtered_out = dead_zone_filter_array(np.arange(p_out.code_min, p_out.code_max + 1), mu, k)
+    filtered_out = cfg._filter_table
 
     def output_stage(pre, potentials):
         # Quantized side: floor, clip, filter.  Spiking side: fire, mask, decode.
@@ -283,19 +289,18 @@ def verify_equivalence(
 
     vectors, n, fan_in = 2 ** (p_in.n * layer.fan_in), p_in.n, layer.fan_in
     report.cases_checked = vectors
-    # The lattice certificate of the docstring: integral terms and weights,
-    # reach below 2^53 (the float magnitude sums reach 2^53 whenever the
-    # real ones do), equal term tables, a sum table within one block.
-    reach = magnitudes.max(initial=0.0) * max(np.abs(scaled_in).max(), np.abs(kernel_in).max())
-    if (
-        all(np.all(a == np.floor(a)) for a in (scaled_in, kernel_in, weights))
-        and reach < 2**53
-        and (2 * reach + 1) * fan_out <= BLOCK_TERMS
-        and np.array_equal(scaled_in, kernel_in)
-    ):
-        sums = np.arange(-reach, reach + 1)[:, None] + bias
-        if np.array_equal(*output_stage(sums, sums)):
-            return report
+    # The lattice certificate of the docstring: one integral term table for
+    # both sides (a fact of the input config), integral weights, reach below
+    # 2^53 (the float magnitude sums reach 2^53 whenever the real ones do),
+    # a sum table within one block.
+    top = input_cfg._lattice_top
+    if top is not None and np.all(weights == np.floor(weights)):
+        reach = magnitudes.max(initial=0.0) * top
+        if reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
+            sums = np.arange(-reach, reach + 1)[:, None] + bias
+            if np.array_equal(*output_stage(sums, sums)):
+                return report
+    scaled_in = input_cfg.alpha * input_cfg._filter_table
     # Any other layer, or a bad sum, checks every vector.  A block holds
     # whole vectors, or one vector's outputs in chunks, so the mismatches
     # still come out in vector, then output, order.

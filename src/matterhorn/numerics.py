@@ -122,9 +122,9 @@ def ge_scaled_array(values, scale: float, factors) -> np.ndarray:
     product underflows).  Only near-ties of factors past 2^53, which are
     not exact floats, go to ``ge_scaled``.
     """
-    v, f = np.broadcast_arrays(
-        np.asarray(values, dtype=np.float64), np.asarray(factors, dtype=np.int64)
-    )
+    v, f = np.asarray(values, dtype=np.float64), np.asarray(factors, dtype=np.int64)
+    if v.shape != f.shape:  # broadcasting costs more than the compare on a small array
+        v, f = np.broadcast_arrays(v, f)
     m, e = math.frexp(scale)
     top = max(-int(f.min()), int(f.max())) if f.size else 0
     ff = f.astype(np.float64)

@@ -60,9 +60,14 @@ def quantize_array(a, p: QuantParams) -> np.ndarray:
 
     Finite inputs are first clamped to [alpha * (code_min - 1), alpha *
     (code_max + 1)], rounded: a float outside that interval saturates
-    either way, so huge values never reach the exact floor.
+    either way, so huge values never reach the exact floor.  Raises
+    ValueError for NaN and for an array that is not bool, integer or float
+    (numpy would parse strings, where ``quantize`` refuses them).
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"cannot quantize an array of dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     finite = np.isfinite(a)
     all_finite = finite.all()
     if not all_finite and np.isnan(a).any():
@@ -70,25 +75,31 @@ def quantize_array(a, p: QuantParams) -> np.ndarray:
     if p.n > 52:
         raise ValueError(f"array quantization supports codes of at most 52 bits, got {p.n}")
     lo, hi = p.alpha * (p.code_min - 1), p.alpha * (p.code_max + 1)  # inf when they overflow
-    v = np.clip(a if all_finite else np.where(finite, a, 0.0), lo, hi)
+    # maximum and minimum: np.clip's dispatch costs more than both on a small array
+    v = np.minimum(np.maximum(a if all_finite else np.where(finite, a, 0.0), lo), hi)
     # |v / alpha| <= 2^52 + 1 now, and integers to 2^53 are floats, so the rounded
     # quotient's floor is the true floor or one above it: one exact compare settles it
     codes = np.floor(v / p.alpha).astype(np.int64)
     codes -= ~ge_scaled_array(v, p.alpha, codes)
     if not all_finite:  # +/-inf saturate
         codes = np.where(finite, codes, np.where(a > 0, p.code_max, p.code_min))
-    return np.clip(codes, p.code_min, p.code_max)
+    return np.minimum(np.maximum(codes, p.code_min), p.code_max)
 
 
 def dead_zone_filter(q: int, mu: int, k: int) -> int:
-    """Collapse codes within radius k of mu to mu; pass everything else."""
+    """Collapse codes within radius k of mu to mu; pass everything else.
+    Raises ValueError for a code that is not an integer and for a radius
+    that is not an integer >= 0."""
+    if type(q) is not int:
+        require_integer("code", q)
+    k = require_radius(k)
     return mu if abs(q - mu) <= k else int(q)
 
 
 def dead_zone_filter_array(q, mu: int, k: int) -> np.ndarray:
     """Element-wise ``dead_zone_filter`` of an integer code array."""
     q = require_integer_array("codes", q).astype(np.int64)
-    return np.where(np.abs(q - mu) <= k, mu, q)
+    return np.where(np.abs(q - mu) <= require_radius(k), mu, q)
 
 
 @dataclass

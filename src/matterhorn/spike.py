@@ -25,10 +25,13 @@ a whole population at once, and the scalar functions are their oracles;
 ``fire_simulated_array`` looks each potential up in the config's ramp table,
 the least float meeting each threshold, so a float compare is exact; a
 config too wide or shifted too far for the table fires by the bisection.
-The exhaustive verifier reads two more: ``_decode_table`` (the code of each
-time -1..T-1) and ``_term_table`` (what each code adds per unit weight once
-encoded and integrated).  All three are built on first use, read-only, and
-refused with ValueError for a window over 2^20 steps.
+The exhaustive verifier reads four more: ``_decode_table`` (the code of
+each time -1..T-1), ``_term_table`` (what each code adds per unit weight
+once encoded and integrated), ``_filter_table`` (the quantized side's
+dead-zone filter of each code) and ``_lattice_top`` (whether both sides add
+one integer per code and unit weight, and the largest).  All are built on
+first use and read-only, and the tables are refused with ValueError for a
+window over 2^20 steps.
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -49,9 +52,9 @@ from .numerics import exact_matmul, floor_ratio, ge_scaled, ge_scaled_array
 SYMMETRIC = "symmetric"
 ASYMMETRIC = "asymmetric"
 _MODES = (SYMMETRIC, ASYMMETRIC)
-# Widest window a config tabulates (its ramp, decode and term tables): 2^20
-# floats are 8 MiB, and building them takes a few times that in temporaries.
-# Wider windows fire by the scalar bisection.
+# Widest window a config tabulates (its ramp, decode, term and filter
+# tables): 2^20 entries are 8 MiB, and building them takes a few times that
+# in temporaries.  Wider windows fire by the scalar bisection.
 _RAMP_MAX_BITS = 20
 
 
@@ -226,6 +229,27 @@ class SnnLayerConfig(QuantParams):
         terms = integrate_array(times[:, None], np.ones((1, 1)), self)[:, 0]
         terms.setflags(write=False)
         return terms
+
+    @cached_property
+    def _filter_table(self) -> np.ndarray:
+        """The quantized side's filtered code of each code, by the rule of
+        ``qnn.dead_zone_filter_array``, never by encoding; entry 0 is code_min's."""
+        from .qnn import dead_zone_filter_array  # qnn imports this module
+
+        self._check_table_width("filter")
+        codes = np.arange(self.code_min, self.code_max + 1)
+        table = dead_zone_filter_array(codes, self.mu, self.k)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _lattice_top(self) -> float | None:
+        """Largest |term| when ``alpha * _filter_table`` and ``_term_table``
+        are one integral table (each code adds the same integer per unit
+        weight on both sides), else None."""
+        terms = self._term_table
+        one = np.array_equal(self.alpha * self._filter_table, terms)
+        return float(np.abs(terms).max()) if one and np.all(terms == np.floor(terms)) else None
 
     def in_dead_zone(self, t: int) -> bool:
         return abs(t - self.i_max) <= self.k

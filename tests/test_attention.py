@@ -206,6 +206,22 @@ def test_normalizer_clips_negative_scores_to_silence():
     assert codes.tolist() == [[0, 2]]
 
 
+@pytest.mark.parametrize("scores", [[3, 5], [[[3, 5]]], 4])
+def test_normalizer_refuses_scores_that_are_not_a_matrix(scores):
+    # a 1-D row or a scalar would leak numpy's AxisError, and a 3-D array
+    # would be shifted along its second axis
+    with pytest.raises(ValueError, match="2-D"):
+        normalize_scores(np.array(scores), 16)
+
+
+@pytest.mark.parametrize("window, message", [(0, ">= 1"), (-3, ">= 1"), (2.0, "integer")])
+def test_normalizer_refuses_a_window_below_one(window, message):
+    # at window 0 the clip's upper bound would fall below its lower one, [[-1, -1]]
+    with pytest.raises(ValueError, match=message):
+        normalize_scores(np.array([[3, 5]]), window)
+    assert normalize_scores(np.array([[3, 5]]), 1).tolist() == [[0, 0]]
+
+
 # --- pipeline -----------------------------------------------------------
 
 

@@ -742,35 +742,35 @@ def test_code_block_rows_match_itertools_product(n):
     assert np.array_equal(np.concatenate(blocks), want)
 
 
-def test_exhaustive_builds_the_small_domain_tables_once_per_call(monkeypatch):
+def test_exhaustive_builds_the_small_domain_tables_once_per_config(monkeypatch):
     # encoding, filtering and decoding run over their finite domains once a
-    # call, however many vectors and blocks the sweep holds (encoding and
-    # decoding once per config, and each call here has a fresh one)
+    # config, however many vectors and blocks the sweep holds: the first call
+    # on a fresh config builds each table once (the input and output sides
+    # share it here), and a second call on the same config builds none, on
+    # the sum-table route (fan-in 3) and the per-block route (fan-in 4, whose
+    # 33 x 2 sums exceed the 64 terms of a block)
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
     names = ("encode_integer_array", "dead_zone_filter_array", "decode_spike_array")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        kernel = getattr(spike if hasattr(spike, name) else qnn, name)
 
-    def calls(fan_in):
-        counts = dict.fromkeys(names, 0)
-        with pytest.MonkeyPatch.context() as mp:
-            for name in names:
-                kernel = getattr(spike if hasattr(spike, name) else qnn, name)
+        def counting(*args, _name=name, _kernel=kernel):
+            counts[_name] += 1
+            return _kernel(*args)
 
-                def counting(*args, _name=name, _kernel=kernel):
-                    counts[_name] += 1
-                    return _kernel(*args)
-
-                for module in (conversion, spike, qnn):
-                    mp.setattr(module, name, counting, raising=False)
-            layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=fan_in, fan_out=2)
+        for module in (conversion, spike, qnn):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    walks = _counting_walks(monkeypatch)
+    for fan_in, walked in ((3, 1), (4, 8**4 // 8)):  # one sum table, or 8 vectors a block
+        layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=fan_in, fan_out=2)
+        for built in (1, 0):  # the config cold, then warm
+            counts.update(dict.fromkeys(names, 0))
+            walks.clear()
             report = verify_equivalence(layer, cfg, domain="exhaustive")
-        assert report.passed and report.cases_checked == 8**fan_in
-        return counts
-
-    assert calls(3) == calls(4) == {
-        "encode_integer_array": 1,
-        "dead_zone_filter_array": 2,
-        "decode_spike_array": 1,
-    }
+            assert report.passed and report.cases_checked == 8**fan_in
+            assert counts == dict.fromkeys(names, built)
+            assert len(walks) == walked
 
 
 def test_exhaustive_integrates_the_input_trains_once_per_config(monkeypatch):
@@ -807,7 +807,10 @@ def test_exhaustive_integrates_the_input_trains_once_per_config(monkeypatch):
 def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
     # the tables a config caches change no report: a fresh config and one an
     # earlier call warmed report alike, on the sum-table and per-block routes,
-    # passing and failing, with the input config shared or built per call
+    # passing and failing, with the input config shared or built per call.
+    # The warm config keeps its decode and filter tables, and, where it
+    # serves the input side too (theta_shift 0), its term table and lattice
+    # fact, whether or not the lattice holds.
     p = QuantParams(n=3, mode=mode)
     rng = np.random.default_rng(5)
     verdicts = set()
@@ -818,6 +821,9 @@ def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
             layer = QnnLayer(weights, bias, in_params=p, out_params=p, mu=cfg.mu, k=k)
             cold = verify_equivalence(layer, replace(cfg), domain="exhaustive").to_dict()
             verify_equivalence(layer, cfg, domain="exhaustive")
+            kept = {"_decode_table", "_filter_table"}
+            kept |= {"_term_table", "_lattice_top"} if theta_shift == 0 else set()
+            assert kept <= cfg.__dict__.keys()
             assert verify_equivalence(layer, cfg, domain="exhaustive").to_dict() == cold
             verdicts.add(cold["passed"])
     assert verdicts == {True, False}

@@ -537,3 +537,66 @@ def test_quantize_array_matches_scalar(alpha, n, mode):
     assert got.tolist() == [quantize(v, p) for v in values.tolist()]
     with pytest.raises(ValueError, match="NaN"):
         quantize_array(np.array([0.0, math.nan]), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=st.one_of(st.sampled_from(ALPHAS), EXTREME_SCALES),
+    n=st.integers(1, 52),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+    data=st.data(),
+)
+def test_quantize_array_matches_quantize_on_drawn_arrays(alpha, n, mode, dtype, data):
+    # bit for bit against the scalar quantizer: planted ties alpha * m and
+    # their neighbours, +/-inf, and values drawn over and far past the range,
+    # as one (rows, 3) array of any real dtype
+    p = QuantParams(n=n, alpha=alpha, mode=mode)
+    ms = data.draw(st.lists(st.integers(p.code_min - 2, p.code_max + 2), max_size=6))
+    with np.errstate(over="ignore"):
+        planted = _planted(alpha, ms)
+    drawn = data.draw(st.lists(st.floats(allow_nan=False), max_size=9))
+    values = np.concatenate([planted, drawn, [math.inf, -math.inf]])
+    if dtype is np.int64:
+        values = np.clip(np.nan_to_num(values), -(2.0**62), 2.0**62)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values[: len(values) // 3 * 3].astype(dtype).reshape(-1, 3)
+    got = quantize_array(values, p)
+    assert got.dtype == np.int64 and got.shape == values.shape
+    assert got.tolist() == [[quantize(float(v), p) for v in row] for row in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scale=st.one_of(st.sampled_from(ALPHAS), EXTREME_SCALES),
+    rows=st.integers(1, 4),
+    cols=st.integers(1, 4),
+    # (values, factors) shapes: equal, or either one broadcast
+    layout=st.sampled_from(["same", "factor row", "factor column", "factor scalar", "value row"]),
+    data=st.data(),
+)
+def test_ge_scaled_array_matches_ge_scaled_on_same_shape_and_broadcast_operands(
+    scale, rows, cols, layout, data
+):
+    full = (rows, cols)
+    v_shape = (1, cols) if layout == "value row" else full
+    broadcast = {"factor row": (1, cols), "factor column": (rows, 1), "factor scalar": ()}
+    f_shape = broadcast.get(layout, full)
+    count = math.prod(f_shape)
+    factors = data.draw(st.lists(st.integers(-(2**60), 2**60), min_size=count, max_size=count))
+    factors = np.array(factors, dtype=np.int64).reshape(f_shape)
+    # each value is a planted tie scale * f (rounded where inexact), one of
+    # its neighbours, a drawn float or +/-inf
+    with np.errstate(over="ignore"):
+        ties = (scale * np.broadcast_to(factors, full).astype(np.float64))[: v_shape[0]].ravel()
+    picks = data.draw(st.lists(st.integers(0, 5), min_size=ties.size, max_size=ties.size))
+    drawn = data.draw(st.lists(st.floats(allow_nan=False), min_size=ties.size, max_size=ties.size))
+    choices = (np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf), drawn)
+    choices += (np.full(ties.size, math.inf), np.full(ties.size, -math.inf))
+    values = np.array([choices[c][i] for i, c in enumerate(picks)]).reshape(v_shape)
+    got = ge_scaled_array(values, scale, factors)
+    v, f = np.broadcast_arrays(values, factors)
+    assert got.shape == full
+    assert got.tolist() == [
+        [ge_scaled(a, scale, b) for a, b in zip(vr, fr)] for vr, fr in zip(v.tolist(), f.tolist())
+    ]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from matterhorn.qnn import (
     QnnLayer,
     QuantParams,
     dead_zone_filter,
+    dead_zone_filter_array,
     layer_forward,
     quantize,
     quantize_array,
@@ -199,6 +201,39 @@ def test_quantize_array_peak_memory_on_finite_input_is_bounded(alpha):
 
 
 # --- dead-zone filter ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "values", [np.array(["1", "2.5"]), np.array([1, None]), np.array([1 + 2j]), [2**70]]
+)
+def test_quantize_array_refuses_arrays_that_are_not_real_numbers(values):
+    # numpy would parse the strings to [1 2], where the scalar oracle refuses them
+    p = QuantParams(3)
+    with pytest.raises(ValueError, match=f"dtype {np.asarray(values).dtype}"):
+        quantize_array(values, p)
+    with pytest.raises(TypeError):
+        quantize("1", p)
+    assert quantize_array(np.array([True, False]), p).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "q, k, scalar_message, array_message",
+    [
+        (1.5, 0, "code must be an integer, got 1.5", "codes must be integers, got dtype float64"),
+        (np.float64(2.0), 0, "code must be an integer", "codes must be integers"),
+        (True, 0, "code must be an integer", "codes must be integers, got dtype bool"),
+        (1, -1, "dead-zone radius must be >= 0, got -1", "dead-zone radius must be >= 0"),
+        (1, 0.5, "k must be an integer, got 0.5", "k must be an integer"),
+    ],
+)
+def test_filters_refuse_a_non_integer_code_and_a_bad_radius(q, k, scalar_message, array_message):
+    # a float code is refused, not truncated (1.5 is not code 1), and so is a
+    # radius below zero, by both forms with one message each
+    with pytest.raises(ValueError, match=re.escape(scalar_message)):
+        dead_zone_filter(q, 0, k)
+    with pytest.raises(ValueError, match=re.escape(array_message)):
+        dead_zone_filter_array(np.array([q]), 0, k)
+    assert dead_zone_filter(np.int8(1), 0, 1) == 0 and dead_zone_filter(np.uint8(5), 0, 1) == 5
 
 
 def test_filter_examples():

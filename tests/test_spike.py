@@ -1,6 +1,7 @@
 """Spike encoding, integration and firing: examples, invariants, oracles."""
 
 import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -808,7 +809,8 @@ def test_cached_tables_refuse_a_window_over_2_20_before_allocating():
     cfg = SnnLayerConfig(n=30)  # its tables would hold 2^30 entries, 8 GiB each
     tracemalloc.start()
     try:
-        for attr, name in (("_ramp", "ramp"), ("_decode_table", "decode"), ("_term_table", "term")):
+        tables = ("_ramp", "ramp"), ("_decode_table", "decode"), ("_term_table", "term")
+        for attr, name in (*tables, ("_filter_table", "filter"), ("_lattice_top", "term")):
             with pytest.raises(ValueError, match=rf"^{name} table of 2\^30 steps exceeds 2\^20$"):
                 getattr(cfg, attr)
         peak = tracemalloc.get_traced_memory()[1]
@@ -821,8 +823,27 @@ def test_cached_tables_are_read_only():
     # a config's tables are shared by every later call on it, so a write to
     # one would silently corrupt them all
     cfg = SnnLayerConfig(n=3, k=1)
-    for name in ("_ramp", "_decode_table", "_term_table"):
+    for name in ("_ramp", "_decode_table", "_term_table", "_filter_table"):
         table = getattr(cfg, name)
         with pytest.raises(ValueError, match="read-only"):
             table[:] = 0
     assert fire_simulated_array(np.array([3.0, -9.0]), cfg).tolist() == [0, 7]
+    assert type(cfg._lattice_top) is float  # a plain number: nothing to write to
+
+
+@pytest.mark.parametrize("mode", [SYMMETRIC, ASYMMETRIC])
+@pytest.mark.parametrize("alpha", [1.0, 3.0, 0.37])
+def test_filter_table_and_lattice_top_follow_their_definitions(mode, alpha):
+    # the filter table is the quantized rule of each code, never the spiking
+    # round trip; the lattice top is the largest |term| exactly where both
+    # sides add one integer per code and unit weight
+    for i_max, k in itertools.product(range(8), range(3)):
+        cfg = SnnLayerConfig(n=3, alpha=alpha, mode=mode, i_max=i_max, k=k)
+        codes = range(cfg.code_min, cfg.code_max + 1)
+        assert cfg._filter_table.tolist() == [qnn.dead_zone_filter(q, cfg.mu, k) for q in codes]
+        scaled = [alpha * q for q in cfg._filter_table.tolist()]
+        terms = cfg._term_table.tolist()
+        one = scaled == terms and all(t == math.floor(t) for t in terms)
+        assert cfg._lattice_top == (max(map(abs, terms)) if one else None)
+        # one table exactly for an integer scale with the silent train on code zero
+        assert one == (alpha != 0.37 and cfg.mu == 0)
