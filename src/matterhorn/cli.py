@@ -70,8 +70,8 @@ MAX_SAMPLES = 2**20
 TERMS_BUDGET_LOG2 = 25
 # ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
 # width, as two integer matrix products; at this cap (``--bits 16``) one
-# sample takes 0.04-0.06 s on the same host, and a one-sample run peaks at
-# about 40 MiB resident.
+# sample takes 0.04-0.05 s in-process on the same host, and a one-sample
+# run peaks at about 41 MiB resident.
 MAX_ATTN_DIM = 128
 # The fan_in x fan_out ``random:`` weights of ``verify`` take 8 MiB at this cap.
 MAX_FAN = 1024

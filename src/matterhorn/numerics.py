@@ -166,23 +166,27 @@ def exact_matmul(a, b, mask=None) -> np.ndarray:
     """Exactly rounded ``a @ b`` for ``a`` (..., inputs), ``b`` (inputs,
     outputs): each entry is ``math.fsum`` of its products, independent of
     order.  Where ``mask`` (shaped like ``a``) is False the term is an
-    exact +0.0, whatever ``b`` holds.
+    exact +0.0, whatever ``b`` holds.  Both operands are read as float64,
+    so an integer past 2^53 rounds to its nearest float first.
 
     When both operands are integral, so is every product, and while an
     entry's summed magnitudes ``(|a| @ |b|)[r, j]`` stay below 2^53 every
     product and partial sum is exact in any order (Shewchuk 1997): one
     float matmul gives the result.  The float magnitude sums reach 2^53
     whenever the real ones do, and are never below it for inf or NaN.
-    Any other product goes through ``fsum_rows``.
+    An operand of integer dtype needs no integrality test.  Any other
+    product goes through ``fsum_rows``.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = np.asarray(a), np.asarray(b)
+    # an integer dtype converts to integral floats: it needs no test
+    int_a, int_b = a.dtype.kind in "biu", b.dtype.kind in "biu"
+    a, b = a.astype(np.float64, copy=False), b.astype(np.float64, copy=False)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         a = np.where(mask, a, 0.0)
+    whole = (int_a or (a == np.floor(a)).all()) and (int_b or (b == np.floor(b)).all())
     with np.errstate(all="ignore"):  # inf and NaN products sum as in math.fsum
-        small = np.all(np.abs(a) @ np.abs(b) < _EXACT_INT)
-        if small and np.all(a == np.floor(a)) and np.all(b == np.floor(b)):
+        if whole and (np.abs(a) @ np.abs(b) < _EXACT_INT).all():
             return a @ b + 0.0  # fsum's zero is +0.0
         terms = a[..., None, :] * b.T
     if mask is not None:

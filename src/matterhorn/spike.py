@@ -31,7 +31,8 @@ once encoded and integrated), ``_filter_table`` (the quantized side's
 dead-zone filter of each code) and ``_lattice_top`` (whether both sides add
 one integer per code and unit weight, and the largest).  All are built on
 first use and read-only, and the tables are refused with ValueError for a
-window over 2^20 steps.
+window over 2^20 steps.  A config also keeps the attention pipeline's two
+stage configs (``_stage_configs``).
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -183,6 +184,15 @@ class SnnLayerConfig(QuantParams):
         """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
         return {}
 
+    @cached_property
+    def _stage_configs(self) -> tuple["SnnLayerConfig", "SnnLayerConfig"]:
+        """The two stage configs of ``attention.attention_pipeline``: this
+        config at unit scale (scores live in code space), and the asymmetric
+        plain-TTFS config of n bits the non-negative scores re-encode in
+        (silence on code zero)."""
+        score_cfg = SnnLayerConfig(self.n, mode=ASYMMETRIC, i_max=self.window - 1)
+        return replace(self, alpha=1.0), score_cfg
+
     def _check_table_width(self, name: str) -> None:
         # before any allocation: a 2^30-step window would ask for 8 GiB
         if self.n > _RAMP_MAX_BITS:
@@ -298,10 +308,14 @@ def encode_integer(code: int, cfg: SnnLayerConfig) -> SpikeTrain:
     shared train for ``code``.  Raises ValueError for a code that is not an
     integer (bool, float and str included) or not representable.
     """
-    if type(code) is not int:
+    if type(code) is int:
+        try:
+            return cfg._codebook[code]
+        except KeyError:  # not built yet, or not representable
+            pass
+    else:
         require_integer("code", code)
-    train = cfg._codebook.get(code)
-    return _code_train(code, cfg) if train is None else train
+    return _code_train(code, cfg)
 
 
 def decode_spike(train: SpikeTrain, cfg: SnnLayerConfig) -> int:

@@ -1,6 +1,7 @@
 """Time-based accumulation kernel and the spiking attention pipeline."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -312,6 +313,95 @@ def test_pipeline_reads_trains_by_value():
     got = attention_pipeline(shared, kk, v, cfg)
     assert np.array_equal(got, attention_pipeline(fresh, kk, v, cfg))
     assert np.array_equal(got, attention_reference(q, kk, v, cfg))
+
+
+@pytest.mark.parametrize(
+    "q, kk, v, stage",
+    [
+        # 2^53 + 1 as a float sum rounded to 2^53 without a word
+        ([[1, 0]], [[1, 0], [0, 0]], [[2**53 + 1], [0]], "output"),
+        # 14 x 2^62 left int64: INT64_MIN on both sides, a cast warning on one
+        ([[7, 7]], [[1, 1]], [[2**62]], "output"),
+        ([[1]], [[2**50]], [[1]], "scores"),  # 1 x 8 x 2^50 reaches 2^53
+    ],
+)
+def test_pipeline_and_reference_refuse_sums_that_reach_2_53(q, kk, v, stage):
+    cfg = cfg16()
+    q_trains = [[encode_integer(c, cfg) for c in row] for row in q]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any product or cast
+        for run in (
+            lambda: attention_pipeline(q_trains, kk, v, cfg),
+            lambda: attention_reference(q, kk, v, cfg),
+        ):
+            with pytest.raises(ValueError, match=rf"^attention {stage} sums reach .* 2\^53"):
+                run()
+
+
+def test_pipeline_and_reference_agree_just_below_2_53():
+    # one key: the output reach is 15 x max|V|, the score reach 8 x max|K|
+    cfg = cfg16()
+    q, kk, v = [[-8]], [[-(2**50 - 1)]], [[(2**53 - 1) // 15]]
+    got = attention_pipeline([[encode_integer(-8, cfg)]], kk, v, cfg)
+    assert got.tolist() == attention_reference(q, kk, v, cfg).tolist() == [[15 * v[0][0]]]
+
+
+def test_reference_refuses_what_no_query_train_encodes():
+    cfg = cfg16()
+    for q in ([[8]], [[-9]]):  # outside [-8, 7]: no train, and no bound on the products
+        with pytest.raises(ValueError, match="^Q codes outside representable range"):
+            attention_reference(q, [[1]], [[1]], cfg)
+    with pytest.raises(ValueError, match="^Q codes must be a 2-D"):
+        attention_reference([1], [[1]], [[1]], cfg)
+    with pytest.raises(ValueError, match="^V shape"):  # the pipeline's shape rules
+        attention_reference([[1]], [[1]], [1], cfg)
+
+
+def test_warm_pipeline_builds_no_config(monkeypatch):
+    # the two stage configs are built once per layer config, on the first call
+    cfg = cfg16(k=1)
+    rng = np.random.default_rng(5)
+    q, kk, v = rng.integers(cfg.code_min, cfg.code_max + 1, (3, 4, 6))
+    q_trains = [[encode_integer(int(c), cfg) for c in row] for row in q]
+    want = attention_pipeline(q_trains, kk, v, cfg)
+    built = []
+    post_init = SnnLayerConfig.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SnnLayerConfig, "__post_init__", counting)
+    assert np.array_equal(attention_pipeline(q_trains, kk, v, cfg), want)
+    assert built == []
+    fresh = replace(cfg)
+    assert np.array_equal(attention_pipeline(q_trains, kk, v, fresh), want)
+    # the cold call builds both (the unit one equals fresh here: alpha is 1)
+    assert sorted(map(id, built)) == sorted(map(id, [fresh, *fresh._stage_configs]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    i_max=st.integers(0, 2**6 - 1),
+    k=st.integers(0, 2),
+    alpha=st.sampled_from([1.0, 0.37, 2.0**-40]),
+)
+def test_warm_config_gives_the_results_of_a_fresh_one(seed, n, mode, i_max, k, alpha):
+    # a config warmed by other heads scores a head as a fresh equal config
+    # does, with stage configs equal to the ones built per call before
+    rng = np.random.default_rng(seed)
+    cfg = SnnLayerConfig(n=n, alpha=alpha, mode=mode, i_max=i_max % 2**n, k=k)
+    heads = [rng.integers(cfg.code_min, cfg.code_max + 1, (3, 3, 4)) for _ in range(3)]
+    score_cfg = SnnLayerConfig(n=n, mode=ASYMMETRIC, i_max=2**n - 1)
+    for q, kk, v in heads:
+        q_trains = [[encode_integer(int(c), cfg) for c in row] for row in q]
+        fresh = replace(cfg)
+        got = attention_pipeline(q_trains, kk, v, cfg)
+        assert np.array_equal(got, attention_pipeline(q_trains, kk, v, fresh))
+    assert cfg._stage_configs == (replace(cfg, alpha=1.0), score_cfg)
 
 
 def test_pipeline_memory_does_not_grow_with_window():

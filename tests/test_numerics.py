@@ -527,6 +527,47 @@ def test_exact_matmul_matches_math_fsum_of_products(kind, shape, data):
         _assert_exact_matmul(a, b, mask)
 
 
+# int64 entries: small ones, and ones past 2^53 that round as floats
+_INT_ENTRIES = st.one_of(
+    st.integers(-(2**31), 2**31),
+    st.sampled_from([0, 2**53 + 1, -(2**62) - 1, 2**63 - 1, -(2**63)]),
+)
+_FLOAT_ENTRIES = st.one_of(
+    _ENTRIES["integer"], st.sampled_from([0.0, -0.0, 0.5, math.inf, -math.inf, math.nan])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dtypes=st.sampled_from([(np.int64, np.int64), (np.int64, np.float64), (np.float64, np.int64)]),
+    shape=st.tuples(*[st.integers(1, 4)] * 3),
+    data=st.data(),
+)
+def test_exact_matmul_reads_an_integer_dtype_operand_as_its_floats(dtypes, shape, data):
+    # an integer-dtype operand skips the integrality test: the result is
+    # math.fsum's of the products of its floats, and its float64 copy's,
+    # bit for bit (an inf - inf raises for both)
+    rows, inputs, outputs = shape
+    entries = [_INT_ENTRIES if dtype is np.int64 else _FLOAT_ENTRIES for dtype in dtypes]
+    a = np.array(data.draw(_matrix(entries[0], rows, inputs)), dtype=dtypes[0])
+    b = np.array(data.draw(_matrix(entries[1], inputs, outputs)), dtype=dtypes[1])
+    mask = data.draw(st.none() | _matrix(st.booleans(), rows, inputs))
+    fa, fb = a.astype(np.float64), b.astype(np.float64)
+    keep = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask)
+    with np.errstate(all="ignore"):
+        try:
+            want = _fsum_products(fa.tolist(), fb.tolist(), keep.tolist())
+        except ValueError:
+            for operands in ((a, b), (fa, fb)):
+                with pytest.raises(ValueError):
+                    exact_matmul(*operands, mask)
+            return
+        results = [exact_matmul(*operands, mask).tolist() for operands in ((a, b), (fa, fb))]
+    assert [[[x.hex() for x in row] for row in got] for got in results] == [
+        [[x.hex() for x in row] for row in want]
+    ] * 2
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("n, mode", [(1, "symmetric"), (4, "asymmetric"), (8, "symmetric"), (16, "asymmetric")])
 def test_quantize_array_matches_scalar(alpha, n, mode):
@@ -587,11 +628,11 @@ def test_ge_scaled_array_matches_ge_scaled_on_same_shape_and_broadcast_operands(
     factors = np.array(factors, dtype=np.int64).reshape(f_shape)
     # each value is a planted tie scale * f (rounded where inexact), one of
     # its neighbours, a drawn float or +/-inf
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a tie or its neighbour may overflow to inf
         ties = (scale * np.broadcast_to(factors, full).astype(np.float64))[: v_shape[0]].ravel()
-    picks = data.draw(st.lists(st.integers(0, 5), min_size=ties.size, max_size=ties.size))
-    drawn = data.draw(st.lists(st.floats(allow_nan=False), min_size=ties.size, max_size=ties.size))
-    choices = (np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf), drawn)
+        picks = data.draw(st.lists(st.integers(0, 5), min_size=ties.size, max_size=ties.size))
+        drawn = data.draw(st.lists(st.floats(allow_nan=False), min_size=ties.size, max_size=ties.size))
+        choices = (np.nextafter(ties, -np.inf), ties, np.nextafter(ties, np.inf), drawn)
     choices += (np.full(ties.size, math.inf), np.full(ties.size, -math.inf))
     values = np.array([choices[c][i] for i, c in enumerate(picks)]).reshape(v_shape)
     got = ge_scaled_array(values, scale, factors)

@@ -85,11 +85,15 @@ def test_cached_constants_stay_out_of_the_fields():
     fresh = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
     derived = (cfg.code_min, cfg.code_max, cfg.window, cfg.mu)
     assert derived == (-8, 7, 16, 0)
+    unit, score = cfg._stage_configs  # the attention pipeline's, built on cfg alone
+    assert (unit.alpha, score.mode, score.i_max) == (1.0, ASYMMETRIC, 15)
     assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
     assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
     wider = dataclasses.replace(cfg, n=5)
     assert (wider.window, wider.code_min, wider.code_max, wider.mu) == (32, -16, 15, 8)
+    assert [stage.n for stage in wider._stage_configs] == [5, 5]  # not cfg's, carried over
     assert cfg.window == 16  # the original keeps its own constants
+    assert cfg._stage_configs[0] is unit
 
 
 @pytest.mark.parametrize("field", ["i_max", "k", "theta_shift"])
