@@ -65,8 +65,8 @@ MAX_SAMPLES = 2**20
 # each side.  Real-valued terms are summed exactly rounded per output and
 # every (vector, output) is quantized and fired, at about 0.15-0.2 us a term
 # on the same host, so 2^TERMS_BUDGET_LOG2 terms keep a run within about 7 s
-# there.  Integer-lattice layers add in plain float matmuls, and one whose
-# table of reachable sums passes builds no vector block at all.
+# there.  A layer its configs prove (an input dead zone on code zero, an
+# output stage that agrees on every float) builds no vector block at all.
 TERMS_BUDGET_LOG2 = 25
 # ``attn`` sums up to 2 x tokens^2 x d_k terms per sample whatever the bit
 # width, as two integer matrix products; at this cap (``--bits 16``) one
@@ -181,9 +181,7 @@ def _exhaustive_overrun(in_n: int, fan_in: int, fan_out: int) -> str | None:
     budget, or None; checked before the layer's weights are built.  The
     term budget prices the block route, which sums every (vector, output)
     and quantizes and fires it by one lookup in the layer's threshold
-    table.  An integer-lattice layer with equal term tables (a
-    zero-centered input dead zone) first checks each reachable sum once
-    per output, and skips the blocks when none fails."""
+    table.  A layer its configs prove skips the blocks."""
     exponent = in_n * fan_in
     if exponent > EXHAUSTIVE_BUDGET_LOG2:
         return (

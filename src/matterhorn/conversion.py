@@ -13,11 +13,11 @@ The exhaustive sweep has one design: term tables, then sums, then stages.
 Each side tabulates the term every input code adds per unit weight once
 per config, each block sums its rows of the tables exactly rounded, and one
 output stage (floor, clip, filter; fire, mask, decode) runs on the sums
-with exact threshold and code-boundary compares.  Whether both term tables
-are one integer table is a fact of the input config, kept with it; with
-integral weights every potential is then one of few sums, so the stage
-runs once per call on all of them, and a layer none fails needs no block.
-A call on warm configs does only the work its weights decide.
+with exact threshold and code-boundary compares.  Two facts of the configs,
+kept with them, prove a layer with no sum and no block: the input config's
+two term tables are one table, and the output config's stage gives one
+code on both sides for every float.  A call on warm configs then does only
+its range check, whatever the weights, the scale or the fan-in.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def _check_configs(layer: QnnLayer, cfg: SnnLayerConfig) -> None:
         )
 
 
-def _check_range(layer: QnnLayer) -> np.ndarray:
+def _check_range(layer: QnnLayer) -> None:
     """Refuse weights and bias whose pre-activations can leave the float
-    range, where the exact sums overflow; return the sums of ``|weights|``."""
+    range, where the exact sums overflow."""
     p = layer.in_params
     top = p.alpha * max(-p.code_min, p.code_max)
     with np.errstate(over="ignore"):
@@ -149,7 +149,6 @@ def _check_range(layer: QnnLayer) -> np.ndarray:
             f"weights and bias drive pre-activations up to {bound:.3g} in magnitude, "
             f"over the {_RANGE_LIMIT:.3g} below which their exact sums cannot overflow"
         )
-    return magnitudes
 
 
 def _code_block(start: int, stop: int, n: int, fan_in: int) -> np.ndarray:
@@ -184,22 +183,17 @@ def verify_equivalence(
     floor), masks and decodes.
 
     A (vector, output) check depends on the vector only through its
-    potential.  With integral term tables and weights and R = max_j sum_i
-    |w_ij| x max |term| below 2^53, every sum is an exact integer in
-    [-R, R] in any order, and equal term tables (an input dead zone on code
-    zero) make both sides' sums one number.  The input config keeps whether
-    its two tables are one integral table, and its max |term|
-    (``SnnLayerConfig._lattice_top``), so a call checks only the weights and
-    R.  Every potential of output j is then ``fl(s + bias_j)`` for an
-    integer s in [-R, R], so the stage runs once on that superset of the
-    reachable ones (while it holds at most ``BLOCK_TERMS`` entries); if no
-    entry fails, no vector can, and the layer passes without a block.
-    Exact verification of quantized networks is SMT-hard in general
+    potential.  Where the input config's two term tables match bit for bit
+    (``SnnLayerConfig._same_terms``: an input dead zone on code zero), each
+    pre-activation is its potential, both summing the same rows; where the
+    output config's stage agrees on every float (``_stage_witness`` is
+    None), no potential fails, so the layer passes with no block, for any
+    weights.  Exact verification of quantized networks is SMT-hard in general
     (Henzinger, Lechner & Zikelic, AAAI 2021); one separable, exactly summed
-    layer makes it a table here.
+    layer makes it two facts of its configs here.
 
-    Every other layer (real weights, an off-centre input dead zone, a bad
-    entry) is checked in blocks of about ``BLOCK_TERMS`` summed products,
+    Every other layer (an off-centre input dead zone, a stage that differs
+    somewhere) is checked in blocks of about ``BLOCK_TERMS`` summed products,
     built from vector indices: a block sums its rows of each term table
     with ``numerics.exact_matmul`` plus the bias, as ``integrate`` and
     ``QnnLayer.pre_activation`` round, then runs the output stage.
@@ -266,7 +260,7 @@ def verify_equivalence(
     if domain != "exhaustive":
         raise ValueError(f"unknown verification domain {domain!r}")
 
-    magnitudes = _check_range(layer)
+    _check_range(layer)
     p_in, p_out, k = layer.in_params, layer.out_params, layer.k
     i_max_in = cfg.i_max if cfg.i_max < 2**p_in.n else None  # None: mu = 0
     same = (p_in.n, p_in.alpha, p_in.mode, cfg.theta_shift) == (cfg.n, cfg.alpha, cfg.mode, 0)
@@ -281,29 +275,15 @@ def verify_equivalence(
     # output's.
     kernel_in, decoded = input_cfg._term_table, cfg._decode_table
     filtered_out = cfg._filter_table
+    report.cases_checked = vectors = 2 ** (p_in.n * layer.fan_in)
+    # the certificate of the docstring: equal floats on both sides, one code each
+    if input_cfg._same_terms and cfg._stage_witness is None:
+        return report
 
-    def output_stage(pre, potentials):
-        # Quantized side: floor, clip, filter.  Spiking side: fire, mask, decode.
-        q = quantize_array(pre, p_out) - p_out.code_min
-        return filtered_out[q], decoded[fire_simulated_array(potentials, cfg) + 1]
-
-    vectors, n, fan_in = 2 ** (p_in.n * layer.fan_in), p_in.n, layer.fan_in
-    report.cases_checked = vectors
-    # The lattice certificate of the docstring: one integral term table for
-    # both sides (a fact of the input config), integral weights, reach below
-    # 2^53 (the float magnitude sums reach 2^53 whenever the real ones do),
-    # a sum table within one block.
-    top = input_cfg._lattice_top
-    if top is not None and np.all(weights == np.floor(weights)):
-        reach = magnitudes.max(initial=0.0) * top
-        if reach < 2**53 and (2 * reach + 1) * fan_out <= BLOCK_TERMS:
-            sums = np.arange(-reach, reach + 1)[:, None] + bias
-            if np.array_equal(*output_stage(sums, sums)):
-                return report
+    n, fan_in = p_in.n, layer.fan_in
     scaled_in = input_cfg.alpha * input_cfg._filter_table
-    # Any other layer, or a bad sum, checks every vector.  A block holds
-    # whole vectors, or one vector's outputs in chunks, so the mismatches
-    # still come out in vector, then output, order.
+    # Any other layer checks every vector: a block holds whole vectors, or one
+    # vector's outputs in chunks, so mismatches come in vector, then output, order.
     step = max(1, BLOCK_TERMS // max(1, fan_in * fan_out))
     width = max(1, min(fan_out, BLOCK_TERMS // max(1, fan_in)))
     for start in range(0, vectors, step):
@@ -312,5 +292,8 @@ def verify_equivalence(
             # each side's sums of its gathered terms, exactly rounded
             w, b = weights[:, lo : lo + width], bias[lo : lo + width]
             pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
-            report.record(rows + p_in.code_min, *output_stage(pre, potentials))
+            # quantized side: floor, clip, filter; spiking side: fire, mask, decode
+            qnn_codes = filtered_out[quantize_array(pre, p_out) - p_out.code_min]
+            snn_codes = decoded[fire_simulated_array(potentials, cfg) + 1]
+            report.record(rows + p_in.code_min, qnn_codes, snn_codes)
     return report

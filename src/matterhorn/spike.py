@@ -25,14 +25,14 @@ a whole population at once, and the scalar functions are their oracles;
 ``fire_simulated_array`` looks each potential up in the config's ramp table,
 the least float meeting each threshold, so a float compare is exact; a
 config too wide or shifted too far for the table fires by the bisection.
-The exhaustive verifier reads four more: ``_decode_table`` (the code of
+The exhaustive verifier reads five more: ``_decode_table`` (the code of
 each time -1..T-1), ``_term_table`` (what each code adds per unit weight
 once encoded and integrated), ``_filter_table`` (the quantized side's
-dead-zone filter of each code) and ``_lattice_top`` (whether both sides add
-one integer per code and unit weight, and the largest).  All are built on
-first use and read-only, and the tables are refused with ValueError for a
-window over 2^20 steps.  A config also keeps the attention pipeline's two
-stage configs (``_stage_configs``).
+dead-zone filter of each code), ``_same_terms`` (whether both sides add one
+float per code and unit weight) and ``_stage_witness`` (None where the output
+stage gives one code on both sides for every float).  All are built on first
+use and read-only, and refused with ValueError for a window over 2^20 steps.
+A config also keeps the attention pipeline's two (``_stage_configs``).
 
 All operations are pure functions; threshold and code-boundary comparisons
 are exact (see ``numerics``), so the search and the closed form agree
@@ -57,6 +57,7 @@ _MODES = (SYMMETRIC, ASYMMETRIC)
 # tables): 2^20 entries are 8 MiB, and building them takes a few times that
 # in temporaries.  Wider windows fire by the scalar bisection.
 _RAMP_MAX_BITS = 20
+_STAGE_CHUNK = 2**14  # threshold codes ``_stage_witness`` takes at a time: a few MiB
 
 
 def require_integer(name: str, value) -> None:
@@ -253,13 +254,38 @@ class SnnLayerConfig(QuantParams):
         return table
 
     @cached_property
-    def _lattice_top(self) -> float | None:
-        """Largest |term| when ``alpha * _filter_table`` and ``_term_table``
-        are one integral table (each code adds the same integer per unit
-        weight on both sides), else None."""
-        terms = self._term_table
-        one = np.array_equal(self.alpha * self._filter_table, terms)
-        return float(np.abs(terms).max()) if one and np.all(terms == np.floor(terms)) else None
+    def _same_terms(self) -> bool:
+        """Whether ``alpha * _filter_table`` and ``_term_table`` match bit for bit."""
+        scaled = self.alpha * self._filter_table
+        return np.array_equal(scaled.view(np.int64), self._term_table.view(np.int64))
+
+    @cached_property
+    def _stage_witness(self) -> float | None:
+        """None when the output stage gives one code on both sides for every
+        float; else a float where they differ (NaN: no ramp table, no claim).
+        Each side steps only at the least float >= alpha * m of its threshold
+        codes m (code_min + 1..code_max; spiking: plus theta_shift), which is
+        p = fl(alpha * m) or next(p), so the stage runs on prev(p), p, next(p)
+        and on +/-inf and +/-max, each code range apart, by chunks."""
+        from .qnn import quantize_array  # qnn imports this module
+
+        filtered, decoded = self._filter_table, self._decode_table
+        try:
+            self._ramp
+        except ValueError:  # a threshold code past 2^53 has no exact float
+            return math.nan
+        ends = [-np.inf, -np.finfo(np.float64).max, np.finfo(np.float64).max, np.inf]
+        for first in dict.fromkeys((self.code_min + 1, self.code_min + 1 + self.theta_shift)):
+            stop = first + self.window - 1
+            for start in range(first, stop, _STAGE_CHUNK):
+                with np.errstate(over="ignore"):
+                    p = self.alpha * np.arange(start, min(start + _STAGE_CHUNK, stop), dtype=float)
+                v = np.concatenate([ends, np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)])
+                q = filtered[quantize_array(v, self) - self.code_min]
+                bad = q != decoded[fire_simulated_array(v, self) + 1]
+                if bad.any():
+                    return float(v[bad.argmax()])
+        return None
 
     def in_dead_zone(self, t: int) -> bool:
         return abs(t - self.i_max) <= self.k

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import matterhorn
 from matterhorn import cli
 from matterhorn.cli import (
     EXIT_CONFIG,
@@ -157,6 +161,22 @@ def test_verify_exhaustive_passes(capsys):
     assert doc["result"]["passed"] is True
     assert doc["result"]["cases_checked"] == 8**4
     assert doc["invocation"]["bits"] == 3
+
+
+def test_python_m_matterhorn_is_the_cli(capsys):
+    # the package runs as a module: same exit code, same stdout bytes
+    argv = ["verify", "--bits", "3", "--k", "1", "--exhaustive"]
+    src = str(Path(matterhorn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "matterhorn", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    code = cli.main(argv)
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out.encode())
+    assert code == EXIT_OK
 
 
 def test_verify_sampled_passes(capsys):

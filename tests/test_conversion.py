@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -400,29 +401,40 @@ def _scalar_potentials(layer, input_cfg):
     ]
 
 
+def _stage_floats(cfg):
+    """The floats the output-stage fact walks at a small window: +/-inf,
+    +/-max, then each threshold code's product and the floats either side."""
+    top = np.finfo(np.float64).max
+    p = cfg.alpha * np.arange(cfg.code_min + 1, cfg.code_max + 1, dtype=np.float64)
+    ends = [-np.inf, -top, top, np.inf]
+    return np.concatenate([ends, np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)])
+
+
 def test_exhaustive_walks_thresholds_once_per_output(monkeypatch):
-    # a +/-1 layer is an integer lattice: the walk runs once a call, over
-    # the (span, fan_out) table of reachable sums plus each output's bias,
-    # so each sum is walked exactly once per output, and every potential
-    # of the scalar reference is among that output's walked values
+    # a passing layer is settled by its output config: the threshold walk
+    # runs once per output config, on the floats either side of each
+    # threshold, and never on a potential; a warm call walks nothing
     walks = _counting_walks(monkeypatch)
     layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
-    report = verify_equivalence(layer, cfg, domain="exhaustive")
-    assert report.passed and report.cases_checked == 4**3
-    [walked] = walks
-    reach = 3 * 2  # fan-in x the largest input term, |-2|
-    assert np.array_equal(walked, np.arange(-reach, reach + 1)[:, None] + layer.bias)
-    expected = np.reshape(_scalar_potentials(layer, cfg), (4**3, 2))
-    for j in range(2):
-        assert set(expected[:, j].tolist()) <= set(walked[:, j].tolist())
+    for walked in ([_stage_floats(cfg)], []):  # the config cold, then warm
+        walks.clear()
+        report = verify_equivalence(layer, cfg, domain="exhaustive")
+        assert report.passed and report.cases_checked == 4**3
+        assert len(walks) == len(walked)
+        assert all(np.array_equal(a, b) for a, b in zip(walks, walked))
+    # the biased output's potentials are x.5, no threshold's neighbours
+    assert not set(_scalar_potentials(layer, cfg)[1::2]) & set(_stage_floats(cfg).tolist())
 
 
 def test_exhaustive_walks_each_potential_once_for_real_weights(monkeypatch):
-    # real weights take the per-block route: every (vector, output)
-    # potential reaches the walk exactly once
+    # real weights on an off-centre dead zone (mu = 1: a silent input adds
+    # nothing where its code adds alpha) take the per-block route: every
+    # (vector, output) potential reaches the walk exactly once
     walks = _counting_walks(monkeypatch)
-    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
-    layer = replace(layer, weights=np.random.default_rng(2).normal(size=(3, 2)))
+    p = QuantParams(n=2)
+    cfg = derive_snn_config(p, i_max=0, k=1)
+    rng = np.random.default_rng(2)
+    layer = QnnLayer(rng.normal(size=(3, 2)), np.zeros(2), in_params=p, out_params=p, mu=cfg.mu, k=1)
     report = verify_equivalence(layer, cfg, domain="exhaustive")
     assert report.cases_checked == 4**3
     seen = [v for walked in walks for v in walked.ravel().tolist()]
@@ -555,26 +567,10 @@ def _term_tables(layer, input_cfg):
     return quantized, spiking
 
 
-def _sum_table_passes(layer, cfg, reach):
-    """Whether the scalar oracles pass every (sum, output) of the lattice
-    table, the potentials fl(s + bias_j) for the integers s in [-R, R]."""
-    p, mu, k = layer.out_params, layer.mu, layer.k
-    return all(
-        dead_zone_filter(quantize(a, p), mu, k) == decode_spike(fire_simulated(a, cfg), cfg)
-        for s, b in itertools.product(range(-reach, reach + 1), layer.bias.tolist())
-        for a in (s + b,)
-    )
-
-
-def _lattice_reach(layer, input_cfg):
-    """R = max_j sum_i |w_ij| x max |term| of the lattice certificate, from
-    the scalar oracles, or None when a term or a weight is not integral."""
+def _same_terms(layer, input_cfg):
+    """Whether the scalar oracles' two term tables match bit for bit."""
     quantized, spiking = _term_tables(layer, input_cfg)
-    terms = quantized + spiking
-    if not all(float(v).is_integer() for v in terms + layer.weights.ravel().tolist()):
-        return None
-    top = max(abs(t) for t in terms)
-    return int(max(sum(abs(w) for w in column) for column in layer.weights.T.tolist()) * top)
+    return [v.hex() for v in quantized] == [v.hex() for v in spiking]
 
 
 @settings(max_examples=100, deadline=None)
@@ -584,84 +580,85 @@ def _lattice_reach(layer, input_cfg):
     mode=st.sampled_from(["symmetric", "asymmetric"]),
     k=st.integers(0, 2),
     theta_shift=st.integers(0, 1),
-    integer_weights=st.booleans(),
-    alpha=st.sampled_from([1.0, 2.0, 0.5]),
+    weights=st.sampled_from(["integer", "pm_one", "real"]),
+    alpha=st.sampled_from([1.0, 2.0, 0.5, 0.37]),
     fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
-    over=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     i_max=st.none() | st.integers(0, 7),
 )
-def test_exhaustive_lattice_route_matches_scalar_reference(
-    n_in, n_out, mode, k, theta_shift, integer_weights, alpha, fan, over, seed, i_max
+def test_exhaustive_certificate_route_matches_scalar_reference(
+    n_in, n_out, mode, k, theta_shift, weights, alpha, fan, seed, i_max
 ):
-    # integer weights in [-3, 3] (zero included) with no bias, or +/-1
-    # weights with a real bias; a shifted threshold schedule and an
-    # off-centre dead zone (the input's too where the mask fits its window)
-    # make mismatches.  BLOCK_TERMS is set to the lattice table's size, or
-    # one below it ("over"), where the per-block route must run; a scale of
-    # 0.5 mostly leaves the lattice.
+    # integer weights in [-3, 3] (zero included) with no bias, +/-1 weights
+    # with a real bias, or real weights and bias; a shifted threshold
+    # schedule and an off-centre dead zone (the input's too where the mask
+    # fits its window) make mismatches.  Where the scalar terms match and
+    # the output stage agrees on every float, no potential is walked and no
+    # block is built; anywhere else the blocks walk every potential once.
     fan_in, fan_out = fan
     p_in, p_out = QuantParams(n_in, alpha, mode), QuantParams(n_out, alpha, mode)
     i_max = zero_centered_i_max(p_out) if i_max is None else i_max % 2**n_out
     cfg = replace(derive_snn_config(p_out, i_max, k), theta_shift=theta_shift)
     rng = np.random.default_rng(seed)
     shape = (fan_in, fan_out)
+    draw = {
+        "integer": lambda: rng.integers(-3, 4, shape),
+        "pm_one": lambda: rng.choice([-1.0, 1.0], shape),
+        "real": lambda: rng.normal(size=shape),
+    }
     layer = QnnLayer(
-        weights=rng.integers(-3, 4, shape) if integer_weights else rng.choice([-1.0, 1.0], shape),
-        bias=np.zeros(fan_out) if integer_weights else rng.normal(size=fan_out),
+        weights=draw[weights](),
+        bias=np.zeros(fan_out) if weights == "integer" else rng.normal(size=fan_out),
         in_params=p_in,
         out_params=p_out,
         mu=cfg.mu,
         k=k,
     )
     encoding = default_input_cfg(layer, cfg)
-    reach = _lattice_reach(layer, encoding)
-    entries = None if reach is None else (2 * reach + 1) * fan_out
+    proven = _same_terms(layer, encoding) and cfg._stage_witness is None  # warm: no walk
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conversion, "BLOCK_TERMS", 40 if entries is None else entries - over)
+        mp.setattr(conversion, "BLOCK_TERMS", 40)
         mp.setattr(conversion, "KEPT", ALL)
         walks = _counting_walks(mp)
+        blocks = _counting_blocks(mp)
         got = verify_equivalence(layer, cfg).to_dict()
         assert got == reference_exhaustive(layer, cfg).to_dict()
-    quantized, spiking = _term_tables(layer, encoding)
-    if entries is not None and not over and quantized == spiking:
-        # the sum table is walked first; if it passes, nothing else is walked
-        table, *walks = walks
-        assert np.array_equal(table, np.arange(-reach, reach + 1)[:, None] + layer.bias)
-        if _sum_table_passes(layer, cfg, reach):
-            assert got["passed"] and walks == []
-            return
-    seen = [v for walked in walks for v in walked.ravel().tolist()]
-    assert sorted(seen) == sorted(_scalar_potentials(layer, encoding))
+    if proven:
+        assert got["passed"] and walks == [] and blocks == []
+    else:
+        seen = [v for walked in walks for v in walked.ravel().tolist()]
+        assert sorted(seen) == sorted(_scalar_potentials(layer, encoding))
 
 
-def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monkeypatch):
+def test_exhaustive_passes_an_equal_table_layer_without_a_block(monkeypatch):
     # a centered input dead zone makes the two term tables equal, so a
-    # passing +/-1 layer is settled by its one sum table and builds no code
-    # block; its shifted-schedule twin fails there and checks every vector
+    # passing layer is settled by its configs and builds no code block,
+    # whatever its weights and scale; its shifted-schedule twin fails there
+    # and checks every vector
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
     monkeypatch.setattr(conversion, "KEPT", ALL)
     blocks = _counting_blocks(monkeypatch)
-    walks = _counting_walks(monkeypatch)
-    layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=3, fan_out=2, bias=np.array([0.0, 0.5]))
-    table = np.arange(-12, 13)[:, None] + layer.bias  # reach: 3 inputs x |-4|
-    for theta_shift in (0, 1):
-        blocks.clear()
-        walks.clear()
-        control = replace(cfg, theta_shift=theta_shift)
-        report = verify_equivalence(layer, control, domain="exhaustive")
-        assert report.to_dict() == reference_exhaustive(layer, control).to_dict()
-        assert report.passed == (theta_shift == 0) and report.cases_checked == 8**3
-        assert np.array_equal(walks[0], table)
-        if report.passed:
-            assert blocks == [] and len(walks) == 1
-        else:
-            assert len(blocks) > 2
-            _assert_blocks_cover(blocks, 8**3)
+    rng = np.random.default_rng(12)
+    for alpha, real in itertools.product((1.0, 0.37), (False, True)):
+        layer, cfg = pm_layer(QuantParams(n=3, alpha=alpha), k=1, fan_in=3, fan_out=2)
+        bias = rng.normal(size=2) if real else np.array([0.0, 0.5])
+        weights = rng.normal(size=(3, 2)) if real else layer.weights
+        layer = replace(layer, weights=weights, bias=bias)
+        for theta_shift in (0, 1):
+            blocks.clear()
+            control = replace(cfg, theta_shift=theta_shift)
+            report = verify_equivalence(layer, control, domain="exhaustive")
+            assert report.to_dict() == reference_exhaustive(layer, control).to_dict()
+            assert report.passed == (theta_shift == 0) and report.cases_checked == 8**3
+            if report.passed:
+                assert blocks == []
+            else:
+                assert len(blocks) > 2
+                _assert_blocks_cover(blocks, 8**3)
 
 
 @settings(max_examples=100, deadline=None)
-@example(  # a control whose bad sums fall in 6 of its 16 blocks
+@example(  # a control whose bad potentials fall in some of its blocks
     n=2, mode="symmetric", k=0, theta_shift=1, integer_weights=True, alpha=1.0, fan=(3, 1), seed=0
 )
 @given(
@@ -670,7 +667,7 @@ def test_exhaustive_passes_an_equal_table_lattice_layer_from_its_sum_table(monke
     k=st.integers(0, 2),
     theta_shift=st.integers(0, 1),
     integer_weights=st.booleans(),
-    alpha=st.sampled_from([1.0, 2.0]),
+    alpha=st.sampled_from([1.0, 2.0, 0.5, 0.37]),
     fan=st.tuples(st.integers(1, 3), st.integers(1, 4)),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -680,8 +677,9 @@ def test_exhaustive_verdict_route_matches_scalar_reference(
     # input codes encoded with the dead zone on zero give equal term tables,
     # which the derived input encoding does only at one width for both
     # sides; integer weights in [-3, 3] with no bias, or +/-1 weights with
-    # a real bias.  BLOCK_TERMS is the lattice table's size, so a run has
-    # many small blocks, and a shifted threshold schedule puts bad sums in some
+    # a real bias.  Small blocks make a run of many, and a shifted threshold
+    # schedule puts bad potentials in some.  A stage that agrees on every
+    # float settles the run with no block; any other checks every vector.
     fan_in, fan_out = fan
     p_in = p_out = QuantParams(n, alpha, mode)
     cfg = replace(derive_snn_config(p_out, zero_centered_i_max(p_out), k), theta_shift=theta_shift)
@@ -695,35 +693,46 @@ def test_exhaustive_verdict_route_matches_scalar_reference(
         mu=cfg.mu,
         k=k,
     )
-    reach = _lattice_reach(layer, default_input_cfg(layer, cfg))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conversion, "BLOCK_TERMS", (2 * reach + 1) * fan_out)
+        mp.setattr(conversion, "BLOCK_TERMS", 3 * fan_out)
         mp.setattr(conversion, "KEPT", ALL)
         blocks = _counting_blocks(mp)
         got = verify_equivalence(layer, cfg).to_dict()
         assert got == reference_exhaustive(layer, cfg).to_dict()
-    if _sum_table_passes(layer, cfg, reach):
-        assert got["passed"] and blocks == []  # settled by the sum table
+    if cfg._stage_witness is None:
+        assert got["passed"] and blocks == []  # settled by the configs
     else:
         _assert_blocks_cover(blocks, 2 ** (n * fan_in))
 
 
-def test_exhaustive_lattice_sums_reaching_2_53_run_per_block(monkeypatch):
-    # R = (2^51 + 2^51) x |-2| = 2^53: float sums of the lattice terms are
-    # no longer certified exact, so the per-block route runs however large
-    # a table BLOCK_TERMS would allow
-    monkeypatch.setattr(conversion, "BLOCK_TERMS", 2**60)
+def test_exhaustive_proves_a_layer_whose_sums_reach_2_53(monkeypatch):
+    # (2^51 + 2^51) x |-2| = 2^53: the potentials reach 2^53, where no
+    # integer sum bound holds any more; the configs' facts hold for any
+    # weights, so no potential is walked
     monkeypatch.setattr(conversion, "KEPT", ALL)
-    walks = _counting_walks(monkeypatch)
     p = QuantParams(n=2)
     layer = QnnLayer(
         weights=np.full((2, 1), 2.0**51), bias=np.zeros(1), in_params=p, out_params=p
     )
     cfg = derive_snn_config(p, zero_centered_i_max(p), 0)
-    assert _lattice_reach(layer, cfg) == 2**53
+    assert max(map(abs, _scalar_potentials(layer, cfg))) == 2**53
+    cfg._stage_witness  # warm
+    walks = _counting_walks(monkeypatch)
     got = verify_equivalence(layer, cfg, domain="exhaustive").to_dict()
     assert got == reference_exhaustive(layer, cfg).to_dict()
-    assert [walked.shape for walked in walks] == [(16, 1)]
+    assert got["passed"] and walks == []
+
+
+def test_exhaustive_proves_a_transformer_size_layer_in_under_a_second():
+    # 768 x 768 +/-1 weights at alpha 0.37 with a real bias: 16^768 input
+    # vectors, proven from two facts of the config, no sum taken
+    p = QuantParams(n=4, alpha=0.37)
+    bias = np.random.default_rng(7).normal(size=768)
+    layer, cfg = pm_layer(p, k=1, fan_in=768, fan_out=768, seed=7, bias=bias)
+    start = time.perf_counter()
+    report = verify_equivalence(layer, cfg, domain="exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert report.passed and report.cases_checked == 16**768
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -747,9 +756,16 @@ def test_exhaustive_builds_the_small_domain_tables_once_per_config(monkeypatch):
     # config, however many vectors and blocks the sweep holds: the first call
     # on a fresh config builds each table once (the input and output sides
     # share it here), and a second call on the same config builds none, on
-    # the sum-table route (fan-in 3) and the per-block route (fan-in 4, whose
-    # 33 x 2 sums exceed the 64 terms of a block)
+    # the certificate route (a centered dead zone, whose stage is walked once)
+    # and the per-block route (an off-centre one at fan-in 4, 8 vectors a block)
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 64)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
+    routes = []
+    for fan_in, i_max, walked in ((3, None, 1), (4, 2, 8**4 // 8)):
+        layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=fan_in, fan_out=2)
+        cfg = derive_snn_config(layer.in_params, cfg.i_max if i_max is None else i_max, 1)
+        layer = replace(layer, mu=cfg.mu)
+        routes.append((layer, cfg, walked, reference_exhaustive(layer, cfg).to_dict()))
     names = ("encode_integer_array", "dead_zone_filter_array", "decode_spike_array")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -762,22 +778,22 @@ def test_exhaustive_builds_the_small_domain_tables_once_per_config(monkeypatch):
         for module in (conversion, spike, qnn):
             monkeypatch.setattr(module, name, counting, raising=False)
     walks = _counting_walks(monkeypatch)
-    for fan_in, walked in ((3, 1), (4, 8**4 // 8)):  # one sum table, or 8 vectors a block
-        layer, cfg = pm_layer(QuantParams(n=3), k=1, fan_in=fan_in, fan_out=2)
+    for layer, cfg, walked, want in routes:
         for built in (1, 0):  # the config cold, then warm
             counts.update(dict.fromkeys(names, 0))
             walks.clear()
             report = verify_equivalence(layer, cfg, domain="exhaustive")
-            assert report.passed and report.cases_checked == 8**fan_in
+            assert report.to_dict() == want
             assert counts == dict.fromkeys(names, built)
-            assert len(walks) == walked
+            assert len(walks) == (walked if cfg.mu else built)
 
 
 def test_exhaustive_integrates_the_input_trains_once_per_config(monkeypatch):
-    # real weights take the per-block route, which sums rows of the per-input-
-    # code term tables: the trains are integrated once per config, one per
-    # input code, to build the spiking side's table, however many blocks or
-    # calls the sweep holds
+    # the sweep sums rows of the per-input-code term tables: the trains are
+    # integrated once per config, one per input code, to build the spiking
+    # side's table, however many blocks or calls the sweep holds, on the
+    # certificate route (a centered dead zone: the stage is walked once a
+    # config) and the per-block route (an off-centre one, two vectors a block)
     monkeypatch.setattr(conversion, "BLOCK_TERMS", 16)
     integrated = []
     kernel = spike.integrate_array
@@ -789,28 +805,31 @@ def test_exhaustive_integrates_the_input_trains_once_per_config(monkeypatch):
     for module in (spike, conversion):
         monkeypatch.setattr(module, "integrate_array", counting, raising=False)
     walks = _counting_walks(monkeypatch)
-    layer, cfg = pm_layer(QuantParams(n=2), k=1, fan_in=3, fan_out=2)
-    layer = replace(layer, weights=np.random.default_rng(2).normal(size=(3, 2)))
-    reports = []
-    for shapes in ([(4, 1)], []):  # the config cold, then warm
-        integrated.clear()
-        walks.clear()
-        report = verify_equivalence(layer, cfg, domain="exhaustive")
-        assert report.passed and report.cases_checked == 4**3
-        assert len(walks) == 4**3 // 2  # two vectors a block
-        assert [times.shape for times in integrated] == shapes
-        reports.append(report.to_dict())
-    assert reports[0] == reports[1]
+    p = QuantParams(n=2)
+    weights = np.random.default_rng(2).normal(size=(3, 2))
+    for i_max, walked in ((1, (1, 0)), (0, (4**3 // 2,) * 2)):
+        cfg = derive_snn_config(p, i_max, 1)
+        layer = QnnLayer(weights, np.zeros(2), in_params=p, out_params=p, mu=cfg.mu, k=1)
+        reports = []
+        for shapes, walks_made in zip(([(4, 1)], []), walked):  # the config cold, then warm
+            integrated.clear()
+            walks.clear()
+            report = verify_equivalence(layer, cfg, domain="exhaustive")
+            assert report.cases_checked == 4**3 and report.passed == (cfg.mu == 0)
+            assert len(walks) == walks_made
+            assert [times.shape for times in integrated] == shapes
+            reports.append(report.to_dict())
+        assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("mode", [spike.SYMMETRIC, ASYMMETRIC])
 def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
     # the tables a config caches change no report: a fresh config and one an
-    # earlier call warmed report alike, on the sum-table and per-block routes,
-    # passing and failing, with the input config shared or built per call.
-    # The warm config keeps its decode and filter tables, and, where it
-    # serves the input side too (theta_shift 0), its term table and lattice
-    # fact, whether or not the lattice holds.
+    # earlier call warmed report alike, on the certificate and per-block
+    # routes, passing and failing, with the input config shared or built per
+    # call.  The warm config keeps its decode and filter tables; where it
+    # serves the input side too (theta_shift 0), its term table and terms
+    # fact; and its stage fact wherever the input side's terms are the same.
     p = QuantParams(n=3, mode=mode)
     rng = np.random.default_rng(5)
     verdicts = set()
@@ -822,7 +841,8 @@ def test_exhaustive_reports_match_on_cold_and_warm_configs(mode):
             cold = verify_equivalence(layer, replace(cfg), domain="exhaustive").to_dict()
             verify_equivalence(layer, cfg, domain="exhaustive")
             kept = {"_decode_table", "_filter_table"}
-            kept |= {"_term_table", "_lattice_top"} if theta_shift == 0 else set()
+            kept |= {"_term_table", "_same_terms"} if theta_shift == 0 else set()
+            kept |= {"_stage_witness"} if _same_terms(layer, default_input_cfg(layer, cfg)) else set()
             assert kept <= cfg.__dict__.keys()
             assert verify_equivalence(layer, cfg, domain="exhaustive").to_dict() == cold
             verdicts.add(cold["passed"])
@@ -877,10 +897,11 @@ def test_exhaustive_sweep_takes_the_slow_exact_kernels_only_for_real_values(monk
 
 def test_exhaustive_memory_is_bounded_by_the_block():
     # vectors are built block by block from their indices, so 16x the
-    # vectors does not mean 16x the memory (real weights: no sum table)
+    # vectors does not mean 16x the memory (a shifted schedule: no certificate)
     def peak(fan_in):
         layer, cfg = pm_layer(QuantParams(n=4, alpha=0.37), k=0, fan_in=fan_in, fan_out=1)
         layer = replace(layer, weights=np.random.default_rng(1).normal(size=(fan_in, 1)))
+        cfg = replace(cfg, theta_shift=1)
         tracemalloc.start()
         try:
             report = verify_equivalence(layer, cfg, domain="exhaustive")

@@ -814,7 +814,8 @@ def test_cached_tables_refuse_a_window_over_2_20_before_allocating():
     tracemalloc.start()
     try:
         tables = ("_ramp", "ramp"), ("_decode_table", "decode"), ("_term_table", "term")
-        for attr, name in (*tables, ("_filter_table", "filter"), ("_lattice_top", "term")):
+        facts = ("_same_terms", "filter"), ("_stage_witness", "filter")
+        for attr, name in (*tables, ("_filter_table", "filter"), *facts):
             with pytest.raises(ValueError, match=rf"^{name} table of 2\^30 steps exceeds 2\^20$"):
                 getattr(cfg, attr)
         peak = tracemalloc.get_traced_memory()[1]
@@ -832,22 +833,86 @@ def test_cached_tables_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             table[:] = 0
     assert fire_simulated_array(np.array([3.0, -9.0]), cfg).tolist() == [0, 7]
-    assert type(cfg._lattice_top) is float  # a plain number: nothing to write to
+    # plain values: nothing to write to
+    assert cfg._same_terms is True and cfg._stage_witness is None
 
 
 @pytest.mark.parametrize("mode", [SYMMETRIC, ASYMMETRIC])
 @pytest.mark.parametrize("alpha", [1.0, 3.0, 0.37])
-def test_filter_table_and_lattice_top_follow_their_definitions(mode, alpha):
+def test_filter_table_and_same_terms_follow_their_definitions(mode, alpha):
     # the filter table is the quantized rule of each code, never the spiking
-    # round trip; the lattice top is the largest |term| exactly where both
-    # sides add one integer per code and unit weight
+    # round trip; the terms are the same where both sides add one float per
+    # code and unit weight, bit for bit
     for i_max, k in itertools.product(range(8), range(3)):
         cfg = SnnLayerConfig(n=3, alpha=alpha, mode=mode, i_max=i_max, k=k)
         codes = range(cfg.code_min, cfg.code_max + 1)
         assert cfg._filter_table.tolist() == [qnn.dead_zone_filter(q, cfg.mu, k) for q in codes]
-        scaled = [alpha * q for q in cfg._filter_table.tolist()]
-        terms = cfg._term_table.tolist()
-        one = scaled == terms and all(t == math.floor(t) for t in terms)
-        assert cfg._lattice_top == (max(map(abs, terms)) if one else None)
-        # one table exactly for an integer scale with the silent train on code zero
-        assert one == (alpha != 0.37 and cfg.mu == 0)
+        scaled = [(alpha * q).hex() for q in cfg._filter_table.tolist()]
+        same = scaled == [t.hex() for t in cfg._term_table.tolist()]
+        assert cfg._same_terms is same
+        # at every scale, exactly where the silent train stands for code zero
+        assert same == (cfg.mu == 0)
+
+
+def _stage_codes(x, cfg):
+    """The output stage's two codes of one float, by the scalar oracles:
+    (quantized, spiking)."""
+    quantized = qnn.dead_zone_filter(qnn.quantize(x, cfg), cfg.mu, cfg.k)
+    return quantized, decode_spike(fire_simulated(x, cfg), cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    mode=st.sampled_from([SYMMETRIC, ASYMMETRIC]),
+    i_max=st.integers(0, 2**8 - 1),
+    k=st.integers(0, 3),
+    alpha=st.sampled_from([1.0, 0.5, 0.37, 1 / 3, 2.0**-1000, 1e300]),
+    theta_shift=st.integers(-3, 3),
+    floats=st.lists(st.floats(allow_nan=False), max_size=10),
+)
+def test_stage_witness_matches_the_scalar_oracles(n, mode, i_max, k, alpha, theta_shift, floats):
+    # where the fact holds, the scalar oracles agree within 3 ulps of every
+    # threshold of either side (and on any drawn float); where it fails,
+    # they disagree on the witness
+    cfg = SnnLayerConfig(n, alpha, mode, i_max % 2**n, k, theta_shift)
+    witness = cfg._stage_witness
+    if witness is not None:
+        quantized, spiking = _stage_codes(witness, cfg)
+        assert quantized != spiking
+        return
+    shifts = (0, theta_shift)
+    for m in range(cfg.code_min + 1 + min(shifts), cfg.code_max + max(shifts) + 1):
+        below = above = alpha * m
+        near = [below]
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            near += [below, above]
+        for x in near:
+            quantized, spiking = _stage_codes(x, cfg)
+            assert quantized == spiking, (m, x)
+    for x in floats:
+        quantized, spiking = _stage_codes(x, cfg)
+        assert quantized == spiking, x
+
+
+def test_stage_witness_takes_far_apart_thresholds_apart():
+    # theta_shift 2^40 puts the spiking thresholds 2^40 codes above the
+    # quantized ones.  A dead zone over the whole window sends every float
+    # to mu on both sides, so the fact holds and both 2^20-code ranges are
+    # walked, a chunk at a time, never the span between them
+    cfg = SnnLayerConfig(n=20, k=2**20, theta_shift=2**40)
+    cfg._filter_table, cfg._decode_table, cfg._ramp  # the tables the fact reads
+    tracemalloc.start()
+    try:
+        assert cfg._stage_witness is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # fired codes tell the ranges apart: the witness is a float where they differ
+    fired = SnnLayerConfig(n=20, k=1, theta_shift=2**40)
+    quantized, spiking = _stage_codes(fired._stage_witness, fired)
+    assert quantized != spiking
+    # a threshold code past 2^53 has no exact float: nothing is claimed
+    assert math.isnan(SnnLayerConfig(n=3, theta_shift=2**53)._stage_witness)
