@@ -280,7 +280,7 @@ def verify_equivalence(
     if input_cfg._same_terms and cfg._stage_witness is None:
         return report
 
-    n, fan_in = p_in.n, layer.fan_in
+    n, fan_in, same_terms = p_in.n, layer.fan_in, input_cfg._same_terms
     scaled_in = input_cfg.alpha * input_cfg._filter_table
     # Any other layer checks every vector: a block holds whole vectors, or one
     # vector's outputs in chunks, so mismatches come in vector, then output, order.
@@ -291,7 +291,9 @@ def verify_equivalence(
         for lo in range(0, fan_out, width):
             # each side's sums of its gathered terms, exactly rounded
             w, b = weights[:, lo : lo + width], bias[lo : lo + width]
-            pre, potentials = (exact_matmul(t[rows], w) + b for t in (scaled_in, kernel_in))
+            potentials = exact_matmul(kernel_in[rows], w) + b
+            # equal term tables sum to equal floats: one sum serves both sides
+            pre = potentials if same_terms else exact_matmul(scaled_in[rows], w) + b
             # quantized side: floor, clip, filter; spiking side: fire, mask, decode
             qnn_codes = filtered_out[quantize_array(pre, p_out) - p_out.code_min]
             snn_codes = decoded[fire_simulated_array(potentials, cfg) + 1]

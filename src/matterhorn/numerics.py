@@ -172,8 +172,10 @@ def exact_matmul(a, b, mask=None) -> np.ndarray:
     When both operands are integral, so is every product, and while an
     entry's summed magnitudes ``(|a| @ |b|)[r, j]`` stay below 2^53 every
     product and partial sum is exact in any order (Shewchuk 1997): one
-    float matmul gives the result.  The float magnitude sums reach 2^53
-    whenever the real ones do, and are never below it for inf or NaN.
+    float matmul gives the result.  The bound is tried first as
+    ``fl(inputs * fl(max|a| * max|b|)) < 2^53``, then as ``|a| @ |b| < 2^53``:
+    rounding is monotone and 2^53 is a float, so either float test passes
+    only where the real bound holds, and neither does for inf or NaN.
     An operand of integer dtype needs no integrality test.  Any other
     product goes through ``fsum_rows``.
     """
@@ -186,8 +188,10 @@ def exact_matmul(a, b, mask=None) -> np.ndarray:
         a = np.where(mask, a, 0.0)
     whole = (int_a or (a == np.floor(a)).all()) and (int_b or (b == np.floor(b)).all())
     with np.errstate(all="ignore"):  # inf and NaN products sum as in math.fsum
-        if whole and (np.abs(a) @ np.abs(b) < _EXACT_INT).all():
-            return a @ b + 0.0  # fsum's zero is +0.0
+        if whole:
+            top = float(np.abs(a).max(initial=0.0)) * float(np.abs(b).max(initial=0.0))
+            if a.shape[-1] * top < _EXACT_INT or (np.abs(a) @ np.abs(b) < _EXACT_INT).all():
+                return a @ b + 0.0  # fsum's zero is +0.0
         terms = a[..., None, :] * b.T
     if mask is not None:
         terms = np.where(mask[..., None, :], terms, 0.0)

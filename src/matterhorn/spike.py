@@ -103,9 +103,10 @@ class QuantParams:
     """Bit width, scale and mode of one quantized activation tensor.
 
     The derived constants (``code_min``, ``code_max`` and, on
-    ``SnnLayerConfig``, ``window``, ``mu``) are computed once
-    per instance; they are not fields, so equality, hashing, ``repr``,
-    ``asdict`` and ``replace`` see only the fields.
+    ``SnnLayerConfig``, ``window``, ``mu``) are plain attributes set at
+    construction, so a read costs no descriptor lookup; they are not
+    fields, so equality, hashing, ``repr``, ``asdict`` and ``replace`` see
+    only the fields, and ``replace`` sets them anew.
     """
 
     n: int
@@ -127,15 +128,10 @@ class QuantParams:
         # scalar oracles' Fraction(alpha) refuses a numpy float32
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "alpha", float(self.alpha))
-
-    @cached_property
-    def code_min(self) -> int:
-        return -(2 ** (self.n - 1)) if self.mode == SYMMETRIC else 0
-
-    @cached_property
-    def code_max(self) -> int:
-        """Top representable code; also the origin of the time ramp."""
-        return 2 ** (self.n - 1) - 1 if self.mode == SYMMETRIC else 2**self.n - 1
+        # code_max is the top representable code and the origin of the time ramp
+        half = 2 ** (self.n - 1)
+        object.__setattr__(self, "code_min", -half if self.mode == SYMMETRIC else 0)
+        object.__setattr__(self, "code_max", half - 1 if self.mode == SYMMETRIC else 2 * half - 1)
 
 
 @dataclass(frozen=True)
@@ -152,6 +148,8 @@ class SnnLayerConfig(QuantParams):
     ``i_max`` with ``mu != 0``.
     ``theta_shift`` offsets the threshold schedule by whole codes and is a
     fault-injection hook for negative-control verification runs.
+    ``window``, ``mu`` and an empty ``_codebook`` are set at construction;
+    the tables and ``_stage_configs`` are built on first use.
     """
 
     i_max: int | None = None  # None stores code_max (mu = 0)
@@ -160,6 +158,7 @@ class SnnLayerConfig(QuantParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "window", 2**self.n)
         if self.i_max is None:
             object.__setattr__(self, "i_max", self.code_max)
         require_integer("i_max", self.i_max)
@@ -170,20 +169,9 @@ class SnnLayerConfig(QuantParams):
         # plain ints, as for n: a numpy integer wraps mu and the threshold codes
         object.__setattr__(self, "i_max", int(self.i_max))
         object.__setattr__(self, "theta_shift", int(self.theta_shift))
-
-    @cached_property
-    def window(self) -> int:
-        return 2**self.n
-
-    @cached_property
-    def mu(self) -> int:
-        """Code represented by the silent train (dead-zone center)."""
-        return self.code_max - self.i_max
-
-    @cached_property
-    def _codebook(self) -> dict[int, "SpikeTrain"]:
-        """Code -> shared ``SpikeTrain``, filled by ``spike._code_train``."""
-        return {}
+        # mu: the silent train's code; _codebook: code -> train, filled by _code_train
+        object.__setattr__(self, "mu", self.code_max - self.i_max)
+        object.__setattr__(self, "_codebook", {})
 
     @cached_property
     def _stage_configs(self) -> tuple["SnnLayerConfig", "SnnLayerConfig"]:

@@ -895,6 +895,25 @@ def test_exhaustive_sweep_takes_the_slow_exact_kernels_only_for_real_values(monk
     assert got == reference_exhaustive(layer, cfg).to_dict()
 
 
+@pytest.mark.parametrize("i_max, sums", [(None, 1), (2, 2)], ids=["centred", "off_centre"])
+def test_exhaustive_block_sums_once_where_the_term_tables_match(monkeypatch, i_max, sums):
+    # a shifted schedule fails, so every block runs; a centred input dead
+    # zone makes both term tables equal (_same_terms), and one exact sum a
+    # block serves both sides, where an off-centre one needs two (64 blocks
+    # of 8 vectors x 3 inputs x 2 outputs)
+    monkeypatch.setattr(conversion, "BLOCK_TERMS", 48)
+    monkeypatch.setattr(conversion, "KEPT", ALL)
+    layer, cfg = pm_layer(QuantParams(n=3, alpha=0.37), k=1, fan_in=3, fan_out=2)
+    cfg = derive_snn_config(layer.in_params, cfg.i_max if i_max is None else i_max, 1)
+    layer, cfg = replace(layer, mu=cfg.mu), replace(cfg, theta_shift=1)
+    calls = []
+    kernel = numerics.exact_matmul
+    monkeypatch.setattr(conversion, "exact_matmul", lambda *a: calls.append(a) or kernel(*a))
+    report = verify_equivalence(layer, cfg, domain="exhaustive")
+    assert not report.passed and report.to_dict() == reference_exhaustive(layer, cfg).to_dict()
+    assert len(calls) == sums * 64
+
+
 def test_exhaustive_memory_is_bounded_by_the_block():
     # vectors are built block by block from their indices, so 16x the
     # vectors does not mean 16x the memory (a shifted schedule: no certificate)

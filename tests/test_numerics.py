@@ -503,6 +503,34 @@ def test_exact_matmul_takes_the_integer_route_below_2_53(monkeypatch):
     _assert_exact_matmul([[1.0, 7.0]], [[math.inf], [1.0]])
 
 
+@pytest.mark.parametrize(
+    "a, b, certified",
+    [
+        # the largest entries bound every sum: 2 x 2^51 x 1 < 2^53
+        ([[2.0**51, 2.0**51]], [[1.0], [1.0]], True),
+        # that bound reads 2^53, the magnitude sums 2^53 - 1: just below
+        ([[2.0**52, 2.0**52 - 1]], [[1.0], [1.0]], True),
+        ([[2.0**52, 2.0**52]], [[1.0], [1.0]], False),  # at 2^53
+        # a zero operand bounds every sum by zero, however large the other
+        ([[2.0**60, -(2.0**60)]], [[0.0], [0.0]], True),
+        ([[math.inf, 1.0]], [[0.0], [1.0]], False),  # inf x 0 is NaN
+        ([[math.inf, 1.0]], [[1.0], [1.0]], False),
+        ([[math.nan, 1.0]], [[1.0], [1.0]], False),
+        ([[1.0, 1.0]], [[math.nan], [1.0]], False),
+    ],
+)
+def test_exact_matmul_bounds_by_its_largest_entries_first(monkeypatch, a, b, certified):
+    fsums = _count_fallbacks(monkeypatch, "fsum_rows")
+    with np.errstate(all="ignore"):
+        _assert_exact_matmul(a, b)
+    assert (not fsums) == certified
+    if all(math.isfinite(x) for row in a for x in row):
+        fsums.clear()  # an integer-dtype operand takes the same route
+        got = exact_matmul(np.array(a, dtype=np.int64), b).ravel().tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in exact_matmul(a, b).ravel().tolist()]
+        assert (not fsums) == certified
+
+
 _ENTRIES = {
     "integer": st.integers(-(2**27), 2**27).map(float),
     "real": st.one_of(

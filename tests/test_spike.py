@@ -1,8 +1,10 @@
 """Spike encoding, integration and firing: examples, invariants, oracles."""
 
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -80,6 +82,17 @@ def test_config_rejects_bad_values():
         SnnLayerConfig(n=4, mode="ternary")
 
 
+# The scalar oracles read these once or more per call: a class-level
+# descriptor (a property, a cached_property) makes every read take the
+# generic attribute lookup, even once its value is cached.
+_CONSTANTS = ("code_min", "code_max", "window", "mu", "_codebook")
+
+
+@pytest.mark.parametrize("cls", [QuantParams, SnnLayerConfig])
+def test_constants_are_instance_attributes_not_descriptors(cls):
+    assert not set(_CONSTANTS) & vars(cls).keys()
+
+
 def test_cached_constants_stay_out_of_the_fields():
     cfg = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
     fresh = SnnLayerConfig(n=4, alpha=0.37, mode=SYMMETRIC, i_max=7, k=1)
@@ -94,6 +107,25 @@ def test_cached_constants_stay_out_of_the_fields():
     assert [stage.n for stage in wider._stage_configs] == [5, 5]  # not cfg's, carried over
     assert cfg.window == 16  # the original keeps its own constants
     assert cfg._stage_configs[0] is unit
+    moved = dataclasses.replace(cfg, i_max=5, mode=ASYMMETRIC)
+    assert (moved.code_min, moved.code_max, moved.window, moved.mu) == (0, 15, 16, 10)
+    for name in _CONSTANTS:  # set at construction, frozen after it
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        QuantParams(4).code_min = 0
+    assert (cfg.code_min, cfg.mu, cfg._codebook) == (-8, 0, {})
+
+
+@pytest.mark.parametrize("round_trip", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))])
+def test_constants_survive_a_copy(round_trip):
+    cfg = SnnLayerConfig(n=4, alpha=0.37, i_max=9, k=1, theta_shift=1)
+    encode_integer(3, cfg)
+    other = round_trip(cfg)
+    assert other == cfg and hash(other) == hash(cfg)
+    assert [getattr(other, c) for c in _CONSTANTS] == [getattr(cfg, c) for c in _CONSTANTS]
+    assert other._codebook is not cfg._codebook
+    assert encode_integer(3, other) == encode_integer(3, cfg)
 
 
 @pytest.mark.parametrize("field", ["i_max", "k", "theta_shift"])
@@ -586,6 +618,10 @@ def test_config_stores_plain_python_numbers():
     # a numpy bit width once wrapped 2**n: window 0 at n = 64, code_max -1 at 70
     assert SnnLayerConfig(n=np.int64(64)).window == 2**64
     assert SnnLayerConfig(n=np.int64(70)).code_max == 2**69 - 1
+    wide = SnnLayerConfig(n=np.int64(62), i_max=np.int64(5))
+    constants = (wide.code_min, wide.code_max, wide.window, wide.mu)
+    assert constants == (-(2**61), 2**61 - 1, 2**62, 2**61 - 6)
+    assert all(type(c) is int for c in constants)
     # a numpy float32 scale once made the scalar search raise TypeError
     cfg = SnnLayerConfig(n=8, alpha=np.float32(0.37), i_max=127, k=1)
     edges = cfg.alpha * np.arange(-2, cfg.window + 2, dtype=np.float64)
