@@ -249,13 +249,14 @@ def _cmd_verify(args) -> int:
         )
     else:
         doc = _load_json_file(args.weights)
+        n = doc.get("n") if isinstance(doc, dict) else None
+        if isinstance(n, int) and n > MAX_BITS:  # refused before QuantParams builds 2^(n-1)
+            raise ConfigError(f"layer bit width n={n} exceeds the maximum of {MAX_BITS}")
         try:
             layer = QnnLayer.from_json(json.dumps(doc))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad layer descriptor {args.weights}: {exc}") from exc
         p = layer.out_params
-        if p.n > MAX_BITS:
-            raise ConfigError(f"layer bit width n={p.n} exceeds the maximum of {MAX_BITS}")
         overrun = _exhaustive_overrun(layer.in_params.n, layer.fan_in, layer.fan_out)
         if args.exhaustive and overrun:
             raise ConfigError(overrun)

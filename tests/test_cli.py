@@ -17,6 +17,7 @@ from matterhorn.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    MAX_BITS,
     MAX_COUNT,
     MAX_FUZZ,
     MAX_SAMPLES,
@@ -266,6 +267,17 @@ def test_verify_non_integral_bit_width_is_config_error(tmp_path, capsys, domain)
     assert code == EXIT_CONFIG
     detail = json.loads(err)["detail"]
     assert "bit width must be an integer >= 1, got 3.5" in detail and "alpha_in" not in detail
+
+
+@pytest.mark.parametrize("n", [MAX_BITS + 1, 10**10])
+def test_verify_oversized_bit_width_is_config_error(tmp_path, capsys, n):
+    # refused before any code range is built: 2^(10^10 - 1) would run for minutes
+    layer = {"n": n, "alpha_in": 1.0, "alpha_out": 1.0, "weights": [1.0], "bias": [0.0]}
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps(layer))
+    code, out, err = run(capsys, "verify", "--weights", str(path), "--samples", "10")
+    assert code == EXIT_CONFIG and not out
+    assert f"layer bit width n={n} exceeds the maximum of {MAX_BITS}" in json.loads(err)["detail"]
 
 
 @pytest.mark.parametrize("field, value", [("mu", 0.9), ("k", 1.7)])

@@ -473,10 +473,12 @@ def _fsum_products(a, b, mask):
 
 
 def _assert_exact_matmul(a, b, mask=None):
-    a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
-    keep = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask)
+    """``exact_matmul`` of the operands as given against ``math.fsum`` of
+    the products of their float64 copies."""
+    floats = [np.array(x, dtype=np.float64).tolist() for x in (a, b)]
+    keep = np.ones(np.shape(a), dtype=bool) if mask is None else np.asarray(mask)
     try:
-        want = _fsum_products(a.tolist(), b.tolist(), keep.tolist())
+        want = _fsum_products(*floats, keep.tolist())
     except (ValueError, OverflowError) as exc:  # inf - inf, or an overflowing partial sum
         with pytest.raises(type(exc)):
             exact_matmul(a, b, mask)
@@ -485,13 +487,41 @@ def _assert_exact_matmul(a, b, mask=None):
     assert [[x.hex() for x in row] for row in got.tolist()] == [[x.hex() for x in row] for row in want]
 
 
+def _count_magnitude_products(monkeypatch):
+    """Shapes of the ``|a| @ |b|`` bounds ``exact_matmul`` computes."""
+    products = []
+
+    class Magnitudes(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self.shape)
+            return np.asarray(self) @ np.asarray(other)
+
+    absolute = np.abs
+    monkeypatch.setattr(np, "abs", lambda x: absolute(x).view(Magnitudes))
+    return products
+
+
 def test_exact_matmul_takes_the_integer_route_below_2_53(monkeypatch):
-    ones = np.ones((2, 1))
     fsums = _count_fallbacks(monkeypatch, "fsum_rows")
-    for row, certified in [([2.0**52, 2.0**52 - 1], True), ([2.0**52, 2.0**52], False)]:
-        fsums.clear()
-        _assert_exact_matmul([row], ones)
-        assert (not fsums) == certified, row
+    products = _count_magnitude_products(monkeypatch)
+    ones = [[1.0], [1.0]]
+    # (a, b, certified, by inputs * max|a| * max|b| < 2^53 alone)
+    for a, b, certified, cheap in [
+        ([[2.0**51, 2.0**51]], ones, True, True),  # 2 x 2^51 x 1 bounds every sum
+        ([[2.0**52, 2.0**52 - 1]], ones, True, False),  # that bound reads 2^53, the sum 2^53 - 1
+        ([[2.0**52, 2.0**52]], ones, False, False),  # the sum reaches 2^53
+        ([[2.0**60, -(2.0**60)]], [[0.0], [0.0]], True, True),  # a zero operand bounds by zero
+        ([[math.inf, 1.0]], [[0.0], [1.0]], False, False),  # inf x 0 is NaN
+        ([[math.inf, 1.0]], ones, False, False),
+        ([[math.nan, 1.0]], ones, False, True),  # not integral: no bound is computed
+        ([[1.0, 1.0]], [[math.nan], [1.0]], False, True),
+    ]:
+        for left in (a, np.array(a, dtype=np.int64)) if math.isfinite(a[0][0]) else (a,):
+            fsums.clear()
+            products.clear()
+            _assert_exact_matmul(left, b)  # an integer-dtype operand takes the same route
+            assert (not fsums) == certified, (a, b)
+            assert products == ([] if cheap else [(1, 2)]), (a, b)
     _assert_exact_matmul([[2.0**53, 1.0, 1.0]], np.ones((3, 1)))  # a plain sum loses both ones
     # silent +0.0 inputs against negative weights: fsum's zero is +0.0
     _assert_exact_matmul([[0.0, 0.0]], [[-1.0], [-3.0]])
@@ -501,34 +531,6 @@ def test_exact_matmul_takes_the_integer_route_below_2_53(monkeypatch):
     _assert_exact_matmul([[1.0, 7.0]], [[2.0], [math.inf]], mask=[[True, False]])
     _assert_exact_matmul([[1.0, 7.0]], [[math.inf], [-math.inf]])  # raises as fsum_rows does
     _assert_exact_matmul([[1.0, 7.0]], [[math.inf], [1.0]])
-
-
-@pytest.mark.parametrize(
-    "a, b, certified",
-    [
-        # the largest entries bound every sum: 2 x 2^51 x 1 < 2^53
-        ([[2.0**51, 2.0**51]], [[1.0], [1.0]], True),
-        # that bound reads 2^53, the magnitude sums 2^53 - 1: just below
-        ([[2.0**52, 2.0**52 - 1]], [[1.0], [1.0]], True),
-        ([[2.0**52, 2.0**52]], [[1.0], [1.0]], False),  # at 2^53
-        # a zero operand bounds every sum by zero, however large the other
-        ([[2.0**60, -(2.0**60)]], [[0.0], [0.0]], True),
-        ([[math.inf, 1.0]], [[0.0], [1.0]], False),  # inf x 0 is NaN
-        ([[math.inf, 1.0]], [[1.0], [1.0]], False),
-        ([[math.nan, 1.0]], [[1.0], [1.0]], False),
-        ([[1.0, 1.0]], [[math.nan], [1.0]], False),
-    ],
-)
-def test_exact_matmul_bounds_by_its_largest_entries_first(monkeypatch, a, b, certified):
-    fsums = _count_fallbacks(monkeypatch, "fsum_rows")
-    with np.errstate(all="ignore"):
-        _assert_exact_matmul(a, b)
-    assert (not fsums) == certified
-    if all(math.isfinite(x) for row in a for x in row):
-        fsums.clear()  # an integer-dtype operand takes the same route
-        got = exact_matmul(np.array(a, dtype=np.int64), b).ravel().tolist()
-        assert [x.hex() for x in got] == [x.hex() for x in exact_matmul(a, b).ravel().tolist()]
-        assert (not fsums) == certified
 
 
 _ENTRIES = {
